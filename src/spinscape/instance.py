@@ -40,6 +40,11 @@ class EnumerationLimitError(RuntimeError):
     """Raised when a requested exhaustive scan exceeds the configured ceiling."""
 
 
+def _is_json_int(value: object) -> bool:
+    """True for a JSON integer; floats and booleans are not coerced."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _reverse_bits(value: int, n: int) -> int:
     out = 0
     for _ in range(n):
@@ -273,19 +278,22 @@ class IsingInstance:
             j_entries = doc.get("J", [])
         except (KeyError, TypeError) as exc:
             raise ValueError("instance document missing required field") from exc
-        if not isinstance(n, int) or isinstance(n, bool):
+        if not _is_json_int(n):
             raise ValueError("n must be an integer")
         if not isinstance(h, list) or len(h) != n:
             raise ValueError("h must be a list of length n")
+        if not all(_is_json_int(x) for x in h):
+            raise ValueError("h entries must be integers")
+        if not _is_json_int(c0):
+            raise ValueError("c0 must be an integer")
         seen = set()
         triples = []
         for entry in j_entries:
             if not (isinstance(entry, list) and len(entry) == 3):
                 raise ValueError("J entries must be [i, j, w] triples")
             i, j, w = entry
-            for v in (i, j, w):
-                if not isinstance(v, int) or isinstance(v, bool):
-                    raise ValueError("J entries must be integer triples")
+            if not all(_is_json_int(v) for v in entry):
+                raise ValueError("J entries must be integer triples")
             if not i < j:
                 raise ValueError("J entries must satisfy i < j")
             if (i, j) in seen:
@@ -409,3 +417,81 @@ def block_energies(inst: IsingInstance, spins: np.ndarray) -> np.ndarray:
 def block_local_fields(inst: IsingInstance, spins: np.ndarray) -> np.ndarray:
     """(rows x n) int64 matrix of local fields for a block of assignments."""
     return spins @ inst.full_coupling_matrix() + inst._h_arr
+
+
+class SplitScan:
+    """Split-half kernel for one full scan over all 2^n ranks.
+
+    The scan walks the blocks of :func:`iter_rank_blocks` in ascending rank
+    order.  Inside a block the high ``hi_bits`` variables 0..hi_bits-1 are
+    constant and the low ``lo_bits`` variables run over every value in rank
+    order, so the low half's spin table, its own energies and its share of
+    every local field are the same in every block.  They are built once
+    here, before any worker thread starts; a block then adds one row
+    (fields) or one (2^lo_bits x hi_bits) matrix-vector product (energies)
+    to a table, and copies its spin rows from the table.
+
+    Every intermediate is a sum over a subset of the terms of
+    ``|c0| + sum |h_i| + sum |J_ij|``, which ``IsingInstance.__init__``
+    bounds by INT64_MAX, so the int64 results equal :func:`block_energies`
+    and :func:`block_local_fields` exactly.  The tables are read-only after
+    construction and may be shared between threads.
+    """
+
+    def __init__(
+        self,
+        inst: IsingInstance,
+        block_bits: int = DEFAULT_BLOCK_BITS,
+    ) -> None:
+        n = inst.n
+        self.blocks = list(iter_rank_blocks(n, block_bits))
+        self.n = n
+        self.lo_bits = lo = min(block_bits, n)
+        self.hi_bits = hi = n - lo
+        self.lo_spins = spin_block(lo, 0, 1 << lo)
+        jfull = inst.full_coupling_matrix()
+        h = inst._h_arr
+        # Doubling over the low variables, each added as the new most
+        # significant low bit (spin -1 rows first): e_lo[r] is the energy of
+        # the low variables alone, f_lo[r, i] their share of local field i.
+        # This costs O(2^lo_bits * n) adds and no multiplications.
+        e_lo = np.zeros(1 << lo, dtype=np.int64)
+        f_lo = np.zeros((1 << lo, n), dtype=np.int64)
+        size = 1
+        for v in range(n - 1, hi - 1, -1):
+            g = f_lo[:size, v] + h[v]
+            np.add(e_lo[:size], g, out=e_lo[size:2 * size])
+            e_lo[:size] -= g
+            np.add(f_lo[:size], jfull[v], out=f_lo[size:2 * size])
+            f_lo[:size] -= jfull[v]
+            size *= 2
+        in_hi = inst._jj < hi  # couplings are stored with i < j
+        self._e_lo = e_lo
+        self._f_lo = f_lo
+        self._hi_terms = (inst.c0, h[:hi], inst._ii[in_hi], inst._jj[in_hi], inst._ww[in_hi])
+        self._h = h
+        self._j_hi = jfull[:hi]
+
+    def hi_spins(self, start: int) -> np.ndarray:
+        """The constant +-1 spins of variables 0..hi_bits-1 in the block at ``start``."""
+        return spin_block(self.hi_bits, start >> self.lo_bits, 1)[0].astype(np.int64)
+
+    def spins(self, start: int) -> np.ndarray:
+        """Same as ``spin_block(n, start, 2**lo_bits)``, copied from the table."""
+        out = np.empty((len(self.lo_spins), self.n), dtype=np.int16)
+        out[:, : self.hi_bits] = self.hi_spins(start)
+        out[:, self.hi_bits:] = self.lo_spins
+        return out
+
+    def energies(self, start: int) -> np.ndarray:
+        """Same as ``block_energies`` on the block at ``start``."""
+        c0, h_hi, ii, jj, ww = self._hi_terms
+        s = self.hi_spins(start)
+        e_hi = c0 + int(s @ h_hi) + int((s[ii] * s[jj]) @ ww)
+        e = self._e_lo + self._f_lo[:, : self.hi_bits] @ s
+        e += e_hi
+        return e
+
+    def fields(self, start: int) -> np.ndarray:
+        """Same as ``block_local_fields`` on the block at ``start``."""
+        return self._f_lo + (self._h + self.hi_spins(start) @ self._j_hi)

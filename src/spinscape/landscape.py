@@ -6,14 +6,16 @@ strictly increases the energy.  The energy change of flipping a set U is
     delta(U) = -2 * (sum_{i in U} S_i L_i  -  2 * sum_{i<j in U} J_ij S_i S_j)
 
 with L the local fields, so all checks run on exact integers.  Enumeration
-scans the full assignment space in rank blocks, computing local fields for a
-whole block with one matrix product, and only the (rare) survivors of the
+scans the full assignment space in rank blocks with the split-half kernel
+:class:`~spinscape.instance.SplitScan` (a block's local fields are one
+precomputed table plus one row), and only the (rare) survivors of the
 single-flip test pay for the larger subset checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -23,9 +25,10 @@ from spinscape.instance import (
     Assignment,
     EnumerationLimitError,
     IsingInstance,
-    block_local_fields,
-    iter_rank_blocks,
-    spin_block,
+    SplitScan,
+    # Unused here; perfbench/tracing.py wraps them under these names.
+    block_local_fields,  # noqa: F401
+    spin_block,  # noqa: F401
 )
 
 # vertex-count * neighborhood budget for basin construction
@@ -47,6 +50,26 @@ class LandscapeReport:
         return len(self.minima)
 
 
+# The subset checks run once per scan survivor; their index sets depend on n
+# only.  Cached arrays are shared, so they are made read-only.
+@lru_cache(maxsize=8)
+def _pair_index(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Indices of the pairs i < j of an n x n matrix."""
+    iu = np.triu_indices(n, 1)
+    for a in iu:
+        a.flags.writeable = False
+    return iu
+
+
+@lru_cache(maxsize=8)
+def _triple_mask(n: int) -> np.ndarray:
+    """Mask of the triples i < j < l of an n x n x n array."""
+    i, j, l = np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij")
+    mask = (i < j) & (j < l)
+    mask.flags.writeable = False
+    return mask
+
+
 def _subset_deltas_ok(
     inst: IsingInstance,
     spins: np.ndarray,
@@ -64,8 +87,6 @@ def _subset_deltas_ok(
     """
     n = inst.n
     sl = (spins.astype(np.int64)) * fields
-    jm = inst.full_coupling_matrix()
-    q = jm * np.outer(spins, spins).astype(np.int64)
 
     def ok(deltas: np.ndarray) -> bool:
         if flipped:
@@ -75,18 +96,19 @@ def _subset_deltas_ok(
     if sizes_from <= 1 <= k:
         if not ok(-2 * sl):
             return False
+    if k < 2:
+        return True
+    jm = inst.full_coupling_matrix()
+    q = jm * np.outer(spins, spins).astype(np.int64)
     if sizes_from <= 2 <= k and n >= 2:
         d2 = -2 * (sl[:, None] + sl[None, :] - 2 * q)
-        iu = np.triu_indices(n, 1)
-        if not ok(d2[iu]):
+        if not ok(d2[_pair_index(n)]):
             return False
     if sizes_from <= 3 <= k and n >= 3:
         a1 = sl[:, None, None] + sl[None, :, None] + sl[None, None, :]
         b = q[:, :, None] + q[:, None, :] + q[None, :, :]
         d3 = -2 * (a1 - 2 * b)
-        i, j, l = np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij")
-        mask = (i < j) & (j < l)
-        if not ok(d3[mask]):
+        if not ok(d3[_triple_mask(n)]):
             return False
     for size in range(max(4, sizes_from), k + 1):
         if size > n:
@@ -121,16 +143,20 @@ def _scan_candidates(
     inst: IsingInstance, strict: bool, flipped: bool, block_bits: int
 ) -> Iterable[Tuple[int, np.ndarray, np.ndarray]]:
     """Yield (rank, spins_row, fields_row) for survivors of the single-flip test."""
-    n = inst.n
-    for start, count in iter_rank_blocks(n, block_bits):
-        spins = spin_block(n, start, count)
-        fields = block_local_fields(inst, spins)
-        sl = spins * fields
+    scan = SplitScan(inst, block_bits)
+    for start, _ in scan.blocks:
+        spins = scan.spins(start)
+        # S_i * L_i in place of the fresh field block: one block-sized
+        # array per block instead of two.  Spins are +-1, so a survivor's
+        # fields come back exactly as S_i * (S_i * L_i).
+        sl = scan.fields(start)
+        sl *= spins
         if flipped:
-            sl = -sl
+            np.negative(sl, out=sl)
         hits = (sl < 0).all(axis=1) if strict else (sl <= 0).all(axis=1)
-        for r in np.nonzero(hits)[0]:
-            yield start + int(r), spins[r], fields[r]
+        for r in np.flatnonzero(hits):
+            fields = sl[r] * spins[r]
+            yield start + int(r), spins[r], -fields if flipped else fields
 
 
 def enumerate_k_minima(
@@ -196,11 +222,15 @@ def k_basins(
         raise ValueError("need k >= 1")
     n = inst.n
     vertices: List[int] = []  # bit masks
+    strict: List[Assignment] = []
     for rank, spins, fields in _scan_candidates(inst, strict=False, flipped=flipped_rule,
                                                 block_bits=block_bits):
         if k == 1 or _subset_deltas_ok(inst, spins, fields, k, strict=False,
                                        flipped=flipped_rule, sizes_from=2):
-            vertices.append(Assignment.from_rank(rank, n).bits)
+            a = Assignment.from_rank(rank, n)
+            vertices.append(a.bits)
+            if not flipped_rule and _subset_deltas_ok(inst, spins, fields, k, strict=True):
+                strict.append(a)
     masks = _flip_masks(n, k)
     if len(vertices) * max(1, len(masks)) > work_limit:
         raise EnumerationLimitError(
@@ -218,13 +248,9 @@ def k_basins(
     for pos in range(len(vertices)):
         root = uf.find(pos)
         sizes[root] = sizes.get(root, 0) + 1
-    strict = tuple(
-        a for a in (Assignment(n, bits) for bits in vertices)
-        if is_k_minimum(inst, a, k)
-    ) if not flipped_rule else tuple()
     return LandscapeReport(
         k=k,
-        minima=strict,
+        minima=tuple(strict),
         basin_count=len(sizes),
         basin_sizes=tuple(sorted(sizes.values(), reverse=True)),
         vertex_count=len(vertices),

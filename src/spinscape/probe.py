@@ -19,7 +19,8 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-INT64_MAX = 2**63 - 1
+from spinscape.instance import INT64_MAX
+
 SUPPORT_LIMIT = 10**7
 _STREAM_MC = 31
 _STREAM_SCALING = 32

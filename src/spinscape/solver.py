@@ -35,7 +35,8 @@ from .instance import (
     DegreeGraph,
     EnumerationLimitError,
     IsingInstance,
-    block_energies,
+    SplitScan,
+    block_energies,  # noqa: F401  perfbench/tracing.py wraps it under this name
     iter_rank_blocks,
     spin_block,
 )
@@ -356,9 +357,9 @@ def _scan_all(
 
 def _brute_assignment(inst: IsingInstance, e_star: int, block_bits: int) -> Assignment:
     """Lex-smallest assignment at a known optimal energy, by full rescan."""
-    for start, count in iter_rank_blocks(inst.n, block_bits):
-        spins = spin_block(inst.n, start, count)
-        hits = np.flatnonzero(block_energies(inst, spins) == e_star)
+    scan = SplitScan(inst, block_bits)
+    for start, _ in scan.blocks:
+        hits = np.flatnonzero(scan.energies(start) == e_star)
         if hits.size:
             return Assignment.from_rank(start + int(hits[0]), inst.n)
     raise AssertionError("target energy vanished on rescan")
@@ -433,19 +434,19 @@ def solve_brute(
     minimum encountered is the lexicographically smallest one.
     """
     n = inst.n
-    blocks = list(iter_rank_blocks(n, block_bits))
+    split = SplitScan(inst, block_bits)
 
     def scan(block: Tuple[int, int]) -> Tuple[int, int]:
-        start, count = block
-        e = block_energies(inst, spin_block(n, start, count))
+        start, _ = block
+        e = split.energies(start)
         k = int(np.argmin(e))
         return int(e[k]), start + k
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(scan, blocks))
+            parts = list(ex.map(scan, split.blocks))
     else:
-        parts = [scan(b) for b in blocks]
+        parts = [scan(b) for b in split.blocks]
     best_e, best_rank = parts[0]
     for e, r in parts[1:]:
         if e < best_e:

@@ -261,6 +261,15 @@ class TestErrorPaths:
                                capsys)
         assert code == 2
 
+    def test_non_integer_fields_are_input_errors(self, tmp_path, capsys):
+        path = tmp_path / "float.json"
+        path.write_text('{"n": 2, "h": [1.7, true], "c0": 2.9, "J": []}')
+        code, out, err = run_cli(["solve", "--method", "brute", "-i", str(path)],
+                                 capsys)
+        assert code == 2
+        assert out == ""
+        assert "integer" in err
+
     def test_malformed_wcnf(self, tmp_path, capsys):
         path = tmp_path / "bad.wcnf"
         path.write_text("p wcnf x y\n")

@@ -6,15 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_instance
+from spinscape.generators import gen_csse
 from spinscape.instance import (
+    DEFAULT_BLOCK_BITS,
+    INT64_MAX,
     Assignment,
     EnumerationLimitError,
     IsingInstance,
+    SplitScan,
     block_energies,
     block_local_fields,
     iter_rank_blocks,
     spin_block,
 )
+from spinscape.landscape import enumerate_k_minima, k_basins
+from spinscape.solver import _brute_assignment, solve_brute
 
 
 def csse4() -> IsingInstance:
@@ -141,6 +147,19 @@ class TestSerialization:
         with pytest.raises(ValueError):
             IsingInstance.from_json_dict({"n": True, "c0": 0, "h": [], "J": []})
 
+    @pytest.mark.parametrize("doc", [
+        {"n": 2, "h": [1.7, 0], "c0": 0, "J": []},
+        {"n": 2, "h": [1, True], "c0": 0, "J": []},
+        {"n": 2, "h": [1, "1"], "c0": 0, "J": []},
+        {"n": 2, "h": [1, 2.0], "c0": 0, "J": []},
+        {"n": 2, "h": [1, 1], "c0": 2.9, "J": []},
+        {"n": 2, "h": [1, 1], "c0": False, "J": []},
+        {"n": 2, "h": [1.7, True], "c0": 2.9, "J": []},
+    ])
+    def test_rejects_non_integer_fields_and_constant(self, doc):
+        with pytest.raises(ValueError):
+            IsingInstance.from_json_dict(doc)
+
     def test_digest_ignores_coupling_entry_order(self):
         a = IsingInstance(3, [1, 2, 3], [(0, 1, 4), (1, 2, -1)])
         b = IsingInstance(3, [1, 2, 3], [(1, 2, -1), (0, 1, 4)])
@@ -217,3 +236,75 @@ def test_negation_energy_identity():
     for r in range(32):
         a = Assignment.from_rank(r, 5)
         assert neg.energy(a) == -inst.energy(a)
+
+
+@st.composite
+def split_cases(draw):
+    """(instance, block_bits): ordinary, coupling-free and near-budget instances."""
+    n = draw(st.integers(0, 10))
+    block_bits = draw(st.integers(1, n + 2))
+    kind = draw(st.sampled_from(["random", "zero-coupling", "near-budget"]))
+    if kind == "random" and n >= 1:
+        return random_instance(draw(st.integers(0, 10_000)), n=n), block_bits
+    small = st.integers(-5, 5)
+    h = draw(st.lists(small, min_size=n, max_size=n))
+    c0 = draw(small)
+    if kind == "near-budget" and n >= 2:
+        # One coupling near 2^61 takes 2^62 of the budget; the fields and
+        # the constant share most of the rest.
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        w = draw(st.integers(2**61 - 2**20, 2**61)) * draw(st.sampled_from([-1, 1]))
+        share = (INT64_MAX - 2 * abs(w)) // (n + 1)
+        h = [draw(st.integers(-share, share)) for _ in range(n)]
+        c0 = draw(st.integers(-share, share))
+        return IsingInstance(n, h, [(i, j, w)], c0=c0), block_bits
+    return IsingInstance(n, h, c0=c0), block_bits
+
+
+@settings(max_examples=150, deadline=None)
+@given(split_cases())
+def test_split_scan_matches_reference_kernels(case):
+    inst, block_bits = case
+    scan = SplitScan(inst, block_bits)
+    assert scan.blocks == list(iter_rank_blocks(inst.n, block_bits))
+    for start, count in scan.blocks:
+        ref_spins = spin_block(inst.n, start, count)
+        spins = scan.spins(start)
+        assert spins.dtype == ref_spins.dtype
+        np.testing.assert_array_equal(spins, ref_spins)
+        np.testing.assert_array_equal(scan.energies(start), block_energies(inst, ref_spins))
+        np.testing.assert_array_equal(scan.fields(start), block_local_fields(inst, ref_spins))
+    # Python integers cannot wrap: the first and last energies are exact.
+    last = (1 << inst.n) - 1
+    start = scan.blocks[-1][0]
+    assert int(scan.energies(0)[0]) == inst.energy(Assignment.from_rank(0, inst.n))
+    assert int(scan.energies(start)[last - start]) == inst.energy(Assignment.from_rank(last, inst.n))
+
+
+def test_split_scan_enforces_the_ceiling():
+    with pytest.raises(EnumerationLimitError):
+        SplitScan(IsingInstance(30, [0] * 30))
+
+
+def _tie_instances():
+    # All-pairs n=8: 70 tying optima spread over many blocks of 8 ranks, and
+    # none in the first block.  Four disjoint ferromagnetic pairs: 16 tying
+    # optima, two in each block of 8 ranks that holds any.  Plus two random
+    # instances.
+    yield gen_csse(8)
+    yield IsingInstance(8, [0] * 8, [(2 * k, 2 * k + 1, -1) for k in range(4)])
+    yield random_instance(41, n=9, density=0.4)
+    yield random_instance(42, n=10, density=0.2)
+
+
+@pytest.mark.parametrize("inst", list(_tie_instances()), ids=["csse8", "pairs8", "r9", "r10"])
+def test_block_size_does_not_change_scan_results(inst):
+    small, default = 3, DEFAULT_BLOCK_BITS
+    a, b = solve_brute(inst, block_bits=small), solve_brute(inst, block_bits=default)
+    assert (a.energy, a.best) == (b.energy, b.best)
+    assert solve_brute(inst, block_bits=small, workers=2).best == a.best
+    assert _brute_assignment(inst, a.energy, small) == a.best
+    for k in (1, 2):
+        assert enumerate_k_minima(inst, k, block_bits=small) == \
+            enumerate_k_minima(inst, k, block_bits=default)
+        assert k_basins(inst, k, block_bits=small) == k_basins(inst, k, block_bits=default)

@@ -149,3 +149,15 @@ def test_enumerated_minima_verify(seed, k):
     # completeness at k=1 against the direct scan
     if k == 1:
         assert [a.bits for a in report.minima] == [a.bits for a in exhaustive_minima(inst)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 5000), k=st.integers(1, 3))
+def test_basin_minima_are_the_strict_minima_in_rank_order(seed, k):
+    inst = random_instance(seed, n=7, density=0.5)
+    report = k_basins(inst, k)
+    assert report.minima == enumerate_k_minima(inst, k).minima
+    assert report.minima == tuple(
+        a for a in enumerate_k_minima(inst, 1).minima if is_k_minimum(inst, a, k)
+    )
+    assert k_basins(inst, k, flipped_rule=True).minima == ()
