@@ -22,7 +22,8 @@ from spinscape.instance import (
     Assignment,
     EnumerationLimitError,
     IsingInstance,
-    SplitScan,
+    iter_rank_blocks,
+    spin_block,
 )
 from spinscape.rand import rng_from
 
@@ -166,17 +167,14 @@ def zero_energy_assignments(ci: ColumnInstance, block_bits: int = 16) -> List[As
             "zero-energy scan over %d variables exceeds the 2^%d ceiling"
             % (n, MAX_ENUM_BITS)
         )
-    col_mat = np.zeros((n, len(ci.columns)), dtype=np.int64)
+    col_mat = np.zeros((n, len(ci.columns)), dtype=np.int16)
     for c, col in enumerate(ci.columns):
         for i in col:
             col_mat[i, c] = 1
     targets = np.array(ci.m_values, dtype=np.int64)
-    scan = SplitScan(ci.instance, block_bits)
-    hi = scan.hi_bits
-    lo_sums = scan.lo_spins @ col_mat[hi:]  # column sums over the low variables
     out: List[Assignment] = []
-    for start, _ in scan.blocks:
-        sums = lo_sums + scan.hi_spins(start) @ col_mat[:hi]
+    for start, count in iter_rank_blocks(n, block_bits):
+        sums = spin_block(n, start, count) @ col_mat
         hits = np.nonzero((sums == targets).all(axis=1))[0]
         out.extend(Assignment.from_rank(start + int(r), n) for r in hits)
     return out

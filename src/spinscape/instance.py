@@ -375,16 +375,20 @@ class DegreeGraph:
 # -- vectorized enumeration helpers ---------------------------------------
 
 
+def _check_enum_bits(n: int, max_bits: int = MAX_ENUM_BITS) -> None:
+    if n > max_bits:
+        raise EnumerationLimitError(
+            "exhaustive scan over %d variables exceeds the 2^%d ceiling" % (n, max_bits)
+        )
+
+
 def iter_rank_blocks(
     n: int,
     block_bits: int = DEFAULT_BLOCK_BITS,
     max_bits: int = MAX_ENUM_BITS,
 ) -> Iterator[Tuple[int, int]]:
     """Yield (start_rank, count) covering all ranks 0..2^n - 1 in order."""
-    if n > max_bits:
-        raise EnumerationLimitError(
-            "exhaustive scan over %d variables exceeds the 2^%d ceiling" % (n, max_bits)
-        )
+    _check_enum_bits(n, max_bits)
     total = 1 << n
     step = 1 << min(block_bits, n)
     for start in range(0, total, step):
@@ -444,10 +448,12 @@ class SplitScan:
         block_bits: int = DEFAULT_BLOCK_BITS,
     ) -> None:
         n = inst.n
-        self.blocks = list(iter_rank_blocks(n, block_bits))
+        _check_enum_bits(n)
         self.n = n
         self.lo_bits = lo = min(block_bits, n)
         self.hi_bits = hi = n - lo
+        # Block start ranks, the same as those of iter_rank_blocks.
+        self.starts = range(0, 1 << n, 1 << lo)
         self.lo_spins = spin_block(lo, 0, 1 << lo)
         jfull = inst.full_coupling_matrix()
         h = inst._h_arr

@@ -144,7 +144,7 @@ def _scan_candidates(
 ) -> Iterable[Tuple[int, np.ndarray, np.ndarray]]:
     """Yield (rank, spins_row, fields_row) for survivors of the single-flip test."""
     scan = SplitScan(inst, block_bits)
-    for start, _ in scan.blocks:
+    for start in scan.starts:
         spins = scan.spins(start)
         # S_i * L_i in place of the fresh field block: one block-sized
         # array per block instead of two.  Spins are +-1, so a survivor's
@@ -221,6 +221,10 @@ def k_basins(
     if k < 1:
         raise ValueError("need k >= 1")
     n = inst.n
+    masks = _flip_masks(n, k)
+    # Past this many vertices the work limit rejects the request, so the
+    # strictness checks stop there.
+    max_vertices = work_limit // max(1, len(masks))
     vertices: List[int] = []  # bit masks
     strict: List[Assignment] = []
     for rank, spins, fields in _scan_candidates(inst, strict=False, flipped=flipped_rule,
@@ -229,9 +233,9 @@ def k_basins(
                                        flipped=flipped_rule, sizes_from=2):
             a = Assignment.from_rank(rank, n)
             vertices.append(a.bits)
-            if not flipped_rule and _subset_deltas_ok(inst, spins, fields, k, strict=True):
+            if (not flipped_rule and len(vertices) <= max_vertices
+                    and _subset_deltas_ok(inst, spins, fields, k, strict=True)):
                 strict.append(a)
-    masks = _flip_masks(n, k)
     if len(vertices) * max(1, len(masks)) > work_limit:
         raise EnumerationLimitError(
             "basin construction over %d vertices x %d moves exceeds the work limit"

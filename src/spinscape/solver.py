@@ -358,7 +358,7 @@ def _scan_all(
 def _brute_assignment(inst: IsingInstance, e_star: int, block_bits: int) -> Assignment:
     """Lex-smallest assignment at a known optimal energy, by full rescan."""
     scan = SplitScan(inst, block_bits)
-    for start, _ in scan.blocks:
+    for start in scan.starts:
         hits = np.flatnonzero(scan.energies(start) == e_star)
         if hits.size:
             return Assignment.from_rank(start + int(hits[0]), inst.n)
@@ -436,17 +436,16 @@ def solve_brute(
     n = inst.n
     split = SplitScan(inst, block_bits)
 
-    def scan(block: Tuple[int, int]) -> Tuple[int, int]:
-        start, _ = block
+    def scan(start: int) -> Tuple[int, int]:
         e = split.energies(start)
         k = int(np.argmin(e))
         return int(e[k]), start + k
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(scan, split.blocks))
+            parts = list(ex.map(scan, split.starts))
     else:
-        parts = [scan(b) for b in split.blocks]
+        parts = [scan(s) for s in split.starts]
     best_e, best_rank = parts[0]
     for e, r in parts[1:]:
         if e < best_e:

@@ -266,8 +266,9 @@ def split_cases(draw):
 def test_split_scan_matches_reference_kernels(case):
     inst, block_bits = case
     scan = SplitScan(inst, block_bits)
-    assert scan.blocks == list(iter_rank_blocks(inst.n, block_bits))
-    for start, count in scan.blocks:
+    blocks = list(iter_rank_blocks(inst.n, block_bits))
+    assert list(scan.starts) == [start for start, _ in blocks]
+    for start, count in blocks:
         ref_spins = spin_block(inst.n, start, count)
         spins = scan.spins(start)
         assert spins.dtype == ref_spins.dtype
@@ -276,7 +277,7 @@ def test_split_scan_matches_reference_kernels(case):
         np.testing.assert_array_equal(scan.fields(start), block_local_fields(inst, ref_spins))
     # Python integers cannot wrap: the first and last energies are exact.
     last = (1 << inst.n) - 1
-    start = scan.blocks[-1][0]
+    start = scan.starts[-1]
     assert int(scan.energies(0)[0]) == inst.energy(Assignment.from_rank(0, inst.n))
     assert int(scan.energies(start)[last - start]) == inst.energy(Assignment.from_rank(last, inst.n))
 

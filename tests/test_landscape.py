@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from helpers import exhaustive_minima, random_instance
 from spinscape.generators import gen_column, gen_csse, zero_energy_assignments
 from spinscape.instance import Assignment, EnumerationLimitError, IsingInstance
+from spinscape import landscape
 from spinscape.landscape import (
     enumerate_k_minima,
     is_k_minimum,
@@ -122,6 +123,22 @@ class TestBasins:
     def test_work_limit(self):
         with pytest.raises(EnumerationLimitError):
             k_basins(IsingInstance(6, [0] * 6), 2, work_limit=100)
+
+    def test_rejected_request_skips_most_strictness_checks(self, monkeypatch):
+        # 64 vertices x 21 moves; a limit of 100 admits 4 vertices, so at
+        # most 4 vertices pay for a strictness check before the rejection.
+        real = landscape._subset_deltas_ok
+        strict_calls = []
+
+        def counting(*args, **kwargs):
+            if kwargs.get("strict"):
+                strict_calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(landscape, "_subset_deltas_ok", counting)
+        with pytest.raises(EnumerationLimitError):
+            k_basins(IsingInstance(6, [0] * 6), 2, work_limit=100)
+        assert len(strict_calls) <= 4
 
 
 class TestMinPairwiseHamming:
