@@ -11,7 +11,7 @@ of the input, counters and the wall time.  Apart from the wall-time field,
 output bytes are a pure function of the flags, so reruns diff clean.
 
 Exit codes: 0 success, 1 usage error, 2 unreadable or malformed input,
-3 resource limit exceeded.
+3 resource limit exceeded, 4 ``solve --verify`` found a different answer.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
+EXIT_VERIFY = 4
 
 VERIFY_MAX_N = 20
 DEFAULT_MINIMA_LIST_CAP = 64
@@ -252,7 +253,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                     % (args.method, res.energy, res.best, oracle.energy, oracle.best),
                     file=sys.stderr,
                 )
-                return EXIT_USAGE
+                return EXIT_VERIFY
             doc["verified"] = True
         else:
             doc["verified"] = None

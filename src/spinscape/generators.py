@@ -84,19 +84,6 @@ class ColumnInstance:
     seed: int | None = None
     planted: Assignment | None = None
 
-    def meta(self) -> dict:
-        out = {
-            "family": "column",
-            "f": self.f,
-            "l": self.l,
-            "m_values": list(self.m_values),
-        }
-        if self.seed is not None:
-            out["seed"] = self.seed
-        if self.planted is not None:
-            out["planted"] = self.planted.bitstring()
-        return out
-
 
 def _grid_columns(f: int, l: int) -> List[Tuple[int, ...]]:
     weights = [l ** (f - 1 - a) for a in range(f)]

@@ -12,24 +12,27 @@ independently.
 Exactness of the returned assignment, not only the energy, needs care: a
 member whose field magnitude *equals* ``h_max_i`` may have optima of both
 signs, and a zero field under ``h_max_i == 0`` carries no preference at
-all.  A second pass therefore revisits the outer assignments that achieve
-the optimal energy and enumerates every non-strictly-fixed member,
-forcing only the strictly dominated ones, which yields the
-lexicographically smallest optimum (bit of variable 0 compared first,
-spin -1 before +1).  All arithmetic stays in 64-bit integers, so results
-are exact.
+all.  Each block of outer assignments therefore resolves its own ties in
+the same pass: its rows at the block minimum enumerate every
+non-strictly-fixed member, forcing only the strictly dominated ones, and
+the block reports the lexicographically smallest optimal completion among
+them (bit of variable 0 compared first, spin -1 before +1).  The smallest
+(energy, rank) pair over all blocks is the answer.  All arithmetic stays
+in 64-bit integers, so results are exact.
 """
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .instance import (
     DEFAULT_BLOCK_BITS,
+    INT64_MAX,
     MAX_ENUM_BITS,
     Assignment,
     DegreeGraph,
@@ -46,12 +49,15 @@ from .tset import (
     TSetCertificate,
     find_T1T2,
     find_T_randomized,
+    side_set_target,
 )
 
-DEFAULT_TIE_ROW_CAP = 4096
 COMPLETION_CAP_BITS = 20
 AUTO_DEGREE_GATE = 16
 _CHUNK_CELLS = 1 << 22
+_COMPLETION_CHUNK = 1 << 16
+# Bits per int64 word of a lex key or of a packed row pattern.
+_KEY_BITS = 63
 
 
 @dataclass(frozen=True)
@@ -86,19 +92,16 @@ def effective_view(inst: IsingInstance, t: Sequence[int], outer: Assignment) -> 
             "outer assignment covers %d variables, complement has %d"
             % (outer.n, len(rest))
         )
-    spin_of = {v: outer.spin(k) for k, v in enumerate(rest)}
+    jf = inst.full_coupling_matrix()
+    spins = outer.spins().astype(np.int64)
     h_eff: Dict[int, int] = {}
     h_max: Dict[int, int] = {}
     forced: Dict[int, int] = {}
     fixed = set()
     for i in tt:
-        he = inst.h[i]
-        hm = 0
-        for j, w in _coupling_row(inst, i):
-            if j in t_set:
-                hm += abs(w)
-            else:
-                he += w * spin_of[j]
+        row = jf[i]
+        he = inst.h[i] + int(row[rest] @ spins)
+        hm = int(np.abs(row[list(tt)]).sum())
         h_eff[i] = he
         h_max[i] = hm
         if abs(he) >= hm:
@@ -108,14 +111,6 @@ def effective_view(inst: IsingInstance, t: Sequence[int], outer: Assignment) -> 
     return EffectiveView(tt, outer, h_eff, h_max, frozenset(fixed), free, forced)
 
 
-def _coupling_row(inst: IsingInstance, i: int):
-    for (a, b), w in inst.couplings.items():
-        if a == i:
-            yield b, w
-        elif b == i:
-            yield a, w
-
-
 @dataclass(frozen=True)
 class SolveResult:
     """Outcome of an exact solve.
@@ -123,8 +118,8 @@ class SolveResult:
     ``best`` is the lexicographically smallest optimal assignment,
     ``leaves_explored`` the number of fully enumerated completions and
     ``outer_assignments`` the number of scanned outer configurations.
-    ``counters`` holds integer diagnostics (fixed/free totals, tie rows,
-    whether the repair pass fell back to a full rescan).
+    ``counters`` holds integer diagnostics (fixed/free totals, and in
+    ``tie_rows`` the exact number of outer assignments at the optimum).
     """
 
     best: Assignment
@@ -150,24 +145,6 @@ def _merge_counters(total: Dict[str, int], part: Mapping[str, int]) -> None:
         total[k] = total.get(k, 0) + int(v)
 
 
-def _outer_bits(rank: int, out: Sequence[int]) -> int:
-    """Bit mask over the full variable range for an outer-enumeration rank."""
-    bits = 0
-    n_out = len(out)
-    for k, v in enumerate(out):
-        if (rank >> (n_out - 1 - k)) & 1:
-            bits |= 1 << v
-    return bits
-
-
-def _bits_rank(bits: int, n: int) -> int:
-    """Big-integer sort key putting variable 0 in the most significant slot."""
-    r = 0
-    for i in range(n):
-        r = (r << 1) | ((bits >> i) & 1)
-    return r
-
-
 def _validate_subset(n: int, t: Sequence[int]) -> Tuple[int, ...]:
     seen = sorted(dict.fromkeys(int(i) for i in t))
     if seen and not (0 <= seen[0] and seen[-1] < n):
@@ -175,14 +152,113 @@ def _validate_subset(n: int, t: Sequence[int]) -> Tuple[int, ...]:
     return tuple(seen)
 
 
-class _EffectiveFieldEngine:
-    """Shared machinery for scanning outer assignments against a set T."""
+# -- lex keys ----------------------------------------------------------------
 
-    def __init__(self, inst: IsingInstance, t: Sequence[int], block_bits: int):
+
+def _key_weights(variables: Sequence[int], n: int) -> np.ndarray:
+    """Lex-key weights of ``variables``: one row each, one int64 column per key word.
+
+    The key of an assignment over n variables is the sum of the weight rows
+    of its +1 variables.  Word w holds variables 63w, 63w + 1, ... with the
+    lowest index most significant, so the words read in order spell the
+    assignment's rank (:func:`_key_rank`) and keys compare like ranks.  A
+    sum of distinct powers of two below 2^63 cannot wrap.
+    """
+    words = max(1, -(-n // _KEY_BITS))
+    out = np.zeros((len(variables), words), dtype=np.int64)
+    for row, v in enumerate(variables):
+        w, pos = divmod(v, _KEY_BITS)
+        out[row, w] = 1 << (min(_KEY_BITS, n - w * _KEY_BITS) - 1 - pos)
+    return out
+
+
+def _key_rank(key: np.ndarray, n: int) -> int:
+    """The rank that the words of one key spell."""
+    rank = 0
+    for w, word in enumerate(key):
+        rank = (rank << min(_KEY_BITS, n - w * _KEY_BITS)) | int(word)
+    return rank
+
+
+def _lex_min(best: Optional[np.ndarray], keys: np.ndarray) -> Optional[np.ndarray]:
+    """The smaller of ``best`` (a key or None) and the smallest row of ``keys``."""
+    if not len(keys):
+        return best
+    if keys.shape[1] == 1:
+        key = keys[int(np.argmin(keys[:, 0]))]
+    else:
+        key = keys[int(np.lexsort(keys.T[::-1])[0])]
+    if best is None or tuple(key) < tuple(best):
+        return key
+    return best
+
+
+def _pattern_groups(mask: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield (set columns, clear columns, rows) for each distinct row of ``mask``.
+
+    Each row is packed into 63-bit int64 words; the words fold into one
+    int64 code per row, so the grouping is a 1-D ``np.unique``.
+    """
+    n_rows, width = mask.shape
+    code = np.zeros(n_rows, dtype=np.int64)
+    for a in range(0, width, _KEY_BITS):
+        part = mask[:, a:a + _KEY_BITS]
+        word = part.astype(np.int64) @ (1 << np.arange(part.shape[1], dtype=np.int64))
+        if a:
+            # both factors are dense indices below n_rows: the code cannot wrap
+            code = (np.ravel(np.unique(code, return_inverse=True)[1]) * n_rows
+                    + np.ravel(np.unique(word, return_inverse=True)[1]))
+        else:
+            code = word
+    _, first, inverse, counts = np.unique(
+        code, return_index=True, return_inverse=True, return_counts=True
+    )
+    order = np.argsort(np.ravel(inverse), kind="stable")
+    ends = np.cumsum(counts)
+    for k, row in enumerate(first):
+        pat = mask[row]
+        yield np.flatnonzero(pat), np.flatnonzero(~pat), order[ends[k] - counts[k]:ends[k]]
+
+
+# -- the scan engine -----------------------------------------------------------
+
+
+class _ScanEngine:
+    """One pass over every outer assignment against a set T and two side sets.
+
+    The outer variables are those outside T, T1 and T2.  Once they are
+    assigned, a member of T whose effective field magnitude reaches
+    ``h_max``, its total coupling weight into T, T1 and T2, is fixed
+    against its field, and the other ("free") members are enumerated.  T1
+    and T2 share no coupling edge, so for each completion of T each side
+    set is minimized on its own and the costs add instead of multiplying.
+    The effective-field solvers use empty side sets.
+
+    The blocks of outer assignments are those of one :class:`SplitScan` over
+    the outer variables alone, which also gives their energies.  The low
+    half's share of every effective field (T, T1 and T2 columns side by
+    side) and of every lex key are tables built once, so a block's fields
+    and keys are a table plus one row.  All tables are read-only after
+    construction and shared by the worker threads.
+    """
+
+    def __init__(
+        self,
+        inst: IsingInstance,
+        t: Sequence[int],
+        block_bits: int,
+        t1: Sequence[int] = (),
+        t2: Sequence[int] = (),
+    ):
         self.inst = inst
         self.t = _validate_subset(inst.n, t)
-        n = inst.n
-        out = [i for i in range(n) if i not in set(self.t)]
+        t1 = _validate_subset(inst.n, t1)
+        t2 = _validate_subset(inst.n, t2)
+        inner = list(self.t) + list(t1) + list(t2)
+        if len(set(inner)) != len(inner):
+            raise ValueError("t, t1 and t2 must be pairwise disjoint")
+        inner_set = set(inner)
+        out = [i for i in range(inst.n) if i not in inner_set]
         self.out = tuple(out)
         self.n_out = len(out)
         if self.n_out > MAX_ENUM_BITS:
@@ -190,179 +266,231 @@ class _EffectiveFieldEngine:
                 "outer enumeration needs %d bits, limit is %d"
                 % (self.n_out, MAX_ENUM_BITS)
             )
-        self.block_bits = block_bits
-        h = np.array(inst.h, dtype=np.int64)
-        self.h_out = h[out] if out else np.zeros(0, dtype=np.int64)
-        self.h_t = h[list(self.t)] if self.t else np.zeros(0, dtype=np.int64)
+        if max(len(t1), len(t2)) > COMPLETION_CAP_BITS:
+            raise EnumerationLimitError("side sets too large to enumerate")
         jf = inst.full_coupling_matrix()
-        self.j_cross = jf[np.ix_(out, list(self.t))]
-        self.j_tt = jf[np.ix_(list(self.t), list(self.t))]
-        self.m = len(self.t)
-        # per-member fixing threshold: i's own total internal coupling weight
-        self.h_max = np.abs(self.j_tt).sum(axis=1)
-        self.has_internal = bool(self.m) and bool(np.any(self.j_tt))
-        opos = {v: k for k, v in enumerate(out)}
-        oo = [(opos[i], opos[j], w) for i, j, w in inst.edges() if i in opos and j in opos]
-        self.oo_i = np.array([e[0] for e in oo], dtype=np.int64)
-        self.oo_j = np.array([e[1] for e in oo], dtype=np.int64)
-        self.oo_w = np.array([e[2] for e in oo], dtype=np.int64)
+        if np.any(jf[np.ix_(t1, t2)]):
+            raise ValueError("t1 and t2 must not share coupling edges")
+        n = inst.n
+        self.m = m = len(self.t)
+        # column ranges of T, T1 and T2 in the inner field tables
+        self._split_at = (m, m + len(t1))
+        j_in = jf[np.ix_(inner, inner)]
+        # per-member threshold over the whole inner region: a fixed member
+        # of T stays dominated whatever T's free part and the side sets do
+        self.h_max = np.abs(j_in[:m]).sum(axis=1)
+        self.j_tt = j_in[:m, :m]
+        self.j_t1 = j_in[:m, m:m + len(t1)]
+        self.j_t2 = j_in[:m, m + len(t1):]
+        self.has_internal = bool(np.any(self.j_tt))
+        self.sides = bool(t1 or t2)
+        self.w_t = _key_weights(self.t, n)
+        self.side_tables = []
+        for ts in (t1, t2):
+            s = spin_block(len(ts), 0, 1 << len(ts)).astype(np.int64)
+            own = ((s @ jf[np.ix_(ts, ts)]) * s).sum(axis=1) // 2
+            self.side_tables.append((s, own, (s > 0).astype(np.int64) @ _key_weights(ts, n)))
+        self._side_width = max(len(own) for _, own, _ in self.side_tables) if self.sides else 1
 
-    def outer_energies(self, spins: np.ndarray) -> np.ndarray:
-        e = spins @ self.h_out + self.inst.c0
-        if self.oo_w.size:
-            e = e + (spins[:, self.oo_i] * spins[:, self.oo_j]) @ self.oo_w
-        return e
+        h = np.array(inst.h, dtype=np.int64)
+        pos = {v: k for k, v in enumerate(out)}
+        sub = IsingInstance(
+            self.n_out,
+            [inst.h[v] for v in out],
+            [(pos[i], pos[j], w) for i, j, w in inst.edges() if i in pos and j in pos],
+            c0=inst.c0,
+        )
+        self.split = SplitScan(sub, block_bits)
+        hi = self.split.hi_bits
+        j_cross = jf[np.ix_(out, inner)]
+        lo_spins = self.split.lo_spins
+        self._fields_lo = lo_spins @ j_cross[hi:]
+        self._fields_hi = (h[inner], j_cross[:hi])
+        w_out = _key_weights(out, n)
+        self._keys_lo = (lo_spins > 0).astype(np.int64) @ w_out[hi:]
+        self._keys_hi = w_out[:hi]
+        self._lock = threading.Lock()
+        self._best: Optional[int] = None
 
-    def effective_fields(self, spins: np.ndarray) -> np.ndarray:
-        return spins @ self.j_cross + self.h_t
+    # -- block tables --------------------------------------------------
 
-    def _t_minima(self, heff: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Exact minimum of the T subproblem for each row of ``heff``.
+    def outer_energies(self, start: int) -> np.ndarray:
+        """Energies of the outer variables alone (with c0) for the block at ``start``."""
+        return self.split.energies(start)
 
-        Returns (per-row minimum, per-row free-member count).
+    def inner_fields(self, start: int) -> np.ndarray:
+        """Effective fields on T, T1 and T2, columns side by side, for the block at ``start``."""
+        h_in, j_hi = self._fields_hi
+        return self._fields_lo + (h_in + self.split.hi_spins(start) @ j_hi)
+
+    def outer_keys(self, start: int) -> np.ndarray:
+        """Lex keys of the block's outer assignments, inner variables at -1."""
+        hi_bits = (self.split.hi_spins(start) > 0).astype(np.int64)
+        return self._keys_lo + hi_bits @ self._keys_hi
+
+    # -- per-row pieces ------------------------------------------------
+
+    def _fixed_part(self, fields: np.ndarray, x: np.ndarray, f: np.ndarray):
+        """Energy of the members ``x`` set against their fields, and what they leave.
+
+        Returns that energy, the fields on the enumerated members ``f`` and
+        the side-set fields, all given the spins of ``x``.
         """
-        if self.m == 0:
-            z = np.zeros(heff.shape[0], dtype=np.int64)
-            return z, z.copy()
-        aheff = np.abs(heff)
-        fixed = aheff >= self.h_max
-        free = ~fixed
-        popc = free.sum(axis=1)
-        e_t = -(np.where(fixed, aheff, 0)).sum(axis=1)
-        if not self.has_internal:
-            # no internal couplings at all: every member is fixed and the
-            # field terms above are the whole story
-            return e_t, popc
-        uniq, inverse = np.unique(free, axis=0, return_inverse=True)
-        inverse = np.ravel(inverse)
-        for k in range(uniq.shape[0]):
-            pat = uniq[k]
-            rows = np.flatnonzero(inverse == k)
-            fidx = np.flatnonzero(pat)
-            xidx = np.flatnonzero(~pat)
-            if fidx.size > MAX_ENUM_BITS:
+        m, m1 = self._split_at
+        heff = fields[:, :m]
+        hx = heff[:, x]
+        s_x = np.where(hx > 0, -1, 1)
+        e_fix = -np.abs(hx).sum(axis=1)
+        if self.has_internal:
+            e_fix += ((s_x @ self.j_tt[np.ix_(x, x)]) * s_x).sum(axis=1) // 2
+            g = heff[:, f] + s_x @ self.j_tt[np.ix_(x, f)]
+        else:
+            g = heff[:, f]
+        v1 = fields[:, m:m1] + s_x @ self.j_t1[x]
+        v2 = fields[:, m1:] + s_x @ self.j_t2[x]
+        return e_fix, g, v1, v2
+
+    def _completions(self, f: np.ndarray):
+        """Spins of the members ``f`` in rank order, in chunks, with their own
+        energies and their shifts of the side-set fields."""
+        k = int(f.size)
+        j_ff = self.j_tt[np.ix_(f, f)]
+        total = 1 << k
+        step = min(total, _COMPLETION_CHUNK)
+        for start in range(0, total, step):
+            s = spin_block(k, start, min(step, total - start)).astype(np.int64)
+            own = ((s @ j_ff) * s).sum(axis=1) // 2
+            yield s, own, s @ self.j_t1[f], s @ self.j_t2[f]
+
+    def _row_step(self, completions: int) -> int:
+        return max(1, _CHUNK_CELLS // (completions * self._side_width))
+
+    def _energies(self, g, v1, v2, chunk, want_args: bool):
+        """(rows x completions) optimal energies of T's enumerated part and the
+        side sets; with ``want_args`` also each side set's first argmin."""
+        s, own, d1, d2 = chunk
+        e = g @ s.T + own
+        args = []
+        if self.sides:
+            for v, d, (spins, side_own, _) in zip((v1, v2), (d1, d2), self.side_tables):
+                w = (v[:, None, :] + d[None, :, :]) @ spins.T + side_own
+                if want_args:
+                    i = w.argmin(axis=2)
+                    args.append(i)
+                    e += np.take_along_axis(w, i[..., None], axis=2)[..., 0]
+                else:
+                    e += w.min(axis=2)
+        return e, args
+
+    def _minima(self, fields: np.ndarray, free: np.ndarray) -> np.ndarray:
+        """Exact optimum of T and the side sets for each row; ``free`` members enumerated."""
+        out = np.empty(len(fields), dtype=np.int64)
+        for f, x, rows in _pattern_groups(free):
+            if f.size > MAX_ENUM_BITS:
+                raise EnumerationLimitError("free-set enumeration needs %d bits" % f.size)
+            e_fix, g, v1, v2 = self._fixed_part(fields[rows], x, f)
+            best = np.full(rows.size, INT64_MAX, dtype=np.int64)
+            for chunk in self._completions(f):
+                step = self._row_step(len(chunk[1]))
+                for r in range(0, rows.size, step):
+                    sl = slice(r, r + step)
+                    e, _ = self._energies(g[sl], v1[sl], v2[sl], chunk, False)
+                    np.minimum(best[sl], e.min(axis=1), out=best[sl])
+            out[rows] = e_fix + best
+        return out
+
+    def _lex_min_rank(self, start: int, rows: np.ndarray, fields: np.ndarray,
+                      target: np.ndarray) -> int:
+        """Rank of the lex-smallest optimal completion of some rows of a block.
+
+        ``target`` is each row's optimal energy of T and the side sets.
+        Strictly dominated members are forced; the rows are grouped by which
+        other members they have, and those are enumerated in rank order.
+        Without side sets a row's first hit is its smallest key, so the row
+        stops there; side-set bits may interleave with T's, so with side
+        sets every hit is keyed.
+        """
+        heff = fields[:, :self.m]
+        strict = np.abs(heff) > self.h_max
+        keys = self.outer_keys(start)[rows] + ((heff < 0) & strict).astype(np.int64) @ self.w_t
+        best = None
+        for f, x, grp in _pattern_groups(~strict):
+            if f.size > MAX_ENUM_BITS:
                 raise EnumerationLimitError(
-                    "free-set enumeration needs %d bits" % fidx.size
+                    "completion enumeration needs %d bits, limit is %d" % (f.size, MAX_ENUM_BITS)
                 )
-            s_x = np.where(heff[np.ix_(rows, xidx)] > 0, -1, 1).astype(np.int64)
-            if xidx.size:
-                j_xx = self.j_tt[np.ix_(xidx, xidx)]
-                e_t[rows] += ((s_x @ j_xx) * s_x).sum(axis=1) // 2
-            if fidx.size:
-                g = heff[np.ix_(rows, fidx)] + s_x @ self.j_tt[np.ix_(xidx, fidx)]
-                j_ff = self.j_tt[np.ix_(fidx, fidx)]
-                s_f = spin_block(int(fidx.size), 0, 1 << int(fidx.size)).astype(np.int64)
-                q = ((s_f @ j_ff) * s_f).sum(axis=1) // 2
-                step = max(1, _CHUNK_CELLS >> int(fidx.size))
-                mins = np.empty(rows.size, dtype=np.int64)
-                for a in range(0, rows.size, step):
-                    sl = slice(a, min(a + step, rows.size))
-                    mins[sl] = (g[sl] @ s_f.T + q).min(axis=1)
-                e_t[rows] += mins
-        return e_t, popc
+            e_fix, g, v1, v2 = self._fixed_part(fields[grp], x, f)
+            need = target[grp] - e_fix
+            grp_keys = keys[grp]
+            hit = np.zeros(grp.size, dtype=bool)
+            todo = np.arange(grp.size)
+            for chunk in self._completions(f):
+                chunk_keys = (chunk[0] > 0).astype(np.int64) @ self.w_t[f]
+                step = self._row_step(len(chunk[1]))
+                for r in range(0, todo.size, step):
+                    idx = todo[r:r + step]
+                    e, args = self._energies(g[idx], v1[idx], v2[idx], chunk, self.sides)
+                    eq = e == need[idx, None]
+                    if self.sides:
+                        rr, cc = np.nonzero(eq)
+                        cand = grp_keys[idx[rr]] + chunk_keys[cc]
+                        for (_, _, side_keys), i in zip(self.side_tables, args):
+                            cand += side_keys[i[rr, cc]]
+                    else:
+                        rr = np.flatnonzero(eq.any(axis=1))
+                        cand = grp_keys[idx[rr]] + chunk_keys[eq[rr].argmax(axis=1)]
+                    best = _lex_min(best, cand)
+                    hit[idx[rr]] = True
+                if not self.sides:
+                    todo = np.flatnonzero(~hit)
+                    if not todo.size:
+                        break
+            if not hit.all():
+                raise AssertionError("tying row lost its optimum")
+        return _key_rank(best, self.inst.n)
 
-    def block_totals(self, start: int, count: int) -> np.ndarray:
-        spins = spin_block(self.n_out, start, count)
-        heff = self.effective_fields(spins)
-        e_t, _ = self._t_minima(heff)
-        return self.outer_energies(spins) + e_t
+    def scan_block(self, start: int) -> Tuple[int, Optional[int], int, List[int], Dict[str, int]]:
+        """Scan one block of outer assignments and resolve its ties.
 
-    def scan_block(self, start: int, count: int) -> Tuple[int, List[int], Dict[str, int]]:
-        spins = spin_block(self.n_out, start, count)
-        heff = self.effective_fields(spins)
-        e_t, popc = self._t_minima(heff)
-        e_total = self.outer_energies(spins) + e_t
-        bmin = int(e_total.min())
-        bc = [int(c) for c in np.bincount(popc)]
-        if self.m:
-            aheff = np.abs(heff)
-            strict = int((aheff > self.h_max).sum())
-            boundary = int(((aheff == self.h_max) & (self.h_max > 0)).sum())
+        Returns the block minimum, the rank of the lex-smallest optimal
+        completion among the rows at that minimum, the number of those
+        rows, the histogram of free-member counts and the fixing counters.
+        The rank is None when an earlier block already reached a lower
+        energy, so this block cannot hold the optimum.
+        """
+        e_out = self.outer_energies(start)
+        fields = self.inner_fields(start)
+        aheff = np.abs(fields[:, :self.m])
+        strict = np.count_nonzero(aheff > self.h_max, axis=0)
+        if self.sides or self.has_internal:
+            free = aheff < self.h_max
+            popc = np.count_nonzero(free, axis=1)
+            at_max = len(e_out) - strict - np.count_nonzero(free, axis=0)
+            totals = e_out + self._minima(fields, free)
+        else:
+            # no coupling inside T and no side sets: h_max is 0, every
+            # member is fixed and the field terms are the whole story
+            popc = np.zeros(len(e_out), dtype=np.int64)
+            at_max = len(e_out) - strict
+            totals = e_out - aheff.sum(axis=1)
+        bmin = int(totals.min())
+        rows = np.flatnonzero(totals == bmin)
+        counters = {
+            "strict_fixed": int(strict.sum()),
+            "boundary_fixed": int(at_max[self.h_max > 0].sum()),
             # a zero field can only be "fixed" when the member has no
             # internal couplings, so no branch exploration is ever needed
-            zero_field = int(((heff == 0) & (self.h_max == 0)).sum())
-        else:
-            strict = boundary = zero_field = 0
-        counters = {
-            "strict_fixed": strict,
-            "boundary_fixed": boundary,
-            "zero_field_fixed": zero_field,
+            "zero_field_fixed": int(at_max[self.h_max == 0].sum()),
             "free_members": int(popc.sum()),
         }
-        return bmin, bc, counters
-
-    def lex_complete(self, rank: int, e_star: int) -> Optional[int]:
-        """Lex-smallest optimal completion for one tying outer assignment.
-
-        Returns the full bit mask, or None when the completion enumeration
-        would be too wide (caller falls back to a full rescan).
-        """
-        spins = spin_block(self.n_out, rank, 1)
-        e_out = int(self.outer_energies(spins)[0])
-        target = e_star - e_out
-        if self.m == 0:
-            if target != 0:
-                raise AssertionError("tying row lost its optimum")
-            return _outer_bits(rank, self.out)
-        heff = self.effective_fields(spins)[0]
-        strict = np.abs(heff) > self.h_max
-        ns = np.flatnonzero(~strict)
-        k = int(ns.size)
-        if k > COMPLETION_CAP_BITS:
-            return None
-        base = np.where(heff > 0, -1, 1).astype(np.int64)
-        total = 1 << k
-        step = min(total, 1 << 16)
-        for cstart in range(0, total, step):
-            cnt = min(step, total - cstart)
-            s = np.tile(base, (cnt, 1))
-            if k:
-                s[:, ns] = spin_block(k, cstart, cnt)
-            e_t = s @ heff + ((s @ self.j_tt) * s).sum(axis=1) // 2
-            hits = np.flatnonzero(e_t == target)
-            if hits.size:
-                row = s[int(hits[0])]
-                bits = _outer_bits(rank, self.out)
-                for pos, v in enumerate(self.t):
-                    if row[pos] > 0:
-                        bits |= 1 << v
-                return bits
-        raise AssertionError("tying row lost its optimum")
-
-
-def _scan_all(
-    engine: _EffectiveFieldEngine, workers: int
-) -> Tuple[int, int, Dict[str, int], List[Tuple[int, int]], List[int]]:
-    """Phase one: exact optimal energy plus counters over all outer blocks."""
-    blocks = list(iter_rank_blocks(engine.n_out, engine.block_bits))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(lambda b: engine.scan_block(*b), blocks))
-    else:
-        parts = [engine.scan_block(*b) for b in blocks]
-    e_star: Optional[int] = None
-    leaves = 0
-    counters: Dict[str, int] = {}
-    block_mins: List[int] = []
-    for bmin, bc, cnt in parts:
-        block_mins.append(bmin)
-        if e_star is None or bmin < e_star:
-            e_star = bmin
-        for width, rows in enumerate(bc):
-            leaves += rows << width
-        _merge_counters(counters, cnt)
-    assert e_star is not None
-    return e_star, leaves, counters, blocks, block_mins
-
-
-def _brute_assignment(inst: IsingInstance, e_star: int, block_bits: int) -> Assignment:
-    """Lex-smallest assignment at a known optimal energy, by full rescan."""
-    scan = SplitScan(inst, block_bits)
-    for start in scan.starts:
-        hits = np.flatnonzero(scan.energies(start) == e_star)
-        if hits.size:
-            return Assignment.from_rank(start + int(hits[0]), inst.n)
-    raise AssertionError("target energy vanished on rescan")
+        with self._lock:
+            live = self._best is None or bmin <= self._best
+            if live:
+                self._best = bmin
+        rank = None
+        if live:
+            rank = self._lex_min_rank(start, rows, fields[rows], bmin - e_out[rows])
+        return bmin, rank, int(rows.size), [int(c) for c in np.bincount(popc)], counters
 
 
 def _solve_with_T(
@@ -371,46 +499,36 @@ def _solve_with_T(
     method: str,
     block_bits: int = DEFAULT_BLOCK_BITS,
     workers: int = 1,
-    tie_row_cap: int = DEFAULT_TIE_ROW_CAP,
+    t1: Sequence[int] = (),
+    t2: Sequence[int] = (),
 ) -> SolveResult:
-    engine = _EffectiveFieldEngine(inst, t, block_bits)
-    e_star, leaves, counters, blocks, block_mins = _scan_all(engine, workers)
+    """Exact solve by one scan of the outer assignments against T (and side sets).
 
-    tie_ranks: List[int] = []
-    over_cap = False
-    for (start, count), bmin in zip(blocks, block_mins):
-        if bmin != e_star:
-            continue
-        rows = np.flatnonzero(engine.block_totals(start, count) == e_star)
-        tie_ranks.extend(start + int(r) for r in rows)
-        if len(tie_ranks) > tie_row_cap:
-            over_cap = True
-            break
-    counters["tie_rows"] = min(len(tie_ranks), tie_row_cap + 1)
-    counters["repair_rescan"] = 0
-
-    best_bits: Optional[int] = None
-    if over_cap and inst.n <= MAX_ENUM_BITS:
-        best_bits = _brute_assignment(inst, e_star, block_bits).bits
-        counters["repair_rescan"] = 1
+    Blocks may run on ``workers`` threads; each returns its minimum and the
+    rank of its lex-smallest optimum, and the smallest (energy, rank) pair
+    wins, so the result does not depend on the thread schedule.
+    """
+    engine = _ScanEngine(inst, t, block_bits, t1, t2)
+    starts = engine.split.starts
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as ex:
+            parts = list(ex.map(engine.scan_block, starts))
     else:
-        best_key: Optional[int] = None
-        for rank in tie_ranks:
-            bits = engine.lex_complete(rank, e_star)
-            if bits is None:
-                if inst.n <= MAX_ENUM_BITS:
-                    best_bits = _brute_assignment(inst, e_star, block_bits).bits
-                    counters["repair_rescan"] = 1
-                    break
-                raise EnumerationLimitError(
-                    "too many undetermined members to enumerate completions"
-                )
-            key = _bits_rank(bits, inst.n)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_bits = bits
-    assert best_bits is not None
-    best = Assignment(inst.n, best_bits)
+        parts = [engine.scan_block(s) for s in starts]
+    e_star = min(part[0] for part in parts)
+    leaves = ties = 0
+    best_rank: Optional[int] = None
+    counters: Dict[str, int] = {}
+    for bmin, rank, rows, widths, part in parts:
+        for width, count in enumerate(widths):
+            leaves += count << width
+        _merge_counters(counters, part)
+        if bmin == e_star:
+            ties += rows
+            best_rank = rank if best_rank is None else min(best_rank, rank)
+    counters["tie_rows"] = ties
+    assert best_rank is not None
+    best = Assignment.from_rank(best_rank, inst.n)
     if inst.energy(best) != e_star:
         raise AssertionError("returned assignment does not match the optimum")
     return SolveResult(
@@ -456,7 +574,7 @@ def solve_brute(
         leaves_explored=1 << n,
         outer_assignments=1 << n,
         method="brute",
-        counters={"tie_rows": 0, "repair_rescan": 0},
+        counters={"tie_rows": 0},
     )
 
 
@@ -513,7 +631,6 @@ def solve_coloring_baseline(
     inst: IsingInstance,
     block_bits: int = DEFAULT_BLOCK_BITS,
     workers: int = 1,
-    tie_row_cap: int = DEFAULT_TIE_ROW_CAP,
 ) -> SolveResult:
     """Baseline: T is the largest greedy color class (an independent set).
 
@@ -522,7 +639,7 @@ def solve_coloring_baseline(
     assignments.
     """
     t, n_colors = _largest_color_class(inst.degree_graph())
-    res = _solve_with_T(inst, t, "coloring", block_bits, workers, tie_row_cap)
+    res = _solve_with_T(inst, t, "coloring", block_bits, workers)
     counters = dict(res.counters)
     counters["colors"] = n_colors
     counters["t_size"] = len(t)
@@ -556,7 +673,6 @@ def solve_effective(
     seed: int = 0,
     block_bits: int = DEFAULT_BLOCK_BITS,
     workers: int = 1,
-    tie_row_cap: int = DEFAULT_TIE_ROW_CAP,
 ) -> SolveResult:
     """Exact solve branching on a certified set T.
 
@@ -568,23 +684,47 @@ def solve_effective(
     if cert is not None:
         if not cert.ok:
             raise ValueError("certificate did not validate; refusing to branch on it")
-        return _solve_with_T(inst, cert.t, "effective-field", block_bits, workers, tie_row_cap)
+        return _solve_with_T(inst, cert.t, "effective-field", block_bits, workers)
     t, method = _auto_t(inst, params, seed)
-    return _solve_with_T(inst, t, method, block_bits, workers, tie_row_cap)
+    return _solve_with_T(inst, t, method, block_bits, workers)
 
 
-def _lex_min_result(
-    candidates: List[Tuple[int, int, int]], n: int
-) -> Tuple[int, int]:
-    """Pick (energy, bits) minimizing energy, then the full bit-tuple order."""
-    best_e: Optional[int] = None
-    best_key: Optional[int] = None
-    best_bits = 0
-    for e, bits, key in candidates:
-        if best_e is None or e < best_e or (e == best_e and key < best_key):
-            best_e, best_key, best_bits = e, key, bits
-    assert best_e is not None
-    return best_e, best_bits
+def _branch_and_recombine(
+    inst: IsingInstance,
+    variables: Sequence[int],
+    solve_branch: Callable[[IsingInstance], SolveResult],
+) -> Tuple[int, Assignment, int, int, Dict[str, int]]:
+    """Solve every spin assignment of ``variables`` by conditioning on it.
+
+    Returns the optimal energy, the lex-smallest optimum over all branches
+    (branches compare by (energy, rank), the key the scans use), the summed
+    leaf and outer-assignment counts and the summed branch counters.
+    """
+    nb = len(variables)
+    leaves = outers = 0
+    counters: Dict[str, int] = {}
+    best: Optional[Tuple[int, int, Assignment]] = None
+    for wr in range(1 << nb):
+        fixed = {
+            variables[k]: (1 if (wr >> (nb - 1 - k)) & 1 else -1) for k in range(nb)
+        }
+        sub, keep = inst.conditioned(fixed)
+        res = solve_branch(sub)
+        leaves += res.leaves_explored
+        outers += res.outer_assignments
+        _merge_counters(counters, res.counters)
+        bits = sum(1 << v for v, s in fixed.items() if s > 0)
+        for q, v in enumerate(keep):
+            if (res.best.bits >> q) & 1:
+                bits |= 1 << v
+        a = Assignment(inst.n, bits)
+        if best is None or (res.energy, a.rank) < best[:2]:
+            best = (res.energy, a.rank, a)
+    assert best is not None
+    e_star, _, assignment = best
+    if inst.energy(assignment) != e_star:
+        raise AssertionError("recombined assignment does not match the optimum")
+    return e_star, assignment, leaves, outers, counters
 
 
 def solve_avg_degree(
@@ -593,7 +733,6 @@ def solve_avg_degree(
     degree_factor: float = 2.0,
     block_bits: int = DEFAULT_BLOCK_BITS,
     workers: int = 1,
-    tie_row_cap: int = DEFAULT_TIE_ROW_CAP,
 ) -> SolveResult:
     """Exact solve that enumerates the high-degree variables outright.
 
@@ -606,9 +745,7 @@ def solve_avg_degree(
     avg = graph.average_degree
     wbar = [i for i in range(inst.n) if graph.degrees[i] > degree_factor * avg]
     if not wbar:
-        res = solve_effective(
-            inst, seed=seed, block_bits=block_bits, workers=workers, tie_row_cap=tie_row_cap
-        )
+        res = solve_effective(inst, seed=seed, block_bits=block_bits, workers=workers)
         counters = dict(res.counters)
         counters["branches"] = 1
         counters["enumerated_vars"] = 0
@@ -618,229 +755,20 @@ def solve_avg_degree(
         )
     if len(wbar) > MAX_ENUM_BITS:
         raise EnumerationLimitError("too many high-degree variables to enumerate")
-    nb = len(wbar)
-    strategy: Optional[Tuple[Tuple[int, ...], str]] = None
-    leaves = 0
-    outers = 0
-    counters: Dict[str, int] = {"branches": 1 << nb, "enumerated_vars": nb}
-    candidates: List[Tuple[int, int, int]] = []
-    for wr in range(1 << nb):
-        fixed = {
-            wbar[k]: (1 if (wr >> (nb - 1 - k)) & 1 else -1) for k in range(nb)
-        }
-        sub, keep = inst.conditioned(fixed)
-        if strategy is None:
-            strategy = _auto_t(sub, None, seed)
-        res = _solve_with_T(
-            sub, strategy[0], strategy[1], block_bits, workers, tie_row_cap
-        )
-        leaves += res.leaves_explored
-        outers += res.outer_assignments
-        _merge_counters(counters, {k: v for k, v in res.counters.items()})
-        bits = sum(1 << v for v, s in fixed.items() if s > 0)
-        for q, v in enumerate(keep):
-            if (res.best.bits >> q) & 1:
-                bits |= 1 << v
-        candidates.append((res.energy, bits, _bits_rank(bits, inst.n)))
-    e_star, best_bits = _lex_min_result(candidates, inst.n)
-    best = Assignment(inst.n, best_bits)
-    if inst.energy(best) != e_star:
-        raise AssertionError("recombined assignment does not match the optimum")
-    assert strategy is not None
+    strategy: List[Tuple[Tuple[int, ...], str]] = []
+
+    def branch(sub: IsingInstance) -> SolveResult:
+        if not strategy:
+            strategy.append(_auto_t(sub, None, seed))
+        t, method = strategy[0]
+        return _solve_with_T(sub, t, method, block_bits, workers)
+
+    e_star, best, leaves, outers, branch_counters = _branch_and_recombine(inst, wbar, branch)
+    counters: Dict[str, int] = {"branches": 1 << len(wbar), "enumerated_vars": len(wbar)}
+    _merge_counters(counters, branch_counters)
     return SolveResult(
-        best, e_star, leaves, outers, "avg-degree:" + strategy[1], counters
+        best, e_star, leaves, outers, "avg-degree:" + strategy[0][1], counters
     )
-
-
-class _CombinedEngine:
-    """Outer scan over V0 minus T with two decoupled side sets.
-
-    T1 and T2 share no coupling edge, so once the outer variables and T are
-    assigned, each side set is optimized independently; the costs add
-    instead of multiplying.  The fixing threshold of a member of T is its
-    total coupling weight into T, T1 and T2 jointly, so a dominated member
-    stays dominated whatever the side sets do.
-    """
-
-    def __init__(
-        self,
-        inst: IsingInstance,
-        t: Sequence[int],
-        t1: Sequence[int],
-        t2: Sequence[int],
-        block_bits: int,
-    ):
-        self.inst = inst
-        self.t = _validate_subset(inst.n, t)
-        self.t1 = _validate_subset(inst.n, t1)
-        self.t2 = _validate_subset(inst.n, t2)
-        groups = set(self.t) | set(self.t1) | set(self.t2)
-        if len(groups) != len(self.t) + len(self.t1) + len(self.t2):
-            raise ValueError("t, t1 and t2 must be pairwise disjoint")
-        self.out = tuple(i for i in range(inst.n) if i not in groups)
-        self.n_out = len(self.out)
-        if self.n_out > MAX_ENUM_BITS:
-            raise EnumerationLimitError("outer enumeration too wide")
-        self.block_bits = block_bits
-        self.m = len(self.t)
-        a, b = len(self.t1), len(self.t2)
-        if max(a, b) > COMPLETION_CAP_BITS:
-            raise EnumerationLimitError("side sets too large to enumerate")
-        h = np.array(inst.h, dtype=np.int64)
-        jf = inst.full_coupling_matrix()
-        if np.any(jf[np.ix_(list(self.t1), list(self.t2))]):
-            raise ValueError("t1 and t2 must not share coupling edges")
-        out = list(self.out)
-        self.h_out = h[out] if out else np.zeros(0, dtype=np.int64)
-        self.h_t = h[list(self.t)] if self.t else np.zeros(0, dtype=np.int64)
-        self.h_t1 = h[list(self.t1)]
-        self.h_t2 = h[list(self.t2)]
-        inner = list(self.t) + list(self.t1) + list(self.t2)
-        j_inner = jf[np.ix_(inner, inner)]
-        # per-member threshold over the whole inner region: a fixed member
-        # of T stays dominated whatever T's free part and the side sets do
-        self.h_max = np.abs(j_inner).sum(axis=1)[: self.m]
-        self.j_cross_t = jf[np.ix_(out, list(self.t))]
-        self.j_cross_1 = jf[np.ix_(out, list(self.t1))]
-        self.j_cross_2 = jf[np.ix_(out, list(self.t2))]
-        self.j_tt = jf[np.ix_(list(self.t), list(self.t))]
-        self.j_t_1 = jf[np.ix_(list(self.t), list(self.t1))]
-        self.j_t_2 = jf[np.ix_(list(self.t), list(self.t2))]
-        j_11 = jf[np.ix_(list(self.t1), list(self.t1))]
-        j_22 = jf[np.ix_(list(self.t2), list(self.t2))]
-        self.s1 = spin_block(a, 0, 1 << a).astype(np.int64)
-        self.q1 = ((self.s1 @ j_11) * self.s1).sum(axis=1) // 2
-        self.s2 = spin_block(b, 0, 1 << b).astype(np.int64)
-        self.q2 = ((self.s2 @ j_22) * self.s2).sum(axis=1) // 2
-        opos = {v: k for k, v in enumerate(out)}
-        oo = [(opos[i], opos[j], w) for i, j, w in inst.edges() if i in opos and j in opos]
-        self.oo_i = np.array([e[0] for e in oo], dtype=np.int64)
-        self.oo_j = np.array([e[1] for e in oo], dtype=np.int64)
-        self.oo_w = np.array([e[2] for e in oo], dtype=np.int64)
-
-    def outer_energies(self, spins: np.ndarray) -> np.ndarray:
-        e = spins @ self.h_out + self.inst.c0
-        if self.oo_w.size:
-            e = e + (spins[:, self.oo_i] * spins[:, self.oo_j]) @ self.oo_w
-        return e
-
-    def _side_minima(self, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
-        """min over T1 plus min over T2 for batches of field vectors."""
-        m1 = (v1 @ self.s1.T + self.q1).min(axis=1)
-        m2 = (v2 @ self.s2.T + self.q2).min(axis=1)
-        return m1 + m2
-
-    def block_totals(self, start: int, count: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Exact per-row optimum and free-member counts for one block."""
-        spins = spin_block(self.n_out, start, count)
-        e_out = self.outer_energies(spins)
-        base1 = spins @ self.j_cross_1 + self.h_t1
-        base2 = spins @ self.j_cross_2 + self.h_t2
-        if self.m == 0:
-            popc = np.zeros(count, dtype=np.int64)
-            return e_out + self._side_minima(base1, base2), popc
-        heff = spins @ self.j_cross_t + self.h_t
-        aheff = np.abs(heff)
-        fixed = aheff >= self.h_max
-        free = ~fixed
-        popc = free.sum(axis=1)
-        term_fixed = -(np.where(fixed, aheff, 0)).sum(axis=1)
-        e_best = np.empty(count, dtype=np.int64)
-        uniq, inverse = np.unique(free, axis=0, return_inverse=True)
-        inverse = np.ravel(inverse)
-        for k in range(uniq.shape[0]):
-            pat = uniq[k]
-            rows = np.flatnonzero(inverse == k)
-            fidx = np.flatnonzero(pat)
-            xidx = np.flatnonzero(~pat)
-            if fidx.size > MAX_ENUM_BITS:
-                raise EnumerationLimitError("free-set enumeration too wide")
-            s_x = np.where(heff[np.ix_(rows, xidx)] > 0, -1, 1).astype(np.int64)
-            e_fix = term_fixed[rows].copy()
-            if xidx.size:
-                j_xx = self.j_tt[np.ix_(xidx, xidx)]
-                e_fix += ((s_x @ j_xx) * s_x).sum(axis=1) // 2
-            v1 = base1[rows] + s_x @ self.j_t_1[xidx]
-            v2 = base2[rows] + s_x @ self.j_t_2[xidx]
-            if fidx.size == 0:
-                e_best[rows] = e_fix + self._side_minima(v1, v2)
-                continue
-            f = int(fidx.size)
-            g = heff[np.ix_(rows, fidx)] + s_x @ self.j_tt[np.ix_(xidx, fidx)]
-            s_f = spin_block(f, 0, 1 << f).astype(np.int64)
-            j_ff = self.j_tt[np.ix_(fidx, fidx)]
-            q_f = ((s_f @ j_ff) * s_f).sum(axis=1) // 2
-            d1 = s_f @ self.j_t_1[fidx]
-            d2 = s_f @ self.j_t_2[fidx]
-            width = max(1, self.s1.shape[0], self.s2.shape[0])
-            step = max(1, _CHUNK_CELLS // ((1 << f) * width))
-            for astart in range(0, rows.size, step):
-                sl = slice(astart, min(astart + step, rows.size))
-                e_t = g[sl] @ s_f.T + q_f
-                w1 = (v1[sl][:, None, :] + d1[None, :, :]) @ self.s1.T + self.q1
-                w2 = (v2[sl][:, None, :] + d2[None, :, :]) @ self.s2.T + self.q2
-                total = e_t + w1.min(axis=2) + w2.min(axis=2)
-                e_best[rows[sl]] = e_fix[sl] + total.min(axis=1)
-        return e_out + e_best, popc
-
-    def scan_block(self, start: int, count: int) -> Tuple[int, List[int], Dict[str, int]]:
-        totals, popc = self.block_totals(start, count)
-        bc = [int(c) for c in np.bincount(popc)]
-        return int(totals.min()), bc, {"free_members": int(popc.sum())}
-
-    def lex_complete(self, rank: int, e_star: int) -> Optional[int]:
-        spins = spin_block(self.n_out, rank, 1)
-        e_out = int(self.outer_energies(spins)[0])
-        base1 = (spins @ self.j_cross_1 + self.h_t1)[0]
-        base2 = (spins @ self.j_cross_2 + self.h_t2)[0]
-        if self.m:
-            heff = (spins @ self.j_cross_t + self.h_t)[0]
-            strict = np.abs(heff) > self.h_max
-            ns = np.flatnonzero(~strict)
-            k = int(ns.size)
-            if k > COMPLETION_CAP_BITS:
-                return None
-            base = np.where(heff > 0, -1, 1).astype(np.int64)
-            s = np.tile(base, (1 << k, 1))
-            if k:
-                s[:, ns] = spin_block(k, 0, 1 << k)
-            e_t = s @ heff + ((s @ self.j_tt) * s).sum(axis=1) // 2
-            v1 = base1 + s @ self.j_t_1
-            v2 = base2 + s @ self.j_t_2
-        else:
-            s = np.zeros((1, 0), dtype=np.int64)
-            e_t = np.zeros(1, dtype=np.int64)
-            v1 = base1[None, :]
-            v2 = base2[None, :]
-        e1 = v1 @ self.s1.T + self.q1
-        e2 = v2 @ self.s2.T + self.q2
-        m1 = e1.min(axis=1)
-        m2 = e2.min(axis=1)
-        i1 = e1.argmin(axis=1)
-        i2 = e2.argmin(axis=1)
-        totals = e_out + e_t + m1 + m2
-        hits = np.flatnonzero(totals == e_star)
-        if hits.size == 0:
-            raise AssertionError("tying row lost its optimum")
-        best_bits: Optional[int] = None
-        best_key: Optional[int] = None
-        outer = _outer_bits(rank, self.out)
-        a, b = len(self.t1), len(self.t2)
-        for hit in hits:
-            bits = outer
-            for pos, v in enumerate(self.t):
-                if s[hit][pos] > 0:
-                    bits |= 1 << v
-            for pos, v in enumerate(self.t1):
-                if self.s1[int(i1[hit])][pos] > 0:
-                    bits |= 1 << v
-            for pos, v in enumerate(self.t2):
-                if self.s2[int(i2[hit])][pos] > 0:
-                    bits |= 1 << v
-            key = _bits_rank(bits, self.inst.n)
-            if best_key is None or key < best_key:
-                best_key, best_bits = key, bits
-        return best_bits
 
 
 def solve_combined(
@@ -851,7 +779,6 @@ def solve_combined(
     params: Optional[TParams] = None,
     block_bits: int = DEFAULT_BLOCK_BITS,
     workers: int = 1,
-    tie_row_cap: int = DEFAULT_TIE_ROW_CAP,
     degree_dichotomy_factor: float = 1000.0,
 ) -> SolveResult:
     """Exact solve combining decoupled side sets with a constrained set T.
@@ -874,9 +801,7 @@ def solve_combined(
         raise ValueError("j_max must dominate every coupling row weight")
 
     def fallback(reason: str) -> SolveResult:
-        res = solve_effective(
-            inst, seed=seed, block_bits=block_bits, workers=workers, tie_row_cap=tie_row_cap
-        )
+        res = solve_effective(inst, seed=seed, block_bits=block_bits, workers=workers)
         counters = dict(res.counters)
         return SolveResult(
             res.best, res.energy, res.leaves_explored, res.outer_assignments,
@@ -887,35 +812,22 @@ def solve_combined(
     if heavy:
         if len(heavy) > MAX_ENUM_BITS:
             raise EnumerationLimitError("too many outlier-degree variables")
-        nb = len(heavy)
-        leaves = 0
-        outers = 0
-        counters: Dict[str, int] = {"outlier_vars": nb, "branches": 1 << nb}
-        candidates: List[Tuple[int, int, int]] = []
-        for wr in range(1 << nb):
-            fixed = {
-                heavy[k]: (1 if (wr >> (nb - 1 - k)) & 1 else -1) for k in range(nb)
-            }
-            sub, keep = inst.conditioned(fixed)
-            res = solve_combined(
+
+        def branch(sub: IsingInstance) -> SolveResult:
+            return solve_combined(
                 sub, j_max=None, alpha=alpha, seed=seed, params=params,
-                block_bits=block_bits, workers=workers, tie_row_cap=tie_row_cap,
+                block_bits=block_bits, workers=workers,
                 degree_dichotomy_factor=degree_dichotomy_factor,
             )
-            leaves += res.leaves_explored
-            outers += res.outer_assignments
-            bits = sum(1 << v for v, s in fixed.items() if s > 0)
-            for q, v in enumerate(keep):
-                if (res.best.bits >> q) & 1:
-                    bits |= 1 << v
-            candidates.append((res.energy, bits, _bits_rank(bits, inst.n)))
-        e_star, best_bits = _lex_min_result(candidates, inst.n)
-        best = Assignment(inst.n, best_bits)
-        if inst.energy(best) != e_star:
-            raise AssertionError("recombined assignment does not match the optimum")
+
+        e_star, best, leaves, outers, _ = _branch_and_recombine(inst, heavy, branch)
+        counters = {"outlier_vars": len(heavy), "branches": 1 << len(heavy)}
         return SolveResult(best, e_star, leaves, outers, "combined:outlier-split", counters)
 
     if d_avg < 2:
+        return fallback("effective")
+    if 0 < alpha < 1 and side_set_target(inst.n, d_avg, alpha) < 1:
+        # too few variables for side sets of even one member each
         return fallback("effective")
     sides = find_T1T2(graph, alpha=alpha, seed=seed)
     if not sides.ok:
@@ -930,67 +842,17 @@ def solve_combined(
     if not cert.ok:
         return fallback("effective")
 
-    engine = _CombinedEngine(inst, cert.t, sides.t1, sides.t2, block_bits)
-    blocks = list(iter_rank_blocks(engine.n_out, block_bits))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(lambda bl: engine.scan_block(*bl), blocks))
-    else:
-        parts = [engine.scan_block(*b) for b in blocks]
-    e_star = None
-    leaves = 0
+    res = _solve_with_T(inst, cert.t, "combined", block_bits, workers, sides.t1, sides.t2)
+    # every enumerated completion of T also enumerates both side sets
     side_width = (1 << len(sides.t1)) + (1 << len(sides.t2))
     counters = {
         "t_size": len(cert.t),
         "t1_size": len(sides.t1),
         "t2_size": len(sides.t2),
+        "free_members": res.counters["free_members"],
+        "tie_rows": res.counters["tie_rows"],
     }
-    block_mins = []
-    for bmin, bc, cnt in parts:
-        block_mins.append(bmin)
-        if e_star is None or bmin < e_star:
-            e_star = bmin
-        for width, rows in enumerate(bc):
-            leaves += (rows << width) * side_width
-        _merge_counters(counters, cnt)
-    assert e_star is not None
-
-    tie_ranks: List[int] = []
-    over_cap = False
-    for (start, count), bmin in zip(blocks, block_mins):
-        if bmin != e_star:
-            continue
-        totals, _ = engine.block_totals(start, count)
-        rows = np.flatnonzero(totals == e_star)
-        tie_ranks.extend(start + int(r) for r in rows)
-        if len(tie_ranks) > tie_row_cap:
-            over_cap = True
-            break
-    counters["tie_rows"] = min(len(tie_ranks), tie_row_cap + 1)
-    counters["repair_rescan"] = 0
-    best_bits: Optional[int] = None
-    if over_cap and inst.n <= MAX_ENUM_BITS:
-        best_bits = _brute_assignment(inst, e_star, block_bits).bits
-        counters["repair_rescan"] = 1
-    else:
-        best_key = None
-        for rank in tie_ranks:
-            bits = engine.lex_complete(rank, e_star)
-            if bits is None:
-                if inst.n <= MAX_ENUM_BITS:
-                    best_bits = _brute_assignment(inst, e_star, block_bits).bits
-                    counters["repair_rescan"] = 1
-                    break
-                raise EnumerationLimitError(
-                    "too many undetermined members to enumerate completions"
-                )
-            key = _bits_rank(bits, inst.n)
-            if best_key is None or key < best_key:
-                best_key, best_bits = key, bits
-    assert best_bits is not None
-    best = Assignment(inst.n, best_bits)
-    if inst.energy(best) != e_star:
-        raise AssertionError("returned assignment does not match the optimum")
     return SolveResult(
-        best, e_star, leaves, 1 << engine.n_out, "combined", counters
+        res.best, res.energy, res.leaves_explored * side_width, res.outer_assignments,
+        "combined", counters,
     )

@@ -404,6 +404,11 @@ def _t2_candidates(graph: DegreeGraph, t1: Sequence[int]) -> List[int]:
     return out
 
 
+def side_set_target(n: int, d: float, alpha: float) -> int:
+    """Default side-set size floor(alpha * n * ln(d) / d) at average degree d."""
+    return math.floor(alpha * n * math.log(d) / d)
+
+
 def find_T1T2(
     graph: DegreeGraph,
     alpha: float = 0.5,
@@ -426,7 +431,7 @@ def find_T1T2(
         d = graph.average_degree
         if d < 2:
             raise ValueError("need average degree >= 2 to derive a target size")
-        target = math.floor(alpha * n * math.log(d) / d)
+        target = side_set_target(n, d, alpha)
     if target < 1:
         raise ValueError("target size must be >= 1")
     if 2 * target > n:

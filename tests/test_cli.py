@@ -94,6 +94,24 @@ class TestSolve:
         assert doc["verified"] is None
         assert doc["energy"] == -22
 
+    def test_verify_mismatch_has_its_own_exit_code(self, random14_file, capsys, monkeypatch):
+        import dataclasses
+
+        import spinscape.cli as cli
+
+        real = cli.solve_coloring_baseline
+
+        def wrong(inst, **kw):
+            res = real(inst, **kw)
+            return dataclasses.replace(res, best=res.best.flip(0))
+
+        monkeypatch.setattr(cli, "solve_coloring_baseline", wrong)
+        code, out, err = run_cli(["solve", "--method", "coloring", "-i", random14_file,
+                                  "--verify"], capsys)
+        assert code == cli.EXIT_VERIFY == 4
+        assert out == ""
+        assert "verification failed" in err
+
     def test_workers_do_not_change_output_bytes(self, random14_file, capsys):
         outs = []
         for workers in ("1", "4"):

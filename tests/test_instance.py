@@ -20,7 +20,7 @@ from spinscape.instance import (
     spin_block,
 )
 from spinscape.landscape import enumerate_k_minima, k_basins
-from spinscape.solver import _brute_assignment, solve_brute
+from spinscape.solver import _solve_with_T, solve_brute, solve_combined
 
 
 def csse4() -> IsingInstance:
@@ -304,7 +304,17 @@ def test_block_size_does_not_change_scan_results(inst):
     a, b = solve_brute(inst, block_bits=small), solve_brute(inst, block_bits=default)
     assert (a.energy, a.best) == (b.energy, b.best)
     assert solve_brute(inst, block_bits=small, workers=2).best == a.best
-    assert _brute_assignment(inst, a.energy, small) == a.best
+    # the scan engine resolves ties per block: neither the block size nor
+    # the thread count may change what it returns, and it matches brute force
+    t = range(0, inst.n, 2)
+    ref = _solve_with_T(inst, t, "effective-field", block_bits=default)
+    assert (ref.energy, ref.best) == (a.energy, a.best)
+    assert _solve_with_T(inst, t, "effective-field", block_bits=small) == ref
+    assert _solve_with_T(inst, t, "effective-field", block_bits=small, workers=2) == ref
+    comb = solve_combined(inst, block_bits=default)
+    assert (comb.energy, comb.best) == (a.energy, a.best)
+    assert solve_combined(inst, block_bits=small) == comb
+    assert solve_combined(inst, block_bits=small, workers=2) == comb
     for k in (1, 2):
         assert enumerate_k_minima(inst, k, block_bits=small) == \
             enumerate_k_minima(inst, k, block_bits=default)
