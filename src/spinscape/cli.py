@@ -54,7 +54,7 @@ from .solver import (
     solve_combined,
     solve_effective,
 )
-from .tset import TParams, TSetCertificate, find_T_randomized
+from .tset import TParams, find_T_randomized
 from .wcnf import WcnfFormatError, parse_wcnf, wcnf_to_ising
 
 EXIT_OK = 0
@@ -144,21 +144,6 @@ def _emit(doc: Dict, output: Optional[str], started: float) -> int:
     doc["wall_time_s"] = round(time.perf_counter() - started, 6)
     _write_text(output, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
-
-
-def _cert_dict(cert: TSetCertificate) -> Dict:
-    return {
-        "t": list(cert.t),
-        "t_size": len(cert.t),
-        "ok": cert.ok,
-        "method": cert.method,
-        "constrained": cert.constrained,
-        "attempts": cert.attempts,
-        "target_size": cert.target_size,
-        "checks": {name: passed for name, passed in cert.checks},
-        "strong_edges": [[i, list(js)] for i, js in cert.strong_edges],
-        "params": dataclasses.asdict(cert.params),
-    }
 
 
 # -- generate ---------------------------------------------------------------
@@ -321,7 +306,7 @@ def _cmd_tset(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "digest": inst.digest(),
         "n": inst.n,
-        "certificate": _cert_dict(cert),
+        "certificate": cert.to_json_dict(),
         "counters": {"t_size": len(cert.t), "attempts": cert.attempts},
     }
     return _emit(doc, args.output, started)
@@ -457,6 +442,21 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 # -- parser -----------------------------------------------------------------
 
 
+def _worker_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be >= 1, got %d" % value)
+    return value
+
+
+def _add_workers_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--workers", type=_worker_count, default=1,
+                   help="worker threads, at least 1")
+
+
 def _add_io_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", "-i", default=None,
                    help="instance file, '-' or omitted for stdin")
@@ -505,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="side-set size factor for the combined method")
     solve.add_argument("--jmax", type=int, default=None,
                        help="declared coupling row bound for the combined method")
-    solve.add_argument("--workers", type=int, default=1)
+    _add_workers_flag(solve)
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--verify", action="store_true",
                        help="cross-check against brute force (n <= %d)" % VERIFY_MAX_N)
@@ -552,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--sizes", type=int, nargs="+", default=(16, 64, 256),
                     help="weight counts for the scaling table")
     pr.add_argument("--seed", type=int, default=0)
-    pr.add_argument("--workers", type=int, default=1)
+    _add_workers_flag(pr)
     pr.add_argument("--output", "-o", default=None)
     pr.set_defaults(func=_cmd_probe)
 
@@ -566,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     be.add_argument("--d", type=int, default=3)
     be.add_argument("--wmax", type=int, default=5)
     be.add_argument("--seed", type=int, default=0)
-    be.add_argument("--workers", type=int, default=1)
+    _add_workers_flag(be)
     be.add_argument("--table-format", choices=("json", "csv"), default="json")
     be.add_argument("--output", "-o", default=None)
     be.set_defaults(func=_cmd_bench)

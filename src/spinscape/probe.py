@@ -12,6 +12,7 @@ with n.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,6 +26,7 @@ SUPPORT_LIMIT = 10**7
 _STREAM_MC = 31
 _STREAM_SCALING = 32
 _MC_SHARDS = 8
+_MC_CHUNK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -62,17 +64,36 @@ def signed_sum_counts(weights) -> Tuple[List[int], int]:
 
     Returns (counts, radius) where counts[v + radius] is the number of the
     2**n sign choices with sum exactly v.
+
+    The counts live in one packed Python int, one ``width``-byte slot per
+    support point, least significant slot first.  Weights are grouped by
+    magnitude: the largest group (m, k) is the binomial row C(k, j) at
+    stride 2m, and every other weight of magnitude m adds the table shifted
+    by 2m slots to itself.
     """
     w = _coerce(weights)
     radius = w.support_radius
     if 2 * radius + 1 > SUPPORT_LIMIT:
         raise ValueError("support too large for dense convolution")
-    counts = [1]
-    for x in w.a:
-        shift = 2 * abs(x)
-        left = counts + [0] * shift
-        right = [0] * shift + counts
-        counts = [p + q for p, q in zip(left, right)]
+    # A partial count is a number of sign choices of at most n weights, so it
+    # stays <= 2**n < 2**(8 * width): no carry ever crosses a slot boundary.
+    width = (w.n + 8) // 8
+    groups = Counter(abs(x) for x in w.a)
+    m, k = max(groups.items(), key=lambda g: (g[1], g[0]))
+    del groups[m]
+    row = [1]
+    for j in range(k):
+        row.append(row[-1] * (k - j) // (j + 1))
+    gap = bytes((2 * m - 1) * width)
+    packed = int.from_bytes(gap.join(c.to_bytes(width, "little") for c in row), "little")
+    for mag, count in groups.items():
+        shift = 2 * mag * 8 * width  # bits in 2 * mag slots
+        for _ in range(count):
+            packed += packed << shift
+    data = packed.to_bytes((2 * radius + 1) * width, "little")
+    counts = [
+        int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)
+    ]
     return counts, radius
 
 
@@ -138,7 +159,14 @@ def mc_interval_prob(
     """Seeded Monte Carlo frequency of |X + h| <= delta with binomial error.
 
     Samples are split over a fixed number of shards with per-shard seed
-    streams, so the pooled count does not depend on the worker count.
+    streams, so the pooled count does not depend on the worker count.  A
+    shard draws its 0/1 rows in chunks of ``_MC_CHUNK_ROWS``; the chunk size
+    does not change the draws, because the bit generator keeps the spare
+    half of a 64-bit word in its state.
+
+    With bits b in {0, 1} and s = b . a, the sum is X = 2s - sum(a), so the
+    test is lo <= s <= hi.  The bounds are Python ints clamped to the range
+    of s, so no int64 arithmetic can wrap, whatever h and delta are.
     """
     delta = int(delta)
     h = int(h)
@@ -148,25 +176,24 @@ def mc_interval_prob(
         raise ValueError("samples must be >= 1")
     w = _coerce(weights)
     arr = np.array(w.a, dtype=np.int64)
+    total = sum(w.a)
+    lo = max(-((h + delta - total) // 2), sum(x for x in w.a if x < 0))
+    hi = min((total - h + delta) // 2, sum(x for x in w.a if x > 0))
     base, extra = divmod(samples, _MC_SHARDS)
     shard_sizes = [base + (1 if k < extra else 0) for k in range(_MC_SHARDS)]
 
     def run_shard(k: int) -> int:
         size = shard_sizes[k]
-        if size == 0:
+        if size == 0 or lo > hi:
             return 0
         rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence([seed, _STREAM_MC, k]))
         )
         hits = 0
-        chunk = 1 << 16
-        done = 0
-        while done < size:
-            m = min(chunk, size - done)
-            spins = rng.integers(0, 2, size=(m, w.n), dtype=np.int64) * 2 - 1
-            x = spins @ arr
-            hits += int((np.abs(x + h) <= delta).sum())
-            done += m
+        for done in range(0, size, _MC_CHUNK_ROWS):
+            m = min(_MC_CHUNK_ROWS, size - done)
+            s = rng.integers(0, 2, size=(m, w.n), dtype=np.int64) @ arr
+            hits += int(np.count_nonzero((s >= lo) & (s <= hi)))
         return hits
 
     if workers > 1:

@@ -29,7 +29,7 @@ checked in exact integer arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import combinations
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -127,20 +127,15 @@ class TSetCertificate:
     def to_json_dict(self) -> dict:
         return {
             "t": list(self.t),
-            "strong_edges": {str(i): list(js) for i, js in self.strong_edges},
-            "checks": dict(self.checks),
+            "t_size": len(self.t),
+            "ok": self.ok,
             "method": self.method,
             "constrained": self.constrained,
             "attempts": self.attempts,
             "target_size": self.target_size,
-            "ok": self.ok,
-            "params": {
-                "d": self.params.d,
-                "epsilon": self.params.epsilon,
-                "internal_degree_cap": self.params.internal_degree_cap,
-                "strong_edge_quota": self.params.strong_edge_quota,
-                "load_cap": self.params.load_cap,
-            },
+            "checks": dict(self.checks),
+            "strong_edges": [[i, list(js)] for i, js in self.strong_edges],
+            "params": asdict(self.params),
         }
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -60,3 +61,24 @@ def exhaustive_minima(inst: IsingInstance) -> list[Assignment]:
         if all(inst.flip_delta(a, i) > 0 for i in range(inst.n)):
             out.append(a)
     return out
+
+
+def reference_signed_sum_counts(weights) -> tuple[list[int], int]:
+    """Sign-sum outcome counts by plain list convolution, one weight at a time."""
+    counts = [1]
+    for x in weights:
+        shift = 2 * abs(x)
+        counts = [p + q for p, q in zip(counts + [0] * shift, [0] * shift + counts)]
+    return counts, sum(abs(x) for x in weights)
+
+
+def reference_max_interval_prob(weights, delta: int) -> tuple[int, Fraction]:
+    """Best shift h for Pr(|X + h| <= delta) by direct window sums; smallest h wins."""
+    counts, radius = reference_signed_sum_counts(weights)
+    best_h, best = None, -1
+    for h in range(-radius - delta, radius + delta + 1):
+        lo, hi = max(-h - delta, -radius), min(-h + delta, radius)
+        hits = sum(counts[v + radius] for v in range(lo, hi + 1))
+        if hits > best:
+            best_h, best = h, hits
+    return best_h, Fraction(best, 1 << len(weights))

@@ -156,6 +156,15 @@ class TestLandscapeCommands:
 
 
 class TestTsetAndZ:
+    def test_tset_certificate_layout(self, csse4_file, capsys):
+        doc = run_json(["tset", "-i", csse4_file, "--seed", "2"], capsys)
+        cert = doc["certificate"]
+        assert sorted(cert) == ["attempts", "checks", "constrained", "method", "ok",
+                                "params", "strong_edges", "t", "t_size", "target_size"]
+        assert sorted(cert["params"]) == ["c_cross", "c_internal", "c_load", "c_strong",
+                                          "d", "epsilon", "target_fraction"]
+        assert all(len(edge) == 2 for edge in cert["strong_edges"])
+
     def test_tset_certificate_revalidates(self, tmp_path, capsys):
         path = tmp_path / "mc.json"
         run_cli(["generate", "multicopy", "--copies", "6", "--block", "4",
@@ -207,6 +216,17 @@ class TestProbe:
                        capsys)
         assert [row["n"] for row in doc["rows"]] == [4, 16]
         assert doc["ratios"][0] <= 0.6
+
+    @pytest.mark.parametrize("h", ["9223372036854775807", str(2**63), str(-(2**64))])
+    def test_mc_shift_beyond_int64(self, tmp_path, capsys, h):
+        path = tmp_path / "w.txt"
+        path.write_text("1\n")
+        exact = run_json(["probe", "--mode", "exact", "--weights-file", str(path),
+                          "--h", h], capsys)
+        assert exact["probability"] == "0/1"
+        mc = run_json(["probe", "--mode", "mc", "--weights-file", str(path),
+                       "--h", h, "--samples", "1000"], capsys)
+        assert (mc["estimate"], mc["std_error"]) == (0.0, 0.0)
 
     def test_weights_file_required(self, capsys):
         code, _, err = run_cli(["probe", "--mode", "exact"], capsys)
@@ -308,3 +328,19 @@ class TestErrorPaths:
         code, _, err = run_cli(["solve", "--method", "combined",
                                 "-i", csse4_file, "--jmax", "1"], capsys)
         assert code == 1
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--method", "brute"],
+        ["probe", "--mode", "scaling", "--sizes", "4"],
+        ["bench", "--family", "csse", "--sizes", "4"],
+    ], ids=["solve", "probe", "bench"])
+    def test_below_one_is_usage_error(self, csse4_file, capsys, argv, workers):
+        if argv[0] == "solve":
+            argv = argv + ["-i", csse4_file]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--workers", workers])
+        assert exc.value.code == 1
+        assert "--workers" in capsys.readouterr().err

@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_max_interval_prob, reference_signed_sum_counts
+from spinscape import probe
+from spinscape.instance import INT64_MAX
 from spinscape.probe import (
     MCEstimate,
     WeightedSum,
@@ -20,6 +23,21 @@ small_weights = st.lists(
     min_size=1,
     max_size=7,
 ).map(lambda ws: [w if i % 2 == 0 else -w for i, w in enumerate(ws)])
+
+# slot widths of the packed count table change between n = 7 and 8, 15 and 16, ...
+SLOT_BOUNDARY_SIZES = (7, 8, 15, 16, 63, 64)
+
+
+@st.composite
+def grouped_weights(draw):
+    """Signed weights with one shared magnitude or mixed magnitudes."""
+    n = draw(st.sampled_from(SLOT_BOUNDARY_SIZES) | st.integers(1, 24))
+    if draw(st.booleans()):
+        mags = [draw(st.integers(1, 6))] * n
+    else:
+        mags = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    signs = draw(st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n))
+    return [m * s for m, s in zip(mags, signs)]
 
 
 class TestCounts:
@@ -39,6 +57,24 @@ class TestCounts:
         counts, radius = signed_sum_counts(ws)
         assert sum(counts) == 1 << len(ws)
         assert counts == counts[::-1]
+
+    @given(grouped_weights())
+    @settings(max_examples=120)
+    def test_matches_list_convolution(self, ws):
+        assert signed_sum_counts(ws) == reference_signed_sum_counts(ws)
+
+    @pytest.mark.parametrize("n", SLOT_BOUNDARY_SIZES)
+    def test_unit_weights_give_the_binomial_row(self, n):
+        counts, radius = signed_sum_counts([1] * n)
+        assert radius == n
+        row = [math.comb(n, j) for j in range(n + 1)]
+        assert counts[::2] == row
+        assert not any(counts[1::2])
+
+    @pytest.mark.parametrize("n", SLOT_BOUNDARY_SIZES)
+    def test_slot_boundaries_with_mixed_groups(self, n):
+        ws = [(-1) ** i * (1 + i % 3) for i in range(n)]
+        assert signed_sum_counts(ws) == reference_signed_sum_counts(ws)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -118,6 +154,11 @@ class TestMax:
                 assert h_star <= h
                 break
 
+    @given(grouped_weights(), st.integers(0, 4))
+    @settings(max_examples=80)
+    def test_matches_window_scan(self, ws, delta):
+        assert max_interval_prob(ws, delta) == reference_max_interval_prob(ws, delta)
+
 
 class TestMonteCarlo:
     def test_agrees_with_exact(self):
@@ -142,6 +183,38 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             mc_interval_prob((1,), 1, 0, samples=0)
 
+    # hit counts of the seeded stream; a change of chunking or dtype that moves
+    # the draws moves these
+    @pytest.mark.parametrize("samples, seed, delta, h, hits", [
+        (20001, 4, 2, 1, 3232),  # shards of 2501 rows span several chunks
+        (16395, 11, 1, -2, 1745),
+        (1, 6, 2, 1, 1),
+        (1, 0, 2, 1, 0),
+    ])
+    def test_frozen_stream(self, samples, seed, delta, h, hits):
+        est = mc_interval_prob((3, -1, 4, 1, -5, 9, 2), delta, h, samples, seed=seed)
+        p = hits / samples
+        assert est == MCEstimate(p, math.sqrt(p * (1.0 - p) / samples))
+
+    @pytest.mark.parametrize("rows", [1, 7, 1000])
+    def test_chunk_size_does_not_change_draws(self, rows, monkeypatch):
+        ws = (3, -1, 4, 1, -5, 9, 2)
+        want = mc_interval_prob(ws, 2, 1, 5003, seed=4)
+        monkeypatch.setattr(probe, "_MC_CHUNK_ROWS", rows)
+        assert mc_interval_prob(ws, 2, 1, 5003, seed=4) == want
+
+    @pytest.mark.parametrize("h", [INT64_MAX, 2**63, -(2**63), -(2**63) - 1, 2**80])
+    def test_shift_beyond_int64_does_not_wrap(self, h):
+        assert exact_interval_prob((1,), 1, h) == 0
+        assert mc_interval_prob((1,), 1, h, samples=1000, seed=1) == MCEstimate(0.0, 0.0)
+        assert exact_interval_prob((1,), abs(h) + 1, h) == 1
+        assert mc_interval_prob((1,), abs(h) + 1, h, samples=1000, seed=1) == (1.0, 0.0)
+
+    def test_sums_near_the_int64_budget(self):
+        # X + 3 == 0 needs equal signs on the two large weights and -1 on the 3
+        est = mc_interval_prob((2**61, -(2**61), 3), 0, 3, samples=20_000, seed=2)
+        assert abs(est.estimate - 0.25) <= 4 * est.std_error
+
 
 class TestScalingReport:
     def test_unit_weights_frozen_values(self):
@@ -156,6 +229,12 @@ class TestScalingReport:
         # ratios shrink towards 1/2 while the normalized column stays bounded
         assert rep.ratios[1] <= rep.ratios[0]
         assert all(r.normalized < 1.6 for r in rep.rows)
+
+    def test_n4096_row_is_a_central_binomial_pair(self):
+        (row,) = scaling_report([4096], delta=1).rows
+        p = Fraction(math.comb(4096, 2048) + math.comb(4096, 2047), 1 << 4096)
+        assert (row.n, row.h_star, row.probability) == (4096, -1, p)
+        assert row.normalized == float(p) * 64
 
     def test_single_variable_row(self):
         rep = scaling_report([1], delta=1)

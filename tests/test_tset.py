@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from itertools import combinations
 
@@ -94,8 +95,10 @@ class TestCheckT:
         cert = check_T(gen_csse(8), range(5), TParams(d=7, epsilon=0.25))
         doc = cert.to_json_dict()
         assert doc["t"] == [0, 1, 2, 3, 4]
+        assert doc["t_size"] == 5
         assert doc["ok"] is True
-        assert doc["params"]["strong_edge_quota"] == 1
+        assert doc["params"] == dataclasses.asdict(cert.params)
+        assert cert.params.strong_edge_quota == 1
 
 
 class TestConstrained:
