@@ -442,14 +442,22 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 # -- parser -----------------------------------------------------------------
 
 
-def _worker_count(text: str) -> int:
+def _int_at_least(low: int, text: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1, got %d" % value)
+    if value < low:
+        raise argparse.ArgumentTypeError("must be >= %d, got %d" % (low, value))
     return value
+
+
+def _worker_count(text: str) -> int:
+    return _int_at_least(1, text)
+
+
+def _non_negative(text: str) -> int:
+    return _int_at_least(0, text)
 
 
 def _add_workers_flag(p: argparse.ArgumentParser) -> None:
@@ -515,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(cm)
     cm.add_argument("--k", type=int, default=1)
     cm.add_argument("--seed", type=int, default=0)
-    cm.add_argument("--list-limit", type=int, default=DEFAULT_MINIMA_LIST_CAP,
+    cm.add_argument("--list-limit", type=_non_negative, default=DEFAULT_MINIMA_LIST_CAP,
                     help="list assignments only when the count stays at or below this")
     cm.set_defaults(func=_cmd_count_minima)
 
@@ -524,7 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
     bas.add_argument("--k", type=int, default=1)
     bas.add_argument("--flipped-rule", action="store_true",
                      help="use the no-strict-worsening vertex rule instead")
-    bas.add_argument("--work-limit", type=int, default=1 << 22)
+    bas.add_argument("--work-limit", type=_non_negative, default=1 << 22,
+                     help="cap on vertices x moves, at least 0")
     bas.add_argument("--seed", type=int, default=0)
     bas.set_defaults(func=_cmd_basins)
 

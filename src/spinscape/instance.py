@@ -431,9 +431,12 @@ class SplitScan:
     constant and the low ``lo_bits`` variables run over every value in rank
     order, so the low half's spin table, its own energies and its share of
     every local field are the same in every block.  They are built once
-    here, before any worker thread starts; a block then adds one row
-    (fields) or one (2^lo_bits x hi_bits) matrix-vector product (energies)
-    to a table, and copies its spin rows from the table.
+    here, before any worker thread starts.  The field table is column-major,
+    one row of 2^lo_bits entries per variable, so a block reads one
+    variable's fields over its rows as one contiguous row.  A block then
+    adds one (hi_bits x 2^lo_bits) vector-matrix product (energies) or one
+    constant per variable (single-flip survivors) to a table, and copies
+    its spin rows from the table.
 
     Every intermediate is a sum over a subset of the terms of
     ``|c0| + sum |h_i| + sum |J_ij|``, which ``IsingInstance.__init__``
@@ -459,17 +462,18 @@ class SplitScan:
         h = inst._h_arr
         # Doubling over the low variables, each added as the new most
         # significant low bit (spin -1 rows first): e_lo[r] is the energy of
-        # the low variables alone, f_lo[r, i] their share of local field i.
+        # the low variables alone, f_lo[i, r] their share of local field i.
         # This costs O(2^lo_bits * n) adds and no multiplications.
         e_lo = np.zeros(1 << lo, dtype=np.int64)
-        f_lo = np.zeros((1 << lo, n), dtype=np.int64)
+        f_lo = np.zeros((n, 1 << lo), dtype=np.int64)
+        col = jfull[:, :, None]  # column v of J as an (n x 1) array
         size = 1
         for v in range(n - 1, hi - 1, -1):
-            g = f_lo[:size, v] + h[v]
+            g = f_lo[v, :size] + h[v]
             np.add(e_lo[:size], g, out=e_lo[size:2 * size])
             e_lo[:size] -= g
-            np.add(f_lo[:size], jfull[v], out=f_lo[size:2 * size])
-            f_lo[:size] -= jfull[v]
+            np.add(f_lo[:, :size], col[v], out=f_lo[:, size:2 * size])
+            f_lo[:, :size] -= col[v]
             size *= 2
         in_hi = inst._jj < hi  # couplings are stored with i < j
         self._e_lo = e_lo
@@ -494,10 +498,39 @@ class SplitScan:
         c0, h_hi, ii, jj, ww = self._hi_terms
         s = self.hi_spins(start)
         e_hi = c0 + int(s @ h_hi) + int((s[ii] * s[jj]) @ ww)
-        e = self._e_lo + self._f_lo[:, : self.hi_bits] @ s
+        e = self._e_lo + s @ self._f_lo[: self.hi_bits]
         e += e_hi
         return e
 
-    def fields(self, start: int) -> np.ndarray:
-        """Same as ``block_local_fields`` on the block at ``start``."""
-        return self._f_lo + (self._h + self.hi_spins(start) @ self._j_hi)
+    def flip_survivors(self, start: int, strict: bool = True,
+                       flipped: bool = False) -> np.ndarray:
+        """Rows of the block at ``start`` that pass every single-flip test.
+
+        A row passes when S_i * L_i < 0 for every variable i (every single
+        flip strictly raises the energy), or <= 0 with ``strict=False``;
+        ``flipped=True`` reverses the sign (> 0, >= 0).  The rows are
+        filtered one variable at a time, and each test reads only the rows
+        still alive.  A high variable's spin is constant in the block; a low
+        variable's spin is bit n-1-i of the row index, so no spin table is
+        read.  Returns the passing row indices in ascending order.
+        """
+        s_hi = self.hi_spins(start)
+        c = self._h + s_hi @ self._j_hi
+        lt, gt = (np.less, np.greater) if strict else (np.less_equal, np.greater_equal)
+        size = len(self._e_lo)
+        rows = np.arange(size)
+        for i, f in enumerate(self._f_lo):
+            fields = (f if len(rows) == size else f[rows]) + c[i]
+            # S_i * L_i < 0 is L_i < 0 where S_i = +1 and L_i > 0 where
+            # S_i = -1; the flipped test swaps the two.
+            if i < self.hi_bits:
+                keep = lt(fields, 0) if (s_hi[i] > 0) != flipped else gt(fields, 0)
+            else:
+                up = ((rows >> (self.n - 1 - i)) & 1).astype(bool)
+                if flipped:
+                    up = ~up
+                keep = np.where(up, lt(fields, 0), gt(fields, 0))
+            rows = rows[keep]
+            if not len(rows):
+                break
+        return rows

@@ -5,11 +5,17 @@ strictly increases the energy.  The energy change of flipping a set U is
 
     delta(U) = -2 * (sum_{i in U} S_i L_i  -  2 * sum_{i<j in U} J_ij S_i S_j)
 
-with L the local fields, so all checks run on exact integers.  Enumeration
-scans the full assignment space in rank blocks with the split-half kernel
-:class:`~spinscape.instance.SplitScan` (a block's local fields are one
-precomputed table plus one row), and only the (rare) survivors of the
-single-flip test pay for the larger subset checks.
+with L the local fields, so all checks run on exact integers; they read the
+sign of the bracket (the half-delta), which never wraps in int64.
+
+Enumeration scans the full assignment space in rank blocks with the
+split-half kernel :class:`~spinscape.instance.SplitScan`.  Its single-flip
+filter tests one variable at a time on the rows still alive, so a block
+costs about two passes over its rows, and only the survivors get spins and
+local fields.  Their pair check is one array over the coupled pairs (an
+uncoupled pair passes whenever both single flips pass); sets of three or
+more variables are checked row by row.  Basin edges come from one sorted
+search of the vertex bit masks per flip mask.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -26,8 +32,8 @@ from spinscape.instance import (
     EnumerationLimitError,
     IsingInstance,
     SplitScan,
-    # Unused here; perfbench/tracing.py wraps them under these names.
-    block_local_fields,  # noqa: F401
+    block_local_fields,
+    # Unused here; perfbench/tracing.py wraps it under this name.
     spin_block,  # noqa: F401
 )
 
@@ -70,6 +76,17 @@ def _triple_mask(n: int) -> np.ndarray:
     return mask
 
 
+def _passes(half: np.ndarray, strict: bool, flipped: bool) -> np.ndarray:
+    """Elementwise test of delta = -2 * half: delta > 0 (strict) or >= 0.
+
+    ``flipped=True`` tests -delta instead.  Comparing the sign of the
+    half-delta never doubles it, so it cannot wrap.
+    """
+    if flipped:
+        return half > 0 if strict else half >= 0
+    return half < 0 if strict else half <= 0
+
+
 def _subset_deltas_ok(
     inst: IsingInstance,
     spins: np.ndarray,
@@ -84,46 +101,42 @@ def _subset_deltas_ok(
     strict=True demands improvement-free strictly (delta > 0 everywhere),
     strict=False allows ties (delta >= 0).  flipped=True inverts the
     comparison direction (no change may increase the energy).
+
+    The test reads the sign of the half-delta sum_{u in U} S_u L_u -
+    2 * sum_{u<v in U} J_uv S_u S_v.  Every intermediate, and the
+    half-delta itself (sum_{u in U} S_u (h_u + sum_{v not in U} J_uv S_v)),
+    is a sum over a subset of the terms of the energy budget
+    |c0| + sum |h_i| + 2 * sum |J_ij| <= INT64_MAX, so int64 is exact.
     """
     n = inst.n
     sl = (spins.astype(np.int64)) * fields
 
-    def ok(deltas: np.ndarray) -> bool:
-        if flipped:
-            deltas = -deltas
-        return bool((deltas > 0).all() if strict else (deltas >= 0).all())
+    def ok(half: np.ndarray) -> bool:
+        return bool(_passes(half, strict, flipped).all())
 
     if sizes_from <= 1 <= k:
-        if not ok(-2 * sl):
+        if not ok(sl):
             return False
     if k < 2:
         return True
     jm = inst.full_coupling_matrix()
     q = jm * np.outer(spins, spins).astype(np.int64)
     if sizes_from <= 2 <= k and n >= 2:
-        d2 = -2 * (sl[:, None] + sl[None, :] - 2 * q)
-        if not ok(d2[_pair_index(n)]):
+        half2 = sl[:, None] + sl[None, :] - 2 * q
+        if not ok(half2[_pair_index(n)]):
             return False
     if sizes_from <= 3 <= k and n >= 3:
         a1 = sl[:, None, None] + sl[None, :, None] + sl[None, None, :]
         b = q[:, :, None] + q[:, None, :] + q[None, :, :]
-        d3 = -2 * (a1 - 2 * b)
-        if not ok(d3[_triple_mask(n)]):
+        if not ok((a1 - 2 * b)[_triple_mask(n)]):
             return False
     for size in range(max(4, sizes_from), k + 1):
         if size > n:
             break
         for subset in combinations(range(n), size):
             idx = list(subset)
-            inner = 0
-            for a_i, b_i in combinations(idx, 2):
-                inner += q[a_i, b_i]
-            delta = -2 * (int(sl[idx].sum()) - 2 * int(inner))
-            if flipped:
-                delta = -delta
-            if strict and delta <= 0:
-                return False
-            if not strict and delta < 0:
+            inner = sum(int(q[a_i, b_i]) for a_i, b_i in combinations(idx, 2))
+            if not _passes(int(sl[idx].sum()) - 2 * inner, strict, flipped):
                 return False
     return True
 
@@ -139,24 +152,66 @@ def is_k_minimum(inst: IsingInstance, a: Assignment, k: int) -> bool:
     return _subset_deltas_ok(inst, spins, fields, k, strict=True)
 
 
-def _scan_candidates(
+# Cap on the entries of one (rows x coupled pairs) half-delta array in
+# _k_checks: 8 MB of int64, whatever the survivor count.
+_PAIR_CHUNK = 1 << 20
+
+
+def _k_checks(
+    inst: IsingInstance,
+    bits: np.ndarray,
+    k: int,
+    strict: bool,
+    flipped: bool = False,
+    singles_known: bool = True,
+) -> np.ndarray:
+    """Mask of the assignments ``bits`` whose every change of 1..k variables passes.
+
+    With ``singles_known`` the caller guarantees that every single flip of
+    every row already passes the same test.  Sets of size 2 are checked for
+    all rows at once, over the coupled pairs only: for an uncoupled pair
+    half({i, j}) = S_i L_i + S_j L_j, which passes whenever both single
+    flips pass, for the strict, weak and flipped tests alike.  Larger sets
+    are checked row by row.
+    """
+    if not len(bits) or (k == 1 and singles_known):
+        return np.ones(len(bits), dtype=bool)
+    spins = ((bits[:, None] >> np.arange(inst.n)) & 1) * 2 - 1
+    fields = block_local_fields(inst, spins)
+    sl = spins * fields
+    if singles_known:
+        ok = np.ones(len(bits), dtype=bool)
+    else:
+        ok = _passes(sl, strict, flipped).all(axis=1)
+    ii, jj, ww = inst._ii, inst._jj, inst._ww
+    if k >= 2 and len(ww):
+        step = max(1, _PAIR_CHUNK // len(ww))
+        for lo in range(0, len(bits), step):
+            s, x = spins[lo:lo + step], sl[lo:lo + step]
+            half = x[:, ii] + x[:, jj] - 2 * ww * s[:, ii] * s[:, jj]
+            ok[lo:lo + step] &= _passes(half, strict, flipped).all(axis=1)
+    if k >= 3:
+        for r in np.flatnonzero(ok):
+            ok[r] = _subset_deltas_ok(inst, spins[r], fields[r], k, strict=strict,
+                                      flipped=flipped, sizes_from=3)
+    return ok
+
+
+def _survivor_bits(
     inst: IsingInstance, strict: bool, flipped: bool, block_bits: int
-) -> Iterable[Tuple[int, np.ndarray, np.ndarray]]:
-    """Yield (rank, spins_row, fields_row) for survivors of the single-flip test."""
+) -> Iterator[np.ndarray]:
+    """Assignment bits of each block's single-flip survivors, in rank order."""
     scan = SplitScan(inst, block_bits)
+    n, hi = inst.n, scan.hi_bits
+    # Assignment bits of the low variables by row: variable i is bit n-1-i
+    # of the row index.
+    rows = np.arange(1 << scan.lo_bits)
+    lo_bits = np.zeros_like(rows)
+    for i in range(hi, n):
+        lo_bits |= ((rows >> (n - 1 - i)) & 1) << i
     for start in scan.starts:
-        spins = scan.spins(start)
-        # S_i * L_i in place of the fresh field block: one block-sized
-        # array per block instead of two.  Spins are +-1, so a survivor's
-        # fields come back exactly as S_i * (S_i * L_i).
-        sl = scan.fields(start)
-        sl *= spins
-        if flipped:
-            np.negative(sl, out=sl)
-        hits = (sl < 0).all(axis=1) if strict else (sl <= 0).all(axis=1)
-        for r in np.flatnonzero(hits):
-            fields = sl[r] * spins[r]
-            yield start + int(r), spins[r], -fields if flipped else fields
+        survivors = scan.flip_survivors(start, strict=strict, flipped=flipped)
+        yield lo_bits[survivors] | Assignment.from_rank(start >> scan.lo_bits, hi).bits
 
 
 def enumerate_k_minima(
@@ -166,10 +221,9 @@ def enumerate_k_minima(
     if k < 1:
         raise ValueError("need k >= 1")
     minima: List[Assignment] = []
-    for rank, spins, fields in _scan_candidates(inst, strict=True, flipped=False,
-                                                block_bits=block_bits):
-        if k == 1 or _subset_deltas_ok(inst, spins, fields, k, strict=True, sizes_from=2):
-            minima.append(Assignment.from_rank(rank, inst.n))
+    for bits in _survivor_bits(inst, strict=True, flipped=False, block_bits=block_bits):
+        bits = bits[_k_checks(inst, bits, k, strict=True)]
+        minima.extend(Assignment(inst.n, b) for b in bits.tolist())
     return LandscapeReport(k=k, minima=tuple(minima))
 
 
@@ -225,31 +279,39 @@ def k_basins(
     # Past this many vertices the work limit rejects the request, so the
     # strictness checks stop there.
     max_vertices = work_limit // max(1, len(masks))
-    vertices: List[int] = []  # bit masks
+    blocks: List[np.ndarray] = []  # vertex bit masks, rank order
     strict: List[Assignment] = []
-    for rank, spins, fields in _scan_candidates(inst, strict=False, flipped=flipped_rule,
-                                                block_bits=block_bits):
-        if k == 1 or _subset_deltas_ok(inst, spins, fields, k, strict=False,
-                                       flipped=flipped_rule, sizes_from=2):
-            a = Assignment.from_rank(rank, n)
-            vertices.append(a.bits)
-            if (not flipped_rule and len(vertices) <= max_vertices
-                    and _subset_deltas_ok(inst, spins, fields, k, strict=True)):
-                strict.append(a)
-    if len(vertices) * max(1, len(masks)) > work_limit:
+    count = 0
+    for bits in _survivor_bits(inst, strict=False, flipped=flipped_rule,
+                               block_bits=block_bits):
+        bits = bits[_k_checks(inst, bits, k, strict=False, flipped=flipped_rule)]
+        blocks.append(bits)
+        if not flipped_rule:
+            head = bits[: max(0, max_vertices - count)]
+            head = head[_k_checks(inst, head, k, strict=True, singles_known=False)]
+            strict.extend(Assignment(n, b) for b in head.tolist())
+        count += len(bits)
+    if count * max(1, len(masks)) > work_limit:
         raise EnumerationLimitError(
             "basin construction over %d vertices x %d moves exceeds the work limit"
-            % (len(vertices), len(masks))
+            % (count, len(masks))
         )
-    index: Dict[int, int] = {bits: pos for pos, bits in enumerate(vertices)}
-    uf = _UnionFind(len(vertices))
-    for pos, bits in enumerate(vertices):
+    vertices = np.concatenate(blocks)
+    uf = _UnionFind(count)
+    if count:
+        order = np.argsort(vertices)
+        ordered = vertices[order]
         for m in masks:
-            other = index.get(bits ^ m)
-            if other is not None and other != pos:
-                uf.union(pos, other)
+            target = vertices ^ m
+            pos = np.searchsorted(ordered, target) % count
+            src = np.flatnonzero(ordered[pos] == target)
+            dst = order[pos[src]]
+            # Each edge is found from both ends; union it once.
+            one = src < dst
+            for a, b in zip(src[one].tolist(), dst[one].tolist()):
+                uf.union(a, b)
     sizes: Dict[int, int] = {}
-    for pos in range(len(vertices)):
+    for pos in range(count):
         root = uf.find(pos)
         sizes[root] = sizes.get(root, 0) + 1
     return LandscapeReport(
@@ -257,7 +319,7 @@ def k_basins(
         minima=tuple(strict),
         basin_count=len(sizes),
         basin_sizes=tuple(sorted(sizes.values(), reverse=True)),
-        vertex_count=len(vertices),
+        vertex_count=count,
     )
 
 

@@ -20,13 +20,21 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from spinscape.instance import INT64_MAX
+from spinscape.instance import INT64_MAX, EnumerationLimitError
 
 SUPPORT_LIMIT = 10**7
 _STREAM_MC = 31
 _STREAM_SCALING = 32
 _MC_SHARDS = 8
 _MC_CHUNK_ROWS = 1024
+
+
+class SupportLimitError(EnumerationLimitError, ValueError):
+    """The support 2A + 1 of a sign sum exceeds ``SUPPORT_LIMIT`` cells.
+
+    The CLI maps an :class:`EnumerationLimitError` to its resource-limit
+    exit code; callers that caught the former ``ValueError`` still do.
+    """
 
 
 @dataclass(frozen=True)
@@ -74,7 +82,10 @@ def signed_sum_counts(weights) -> Tuple[List[int], int]:
     w = _coerce(weights)
     radius = w.support_radius
     if 2 * radius + 1 > SUPPORT_LIMIT:
-        raise ValueError("support too large for dense convolution")
+        raise SupportLimitError(
+            "support of %d cells exceeds the dense-table limit of %d"
+            % (2 * radius + 1, SUPPORT_LIMIT)
+        )
     # A partial count is a number of sign choices of at most n weights, so it
     # stays <= 2**n < 2**(8 * width): no carry ever crosses a slot boundary.
     width = (w.n + 8) // 8

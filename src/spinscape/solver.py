@@ -619,7 +619,9 @@ def greedy_coloring(graph: DegreeGraph) -> List[int]:
 
 def _largest_color_class(graph: DegreeGraph) -> Tuple[Tuple[int, ...], int]:
     colors = greedy_coloring(graph)
-    n_colors = max(colors) + 1 if colors else 0
+    if not colors:
+        return (), 0
+    n_colors = max(colors) + 1
     classes: List[List[int]] = [[] for _ in range(n_colors)]
     for v, c in enumerate(colors):
         classes[c].append(v)

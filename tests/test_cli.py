@@ -3,6 +3,7 @@ import json
 import pytest
 
 from spinscape.cli import main
+from spinscape.instance import IsingInstance
 
 
 def run_cli(argv, capsys):
@@ -148,11 +149,34 @@ class TestLandscapeCommands:
         assert doc["count"] == 6
         assert "minima" not in doc
 
+    def test_count_minima_k2(self, tmp_path, capsys):
+        # A strict 2-minimum whose pair flip has a half-delta of -2^62.
+        path = tmp_path / "near.json"
+        path.write_text(IsingInstance(2, [2**61, 2**61], [(0, 1, 1)]).to_json())
+        doc = run_json(["count-minima", "-i", str(path), "--k", "2"], capsys)
+        assert (doc["k"], doc["count"], doc["minima"]) == (2, 1, ["00"])
+
     def test_basins(self, csse4_file, capsys):
         doc = run_json(["basins", "-i", csse4_file, "--k", "1"], capsys)
         assert doc["basin_count"] == 6
         assert doc["basin_sizes"] == [1] * 6
         assert doc["vertex_count"] == 6
+
+    @pytest.mark.parametrize("argv", [
+        ["count-minima", "--list-limit"],
+        ["basins", "--work-limit"],
+    ], ids=["list-limit", "work-limit"])
+    def test_negative_limit_is_usage_error(self, csse4_file, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["-1", "-i", csse4_file])
+        assert exc.value.code == 1
+        assert argv[1] in capsys.readouterr().err
+
+    def test_zero_limits_are_accepted(self, csse4_file, capsys):
+        doc = run_json(["count-minima", "-i", csse4_file, "--list-limit", "0"], capsys)
+        assert doc["count"] == 6 and "minima" not in doc
+        code, _, err = run_cli(["basins", "-i", csse4_file, "--work-limit", "0"], capsys)
+        assert code == 3 and "work limit" in err
 
 
 class TestTsetAndZ:
@@ -232,6 +256,15 @@ class TestProbe:
         code, _, err = run_cli(["probe", "--mode", "exact"], capsys)
         assert code == 1
         assert "weights-file" in err
+
+    @pytest.mark.parametrize("mode", ["exact", "max"])
+    def test_support_beyond_limit_is_resource_error(self, tmp_path, capsys, mode):
+        path = tmp_path / "w.txt"
+        path.write_text("10000000\n")
+        code, out, err = run_cli(["probe", "--mode", mode, "--weights-file", str(path)],
+                                 capsys)
+        assert (code, out) == (3, "")
+        assert "resource limit" in err
 
     def test_malformed_weights_file(self, tmp_path, capsys):
         path = tmp_path / "w.txt"

@@ -274,12 +274,26 @@ def test_split_scan_matches_reference_kernels(case):
         assert spins.dtype == ref_spins.dtype
         np.testing.assert_array_equal(spins, ref_spins)
         np.testing.assert_array_equal(scan.energies(start), block_energies(inst, ref_spins))
-        np.testing.assert_array_equal(scan.fields(start), block_local_fields(inst, ref_spins))
     # Python integers cannot wrap: the first and last energies are exact.
     last = (1 << inst.n) - 1
     start = scan.starts[-1]
     assert int(scan.energies(0)[0]) == inst.energy(Assignment.from_rank(0, inst.n))
     assert int(scan.energies(start)[last - start]) == inst.energy(Assignment.from_rank(last, inst.n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(split_cases(), st.booleans(), st.booleans())
+def test_flip_survivors_match_reference_kernels(case, strict, flipped):
+    inst, block_bits = case
+    scan = SplitScan(inst, block_bits)
+    for start, count in iter_rank_blocks(inst.n, block_bits):
+        ref_spins = spin_block(inst.n, start, count)
+        sl = ref_spins * block_local_fields(inst, ref_spins)
+        if flipped:
+            sl = -sl
+        passing = (sl < 0) if strict else (sl <= 0)
+        rows = scan.flip_survivors(start, strict=strict, flipped=flipped)
+        np.testing.assert_array_equal(rows, np.flatnonzero(passing.all(axis=1)))
 
 
 def test_split_scan_enforces_the_ceiling():

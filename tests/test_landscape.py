@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from helpers import exhaustive_minima, random_instance
 from spinscape.generators import gen_column, gen_csse, zero_energy_assignments
-from spinscape.instance import Assignment, EnumerationLimitError, IsingInstance
+from spinscape.instance import INT64_MAX, Assignment, EnumerationLimitError, IsingInstance
 from spinscape import landscape
 from spinscape.landscape import (
     enumerate_k_minima,
@@ -141,6 +141,25 @@ class TestBasins:
         assert len(strict_calls) <= 4
 
 
+class TestNearBudget:
+    # Half-deltas near 2^62 double past INT64_MAX; the checks read their
+    # sign instead, so these instances get exact answers.
+    def test_single_flip_near_2_62(self):
+        inst = IsingInstance(1, [2**62])
+        assert is_k_minimum(inst, Assignment(1, 0), 1)
+        assert [a.bits for a in enumerate_k_minima(inst, 1).minima] == [0]
+        report = k_basins(inst, 1)
+        assert [a.bits for a in report.minima] == [0]
+        assert report.vertex_count == 1
+
+    def test_pair_flip_near_2_62(self):
+        inst = IsingInstance(2, [2**61, 2**61], [(0, 1, 1)])
+        assert naive_is_k_minimum(inst, Assignment(2, 0), 2)
+        assert is_k_minimum(inst, Assignment(2, 0), 2)
+        assert [a.bitstring() for a in enumerate_k_minima(inst, 2).minima] == ["00"]
+        assert [a.bitstring() for a in k_basins(inst, 2).minima] == ["00"]
+
+
 class TestMinPairwiseHamming:
     def test_basics(self):
         a = Assignment.from_bitstring("0000")
@@ -178,3 +197,65 @@ def test_basin_minima_are_the_strict_minima_in_rank_order(seed, k):
         a for a in enumerate_k_minima(inst, 1).minima if is_k_minimum(inst, a, k)
     )
     assert k_basins(inst, k, flipped_rule=True).minima == ()
+
+
+def _reference_landscape(inst, k, flipped_rule):
+    """Strict k-minima and weak-k-minimum basins from Python-int energies."""
+    n = inst.n
+    points = [Assignment.from_rank(r, n) for r in range(1 << n)]
+    moves = [s for size in range(1, k + 1) for s in combinations(range(n), size)]
+    minima = tuple(a for a in points if naive_is_k_minimum(inst, a, k))
+    sign = -1 if flipped_rule else 1
+    vertices = [a for a in points
+                if all(sign * (inst.energy(a.flip_set(m)) - inst.energy(a)) >= 0
+                       for m in moves)]
+    label = {a.bits: a.bits for a in vertices}
+
+    def root(x):
+        while label[x] != x:
+            x = label[x]
+        return x
+
+    for a in vertices:
+        for m in moves:
+            b = a.flip_set(m).bits
+            if b in label:
+                label[root(b)] = root(a.bits)
+    sizes = {}
+    for a in vertices:
+        sizes[root(a.bits)] = sizes.get(root(a.bits), 0) + 1
+    return minima, len(vertices), tuple(sorted(sizes.values(), reverse=True))
+
+
+@st.composite
+def landscape_cases(draw):
+    """Random, all-zero and near-budget instances over at most 6 variables."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["random", "all-zero", "near-budget"]))
+    if kind == "random":
+        return random_instance(draw(st.integers(0, 10_000)), n=n, density=0.5)
+    if kind == "all-zero":
+        return IsingInstance(n, [0] * n)
+    # Fields and couplings share the whole energy budget, so half-deltas
+    # reach 2^62 and their doubles pass INT64_MAX.
+    pairs = draw(st.lists(st.sampled_from(list(combinations(range(n), 2)) or [None]),
+                          unique=True, max_size=3))
+    pairs = [p for p in pairs if p is not None]
+    share = INT64_MAX // (n + 2 * len(pairs))
+    big = st.integers(share - 2**20, share) | st.integers(1, 5)
+    signed = st.sampled_from([-1, 1])
+    h = [draw(big) * draw(signed) for _ in range(n)]
+    triples = [(i, j, draw(big) * draw(signed)) for i, j in pairs]
+    return IsingInstance(n, h, triples)
+
+
+@settings(max_examples=60, deadline=None)
+@given(landscape_cases(), st.integers(1, 3), st.booleans(), st.integers(1, 4))
+def test_landscape_matches_python_int_reference(inst, k, flipped_rule, block_bits):
+    minima, vertex_count, sizes = _reference_landscape(inst, k, flipped_rule)
+    assert enumerate_k_minima(inst, k, block_bits=block_bits).minima == minima
+    report = k_basins(inst, k, flipped_rule=flipped_rule, block_bits=block_bits)
+    assert report.minima == (() if flipped_rule else minima)
+    assert report.vertex_count == vertex_count
+    assert report.basin_sizes == sizes
+    assert report.basin_count == len(sizes)

@@ -597,6 +597,22 @@ def test_scan_solvers_match_brute_on_degenerate_draws(inst, seed):
         assert (res.energy, res.best) == (oracle.energy, oracle.best), res.method
 
 
+@pytest.mark.parametrize("solve", [solve_brute, solve_coloring_baseline, solve_effective,
+                                   solve_combined, solve_avg_degree])
+def test_empty_instance(solve):
+    # No variables: the coloring has no class, and T is empty.
+    res = solve(IsingInstance(0, [], c0=3))
+    assert (res.energy, res.best) == (3, Assignment(0, 0))
+
+
+@settings(max_examples=120)
+@given(degenerate_instances(), st.integers(0, 3), st.sampled_from([0.5, 1.0, 2.0]))
+def test_avg_degree_matches_brute_on_degenerate_draws(inst, seed, degree_factor):
+    oracle = solve_brute(inst)
+    res = solve_avg_degree(inst, seed=seed, degree_factor=degree_factor, block_bits=2)
+    assert (res.energy, res.best) == (oracle.energy, oracle.best), res.method
+
+
 @settings(max_examples=120)
 @given(degenerate_instances(), st.data())
 def test_engine_with_any_sets_matches_brute(inst, data):
