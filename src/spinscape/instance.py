@@ -486,13 +486,6 @@ class SplitScan:
         """The constant +-1 spins of variables 0..hi_bits-1 in the block at ``start``."""
         return spin_block(self.hi_bits, start >> self.lo_bits, 1)[0].astype(np.int64)
 
-    def spins(self, start: int) -> np.ndarray:
-        """Same as ``spin_block(n, start, 2**lo_bits)``, copied from the table."""
-        out = np.empty((len(self.lo_spins), self.n), dtype=np.int16)
-        out[:, : self.hi_bits] = self.hi_spins(start)
-        out[:, self.hi_bits:] = self.lo_spins
-        return out
-
     def energies(self, start: int) -> np.ndarray:
         """Same as ``block_energies`` on the block at ``start``."""
         c0, h_hi, ii, jj, ww = self._hi_terms

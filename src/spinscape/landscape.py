@@ -56,17 +56,8 @@ class LandscapeReport:
         return len(self.minima)
 
 
-# The subset checks run once per scan survivor; their index sets depend on n
-# only.  Cached arrays are shared, so they are made read-only.
-@lru_cache(maxsize=8)
-def _pair_index(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Indices of the pairs i < j of an n x n matrix."""
-    iu = np.triu_indices(n, 1)
-    for a in iu:
-        a.flags.writeable = False
-    return iu
-
-
+# The triple check runs once per scan survivor; its index set depends on n
+# only.  The cached array is shared, so it is made read-only.
 @lru_cache(maxsize=8)
 def _triple_mask(n: int) -> np.ndarray:
     """Mask of the triples i < j < l of an n x n x n array."""
@@ -94,9 +85,8 @@ def _subset_deltas_ok(
     k: int,
     strict: bool,
     flipped: bool = False,
-    sizes_from: int = 1,
 ) -> bool:
-    """Check delta(U) against 0 for every variable set U with sizes_from <= |U| <= k.
+    """Check delta(U) against 0 for every variable set U with 3 <= |U| <= k.
 
     strict=True demands improvement-free strictly (delta > 0 everywhere),
     strict=False allows ties (delta >= 0).  flipped=True inverts the
@@ -109,30 +99,15 @@ def _subset_deltas_ok(
     |c0| + sum |h_i| + 2 * sum |J_ij| <= INT64_MAX, so int64 is exact.
     """
     n = inst.n
-    sl = (spins.astype(np.int64)) * fields
-
-    def ok(half: np.ndarray) -> bool:
-        return bool(_passes(half, strict, flipped).all())
-
-    if sizes_from <= 1 <= k:
-        if not ok(sl):
-            return False
-    if k < 2:
+    if k < 3 or n < 3:
         return True
-    jm = inst.full_coupling_matrix()
-    q = jm * np.outer(spins, spins).astype(np.int64)
-    if sizes_from <= 2 <= k and n >= 2:
-        half2 = sl[:, None] + sl[None, :] - 2 * q
-        if not ok(half2[_pair_index(n)]):
-            return False
-    if sizes_from <= 3 <= k and n >= 3:
-        a1 = sl[:, None, None] + sl[None, :, None] + sl[None, None, :]
-        b = q[:, :, None] + q[:, None, :] + q[None, :, :]
-        if not ok((a1 - 2 * b)[_triple_mask(n)]):
-            return False
-    for size in range(max(4, sizes_from), k + 1):
-        if size > n:
-            break
+    sl = (spins.astype(np.int64)) * fields
+    q = inst.full_coupling_matrix() * np.outer(spins, spins).astype(np.int64)
+    a1 = sl[:, None, None] + sl[None, :, None] + sl[None, None, :]
+    b = q[:, :, None] + q[:, None, :] + q[None, :, :]
+    if not _passes((a1 - 2 * b)[_triple_mask(n)], strict, flipped).all():
+        return False
+    for size in range(4, min(k, n) + 1):
         for subset in combinations(range(n), size):
             idx = list(subset)
             inner = sum(int(q[a_i, b_i]) for a_i, b_i in combinations(idx, 2))
@@ -147,9 +122,8 @@ def is_k_minimum(inst: IsingInstance, a: Assignment, k: int) -> bool:
         raise ValueError("need k >= 1")
     if a.n != inst.n:
         raise ValueError("assignment does not match instance size")
-    spins = a.spins()
-    fields = np.array([inst.local_field(a, i) for i in range(inst.n)], dtype=np.int64)
-    return _subset_deltas_ok(inst, spins, fields, k, strict=True)
+    spins = a.spins().astype(np.int64)[None, :]
+    return bool(_k_checks(inst, spins, k, strict=True, singles_known=False)[0])
 
 
 # Cap on the entries of one (rows x coupled pairs) half-delta array in
@@ -159,13 +133,13 @@ _PAIR_CHUNK = 1 << 20
 
 def _k_checks(
     inst: IsingInstance,
-    bits: np.ndarray,
+    spins: np.ndarray,
     k: int,
     strict: bool,
     flipped: bool = False,
     singles_known: bool = True,
 ) -> np.ndarray:
-    """Mask of the assignments ``bits`` whose every change of 1..k variables passes.
+    """Mask of the rows of ``spins`` whose every change of 1..k variables passes.
 
     With ``singles_known`` the caller guarantees that every single flip of
     every row already passes the same test.  Sets of size 2 are checked for
@@ -174,27 +148,29 @@ def _k_checks(
     flips pass, for the strict, weak and flipped tests alike.  Larger sets
     are checked row by row.
     """
-    if not len(bits) or (k == 1 and singles_known):
-        return np.ones(len(bits), dtype=bool)
-    spins = ((bits[:, None] >> np.arange(inst.n)) & 1) * 2 - 1
     fields = block_local_fields(inst, spins)
     sl = spins * fields
     if singles_known:
-        ok = np.ones(len(bits), dtype=bool)
+        ok = np.ones(len(spins), dtype=bool)
     else:
         ok = _passes(sl, strict, flipped).all(axis=1)
     ii, jj, ww = inst._ii, inst._jj, inst._ww
     if k >= 2 and len(ww):
         step = max(1, _PAIR_CHUNK // len(ww))
-        for lo in range(0, len(bits), step):
+        for lo in range(0, len(spins), step):
             s, x = spins[lo:lo + step], sl[lo:lo + step]
             half = x[:, ii] + x[:, jj] - 2 * ww * s[:, ii] * s[:, jj]
             ok[lo:lo + step] &= _passes(half, strict, flipped).all(axis=1)
     if k >= 3:
         for r in np.flatnonzero(ok):
             ok[r] = _subset_deltas_ok(inst, spins[r], fields[r], k, strict=strict,
-                                      flipped=flipped, sizes_from=3)
+                                      flipped=flipped)
     return ok
+
+
+def _bit_spins(bits: np.ndarray, n: int) -> np.ndarray:
+    """(len(bits) x n) int64 matrix of the +-1 spins of assignment bit masks."""
+    return ((bits[:, None] >> np.arange(n)) & 1) * 2 - 1
 
 
 def _survivor_bits(
@@ -222,7 +198,9 @@ def enumerate_k_minima(
         raise ValueError("need k >= 1")
     minima: List[Assignment] = []
     for bits in _survivor_bits(inst, strict=True, flipped=False, block_bits=block_bits):
-        bits = bits[_k_checks(inst, bits, k, strict=True)]
+        # The survivors pass every single flip, which is all k = 1 asks.
+        if k > 1:
+            bits = bits[_k_checks(inst, _bit_spins(bits, inst.n), k, strict=True)]
         minima.extend(Assignment(inst.n, b) for b in bits.tolist())
     return LandscapeReport(k=k, minima=tuple(minima))
 
@@ -284,11 +262,14 @@ def k_basins(
     count = 0
     for bits in _survivor_bits(inst, strict=False, flipped=flipped_rule,
                                block_bits=block_bits):
-        bits = bits[_k_checks(inst, bits, k, strict=False, flipped=flipped_rule)]
+        if k > 1:
+            bits = bits[_k_checks(inst, _bit_spins(bits, n), k, strict=False,
+                                  flipped=flipped_rule)]
         blocks.append(bits)
         if not flipped_rule:
             head = bits[: max(0, max_vertices - count)]
-            head = head[_k_checks(inst, head, k, strict=True, singles_known=False)]
+            head = head[_k_checks(inst, _bit_spins(head, n), k, strict=True,
+                                  singles_known=False)]
             strict.extend(Assignment(n, b) for b in head.tolist())
         count += len(bits)
     if count * max(1, len(masks)) > work_limit:

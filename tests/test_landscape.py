@@ -125,20 +125,23 @@ class TestBasins:
             k_basins(IsingInstance(6, [0] * 6), 2, work_limit=100)
 
     def test_rejected_request_skips_most_strictness_checks(self, monkeypatch):
-        # 64 vertices x 21 moves; a limit of 100 admits 4 vertices, so at
-        # most 4 vertices pay for a strictness check before the rejection.
-        real = landscape._subset_deltas_ok
-        strict_calls = []
+        # 64 vertices x 21 (k = 2) or 41 (k = 3) moves; a limit of 100 admits
+        # 4 or 2 vertices, so at most that many rows pay for a strictness
+        # check before the rejection.
+        real = landscape._k_checks
+        strict_rows = []
 
-        def counting(*args, **kwargs):
+        def counting(inst, spins, *args, **kwargs):
             if kwargs.get("strict"):
-                strict_calls.append(args[1])
-            return real(*args, **kwargs)
+                strict_rows.append(len(spins))
+            return real(inst, spins, *args, **kwargs)
 
-        monkeypatch.setattr(landscape, "_subset_deltas_ok", counting)
-        with pytest.raises(EnumerationLimitError):
-            k_basins(IsingInstance(6, [0] * 6), 2, work_limit=100)
-        assert len(strict_calls) <= 4
+        monkeypatch.setattr(landscape, "_k_checks", counting)
+        for k, admitted in ((2, 4), (3, 2)):
+            strict_rows.clear()
+            with pytest.raises(EnumerationLimitError):
+                k_basins(IsingInstance(6, [0] * 6), k, work_limit=100)
+            assert strict_rows and sum(strict_rows) <= admitted
 
 
 class TestNearBudget:
