@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -423,71 +424,86 @@ def block_local_fields(inst: IsingInstance, spins: np.ndarray) -> np.ndarray:
     return spins @ inst.full_coupling_matrix() + inst._h_arr
 
 
-class SplitScan:
-    """Split-half kernel for one full scan over all 2^n ranks.
+def thread_map(fn: Callable, items: Iterable, workers: int) -> list:
+    """``[fn(x) for x in items]``, run on ``workers`` threads when that is more than one."""
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as ex:
+            return list(ex.map(fn, items))
+    return [fn(x) for x in items]
 
-    The scan walks the blocks of :func:`iter_rank_blocks` in ascending rank
-    order.  Inside a block the high ``hi_bits`` variables 0..hi_bits-1 are
-    constant and the low ``lo_bits`` variables run over every value in rank
-    order, so the low half's spin table, its own energies and its share of
-    every local field are the same in every block.  They are built once
-    here, before any worker thread starts.  The field table is column-major,
-    one row of 2^lo_bits entries per variable, so a block reads one
-    variable's fields over its rows as one contiguous row.  A block then
-    adds one (hi_bits x 2^lo_bits) vector-matrix product (energies) or one
-    constant per variable (single-flip survivors) to a table, and copies
-    its spin rows from the table.
+
+class SplitScan:
+    """Split-half kernel for one scan over all assignments of ``variables``.
+
+    The scanned variables (all of them by default) are read in rank order:
+    the first is the most significant bit, and over all variables the blocks
+    are those of :func:`iter_rank_blocks`.  Inside a block the first
+    ``hi_bits`` scanned variables are constant and the last ``lo_bits`` run
+    over every value in rank order, so the low half's own energies, its
+    share of every variable's local field (scanned or not) and its share of
+    any :meth:`weight_sums` are the same in every block.  They are built
+    once, by doubling, before any worker thread starts.  The field table is
+    column-major, one row of 2^lo_bits entries per variable (scanned ones
+    first, by position), so a block reads one variable's fields over its
+    rows as one contiguous row.  A block then adds one (hi_bits x
+    2^lo_bits) vector-matrix product (energies) or one constant per
+    variable (fields, single-flip survivors) to a table.
 
     Every intermediate is a sum over a subset of the terms of
     ``|c0| + sum |h_i| + sum |J_ij|``, which ``IsingInstance.__init__``
-    bounds by INT64_MAX, so the int64 results equal :func:`block_energies`
-    and :func:`block_local_fields` exactly.  The tables are read-only after
-    construction and may be shared between threads.
+    bounds by INT64_MAX, so the int64 results are exact.  The tables are
+    read-only after construction and may be shared between threads.
     """
 
     def __init__(
         self,
         inst: IsingInstance,
         block_bits: int = DEFAULT_BLOCK_BITS,
+        variables: Sequence[int] | None = None,
     ) -> None:
         n = inst.n
-        _check_enum_bits(n)
-        self.n = n
-        self.lo_bits = lo = min(block_bits, n)
-        self.hi_bits = hi = n - lo
-        # Block start ranks, the same as those of iter_rank_blocks.
-        self.starts = range(0, 1 << n, 1 << lo)
-        self.lo_spins = spin_block(lo, 0, 1 << lo)
-        jfull = inst.full_coupling_matrix()
-        h = inst._h_arr
+        scanned = list(range(n) if variables is None else variables)
+        self.width = width = len(scanned)
+        _check_enum_bits(width)
+        self.lo_bits = lo = min(block_bits, width)
+        self.hi_bits = hi = width - lo
+        # Block start ranks, the same as those of iter_rank_blocks(width).
+        self.starts = range(0, 1 << width, 1 << lo)
+        # Table row of each variable: scanned variable k is row k.
+        order = scanned + sorted(set(range(n)) - set(scanned))
+        self._row = np.argsort(order)
+        h = inst._h_arr[order]
+        # cols[k]: coupling row of scanned variable k, in table-row order
+        cols = inst.full_coupling_matrix()[np.ix_(scanned, order)]
         # Doubling over the low variables, each added as the new most
         # significant low bit (spin -1 rows first): e_lo[r] is the energy of
         # the low variables alone, f_lo[i, r] their share of local field i.
         # This costs O(2^lo_bits * n) adds and no multiplications.
         e_lo = np.zeros(1 << lo, dtype=np.int64)
         f_lo = np.zeros((n, 1 << lo), dtype=np.int64)
-        col = jfull[:, :, None]  # column v of J as an (n x 1) array
         size = 1
-        for v in range(n - 1, hi - 1, -1):
-            g = f_lo[v, :size] + h[v]
+        for k in range(width - 1, hi - 1, -1):
+            g = f_lo[k, :size] + h[k]
             np.add(e_lo[:size], g, out=e_lo[size:2 * size])
             e_lo[:size] -= g
-            np.add(f_lo[:, :size], col[v], out=f_lo[:, size:2 * size])
-            f_lo[:, :size] -= col[v]
+            col = cols[k, :, None]
+            np.add(f_lo[:, :size], col, out=f_lo[:, size:2 * size])
+            f_lo[:, :size] -= col
             size *= 2
-        in_hi = inst._jj < hi  # couplings are stored with i < j
+        ii, jj = self._row[inst._ii], self._row[inst._jj]
+        in_hi = (ii < hi) & (jj < hi)
         self._e_lo = e_lo
         self._f_lo = f_lo
-        self._hi_terms = (inst.c0, h[:hi], inst._ii[in_hi], inst._jj[in_hi], inst._ww[in_hi])
+        self._hi_terms = (inst.c0, h[:hi], ii[in_hi], jj[in_hi], inst._ww[in_hi])
         self._h = h
-        self._j_hi = jfull[:hi]
+        self._j_hi = cols[:hi]
 
     def hi_spins(self, start: int) -> np.ndarray:
-        """The constant +-1 spins of variables 0..hi_bits-1 in the block at ``start``."""
+        """The constant +-1 spins of the high scanned variables in the block at ``start``."""
         return spin_block(self.hi_bits, start >> self.lo_bits, 1)[0].astype(np.int64)
 
     def energies(self, start: int) -> np.ndarray:
-        """Same as ``block_energies`` on the block at ``start``."""
+        """Energies of the scanned variables alone, with c0, for the block at ``start``."""
         c0, h_hi, ii, jj, ww = self._hi_terms
         s = self.hi_spins(start)
         e_hi = c0 + int(s @ h_hi) + int((s[ii] * s[jj]) @ ww)
@@ -495,31 +511,59 @@ class SplitScan:
         e += e_hi
         return e
 
+    def fields(self, start: int, cols: Sequence[int]) -> np.ndarray:
+        """(len(cols) x rows) fields on ``cols`` from the scanned spins, block at ``start``."""
+        rows = self._row[np.asarray(cols, dtype=np.int64)]
+        out = self._f_lo[rows]
+        out += (self._h + self.hi_spins(start) @ self._j_hi)[rows, None]
+        return out
+
+    def weight_sums(self, weights: np.ndarray) -> Callable[[int, np.ndarray], np.ndarray]:
+        """``lookup(start, rows)``: sums of ``weights`` over the +1 scanned variables.
+
+        ``weights`` has one entry (or row) per scanned variable, by position,
+        and the caller keeps every sum below 2^63.  The low variables' share
+        is a table built by doubling, the high ones' one product per lookup.
+        """
+        w = np.asarray(weights, dtype=np.int64)
+        hi = self.hi_bits
+        table = np.zeros((1 << self.lo_bits,) + w.shape[1:], dtype=np.int64)
+        size = 1
+        for k in range(self.width - 1, hi - 1, -1):
+            np.add(table[:size], w[k], out=table[size:2 * size])
+            size *= 2
+        w_hi = w[:hi]
+
+        def lookup(start: int, rows: np.ndarray) -> np.ndarray:
+            return table[rows] + (self.hi_spins(start) > 0).astype(np.int64) @ w_hi
+
+        return lookup
+
     def flip_survivors(self, start: int, strict: bool = True,
                        flipped: bool = False) -> np.ndarray:
         """Rows of the block at ``start`` that pass every single-flip test.
 
-        A row passes when S_i * L_i < 0 for every variable i (every single
-        flip strictly raises the energy), or <= 0 with ``strict=False``;
+        A row passes when S_i * L_i < 0 for every scanned variable i (every
+        single flip strictly raises the energy), or <= 0 with ``strict=False``;
         ``flipped=True`` reverses the sign (> 0, >= 0).  The rows are
         filtered one variable at a time, and each test reads only the rows
-        still alive.  A high variable's spin is constant in the block; a low
-        variable's spin is bit n-1-i of the row index, so no spin table is
-        read.  Returns the passing row indices in ascending order.
+        still alive.  A high variable's spin is constant in the block; the
+        low variable at position i is bit width-1-i of the row index, so no
+        spin table is read.  Returns the passing row indices in ascending order.
         """
         s_hi = self.hi_spins(start)
         c = self._h + s_hi @ self._j_hi
         lt, gt = (np.less, np.greater) if strict else (np.less_equal, np.greater_equal)
         size = len(self._e_lo)
         rows = np.arange(size)
-        for i, f in enumerate(self._f_lo):
+        for i, f in enumerate(self._f_lo[:self.width]):
             fields = (f if len(rows) == size else f[rows]) + c[i]
             # S_i * L_i < 0 is L_i < 0 where S_i = +1 and L_i > 0 where
             # S_i = -1; the flipped test swaps the two.
             if i < self.hi_bits:
                 keep = lt(fields, 0) if (s_hi[i] > 0) != flipped else gt(fields, 0)
             else:
-                up = ((rows >> (self.n - 1 - i)) & 1).astype(bool)
+                up = ((rows >> (self.width - 1 - i)) & 1).astype(bool)
                 if flipped:
                     up = ~up
                 keep = np.where(up, lt(fields, 0), gt(fields, 0))

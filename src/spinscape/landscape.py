@@ -178,16 +178,10 @@ def _survivor_bits(
 ) -> Iterator[np.ndarray]:
     """Assignment bits of each block's single-flip survivors, in rank order."""
     scan = SplitScan(inst, block_bits)
-    n, hi = inst.n, scan.hi_bits
-    # Assignment bits of the low variables by row: variable i is bit n-1-i
-    # of the row index.
-    rows = np.arange(1 << scan.lo_bits)
-    lo_bits = np.zeros_like(rows)
-    for i in range(hi, n):
-        lo_bits |= ((rows >> (n - 1 - i)) & 1) << i
+    # the bit mask of an assignment is the sum of 1 << v over its +1 variables
+    bits = scan.weight_sums(1 << np.arange(inst.n, dtype=np.int64))
     for start in scan.starts:
-        survivors = scan.flip_survivors(start, strict=strict, flipped=flipped)
-        yield lo_bits[survivors] | Assignment.from_rank(start >> scan.lo_bits, hi).bits
+        yield bits(start, scan.flip_survivors(start, strict=strict, flipped=flipped))
 
 
 def enumerate_k_minima(
@@ -272,11 +266,12 @@ def k_basins(
                                   singles_known=False)]
             strict.extend(Assignment(n, b) for b in head.tolist())
         count += len(bits)
-    if count * max(1, len(masks)) > work_limit:
-        raise EnumerationLimitError(
-            "basin construction over %d vertices x %d moves exceeds the work limit"
-            % (count, len(masks))
-        )
+        # the count only grows, so the scan stops at the first block past the limit
+        if count * max(1, len(masks)) > work_limit:
+            raise EnumerationLimitError(
+                "basin construction over at least %d vertices x %d moves exceeds"
+                " the work limit" % (count, len(masks))
+            )
     vertices = np.concatenate(blocks)
     uf = _UnionFind(count)
     if count:

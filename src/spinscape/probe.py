@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from spinscape.instance import INT64_MAX, EnumerationLimitError
+from spinscape.instance import INT64_MAX, EnumerationLimitError, thread_map
 
 SUPPORT_LIMIT = 10**7
 _STREAM_MC = 31
@@ -207,11 +206,7 @@ def mc_interval_prob(
             hits += int(np.count_nonzero((s >= lo) & (s <= hi)))
         return hits
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            hits = sum(ex.map(run_shard, range(_MC_SHARDS)))
-    else:
-        hits = sum(run_shard(k) for k in range(_MC_SHARDS))
+    hits = sum(thread_map(run_shard, range(_MC_SHARDS), workers))
     p = hits / samples
     return MCEstimate(p, math.sqrt(p * (1.0 - p) / samples))
 

@@ -24,7 +24,6 @@ in 64-bit integers, so results are exact.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -42,6 +41,7 @@ from .instance import (
     block_energies,  # noqa: F401  perfbench/tracing.py wraps it under this name
     iter_rank_blocks,
     spin_block,
+    thread_map,
 )
 from .tset import (
     ConstrainedContext,
@@ -234,11 +234,11 @@ class _ScanEngine:
     set is minimized on its own and the costs add instead of multiplying.
     The effective-field solvers use empty side sets.
 
-    The blocks of outer assignments are those of one :class:`SplitScan` over
-    the outer variables alone, which also gives their energies.  The low
-    half's share of every effective field (T, T1 and T2 columns side by
-    side) and of every lex key are tables built once, so a block's fields
-    and keys are a table plus one row.  All tables are read-only after
+    The blocks of outer assignments are those of one :class:`SplitScan` that
+    scans the outer variables.  It gives each block's outer energies, its
+    effective fields on T, T1 and T2 (the local fields from the outer
+    spins) and the lex keys of its rows, each from a table built once
+    plus one constant per block.  All tables are read-only after
     construction and shared by the worker threads.
     """
 
@@ -292,41 +292,12 @@ class _ScanEngine:
             self.side_tables.append((s, own, (s > 0).astype(np.int64) @ _key_weights(ts, n)))
         self._side_width = max(len(own) for _, own, _ in self.side_tables) if self.sides else 1
 
-        h = np.array(inst.h, dtype=np.int64)
-        pos = {v: k for k, v in enumerate(out)}
-        sub = IsingInstance(
-            self.n_out,
-            [inst.h[v] for v in out],
-            [(pos[i], pos[j], w) for i, j, w in inst.edges() if i in pos and j in pos],
-            c0=inst.c0,
-        )
-        self.split = SplitScan(sub, block_bits)
-        hi = self.split.hi_bits
-        j_cross = jf[np.ix_(out, inner)]
-        lo_spins = self.split.lo_spins
-        self._fields_lo = lo_spins @ j_cross[hi:]
-        self._fields_hi = (h[inner], j_cross[:hi])
-        w_out = _key_weights(out, n)
-        self._keys_lo = (lo_spins > 0).astype(np.int64) @ w_out[hi:]
-        self._keys_hi = w_out[:hi]
+        self.inner = inner
+        self.split = SplitScan(inst, block_bits, out)
+        # lex keys of outer rows, inner variables at -1
+        self._outer_keys = self.split.weight_sums(_key_weights(out, n))
         self._lock = threading.Lock()
         self._best: Optional[int] = None
-
-    # -- block tables --------------------------------------------------
-
-    def outer_energies(self, start: int) -> np.ndarray:
-        """Energies of the outer variables alone (with c0) for the block at ``start``."""
-        return self.split.energies(start)
-
-    def inner_fields(self, start: int) -> np.ndarray:
-        """Effective fields on T, T1 and T2, columns side by side, for the block at ``start``."""
-        h_in, j_hi = self._fields_hi
-        return self._fields_lo + (h_in + self.split.hi_spins(start) @ j_hi)
-
-    def outer_keys(self, start: int) -> np.ndarray:
-        """Lex keys of the block's outer assignments, inner variables at -1."""
-        hi_bits = (self.split.hi_spins(start) > 0).astype(np.int64)
-        return self._keys_lo + hi_bits @ self._keys_hi
 
     # -- per-row pieces ------------------------------------------------
 
@@ -412,7 +383,7 @@ class _ScanEngine:
         """
         heff = fields[:, :self.m]
         strict = np.abs(heff) > self.h_max
-        keys = self.outer_keys(start)[rows] + ((heff < 0) & strict).astype(np.int64) @ self.w_t
+        keys = self._outer_keys(start, rows) + ((heff < 0) & strict).astype(np.int64) @ self.w_t
         best = None
         for f, x, grp in _pattern_groups(~strict):
             if f.size > MAX_ENUM_BITS:
@@ -458,8 +429,9 @@ class _ScanEngine:
         The rank is None when an earlier block already reached a lower
         energy, so this block cannot hold the optimum.
         """
-        e_out = self.outer_energies(start)
-        fields = self.inner_fields(start)
+        e_out = self.split.energies(start)
+        # effective fields on T, T1 and T2, columns side by side
+        fields = self.split.fields(start, self.inner).T
         aheff = np.abs(fields[:, :self.m])
         strict = np.count_nonzero(aheff > self.h_max, axis=0)
         if self.sides or self.has_internal:
@@ -509,12 +481,7 @@ def _solve_with_T(
     wins, so the result does not depend on the thread schedule.
     """
     engine = _ScanEngine(inst, t, block_bits, t1, t2)
-    starts = engine.split.starts
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(engine.scan_block, starts))
-    else:
-        parts = [engine.scan_block(s) for s in starts]
+    parts = thread_map(engine.scan_block, engine.split.starts, workers)
     e_star = min(part[0] for part in parts)
     leaves = ties = 0
     best_rank: Optional[int] = None
@@ -559,11 +526,7 @@ def solve_brute(
         k = int(np.argmin(e))
         return int(e[k]), start + k
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(scan, split.starts))
-    else:
-        parts = [scan(s) for s in split.starts]
+    parts = thread_map(scan, split.starts, workers)
     best_e, best_rank = parts[0]
     for e, r in parts[1:]:
         if e < best_e:

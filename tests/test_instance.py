@@ -261,9 +261,19 @@ def split_cases(draw):
     return IsingInstance(n, h, c0=c0), block_bits
 
 
+def _scanned_energies(inst, sub, spins):
+    """Energies of the variables ``sub`` alone, with c0; column k of ``spins`` is sub[k]."""
+    pos = {v: k for k, v in enumerate(sub)}
+    e = spins @ np.array([inst.h[v] for v in sub], dtype=np.int64) + inst.c0
+    for (i, j), w in inst.couplings.items():
+        if i in pos and j in pos:
+            e = e + spins[:, pos[i]].astype(np.int64) * spins[:, pos[j]] * w
+    return e
+
+
 @settings(max_examples=150, deadline=None)
-@given(split_cases())
-def test_split_scan_matches_reference_kernels(case):
+@given(split_cases(), st.data())
+def test_split_scan_matches_reference_kernels(case, data):
     inst, block_bits = case
     scan = SplitScan(inst, block_bits)
     blocks = list(iter_rank_blocks(inst.n, block_bits))
@@ -276,6 +286,36 @@ def test_split_scan_matches_reference_kernels(case):
     start = scan.starts[-1]
     assert int(scan.energies(0)[0]) == inst.energy(Assignment.from_rank(0, inst.n))
     assert int(scan.energies(start)[last - start]) == inst.energy(Assignment.from_rank(last, inst.n))
+
+    # A drawn subset, scanned in drawn order: energies of its variables
+    # alone, fields on every variable, single-flip survivors and bit sums.
+    sub = data.draw(st.permutations(range(inst.n)))[: data.draw(st.integers(0, inst.n))]
+    strict, flipped = data.draw(st.booleans()), data.draw(st.booleans())
+    scan = SplitScan(inst, block_bits, sub)
+    jf = inst.full_coupling_matrix()
+    h = np.array(inst.h, dtype=np.int64)
+    weights = np.array([1 << v for v in sub], dtype=np.int64)
+    bits = scan.weight_sums(weights)
+    blocks = list(iter_rank_blocks(len(sub), block_bits))
+    assert list(scan.starts) == [start for start, _ in blocks]
+    for start, count in blocks:
+        spins = spin_block(len(sub), start, count)
+        fields = spins @ jf[sub] + h
+        np.testing.assert_array_equal(scan.fields(start, range(inst.n)).T, fields)
+        np.testing.assert_array_equal(scan.energies(start), _scanned_energies(inst, sub, spins))
+        np.testing.assert_array_equal(bits(start, np.arange(count)),
+                                      (spins > 0).astype(np.int64) @ weights)
+        sl = spins * fields[:, sub] * (-1 if flipped else 1)
+        passing = (sl < 0) if strict else (sl <= 0)
+        np.testing.assert_array_equal(scan.flip_survivors(start, strict, flipped),
+                                      np.flatnonzero(passing.all(axis=1)))
+    for rank in (0, (1 << len(sub)) - 1):
+        a = Assignment.from_rank(rank, len(sub))
+        exact = inst.c0 + sum(inst.h[v] * a.spin(k) for k, v in enumerate(sub))
+        exact += sum(w * a.spin(sub.index(i)) * a.spin(sub.index(j))
+                     for (i, j), w in inst.couplings.items() if i in sub and j in sub)
+        start = rank - rank % (1 << scan.lo_bits)
+        assert int(scan.energies(start)[rank - start]) == exact
 
 
 @settings(max_examples=150, deadline=None)

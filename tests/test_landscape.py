@@ -6,7 +6,13 @@ from hypothesis import strategies as st
 
 from helpers import exhaustive_minima, random_instance
 from spinscape.generators import gen_column, gen_csse, zero_energy_assignments
-from spinscape.instance import INT64_MAX, Assignment, EnumerationLimitError, IsingInstance
+from spinscape.instance import (
+    INT64_MAX,
+    Assignment,
+    EnumerationLimitError,
+    IsingInstance,
+    SplitScan,
+)
 from spinscape import landscape
 from spinscape.landscape import (
     enumerate_k_minima,
@@ -142,6 +148,21 @@ class TestBasins:
             with pytest.raises(EnumerationLimitError):
                 k_basins(IsingInstance(6, [0] * 6), k, work_limit=100)
             assert strict_rows and sum(strict_rows) <= admitted
+
+    def test_rejected_request_stops_the_scan(self, monkeypatch):
+        # Every assignment of a coupling-free, field-free instance is a
+        # vertex, so the first block of 16 already passes a zero limit.
+        real = SplitScan.flip_survivors
+        calls = []
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(SplitScan, "flip_survivors", counting)
+        with pytest.raises(EnumerationLimitError, match="at least 16 vertices"):
+            k_basins(IsingInstance(12, [0] * 12), 1, block_bits=4, work_limit=0)
+        assert len(calls) == 1
 
 
 class TestNearBudget:

@@ -1,3 +1,7 @@
+import contextlib
+import io
+import os
+import tempfile
 from itertools import combinations
 
 import numpy as np
@@ -6,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinscape.solver as solver_module
+from spinscape.cli import main
 from spinscape.generators import gen_csse, gen_multicopy, gen_regular
 from spinscape.instance import (
     INT64_MAX,
     Assignment,
     EnumerationLimitError,
     IsingInstance,
+    SplitScan,
     spin_block,
 )
 from spinscape.solver import (
@@ -532,23 +538,26 @@ def engine_cases(draw):
 @settings(max_examples=150)
 @given(engine_cases())
 def test_engine_tables_match_reference_formulas(case):
+    # the engine's scanner: outer energies, fields on T|T1|T2 and lex keys
     inst, t, t1, t2, block_bits = case
-    engine = _ScanEngine(inst, t, block_bits, t1, t2)
-    out, inner = list(engine.out), sorted(t) + sorted(t1) + sorted(t2)
+    out = list(_ScanEngine(inst, t, block_bits, t1, t2).out)
+    inner = sorted(t) + sorted(t1) + sorted(t2)
+    split = SplitScan(inst, block_bits, out)
+    keys = split.weight_sums(_key_weights(out, inst.n))
     jf = inst.full_coupling_matrix()
     h = np.array(inst.h, dtype=np.int64)
-    count = 1 << engine.split.lo_bits
-    assert list(engine.split.starts) == list(range(0, 1 << len(out), count))
-    for start in engine.split.starts:
+    count = 1 << split.lo_bits
+    assert list(split.starts) == list(range(0, 1 << len(out), count))
+    for start in split.starts:
         spins = spin_block(len(out), start, count)
         np.testing.assert_array_equal(
-            engine.outer_energies(start), _reference_outer_energies(inst, out, spins))
+            split.energies(start), _reference_outer_energies(inst, out, spins))
         np.testing.assert_array_equal(
-            engine.inner_fields(start), spins @ jf[np.ix_(out, inner)] + h[inner])
-        keys = engine.outer_keys(start)
+            split.fields(start, inner).T, spins @ jf[np.ix_(out, inner)] + h[inner])
+        block_keys = keys(start, np.arange(count))
         for r in range(count):
             bits = sum(1 << v for k, v in enumerate(out) if spins[r, k] > 0)
-            assert _key_rank(keys[r], inst.n) == Assignment(inst.n, bits).rank
+            assert _key_rank(block_keys[r], inst.n) == Assignment(inst.n, bits).rank
     # Python integers cannot wrap: the first and last outer energies are exact
     last = (1 << len(out)) - 1
     for rank in (0, last):
@@ -557,7 +566,7 @@ def test_engine_tables_match_reference_formulas(case):
         exact += sum(w * a.spin(out.index(i)) * a.spin(out.index(j))
                      for (i, j), w in inst.couplings.items() if i in out and j in out)
         start = rank - rank % count
-        assert int(engine.outer_energies(start)[rank - start]) == exact
+        assert int(split.energies(start)[rank - start]) == exact
 
 
 @st.composite
@@ -603,6 +612,32 @@ def test_empty_instance(solve):
     # No variables: the coloring has no class, and T is empty.
     res = solve(IsingInstance(0, [], c0=3))
     assert (res.energy, res.best) == (3, Assignment(0, 0))
+
+
+def _cli_solve_bytes(path, method, workers):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["solve", "--method", method, "-i", path, "--workers", workers]) == 0
+    return [line for line in out.getvalue().splitlines() if "wall_time_s" not in line]
+
+
+@settings(max_examples=40)
+@given(st.one_of(degenerate_instances().map(lambda inst: (inst, 2)),
+                 engine_cases().map(lambda case: (case[0], case[4]))))
+def test_workers_do_not_change_solve_bytes_on_drawn_instances(case):
+    # small blocks, so every scan has several blocks to share between threads
+    inst, block_bits = case
+
+    def small_blocks(inst, _block_bits=None, variables=None):
+        return SplitScan(inst, block_bits, variables)
+
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver_module, "SplitScan", small_blocks)
+        path = os.path.join(tmp, "inst.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(inst.to_json())
+        for method in ("brute", "coloring", "effective", "avg-degree", "combined"):
+            assert _cli_solve_bytes(path, method, "1") == _cli_solve_bytes(path, method, "2")
 
 
 @settings(max_examples=120)
