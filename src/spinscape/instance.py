@@ -511,10 +511,11 @@ class SplitScan:
         e += e_hi
         return e
 
-    def fields(self, start: int, cols: Sequence[int]) -> np.ndarray:
-        """(len(cols) x rows) fields on ``cols`` from the scanned spins, block at ``start``."""
+    def fields(self, start: int, cols: Sequence[int], out: np.ndarray | None = None) -> np.ndarray:
+        """(len(cols) x rows) fields on ``cols`` in the block at ``start``, in ``out`` if given."""
         rows = self._row[np.asarray(cols, dtype=np.int64)]
-        out = self._f_lo[rows]
+        # rows are in range; mode="clip" lets take write into out unbuffered
+        out = np.take(self._f_lo, rows, axis=0, out=out, mode="clip")
         out += (self._h + self.hi_spins(start) @ self._j_hi)[rows, None]
         return out
 

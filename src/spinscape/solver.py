@@ -239,7 +239,8 @@ class _ScanEngine:
     effective fields on T, T1 and T2 (the local fields from the outer
     spins) and the lex keys of its rows, each from a table built once
     plus one constant per block.  All tables are read-only after
-    construction and shared by the worker threads.
+    construction and shared by the worker threads; each thread writes a
+    block's fields and totals into its own array, reused block to block.
     """
 
     def __init__(
@@ -297,6 +298,7 @@ class _ScanEngine:
         # lex keys of outer rows, inner variables at -1
         self._outer_keys = self.split.weight_sums(_key_weights(out, n))
         self._lock = threading.Lock()
+        self._local = threading.local()
         self._best: Optional[int] = None
 
     # -- per-row pieces ------------------------------------------------
@@ -379,11 +381,15 @@ class _ScanEngine:
         other members they have, and those are enumerated in rank order.
         Without side sets a row's first hit is its smallest key, so the row
         stops there; side-set bits may interleave with T's, so with side
-        sets every hit is keyed.
+        sets every hit is keyed.  Without side sets and couplings inside T
+        the other members have zero fields, so every completion is optimal
+        and the first one, all -1, is each row's smallest key.
         """
         heff = fields[:, :self.m]
         strict = np.abs(heff) > self.h_max
         keys = self._outer_keys(start, rows) + ((heff < 0) & strict).astype(np.int64) @ self.w_t
+        if not (self.sides or self.has_internal):
+            return _key_rank(_lex_min(None, keys), self.inst.n)
         best = None
         for f, x, grp in _pattern_groups(~strict):
             if f.size > MAX_ENUM_BITS:
@@ -430,11 +436,15 @@ class _ScanEngine:
         energy, so this block cannot hold the optimum.
         """
         e_out = self.split.energies(start)
+        if not hasattr(self._local, "buf"):
+            # this thread's totals and inner fields, reused from block to block
+            self._local.buf = np.empty((1 + len(self.inner), len(e_out)), dtype=np.int64)
+        buf = self._local.buf
         # effective fields on T, T1 and T2, columns side by side
-        fields = self.split.fields(start, self.inner).T
-        aheff = np.abs(fields[:, :self.m])
-        strict = np.count_nonzero(aheff > self.h_max, axis=0)
+        fields = self.split.fields(start, self.inner, buf[1:]).T
         if self.sides or self.has_internal:
+            aheff = np.abs(fields[:, :self.m])
+            strict = np.count_nonzero(aheff > self.h_max, axis=0)
             free = aheff < self.h_max
             popc = np.count_nonzero(free, axis=1)
             at_max = len(e_out) - strict - np.count_nonzero(free, axis=0)
@@ -443,8 +453,12 @@ class _ScanEngine:
             # no coupling inside T and no side sets: h_max is 0, every
             # member is fixed and the field terms are the whole story
             popc = np.zeros(len(e_out), dtype=np.int64)
+            strict = np.array([np.count_nonzero(f) for f in buf[1:]])
             at_max = len(e_out) - strict
-            totals = e_out - aheff.sum(axis=1)
+            totals = buf[0]
+            totals[:] = e_out
+            for f in buf[1:]:
+                totals -= np.abs(f)
         bmin = int(totals.min())
         rows = np.flatnonzero(totals == bmin)
         counters = {

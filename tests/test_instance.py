@@ -298,10 +298,13 @@ def test_split_scan_matches_reference_kernels(case, data):
     bits = scan.weight_sums(weights)
     blocks = list(iter_rank_blocks(len(sub), block_bits))
     assert list(scan.starts) == [start for start, _ in blocks]
+    out = np.empty((inst.n, 1 << scan.lo_bits), dtype=np.int64)  # reused by every block
     for start, count in blocks:
         spins = spin_block(len(sub), start, count)
         fields = spins @ jf[sub] + h
         np.testing.assert_array_equal(scan.fields(start, range(inst.n)).T, fields)
+        assert scan.fields(start, range(inst.n), out) is out
+        np.testing.assert_array_equal(out.T, fields)
         np.testing.assert_array_equal(scan.energies(start), _scanned_energies(inst, sub, spins))
         np.testing.assert_array_equal(bits(start, np.arange(count)),
                                       (spins > 0).astype(np.int64) @ weights)
