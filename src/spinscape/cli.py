@@ -35,7 +35,7 @@ from .generators import (
     gen_random,
     gen_regular,
 )
-from .instance import EnumerationLimitError, IsingInstance
+from .instance import EnumerationLimitError, IsingInstance, parse_int_token
 from .landscape import enumerate_k_minima, k_basins
 from .probe import (
     WeightedSum,
@@ -125,7 +125,7 @@ def _load_instance(path: Optional[str], fmt: str) -> IsingInstance:
 def _load_weights(path: Optional[str]) -> WeightedSum:
     text = _read_text(path)
     try:
-        values = [int(tok) for tok in text.split()]
+        values = [parse_int_token(tok) for tok in text.split()]
     except ValueError as exc:
         raise _InputError("weights file must hold whitespace-separated integers") from exc
     try:

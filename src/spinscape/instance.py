@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, Mapping, Sequence, Tuple
@@ -44,6 +45,20 @@ class EnumerationLimitError(RuntimeError):
 def _is_json_int(value: object) -> bool:
     """True for a JSON integer; floats and booleans are not coerced."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+_INT_TOKEN = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_int_token(token: str) -> int:
+    """Integer from a text token of ASCII digits with an optional sign.
+
+    ``int`` alone also reads ``1_0`` as 10 and non-ASCII digits such as
+    ``\u0663`` as 3; input files must not be coerced that way.
+    """
+    if not _INT_TOKEN.fullmatch(token):
+        raise ValueError("not an integer token: %r" % token)
+    return int(token)
 
 
 def _reverse_bits(value: int, n: int) -> int:

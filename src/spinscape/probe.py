@@ -170,13 +170,23 @@ def mc_interval_prob(
 
     Samples are split over a fixed number of shards with per-shard seed
     streams, so the pooled count does not depend on the worker count.  A
-    shard draws its 0/1 rows in chunks of ``_MC_CHUNK_ROWS``; the chunk size
-    does not change the draws, because the bit generator keeps the spare
-    half of a 64-bit word in its state.
+    shard reads its 0/1 rows, ``_MC_CHUNK_ROWS`` at a time, from the raw
+    64-bit words of its Philox generator, each word split into its low and
+    then its high 32-bit half.  Draw j of the shard is the sign bit of half
+    j: that is ``Generator.integers(0, 2)``, which returns (2u) >> 32 for the
+    next 32-bit output u.  A chunk of odd size leaves the high half of its
+    last word over; the shard carries it into the next chunk, so the chunk
+    size does not change the draws.
 
     With bits b in {0, 1} and s = b . a, the sum is X = 2s - sum(a), so the
-    test is lo <= s <= hi.  The bounds are Python ints clamped to the range
-    of s, so no int64 arithmetic can wrap, whatever h and delta are.
+    test is lo <= s <= hi.  Each row is packed into ceil(n/8) bytes, first
+    draw in the top bit, and s is the sum of one table entry per byte: entry
+    (g, v) is the sum of the weights of group g (draws 8g..8g+7) whose bits
+    are set in v.  Every entry and every partial sum is a sum over a subset
+    of the weights, so it is at most sum(|a_i|) <= INT64_MAX in magnitude
+    and the int64 arithmetic is exact.  The bounds are Python ints clamped
+    to the range of s, so no int64 arithmetic can wrap, whatever h and
+    delta are.
     """
     delta = int(delta)
     h = int(h)
@@ -185,24 +195,43 @@ def mc_interval_prob(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     w = _coerce(weights)
-    arr = np.array(w.a, dtype=np.int64)
+    n = w.n
     total = sum(w.a)
     lo = max(-((h + delta - total) // 2), sum(x for x in w.a if x < 0))
     hi = min((total - h + delta) // 2, sum(x for x in w.a if x > 0))
     base, extra = divmod(samples, _MC_SHARDS)
     shard_sizes = [base + (1 if k < extra else 0) for k in range(_MC_SHARDS)]
+    groups = -(-n // 8)
+    padded = np.zeros((groups, 8), dtype=np.int64)
+    padded.flat[:n] = w.a
+    table = np.zeros((groups, 1), dtype=np.int64)
+    for j in range(7, -1, -1):  # the last weight of a group ends in bit 0
+        table = np.concatenate([table, table + padded[:, j : j + 1]], axis=1)
+    offsets = np.arange(0, 256 * groups, 256, dtype=np.intp)
 
     def run_shard(k: int) -> int:
         size = shard_sizes[k]
         if size == 0 or lo > hi:
             return 0
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence([seed, _STREAM_MC, k]))
-        )
+        gen = np.random.Philox(np.random.SeedSequence([seed, _STREAM_MC, k]))
+        spare = np.zeros(0, dtype=bool)
         hits = 0
         for done in range(0, size, _MC_CHUNK_ROWS):
             m = min(_MC_CHUNK_ROWS, size - done)
-            s = rng.integers(0, 2, size=(m, w.n), dtype=np.int64) @ arr
+            cells = m * n
+            count = (cells - spare.size + 1) // 2
+            bits = np.empty(spare.size + 2 * count, dtype=bool)
+            bits[: spare.size] = spare
+            # little-endian bytes put each word's low half first
+            halves = gen.random_raw(count).astype("<u8", copy=False).view("<i4")
+            np.less(halves, 0, out=bits[spare.size :])
+            # drop the words and the bits before the next draw, so their
+            # memory is reused instead of returned and faulted in again
+            del halves
+            spare = bits[cells:].copy()
+            packed = np.packbits(bits[:cells].reshape(m, n), axis=1)
+            del bits
+            s = np.take(table, packed + offsets).sum(axis=1)
             hits += int(np.count_nonzero((s >= lo) & (s <= hi)))
         return hits
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from spinscape.instance import Assignment, IsingInstance
+from spinscape.instance import Assignment, IsingInstance, parse_int_token
 
 
 class WcnfFormatError(ValueError):
@@ -75,9 +75,9 @@ def parse_wcnf(text: str) -> Wcnf:
             if len(parts) not in (4, 5) or parts[1] != "wcnf":
                 raise WcnfFormatError("line %d: malformed header" % lineno)
             try:
-                n_vars = int(parts[2])
-                declared = int(parts[3])
-                top = int(parts[4]) if len(parts) == 5 else None
+                n_vars = parse_int_token(parts[2])
+                declared = parse_int_token(parts[3])
+                top = parse_int_token(parts[4]) if len(parts) == 5 else None
             except ValueError as exc:
                 raise WcnfFormatError("line %d: malformed header" % lineno) from exc
             if n_vars < 0 or declared < 0:
@@ -86,7 +86,7 @@ def parse_wcnf(text: str) -> Wcnf:
         if n_vars is None:
             raise WcnfFormatError("line %d: clause before header" % lineno)
         try:
-            nums = [int(tok) for tok in line.split()]
+            nums = [parse_int_token(tok) for tok in line.split()]
         except ValueError as exc:
             raise WcnfFormatError("line %d: non-integer token" % lineno) from exc
         if len(nums) < 2 or nums[-1] != 0:

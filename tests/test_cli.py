@@ -273,6 +273,16 @@ class TestProbe:
                                 "--weights-file", str(path)], capsys)
         assert code == 2
 
+    # int() would read these as 10 and 3
+    @pytest.mark.parametrize("token", ["1_0", "\u0663"])
+    def test_loose_integer_tokens_are_rejected(self, tmp_path, capsys, token):
+        path = tmp_path / "w.txt"
+        path.write_text("%s 2\n" % token, encoding="utf-8")
+        code, out, err = run_cli(["probe", "--mode", "exact",
+                                  "--weights-file", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert "integers" in err
+
 
 class TestBench:
     def test_multicopy_counter_structure(self, capsys):
@@ -347,6 +357,14 @@ class TestErrorPaths:
         code, _, err = run_cli(["solve", "--method", "brute", "-i", str(path),
                                 "--format", "wcnf"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("text", ["p wcnf 2 1\n1_0 1 -2 0\n", "p wcnf 2 1_0\n"])
+    def test_underscored_wcnf_integers_are_rejected(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.wcnf"
+        path.write_text(text)
+        code, out, err = run_cli(["solve", "--method", "brute", "-i", str(path),
+                                  "--format", "wcnf"], capsys)
+        assert (code, out) == (2, "")
 
     def test_resource_limit(self, tmp_path, capsys):
         from spinscape.instance import IsingInstance

@@ -1,6 +1,8 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,6 +40,45 @@ def grouped_weights(draw):
         mags = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
     signs = draw(st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n))
     return [m * s for m, s in zip(mags, signs)]
+
+
+def reference_mc_hits(weights, delta, h, samples, seed):
+    """Hit count of the seeded stream by the plain route: one int64 0/1 block
+    per shard from ``Generator.integers``, a matmul, and the window test on
+    Python ints."""
+    a = np.array(weights, dtype=np.int64)
+    total = sum(weights)
+    base, extra = divmod(samples, probe._MC_SHARDS)
+    hits = 0
+    for k in range(probe._MC_SHARDS):
+        rng = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence([seed, probe._STREAM_MC, k]))
+        )
+        rows = rng.integers(0, 2, size=(base + (k < extra), len(weights)), dtype=np.int64)
+        hits += sum(abs(2 * s - total + h) <= delta for s in (rows @ a).tolist())
+    return hits
+
+
+@st.composite
+def mc_cases(draw):
+    """Weights (small, or some near +-2**61), a window that the draws can hit,
+    a sample count, a chunk size and a worker count."""
+    n = draw(st.sampled_from((1, 7, 8, 9, 16, 17)) | st.integers(1, 40))
+    big = draw(st.integers(0, min(n, 3)))
+    mags = [draw(st.integers(2**61 - 2**20, 2**61)) for _ in range(big)]
+    mags += draw(st.lists(st.integers(1, 9), min_size=n - big, max_size=n - big))
+    mags = draw(st.permutations(mags))
+    signs = draw(st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n))
+    ws = [m * s for m, s in zip(mags, signs)]
+    # centre the window on the sum of a random sign vector, or shift it anywhere
+    target = sum(w * s for w, s in zip(ws, draw(st.lists(
+        st.sampled_from((-1, 1)), min_size=n, max_size=n))))
+    h = draw(st.just(-target) | st.integers(-50, 50))
+    delta = draw(st.integers(0, 3) | st.integers(0, sum(map(abs, ws))))
+    samples = draw(st.integers(1, 2000))
+    rows = draw(st.sampled_from((1, 7, 1024)))
+    workers = draw(st.sampled_from((1, 2)))
+    return ws, delta, h, samples, rows, workers
 
 
 class TestCounts:
@@ -202,6 +243,16 @@ class TestMonteCarlo:
         want = mc_interval_prob(ws, 2, 1, 5003, seed=4)
         monkeypatch.setattr(probe, "_MC_CHUNK_ROWS", rows)
         assert mc_interval_prob(ws, 2, 1, 5003, seed=4) == want
+
+    @given(mc_cases(), st.integers(0, 2**32))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_integers_matmul_reference(self, case, seed):
+        ws, delta, h, samples, rows, workers = case
+        hits = reference_mc_hits(ws, delta, h, samples, seed)
+        p = hits / samples
+        with mock.patch.object(probe, "_MC_CHUNK_ROWS", rows):
+            est = mc_interval_prob(ws, delta, h, samples, seed=seed, workers=workers)
+        assert est == MCEstimate(p, math.sqrt(p * (1.0 - p) / samples))
 
     @pytest.mark.parametrize("h", [INT64_MAX, 2**63, -(2**63), -(2**63) - 1, 2**80])
     def test_shift_beyond_int64_does_not_wrap(self, h):
