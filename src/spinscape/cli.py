@@ -442,11 +442,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 # -- parser -----------------------------------------------------------------
 
 
-def _int_at_least(low: int, text: str) -> int:
+def _int_token(text: str) -> int:
+    """argparse type for integer options: ASCII digits with an optional sign."""
     try:
-        value = int(text)
+        return parse_int_token(text)
     except ValueError:
         raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+
+
+def _int_at_least(low: int, text: str) -> int:
+    value = _int_token(text)
     if value < low:
         raise argparse.ArgumentTypeError("must be >= %d, got %d" % (low, value))
     return value
@@ -483,25 +488,25 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="emit a benchmark instance as JSON")
     fam = gen.add_subparsers(dest="family", required=True, metavar="FAMILY")
     f_csse = fam.add_parser("csse", help="all-pairs antiferromagnet (even n)")
-    f_csse.add_argument("--n", type=int, required=True)
+    f_csse.add_argument("--n", type=_int_token, required=True)
     f_multi = fam.add_parser("multicopy", help="disjoint copies of a complete block")
-    f_multi.add_argument("--copies", type=int, required=True)
-    f_multi.add_argument("--block", type=int, default=4)
+    f_multi.add_argument("--copies", type=_int_token, required=True)
+    f_multi.add_argument("--block", type=_int_token, default=4)
     f_col = fam.add_parser("column", help="grid with column-sum targets")
-    f_col.add_argument("--f", type=int, required=True)
-    f_col.add_argument("--l", type=int, required=True)
+    f_col.add_argument("--f", type=_int_token, required=True)
+    f_col.add_argument("--l", type=_int_token, required=True)
     f_col.add_argument("--m-mode", choices=("zeros", "sampled"), default="zeros")
-    f_col.add_argument("--seed", type=int, default=None)
+    f_col.add_argument("--seed", type=_int_token, default=None)
     f_rand = fam.add_parser("random", help="random instance at a target density")
-    f_rand.add_argument("--n", type=int, required=True)
+    f_rand.add_argument("--n", type=_int_token, required=True)
     f_rand.add_argument("--density", type=float, required=True)
-    f_rand.add_argument("--wmax", type=int, default=5)
-    f_rand.add_argument("--seed", type=int, default=0)
+    f_rand.add_argument("--wmax", type=_int_token, default=5)
+    f_rand.add_argument("--seed", type=_int_token, default=0)
     f_reg = fam.add_parser("regular", help="random d-regular instance")
-    f_reg.add_argument("--n", type=int, required=True)
-    f_reg.add_argument("--d", type=int, required=True)
-    f_reg.add_argument("--wmax", type=int, default=5)
-    f_reg.add_argument("--seed", type=int, default=0)
+    f_reg.add_argument("--n", type=_int_token, required=True)
+    f_reg.add_argument("--d", type=_int_token, required=True)
+    f_reg.add_argument("--wmax", type=_int_token, default=5)
+    f_reg.add_argument("--seed", type=_int_token, default=0)
     for fp in (f_csse, f_multi, f_col, f_rand, f_reg):
         fp.set_defaults(func=_cmd_generate)
         fp.add_argument("--output", "-o", default=None)
@@ -511,43 +516,43 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--method", choices=_SOLVE_METHODS, required=True)
     solve.add_argument("--alpha", type=float, default=0.5,
                        help="side-set size factor for the combined method")
-    solve.add_argument("--jmax", type=int, default=None,
+    solve.add_argument("--jmax", type=_int_token, default=None,
                        help="declared coupling row bound for the combined method")
     _add_workers_flag(solve)
-    solve.add_argument("--seed", type=int, default=0)
+    solve.add_argument("--seed", type=_int_token, default=0)
     solve.add_argument("--verify", action="store_true",
                        help="cross-check against brute force (n <= %d)" % VERIFY_MAX_N)
     solve.set_defaults(func=_cmd_solve)
 
     cm = sub.add_parser("count-minima", help="enumerate strict k-minima")
     _add_io_flags(cm)
-    cm.add_argument("--k", type=int, default=1)
-    cm.add_argument("--seed", type=int, default=0)
+    cm.add_argument("--k", type=_int_token, default=1)
+    cm.add_argument("--seed", type=_int_token, default=0)
     cm.add_argument("--list-limit", type=_non_negative, default=DEFAULT_MINIMA_LIST_CAP,
                     help="list assignments only when the count stays at or below this")
     cm.set_defaults(func=_cmd_count_minima)
 
     bas = sub.add_parser("basins", help="group weak k-minima into basins")
     _add_io_flags(bas)
-    bas.add_argument("--k", type=int, default=1)
+    bas.add_argument("--k", type=_int_token, default=1)
     bas.add_argument("--flipped-rule", action="store_true",
                      help="use the no-strict-worsening vertex rule instead")
     bas.add_argument("--work-limit", type=_non_negative, default=1 << 22,
                      help="cap on vertices x moves, at least 0")
-    bas.add_argument("--seed", type=int, default=0)
+    bas.add_argument("--seed", type=_int_token, default=0)
     bas.set_defaults(func=_cmd_basins)
 
     ts = sub.add_parser("tset", help="search a certified branching set")
     _add_io_flags(ts)
-    ts.add_argument("--seed", type=int, default=0)
+    ts.add_argument("--seed", type=_int_token, default=0)
     ts.add_argument("--epsilon", type=float, default=None,
                     help="override the sampling rate")
-    ts.add_argument("--max-retries", type=int, default=20)
+    ts.add_argument("--max-retries", type=_int_token, default=20)
     ts.set_defaults(func=_cmd_tset)
 
     zp = sub.add_parser("z", help="predicted leaf count for the auto-chosen set")
     _add_io_flags(zp)
-    zp.add_argument("--tset-seed", type=int, default=0)
+    zp.add_argument("--tset-seed", type=_int_token, default=0)
     zp.set_defaults(func=_cmd_z)
 
     pr = sub.add_parser("probe", help="interval probabilities of weighted spin sums")
@@ -555,26 +560,26 @@ def build_parser() -> argparse.ArgumentParser:
                     required=True)
     pr.add_argument("--weights-file", default=None,
                     help="whitespace-separated integers, '-' for stdin")
-    pr.add_argument("--delta", type=int, default=1)
-    pr.add_argument("--h", type=int, default=0)
-    pr.add_argument("--samples", type=int, default=100000)
-    pr.add_argument("--sizes", type=int, nargs="+", default=(16, 64, 256),
+    pr.add_argument("--delta", type=_int_token, default=1)
+    pr.add_argument("--h", type=_int_token, default=0)
+    pr.add_argument("--samples", type=_int_token, default=100000)
+    pr.add_argument("--sizes", type=_int_token, nargs="+", default=(16, 64, 256),
                     help="weight counts for the scaling table")
-    pr.add_argument("--seed", type=int, default=0)
+    pr.add_argument("--seed", type=_int_token, default=0)
     _add_workers_flag(pr)
     pr.add_argument("--output", "-o", default=None)
     pr.set_defaults(func=_cmd_probe)
 
     be = sub.add_parser("bench", help="counter and wall-time table across methods")
     be.add_argument("--family", choices=_BENCH_FAMILIES, required=True)
-    be.add_argument("--sizes", type=int, nargs="*", default=[])
+    be.add_argument("--sizes", type=_int_token, nargs="*", default=[])
     be.add_argument("--methods", nargs="+", choices=_SOLVE_METHODS,
                     default=["brute", "coloring"])
-    be.add_argument("--block", type=int, default=4)
+    be.add_argument("--block", type=_int_token, default=4)
     be.add_argument("--density", type=float, default=0.3)
-    be.add_argument("--d", type=int, default=3)
-    be.add_argument("--wmax", type=int, default=5)
-    be.add_argument("--seed", type=int, default=0)
+    be.add_argument("--d", type=_int_token, default=3)
+    be.add_argument("--wmax", type=_int_token, default=5)
+    be.add_argument("--seed", type=_int_token, default=0)
     _add_workers_flag(be)
     be.add_argument("--table-format", choices=("json", "csv"), default="json")
     be.add_argument("--output", "-o", default=None)

@@ -39,7 +39,6 @@ from .instance import (
     IsingInstance,
     SplitScan,
     block_energies,  # noqa: F401  perfbench/tracing.py wraps it under this name
-    iter_rank_blocks,
     spin_block,
     thread_map,
 )
@@ -555,30 +554,100 @@ def solve_brute(
     )
 
 
+def _gray_flips(bits: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The variable each step of a reflected Gray walk over ``bits`` spins flips.
+
+    Step g (g = 1 .. 2^bits - 1) flips position p, the lowest set bit of g;
+    its spin becomes +1 when bit p of the Gray code g ^ (g >> 1) is set.
+    Returns (p, new spin) per step.  The walk for b + 1 bits is the one for
+    b bits, one flip of position b, then the b-bit walk again.
+    """
+    pos = np.zeros(0, dtype=np.int64)
+    for b in range(bits):
+        pos = np.concatenate([pos, [b], pos])
+    g = np.arange(1, 1 << bits, dtype=np.int64)
+    return pos, 2 * (((g ^ (g >> 1)) >> pos) & 1) - 1
+
+
 def compute_Z(inst: IsingInstance, t: Sequence[int], block_bits: int = DEFAULT_BLOCK_BITS) -> int:
     """Predicted leaf count of the effective-field scan for the set ``t``.
 
     For every outer assignment, members of ``t`` whose effective field
-    magnitude stays below their own internal coupling row weight must be
-    enumerated; this sums 2**(number of such members).  Kept separate from
-    the solver so the two can be compared as independent computations.
+    magnitude stays below their own internal coupling row weight ``h_max``
+    must be enumerated; this sums 2**(number of such members).  Kept
+    separate from the solver so the two can be compared as independent
+    computations: it calls neither :class:`SplitScan` nor ``spin_block``.
+
+    Z is a sum over outer rows, so they are visited in Gray order, not by
+    rank.  The first ``min(block_bits, w)`` outer variables are the low
+    half: one (|T| x 2^L) table holds their share of the fields on T, one
+    column per low assignment in Gray order, built as a single cumulative
+    sum of flip steps +-2 J[j, T] from the all -1 column.  The high half is
+    walked in Gray order too, one block per high assignment, keeping the
+    block constant ``c = h_T + (high share)`` by the same steps.  A member
+    with ``h_max == 0`` is never free and is dropped; per block, a member
+    whose whole table row lies inside or outside the interval
+    ``(-h_max - c, h_max - c)`` is free on every row or on none, and only
+    the others are compared row by row.
+
+    Exactness: the instance bounds ``|c0| + sum |h| + 2 sum |J|`` by
+    INT64_MAX, so a step ``2 |J[j, i]|`` fits in int64; every prefix of
+    the cumulative sum, and every value of ``c``, is the share of a real
+    assignment, and ``|table + c|`` and the interval ends are at most
+    ``|h_i| + sum_j |J[i, j]|``.  No int64 operation can wrap.
     """
     tt = _validate_subset(inst.n, t)
-    out = [i for i in range(inst.n) if i not in set(tt)]
-    if len(out) > MAX_ENUM_BITS:
+    members = set(tt)
+    out = [i for i in range(inst.n) if i not in members]
+    w = len(out)
+    if w > MAX_ENUM_BITS:
         raise EnumerationLimitError("outer enumeration too wide")
-    h = np.array(inst.h, dtype=np.int64)
     jf = inst.full_coupling_matrix()
-    j_cross = jf[np.ix_(out, list(tt))]
-    h_t = h[list(tt)] if tt else np.zeros(0, dtype=np.int64)
-    h_max = np.abs(jf[np.ix_(list(tt), list(tt))]).sum(axis=1)
+    h_max = np.abs(jf[np.ix_(tt, tt)]).sum(axis=1)
+    keep = h_max > 0
+    tt = [i for i, k in zip(tt, keep) if k]
+    if not tt:
+        return 1 << w
+    h_max = h_max[keep]
+    j_cross = jf[np.ix_(out, tt)]
+    lo_bits = min(block_bits, w)
+    rows = 1 << lo_bits
+
+    pos, spin = _gray_flips(lo_bits)
+    table = np.empty((len(tt), rows), dtype=np.int64)
+    table[:, 0] = -j_cross[:lo_bits].sum(axis=0)
+    np.multiply((2 * j_cross[:lo_bits].T)[:, pos], spin, out=table[:, 1:])
+    np.cumsum(table, axis=1, out=table)
+    t_min, t_max = table.min(axis=1), table.max(axis=1)
+
+    high = 2 * j_cross[lo_bits:]
+    c = np.array([inst.h[i] for i in tt], dtype=np.int64) - j_cross[lo_bits:].sum(axis=0)
+    counts = np.empty(rows, dtype=np.int64)
+    buf = np.empty(rows, dtype=np.int64)
+    free = np.empty(rows, dtype=bool)
     z = 0
-    for start, count in iter_rank_blocks(len(out), block_bits):
-        spins = spin_block(len(out), start, count)
-        heff = spins @ j_cross + h_t
-        free_counts = (np.abs(heff) < h_max).sum(axis=1) if tt else np.zeros(count, dtype=np.int64)
-        for width, rows in enumerate(np.bincount(free_counts)):
-            z += int(rows) << width
+    for g in range(1 << (w - lo_bits)):
+        if g:
+            p = (g & -g).bit_length() - 1
+            if ((g ^ (g >> 1)) >> p) & 1:
+                c += high[p]
+            else:
+                c -= high[p]
+        lo, hi = -h_max - c, h_max - c
+        always = (t_min > lo) & (t_max < hi)
+        base = int(np.count_nonzero(always))
+        partial = np.flatnonzero(~always & (t_max > lo) & (t_min < hi))
+        if not len(partial):
+            z += rows << base
+            continue
+        counts.fill(0)
+        for i in partial:
+            np.add(table[i], c[i], out=buf)
+            np.abs(buf, out=buf)
+            np.less(buf, h_max[i], out=free)
+            counts += free
+        for width, n_rows in enumerate(np.bincount(counts)):
+            z += int(n_rows) << (base + width)
     return z
 
 

@@ -7,7 +7,16 @@ from itertools import combinations
 
 import numpy as np
 
-from spinscape.instance import Assignment, IsingInstance
+from spinscape.instance import (
+    DEFAULT_BLOCK_BITS,
+    MAX_ENUM_BITS,
+    Assignment,
+    EnumerationLimitError,
+    IsingInstance,
+    iter_rank_blocks,
+    spin_block,
+)
+from spinscape.solver import _validate_subset
 
 
 def rng_for(seed: int, stream: int = 0) -> np.random.Generator:
@@ -82,3 +91,29 @@ def reference_max_interval_prob(weights, delta: int) -> tuple[int, Fraction]:
         if hits > best:
             best_h, best = h, hits
     return best_h, Fraction(best, 1 << len(weights))
+
+
+def reference_compute_Z(inst: IsingInstance, t, block_bits: int = DEFAULT_BLOCK_BITS) -> int:
+    """Leaf count Z by rank blocks of +-1 spins and one int64 matmul per block.
+
+    For every outer assignment, members of ``t`` whose effective field
+    magnitude stays below their own internal coupling row weight must be
+    enumerated; this sums 2**(number of such members).
+    """
+    tt = _validate_subset(inst.n, t)
+    out = [i for i in range(inst.n) if i not in set(tt)]
+    if len(out) > MAX_ENUM_BITS:
+        raise EnumerationLimitError("outer enumeration too wide")
+    h = np.array(inst.h, dtype=np.int64)
+    jf = inst.full_coupling_matrix()
+    j_cross = jf[np.ix_(out, list(tt))]
+    h_t = h[list(tt)] if tt else np.zeros(0, dtype=np.int64)
+    h_max = np.abs(jf[np.ix_(list(tt), list(tt))]).sum(axis=1)
+    z = 0
+    for start, count in iter_rank_blocks(len(out), block_bits):
+        spins = spin_block(len(out), start, count)
+        heff = spins @ j_cross + h_t
+        free_counts = (np.abs(heff) < h_max).sum(axis=1) if tt else np.zeros(count, dtype=np.int64)
+        for width, rows in enumerate(np.bincount(free_counts)):
+            z += int(rows) << width
+    return z

@@ -395,3 +395,44 @@ class TestWorkers:
             main(argv + ["--workers", workers])
         assert exc.value.code == 1
         assert "--workers" in capsys.readouterr().err
+
+
+class TestStrictIntegerOptions:
+    # int() would read "1_0" as 10 and "٣" (Arabic-Indic three) as 3
+    @pytest.mark.parametrize("token", ["1_0", "٣", " 3", "3.0", ""])
+    @pytest.mark.parametrize("option,argv", [
+        ("--delta", ["probe", "--mode", "scaling", "--sizes", "4"]),
+        ("--h", ["probe", "--mode", "scaling", "--sizes", "4"]),
+        ("--k", ["count-minima"]),
+        ("--seed", ["solve", "--method", "effective"]),
+        ("--workers", ["solve", "--method", "brute"]),
+    ], ids=["delta", "h", "k", "seed", "workers"])
+    def test_loose_tokens_are_usage_errors(self, csse4_file, capsys, option, argv, token):
+        if argv[0] != "probe":
+            argv = argv + ["-i", csse4_file]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [option, token])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument %s: invalid int value" % option in captured.err
+
+    @pytest.mark.parametrize("option,value", [
+        ("--delta", 0), ("--delta", 7), ("--delta", 2**63),
+        ("--h", 2**63 - 1), ("--h", 2**63), ("--h", -(2**64)), ("--h", -3),
+    ])
+    def test_well_formed_values_keep_their_meaning(self, tmp_path, capsys, option, value):
+        path = tmp_path / "w.txt"
+        path.write_text("1 2 3\n")
+        doc = run_json(["probe", "--mode", "exact", "--weights-file", str(path),
+                        option, str(value)], capsys)
+        assert doc[option[2:]] == value
+
+    @pytest.mark.parametrize("option,argv", [
+        ("--k", ["count-minima"]),
+        ("--seed", ["solve", "--method", "effective"]),
+        ("--workers", ["solve", "--method", "brute"]),
+    ], ids=["k", "seed", "workers"])
+    def test_signed_tokens_are_read_as_integers(self, csse4_file, capsys, option, argv):
+        doc = run_json(argv + ["-i", csse4_file, option, "+2"], capsys)
+        assert doc.get(option[2:], 2) == 2

@@ -18,11 +18,14 @@ from spinscape.instance import (
     EnumerationLimitError,
     IsingInstance,
     SplitScan,
+    block_energies,
     spin_block,
 )
 from spinscape.solver import (
+    _auto_t,
     _key_rank,
     _key_weights,
+    _largest_color_class,
     _pattern_groups,
     _ScanEngine,
     _solve_with_T,
@@ -37,7 +40,7 @@ from spinscape.solver import (
 )
 from spinscape.tset import TParams, check_T, find_T_randomized
 
-from helpers import exhaustive_min, random_instance
+from helpers import exhaustive_min, random_instance, reference_compute_Z
 
 
 def assert_same_optimum(res, inst):
@@ -505,7 +508,7 @@ def _reference_outer_energies(inst, out, spins):
 
 
 @st.composite
-def engine_cases(draw):
+def engine_cases(draw, kinds=("random", "zero-coupling", "near-budget")):
     """(instance, T, T1, T2, block_bits) with 0..10 outer variables."""
     n_out = draw(st.integers(0, 10))
     m = draw(st.integers(0, 3))
@@ -513,7 +516,7 @@ def engine_cases(draw):
     block_bits = draw(st.integers(1, n_out + 2))
     inner = draw(st.permutations(range(n)))[: m + 2]
     t, t1, t2 = inner[:m], inner[m:m + 1], inner[m + 1:]
-    kind = draw(st.sampled_from(["random", "zero-coupling", "near-budget"]))
+    kind = draw(st.sampled_from(list(kinds)))
     small = st.integers(-5, 5)
     pairs = [p for p in combinations(range(n), 2) if set(p) != set(t1 + t2)]
     if kind == "near-budget" and not pairs:
@@ -688,3 +691,109 @@ def test_tiny_chunks_change_nothing(case, monkeypatch):
     monkeypatch.setattr(solver_module, "_COMPLETION_CHUNK", 2)
     monkeypatch.setattr(solver_module, "_CHUNK_CELLS", 4)
     assert _solve_with_T(inst, t, "x", t1=t1, t2=t2) == ref
+
+
+@st.composite
+def z_cases(draw):
+    """(instance, T, block_bits) for the leaf-count audit: small random
+    instances, near-budget engine draws, and one coupling near INT64_MAX // 2
+    between an outer variable and a member of T."""
+    kind = draw(st.sampled_from(["random", "near-budget", "max-step"]))
+    block_bits = draw(st.integers(1, 4))
+    if kind == "near-budget":
+        inst = draw(engine_cases(kinds=("near-budget",)))[0]
+    else:
+        n = draw(st.integers(0, 14) if kind == "random" else st.integers(2, 14))
+        pairs = list(combinations(range(n), 2))
+        triples = [(i, j, draw(st.sampled_from([-3, -1, 1, 2]))) for i, j in pairs
+                   if draw(st.booleans())]
+        spare = INT64_MAX
+        if kind == "max-step":
+            outer, member = draw(st.permutations(range(n)))[:2]
+            triples = [(i, j, w) for i, j, w in triples if {i, j} != {outer, member}]
+            w = draw(st.integers(INT64_MAX // 2 - 2**20, INT64_MAX // 2 - 2**10))
+            triples.append((outer, member, w * draw(st.sampled_from([-1, 1]))))
+            spare = INT64_MAX - 2 * sum(abs(w) for _, _, w in triples)
+        share = min(5, spare // (n + 1))
+        inst = IsingInstance(n, draw(st.lists(st.integers(-share, share), min_size=n, max_size=n)),
+                             triples)
+    which = draw(st.sampled_from(["empty", "all", "random"]))
+    if which == "empty":
+        t = []
+    elif which == "all":
+        t = list(range(inst.n))
+    else:
+        t = [v for v in range(inst.n) if draw(st.booleans())]
+    if kind == "max-step" and which != "all":
+        t = sorted(set(t) - {outer} | {member})
+    return inst, t, block_bits
+
+
+@settings(max_examples=200)
+@given(z_cases())
+def test_compute_z_matches_the_rank_block_reference(case):
+    # the Gray walk against the spin_block matmul it replaced, with several
+    # high Gray steps (block_bits 1..4) and steps of 2|J| up to INT64_MAX - 1
+    inst, t, block_bits = case
+    assert compute_Z(inst, t, block_bits) == reference_compute_Z(inst, t, block_bits)
+    assert compute_Z(inst, t) == reference_compute_Z(inst, t, block_bits)
+
+
+def test_compute_z_uses_no_scan_kernel(monkeypatch):
+    # the audit stays independent of the split-half scanner it checks
+    def refuse(*args, **kwargs):
+        raise AssertionError("compute_Z called a scan kernel")
+
+    inst = gen_multicopy(3, 4)
+    t = [v for v in range(inst.n) if v % 4 < 2]
+    want = reference_compute_Z(inst, t)
+    monkeypatch.setattr(solver_module, "SplitScan", refuse)
+    monkeypatch.setattr(solver_module, "spin_block", refuse)
+    assert compute_Z(inst, t, block_bits=3) == want
+
+
+@pytest.mark.parametrize("inst", [gen_multicopy(7, 4), gen_regular(36, 3, seed=1)],
+                         ids=["multicopy7x4", "regular36"])
+def test_leaf_counts_match_the_audit_at_scale(inst):
+    t, _ = _largest_color_class(inst.degree_graph())
+    assert solve_coloring_baseline(inst).leaves_explored == compute_Z(inst, t)
+    t_auto, _ = _auto_t(inst, None, 0)
+    assert solve_effective(inst).leaves_explored == compute_Z(inst, t_auto)
+
+
+def test_leaf_count_matches_the_audit_with_coupled_members():
+    # two coupled members per 4-clique: each member is free on some rows
+    inst = gen_multicopy(7, 4)
+    t = [v for v in range(inst.n) if v % 4 < 2]
+    res = _solve_with_T(inst, t, "effective-field")
+    assert res.leaves_explored == compute_Z(inst, t) == 10_000_000
+
+
+def _block_oracle(inst):
+    """(energy, lex-min optimum) from one plain int64 block of every assignment."""
+    e = block_energies(inst, spin_block(inst.n, 0, 1 << inst.n))
+    rank = int(np.argmin(e))
+    best = Assignment.from_rank(rank, inst.n)
+    assert inst.energy(best) == int(e[rank])
+    return int(e[rank]), best
+
+
+@settings(max_examples=60)
+@given(engine_cases(kinds=("near-budget",)), st.integers(0, 3))
+def test_every_solver_is_exact_at_the_int64_budget(case, seed):
+    # one coupling near 2^61 takes 2^62 of the budget; fields share the rest
+    inst = case[0]
+    want = _block_oracle(inst)
+    results = {
+        "brute": solve_brute(inst),
+        "coloring": solve_coloring_baseline(inst),
+        "effective": solve_effective(inst, seed=seed),
+        "avg-degree": solve_avg_degree(inst, seed=seed),
+        "combined": solve_combined(inst, seed=seed),
+    }
+    for method, res in results.items():
+        assert (res.energy, res.best) == want, method
+    t, _ = _largest_color_class(inst.degree_graph())
+    assert results["coloring"].leaves_explored == compute_Z(inst, t)
+    t_auto, _ = _auto_t(inst, None, seed)
+    assert results["effective"].leaves_explored == compute_Z(inst, t_auto)
