@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -36,7 +37,7 @@ from .generators import (
     gen_regular,
 )
 from .instance import EnumerationLimitError, IsingInstance, parse_int_token
-from .landscape import enumerate_k_minima, k_basins
+from .landscape import DEFAULT_BASIN_WORK_LIMIT, enumerate_k_minima, k_basins
 from .probe import (
     WeightedSum,
     exact_interval_prob,
@@ -537,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     bas.add_argument("--k", type=_int_token, default=1)
     bas.add_argument("--flipped-rule", action="store_true",
                      help="use the no-strict-worsening vertex rule instead")
-    bas.add_argument("--work-limit", type=_non_negative, default=1 << 22,
+    bas.add_argument("--work-limit", type=_non_negative, default=DEFAULT_BASIN_WORK_LIMIT,
                      help="cap on vertices x moves, at least 0")
     bas.add_argument("--seed", type=_int_token, default=0)
     bas.set_defaults(func=_cmd_basins)
@@ -588,9 +589,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first main() call, not at import, and reused: parsing keeps
+# no state in the parser, and every call gets a fresh namespace.
+@functools.lru_cache(maxsize=1)
+def _shared_parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except _UsageError as exc:

@@ -18,6 +18,7 @@ from typing import Iterable, List, Sequence, Tuple
 import numpy as np
 
 from spinscape.instance import (
+    DEFAULT_BLOCK_BITS,
     MAX_ENUM_BITS,
     Assignment,
     EnumerationLimitError,
@@ -146,7 +147,9 @@ def gen_column(
     )
 
 
-def zero_energy_assignments(ci: ColumnInstance, block_bits: int = 16) -> List[Assignment]:
+def zero_energy_assignments(
+    ci: ColumnInstance, block_bits: int = DEFAULT_BLOCK_BITS
+) -> List[Assignment]:
     """All assignments meeting every column-sum target, in lexicographic order."""
     n = ci.l**ci.f
     if n > MAX_ENUM_BITS:

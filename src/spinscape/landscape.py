@@ -8,26 +8,31 @@ strictly increases the energy.  The energy change of flipping a set U is
 with L the local fields, so all checks run on exact integers; they read the
 sign of the bracket (the half-delta), which never wraps in int64.
 
+Only the sets that the couplings connect need a check.  J is zero between
+the coupled components of any set U, so half(U) is the sum of the halves of
+U's components, and U passes the strict, weak or flipped test whenever each
+component does; each component is a connected set no larger than U.  The
+checks run size by size over the connected sets, one array per size, and a
+row is checked at the next size only while it passes.
+
 Enumeration scans the full assignment space in rank blocks with the
 split-half kernel :class:`~spinscape.instance.SplitScan`.  Its single-flip
 filter tests one variable at a time on the rows still alive, so a block
 costs about two passes over its rows, and only the survivors get spins and
-local fields.  Their pair check is one array over the coupled pairs (an
-uncoupled pair passes whenever both single flips pass); sets of three or
-more variables are checked row by row.  Basin edges come from one sorted
-search of the vertex bit masks per flip mask.
+local fields for the larger sets.  Basin edges come from one sorted search
+of the vertex bit masks per flip mask.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from spinscape.instance import (
+    DEFAULT_BLOCK_BITS,
     Assignment,
     EnumerationLimitError,
     IsingInstance,
@@ -56,17 +61,6 @@ class LandscapeReport:
         return len(self.minima)
 
 
-# The triple check runs once per scan survivor; its index set depends on n
-# only.  The cached array is shared, so it is made read-only.
-@lru_cache(maxsize=8)
-def _triple_mask(n: int) -> np.ndarray:
-    """Mask of the triples i < j < l of an n x n x n array."""
-    i, j, l = np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij")
-    mask = (i < j) & (j < l)
-    mask.flags.writeable = False
-    return mask
-
-
 def _passes(half: np.ndarray, strict: bool, flipped: bool) -> np.ndarray:
     """Elementwise test of delta = -2 * half: delta > 0 (strict) or >= 0.
 
@@ -78,42 +72,30 @@ def _passes(half: np.ndarray, strict: bool, flipped: bool) -> np.ndarray:
     return half < 0 if strict else half <= 0
 
 
-def _subset_deltas_ok(
-    inst: IsingInstance,
-    spins: np.ndarray,
-    fields: np.ndarray,
-    k: int,
-    strict: bool,
-    flipped: bool = False,
-) -> bool:
-    """Check delta(U) against 0 for every variable set U with 3 <= |U| <= k.
+class _ConnectedSets:
+    """The variable sets of sizes 1..min(k, n) that the couplings connect.
 
-    strict=True demands improvement-free strictly (delta > 0 everywhere),
-    strict=False allows ties (delta >= 0).  flipped=True inverts the
-    comparison direction (no change may increase the energy).
-
-    The test reads the sign of the half-delta sum_{u in U} S_u L_u -
-    2 * sum_{u<v in U} J_uv S_u S_v.  Every intermediate, and the
-    half-delta itself (sum_{u in U} S_u (h_u + sum_{v not in U} J_uv S_v)),
-    is a sum over a subset of the terms of the energy budget
-    |c0| + sum |h_i| + 2 * sum |J_ij| <= INT64_MAX, so int64 is exact.
+    ``level(size)`` is a (count x size) int64 array of sorted sets, in
+    lexicographic order.  Each size grows from the one below by adding a
+    coupled neighbor, the first time a check reaches it: a complete graph
+    has all C(n, size) sets of every size, while the rows that pass the
+    smaller sizes are usually few or none.
     """
-    n = inst.n
-    if k < 3 or n < 3:
-        return True
-    sl = (spins.astype(np.int64)) * fields
-    q = inst.full_coupling_matrix() * np.outer(spins, spins).astype(np.int64)
-    a1 = sl[:, None, None] + sl[None, :, None] + sl[None, None, :]
-    b = q[:, :, None] + q[:, None, :] + q[None, :, :]
-    if not _passes((a1 - 2 * b)[_triple_mask(n)], strict, flipped).all():
-        return False
-    for size in range(4, min(k, n) + 1):
-        for subset in combinations(range(n), size):
-            idx = list(subset)
-            inner = sum(int(q[a_i, b_i]) for a_i, b_i in combinations(idx, 2))
-            if not _passes(int(sl[idx].sum()) - 2 * inner, strict, flipped):
-                return False
-    return True
+
+    def __init__(self, inst: IsingInstance, k: int) -> None:
+        self.k = min(k, inst.n)
+        self._adjacent = inst.full_coupling_matrix() != 0
+        self._levels = [np.arange(inst.n, dtype=np.int64)[:, None]]
+
+    def level(self, size: int) -> np.ndarray:
+        while len(self._levels) < size:
+            low = self._levels[-1]
+            grow = self._adjacent[low].any(axis=1)
+            grow[np.arange(len(low))[:, None], low] = False
+            rows, extra = np.nonzero(grow)
+            grown = np.sort(np.column_stack([low[rows], extra]), axis=1)
+            self._levels.append(np.unique(grown, axis=0))
+        return self._levels[size - 1]
 
 
 def is_k_minimum(inst: IsingInstance, a: Assignment, k: int) -> bool:
@@ -123,48 +105,65 @@ def is_k_minimum(inst: IsingInstance, a: Assignment, k: int) -> bool:
     if a.n != inst.n:
         raise ValueError("assignment does not match instance size")
     spins = a.spins().astype(np.int64)[None, :]
-    return bool(_k_checks(inst, spins, k, strict=True, singles_known=False)[0])
+    sets = _ConnectedSets(inst, k)
+    return bool(_k_checks(inst, spins, sets, strict=True, singles_known=False)[0])
 
 
-# Cap on the entries of one (rows x coupled pairs) half-delta array in
-# _k_checks: 8 MB of int64, whatever the survivor count.
-_PAIR_CHUNK = 1 << 20
+# Cap on the cells of one (rows x sets) half-delta array in _k_checks:
+# 8 MB of int64, whatever the survivor count.
+_CHUNK_CELLS = 1 << 20
 
 
 def _k_checks(
     inst: IsingInstance,
     spins: np.ndarray,
-    k: int,
+    sets: _ConnectedSets,
     strict: bool,
     flipped: bool = False,
     singles_known: bool = True,
 ) -> np.ndarray:
     """Mask of the rows of ``spins`` whose every change of 1..k variables passes.
 
-    With ``singles_known`` the caller guarantees that every single flip of
-    every row already passes the same test.  Sets of size 2 are checked for
-    all rows at once, over the coupled pairs only: for an uncoupled pair
-    half({i, j}) = S_i L_i + S_j L_j, which passes whenever both single
-    flips pass, for the strict, weak and flipped tests alike.  Larger sets
-    are checked row by row.
+    strict=True demands delta > 0 for every change, strict=False allows
+    ties (delta >= 0), and flipped=True tests -delta instead.  With
+    ``singles_known`` the caller guarantees that every single flip of every
+    row already passes the same test, so size 1 is skipped.
+
+    Every size up to k is checked over the connected sets alone (see the
+    module docstring), for the rows that passed every smaller size.  The
+    half-delta of a set is the sum of its S_u L_u columns minus
+    2 * J_ab * S_a * S_b for each pair of its positions.  S_u L_u =
+    S_u h_u + sum_v J_uv S_u S_v, so the columns add each field of the set
+    once and each coupling at most twice, and a pair's subtraction cancels
+    both of its copies.  The half-delta, every partial sum on the way and
+    each 2 * |J_ab| are therefore sums over a subset of the terms of the
+    energy budget |c0| + sum |h_i| + 2 * sum |J_ij| <= INT64_MAX that
+    :class:`~spinscape.instance.IsingInstance` enforces, so int64 is exact.
     """
     fields = block_local_fields(inst, spins)
     sl = spins * fields
-    if singles_known:
-        ok = np.ones(len(spins), dtype=bool)
-    else:
-        ok = _passes(sl, strict, flipped).all(axis=1)
-    ii, jj, ww = inst._ii, inst._jj, inst._ww
-    if k >= 2 and len(ww):
-        step = max(1, _PAIR_CHUNK // len(ww))
-        for lo in range(0, len(spins), step):
-            s, x = spins[lo:lo + step], sl[lo:lo + step]
-            half = x[:, ii] + x[:, jj] - 2 * ww * s[:, ii] * s[:, jj]
-            ok[lo:lo + step] &= _passes(half, strict, flipped).all(axis=1)
-    if k >= 3:
-        for r in np.flatnonzero(ok):
-            ok[r] = _subset_deltas_ok(inst, spins[r], fields[r], k, strict=strict,
-                                      flipped=flipped)
+    coupling = inst.full_coupling_matrix()
+    ok = np.ones(len(spins), dtype=bool)
+    for size in range(2 if singles_known else 1, sets.k + 1):
+        live = np.flatnonzero(ok)
+        if not len(live):
+            break
+        idx = sets.level(size)
+        # a size with no connected sets has no larger ones either
+        if not len(idx):
+            break
+        pairs = [(idx[:, a], idx[:, b], coupling[idx[:, a], idx[:, b]])
+                 for a, b in combinations(range(size), 2)]
+        step = max(1, _CHUNK_CELLS // len(idx))
+        for lo in range(0, len(live), step):
+            rows = live[lo:lo + step]
+            s, x = spins[rows], sl[rows]
+            half = x[:, idx[:, 0]]
+            for col in idx.T[1:]:
+                half += x[:, col]
+            for a, b, w in pairs:
+                half -= 2 * w * s[:, a] * s[:, b]
+            ok[rows] = _passes(half, strict, flipped).all(axis=1)
     return ok
 
 
@@ -173,28 +172,38 @@ def _bit_spins(bits: np.ndarray, n: int) -> np.ndarray:
     return ((bits[:, None] >> np.arange(n)) & 1) * 2 - 1
 
 
-def _survivor_bits(
-    inst: IsingInstance, strict: bool, flipped: bool, block_bits: int
+def _vertex_bits(
+    inst: IsingInstance,
+    sets: _ConnectedSets,
+    strict: bool,
+    flipped: bool,
+    block_bits: int,
 ) -> Iterator[np.ndarray]:
-    """Assignment bits of each block's single-flip survivors, in rank order."""
+    """Bit masks of each block's rows whose every change of 1..k variables passes.
+
+    The blocks come in rank order, and so do the rows within each block.
+    """
     scan = SplitScan(inst, block_bits)
     # the bit mask of an assignment is the sum of 1 << v over its +1 variables
     bits = scan.weight_sums(1 << np.arange(inst.n, dtype=np.int64))
     for start in scan.starts:
-        yield bits(start, scan.flip_survivors(start, strict=strict, flipped=flipped))
+        found = bits(start, scan.flip_survivors(start, strict=strict, flipped=flipped))
+        # The survivors pass every single flip, which is all k = 1 asks.
+        if sets.k > 1:
+            found = found[_k_checks(inst, _bit_spins(found, inst.n), sets,
+                                    strict=strict, flipped=flipped)]
+        yield found
 
 
 def enumerate_k_minima(
-    inst: IsingInstance, k: int = 1, block_bits: int = 16
+    inst: IsingInstance, k: int = 1, block_bits: int = DEFAULT_BLOCK_BITS
 ) -> LandscapeReport:
     """Exhaustively list all strict k-minima in lexicographic order."""
     if k < 1:
         raise ValueError("need k >= 1")
     minima: List[Assignment] = []
-    for bits in _survivor_bits(inst, strict=True, flipped=False, block_bits=block_bits):
-        # The survivors pass every single flip, which is all k = 1 asks.
-        if k > 1:
-            bits = bits[_k_checks(inst, _bit_spins(bits, inst.n), k, strict=True)]
+    for bits in _vertex_bits(inst, _ConnectedSets(inst, k), strict=True, flipped=False,
+                             block_bits=block_bits):
         minima.extend(Assignment(inst.n, b) for b in bits.tolist())
     return LandscapeReport(k=k, minima=tuple(minima))
 
@@ -232,7 +241,7 @@ def k_basins(
     inst: IsingInstance,
     k: int = 1,
     flipped_rule: bool = False,
-    block_bits: int = 16,
+    block_bits: int = DEFAULT_BLOCK_BITS,
     work_limit: int = DEFAULT_BASIN_WORK_LIMIT,
 ) -> LandscapeReport:
     """Group weak k-minima into components under moves of Hamming width <= k.
@@ -254,15 +263,13 @@ def k_basins(
     blocks: List[np.ndarray] = []  # vertex bit masks, rank order
     strict: List[Assignment] = []
     count = 0
-    for bits in _survivor_bits(inst, strict=False, flipped=flipped_rule,
-                               block_bits=block_bits):
-        if k > 1:
-            bits = bits[_k_checks(inst, _bit_spins(bits, n), k, strict=False,
-                                  flipped=flipped_rule)]
+    sets = _ConnectedSets(inst, k)
+    for bits in _vertex_bits(inst, sets, strict=False, flipped=flipped_rule,
+                             block_bits=block_bits):
         blocks.append(bits)
         if not flipped_rule:
             head = bits[: max(0, max_vertices - count)]
-            head = head[_k_checks(inst, _bit_spins(head, n), k, strict=True,
+            head = head[_k_checks(inst, _bit_spins(head, n), sets, strict=True,
                                   singles_known=False)]
             strict.extend(Assignment(n, b) for b in head.tolist())
         count += len(bits)

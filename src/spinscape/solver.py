@@ -24,7 +24,7 @@ in 64-bit integers, so results are exact.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -688,13 +688,7 @@ def solve_coloring_baseline(
     """
     t, n_colors = _largest_color_class(inst.degree_graph())
     res = _solve_with_T(inst, t, "coloring", block_bits, workers)
-    counters = dict(res.counters)
-    counters["colors"] = n_colors
-    counters["t_size"] = len(t)
-    return SolveResult(
-        res.best, res.energy, res.leaves_explored, res.outer_assignments,
-        res.method, counters,
-    )
+    return replace(res, counters={**res.counters, "colors": n_colors, "t_size": len(t)})
 
 
 def _auto_t(
@@ -794,13 +788,8 @@ def solve_avg_degree(
     wbar = [i for i in range(inst.n) if graph.degrees[i] > degree_factor * avg]
     if not wbar:
         res = solve_effective(inst, seed=seed, block_bits=block_bits, workers=workers)
-        counters = dict(res.counters)
-        counters["branches"] = 1
-        counters["enumerated_vars"] = 0
-        return SolveResult(
-            res.best, res.energy, res.leaves_explored, res.outer_assignments,
-            "avg-degree:" + res.method, counters,
-        )
+        return replace(res, method="avg-degree:" + res.method,
+                       counters={**res.counters, "branches": 1, "enumerated_vars": 0})
     if len(wbar) > MAX_ENUM_BITS:
         raise EnumerationLimitError("too many high-degree variables to enumerate")
     strategy: List[Tuple[Tuple[int, ...], str]] = []
@@ -850,11 +839,7 @@ def solve_combined(
 
     def fallback(reason: str) -> SolveResult:
         res = solve_effective(inst, seed=seed, block_bits=block_bits, workers=workers)
-        counters = dict(res.counters)
-        return SolveResult(
-            res.best, res.energy, res.leaves_explored, res.outer_assignments,
-            "combined:%s-fallback" % reason, counters,
-        )
+        return replace(res, method="combined:%s-fallback" % reason)
 
     heavy = [i for i in range(inst.n) if graph.degrees[i] > degree_dichotomy_factor * d_avg]
     if heavy:
@@ -900,7 +885,4 @@ def solve_combined(
         "free_members": res.counters["free_members"],
         "tie_rows": res.counters["tie_rows"],
     }
-    return SolveResult(
-        res.best, res.energy, res.leaves_explored * side_width, res.outer_assignments,
-        "combined", counters,
-    )
+    return replace(res, leaves_explored=res.leaves_explored * side_width, counters=counters)

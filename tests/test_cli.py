@@ -179,6 +179,21 @@ class TestLandscapeCommands:
         assert code == 3 and "work limit" in err
 
 
+class TestRepeatedCalls:
+    # main() reuses one parser per process; an option one call sets must
+    # not carry over into the next call's defaults.
+    def test_count_minima_lists_again_after_list_limit_0(self, csse4_file, capsys):
+        doc = run_json(["count-minima", "-i", csse4_file, "--list-limit", "0"], capsys)
+        assert doc["count"] == 6 and "minima" not in doc
+        doc = run_json(["count-minima", "-i", csse4_file], capsys)
+        assert doc["count"] == 6 and len(doc["minima"]) == 6
+
+    def test_solve_without_verify_after_verify(self, csse4_file, capsys):
+        argv = ["solve", "--method", "brute", "-i", csse4_file]
+        assert run_json(argv + ["--verify"], capsys)["verified"] is True
+        assert "verified" not in run_json(argv, capsys)
+
+
 class TestTsetAndZ:
     def test_tset_certificate_layout(self, csse4_file, capsys):
         doc = run_json(["tset", "-i", csse4_file, "--seed", "2"], capsys)

@@ -37,7 +37,7 @@ class TestIsKMinimum:
             inst = random_instance(seed, n=6, density=0.5)
             for r in range(64):
                 a = Assignment.from_rank(r, 6)
-                for k in (1, 2, 3, 4):
+                for k in (1, 2, 3, 4, 5):
                     assert is_k_minimum(inst, a, k) == naive_is_k_minimum(inst, a, k)
 
     def test_balanced_is_1_but_not_2_minimum(self):
@@ -183,6 +183,21 @@ class TestNearBudget:
         assert [a.bitstring() for a in enumerate_k_minima(inst, 2).minima] == ["00"]
         assert [a.bitstring() for a in k_basins(inst, 2).minima] == ["00"]
 
+    def test_triangle_flip_near_the_budget(self):
+        # Three mutually coupled variables share the whole budget.  Both
+        # aligned corners are strict 2-minima, and only the flip of all
+        # three, whose half-delta sums terms near 2^62, tells them apart.
+        share = INT64_MAX // 9
+        inst = IsingInstance(3, [-share, 1 - share, 1 - share],
+                             [(0, 1, -share), (0, 2, -share), (1, 2, -share)])
+        points = [Assignment.from_rank(r, 3) for r in range(8)]
+        assert [a.bitstring() for a in points if naive_is_k_minimum(inst, a, 2)] == ["000", "111"]
+        minima = [a for a in points if naive_is_k_minimum(inst, a, 3)]
+        assert [a.bitstring() for a in minima] == ["111"]
+        assert [a for a in points if is_k_minimum(inst, a, 3)] == minima
+        assert list(enumerate_k_minima(inst, 3).minima) == minima
+        assert list(k_basins(inst, 3).minima) == minima
+
 
 class TestMinPairwiseHamming:
     def test_basics(self):
@@ -274,7 +289,7 @@ def landscape_cases(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(landscape_cases(), st.integers(1, 3), st.booleans(), st.integers(1, 4))
+@given(landscape_cases(), st.integers(1, 4), st.booleans(), st.integers(1, 4))
 def test_landscape_matches_python_int_reference(inst, k, flipped_rule, block_bits):
     minima, vertex_count, sizes = _reference_landscape(inst, k, flipped_rule)
     assert enumerate_k_minima(inst, k, block_bits=block_bits).minima == minima
