@@ -458,7 +458,18 @@ def _int_at_least(low: int, text: str) -> int:
     return value
 
 
-def _worker_count(text: str) -> int:
+def _open_unit(text: str) -> float:
+    """argparse type for a float strictly inside (0, 1); NaN and infinities fail."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid float value: %r" % text) from None
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError("must lie strictly inside (0, 1), got %r" % text)
+    return value
+
+
+def _positive(text: str) -> int:
     return _int_at_least(1, text)
 
 
@@ -467,7 +478,7 @@ def _non_negative(text: str) -> int:
 
 
 def _add_workers_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--workers", type=_worker_count, default=1,
+    p.add_argument("--workers", type=_positive, default=1,
                    help="worker threads, at least 1")
 
 
@@ -515,8 +526,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="exact minimization")
     _add_io_flags(solve)
     solve.add_argument("--method", choices=_SOLVE_METHODS, required=True)
-    solve.add_argument("--alpha", type=float, default=0.5,
-                       help="side-set size factor for the combined method")
+    solve.add_argument("--alpha", type=_open_unit, default=0.5,
+                       help="side-set size factor for the combined method, in (0, 1)")
     solve.add_argument("--jmax", type=_int_token, default=None,
                        help="declared coupling row bound for the combined method")
     _add_workers_flag(solve)
@@ -548,7 +559,8 @@ def build_parser() -> argparse.ArgumentParser:
     ts.add_argument("--seed", type=_int_token, default=0)
     ts.add_argument("--epsilon", type=float, default=None,
                     help="override the sampling rate")
-    ts.add_argument("--max-retries", type=_int_token, default=20)
+    ts.add_argument("--max-retries", type=_positive, default=20,
+                    help="sampling attempts, at least 1")
     ts.set_defaults(func=_cmd_tset)
 
     zp = sub.add_parser("z", help="predicted leaf count for the auto-chosen set")

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -731,42 +731,9 @@ def solve_effective(
     return _solve_with_T(inst, t, method, block_bits, workers)
 
 
-def _branch_and_recombine(
-    inst: IsingInstance,
-    variables: Sequence[int],
-    solve_branch: Callable[[IsingInstance], SolveResult],
-) -> Tuple[int, Assignment, int, int, Dict[str, int]]:
-    """Solve every spin assignment of ``variables`` by conditioning on it.
-
-    Returns the optimal energy, the lex-smallest optimum over all branches
-    (branches compare by (energy, rank), the key the scans use), the summed
-    leaf and outer-assignment counts and the summed branch counters.
-    """
-    nb = len(variables)
-    leaves = outers = 0
-    counters: Dict[str, int] = {}
-    best: Optional[Tuple[int, int, Assignment]] = None
-    for wr in range(1 << nb):
-        fixed = {
-            variables[k]: (1 if (wr >> (nb - 1 - k)) & 1 else -1) for k in range(nb)
-        }
-        sub, keep = inst.conditioned(fixed)
-        res = solve_branch(sub)
-        leaves += res.leaves_explored
-        outers += res.outer_assignments
-        _merge_counters(counters, res.counters)
-        bits = sum(1 << v for v, s in fixed.items() if s > 0)
-        for q, v in enumerate(keep):
-            if (res.best.bits >> q) & 1:
-                bits |= 1 << v
-        a = Assignment(inst.n, bits)
-        if best is None or (res.energy, a.rank) < best[:2]:
-            best = (res.energy, a.rank, a)
-    assert best is not None
-    e_star, _, assignment = best
-    if inst.energy(assignment) != e_star:
-        raise AssertionError("recombined assignment does not match the optimum")
-    return e_star, assignment, leaves, outers, counters
+def _outliers(inst: IsingInstance, factor: float) -> List[int]:
+    graph = inst.degree_graph()
+    return [i for i in range(inst.n) if graph.degrees[i] > factor * graph.average_degree]
 
 
 def solve_avg_degree(
@@ -778,34 +745,72 @@ def solve_avg_degree(
 ) -> SolveResult:
     """Exact solve that enumerates the high-degree variables outright.
 
-    Variables with degree above ``degree_factor`` times the average are
-    assigned explicitly; each branch conditions the instance and solves the
-    low-degree remainder.  The branching-set search runs once (couplings do
-    not change across branches) and its choice is reused.
+    The variables W with degree above ``degree_factor`` times the average
+    join the outer bits of one scan.  T is chosen by :func:`_auto_t` on the
+    low-degree remainder (the instance conditioned on W, whose couplings do
+    not depend on W's spins), so each member is classified exactly as in
+    that remainder, and the counters are those of the single scan.
     """
+    wbar = _outliers(inst, degree_factor)
+    sub, keep = inst.conditioned({v: -1 for v in wbar}) if wbar else (inst, range(inst.n))
+    t, method = _auto_t(sub, None, seed)
+    res = _solve_with_T(inst, [keep[i] for i in t], "avg-degree:" + method, block_bits, workers)
+    counters = {"branches": 1 << len(wbar), "enumerated_vars": len(wbar)}
+    return replace(res, counters={**res.counters, **counters})
+
+
+# T, T1, T2 and the method string of a combined solve
+_Sets = Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...], str]
+
+
+def _combined_sets(
+    inst: IsingInstance,
+    j_max: Optional[int],
+    alpha: float,
+    seed: int,
+    params: Optional[TParams],
+    degree_dichotomy_factor: float,
+) -> _Sets:
+    """Choose (T, T1, T2, method) for :func:`solve_combined`; runs no scan.
+
+    Outlier-degree variables stay outside every set: the choice is made on
+    the instance conditioned on them and mapped back.
+    """
+    row_sums = [inst.coupling_row_abs(i) for i in range(inst.n)]
+    max_row = max(row_sums) if row_sums else 0
+    if j_max is None:
+        j_max = max_row
+    elif j_max < max_row:
+        raise ValueError("j_max must dominate every coupling row weight")
+    heavy = _outliers(inst, degree_dichotomy_factor)
+    if heavy:
+        sub, keep = inst.conditioned({v: -1 for v in heavy})
+        sets = _combined_sets(sub, None, alpha, seed, params, degree_dichotomy_factor)
+        t, t1, t2 = (tuple(keep[i] for i in part) for part in sets[:3])
+        return t, t1, t2, "combined:outlier-split"
+
+    def fallback() -> _Sets:
+        t, _ = _auto_t(inst, None, seed)
+        return t, (), (), "combined:effective-fallback"
+
     graph = inst.degree_graph()
-    avg = graph.average_degree
-    wbar = [i for i in range(inst.n) if graph.degrees[i] > degree_factor * avg]
-    if not wbar:
-        res = solve_effective(inst, seed=seed, block_bits=block_bits, workers=workers)
-        return replace(res, method="avg-degree:" + res.method,
-                       counters={**res.counters, "branches": 1, "enumerated_vars": 0})
-    if len(wbar) > MAX_ENUM_BITS:
-        raise EnumerationLimitError("too many high-degree variables to enumerate")
-    strategy: List[Tuple[Tuple[int, ...], str]] = []
-
-    def branch(sub: IsingInstance) -> SolveResult:
-        if not strategy:
-            strategy.append(_auto_t(sub, None, seed))
-        t, method = strategy[0]
-        return _solve_with_T(sub, t, method, block_bits, workers)
-
-    e_star, best, leaves, outers, branch_counters = _branch_and_recombine(inst, wbar, branch)
-    counters: Dict[str, int] = {"branches": 1 << len(wbar), "enumerated_vars": len(wbar)}
-    _merge_counters(counters, branch_counters)
-    return SolveResult(
-        best, e_star, leaves, outers, "avg-degree:" + strategy[0][1], counters
-    )
+    d_avg = graph.average_degree
+    if d_avg < 2 or side_set_target(inst.n, d_avg, alpha) < 1:
+        # too sparse, or too few variables for side sets of one member each
+        return fallback()
+    sides = find_T1T2(graph, alpha=alpha, seed=seed)
+    if not sides.ok:
+        return fallback()
+    side_set = set(sides.t1) | set(sides.t2)
+    w0 = [
+        i for i in range(inst.n)
+        if i not in side_set and graph.degrees[i] <= 2.0 * d_avg
+    ]
+    ctx = ConstrainedContext(t1=sides.t1, t2=sides.t2, j_max=j_max)
+    cert = find_T_randomized(inst, params, seed=seed, within=w0, constrained=ctx)
+    if not cert.ok:
+        return fallback()
+    return cert.t, sides.t1, sides.t2, "combined"
 
 
 def solve_combined(
@@ -824,65 +829,30 @@ def solve_combined(
     certified T among the low-degree remainder under the cross-coupling
     bound, and scan the rest.  Variables whose degree exceeds
     ``degree_dichotomy_factor`` times the average (never more than a
-    1/``factor`` fraction of all variables) are enumerated outright first.
-    Every unproductive search falls back to :func:`solve_effective` with a
-    tagged method string.
+    1/``factor`` fraction of all variables) are enumerated outright: they
+    join the outer bits of the one scan, and the sets are chosen on the
+    remainder.  Every unproductive search falls back to the set of
+    :func:`solve_effective`, with a tagged method string.
     """
-    graph = inst.degree_graph()
-    d_avg = graph.average_degree
-    row_sums = [inst.coupling_row_abs(i) for i in range(inst.n)]
-    max_row = max(row_sums) if row_sums else 0
-    if j_max is None:
-        j_max = max_row
-    elif j_max < max_row:
-        raise ValueError("j_max must dominate every coupling row weight")
-
-    def fallback(reason: str) -> SolveResult:
-        res = solve_effective(inst, seed=seed, block_bits=block_bits, workers=workers)
-        return replace(res, method="combined:%s-fallback" % reason)
-
-    heavy = [i for i in range(inst.n) if graph.degrees[i] > degree_dichotomy_factor * d_avg]
-    if heavy:
-        if len(heavy) > MAX_ENUM_BITS:
-            raise EnumerationLimitError("too many outlier-degree variables")
-
-        def branch(sub: IsingInstance) -> SolveResult:
-            return solve_combined(
-                sub, j_max=None, alpha=alpha, seed=seed, params=params,
-                block_bits=block_bits, workers=workers,
-                degree_dichotomy_factor=degree_dichotomy_factor,
-            )
-
-        e_star, best, leaves, outers, _ = _branch_and_recombine(inst, heavy, branch)
-        counters = {"outlier_vars": len(heavy), "branches": 1 << len(heavy)}
-        return SolveResult(best, e_star, leaves, outers, "combined:outlier-split", counters)
-
-    if d_avg < 2:
-        return fallback("effective")
-    if 0 < alpha < 1 and side_set_target(inst.n, d_avg, alpha) < 1:
-        # too few variables for side sets of even one member each
-        return fallback("effective")
-    sides = find_T1T2(graph, alpha=alpha, seed=seed)
-    if not sides.ok:
-        return fallback("effective")
-    side_set = set(sides.t1) | set(sides.t2)
-    w0 = [
-        i for i in range(inst.n)
-        if i not in side_set and graph.degrees[i] <= 2.0 * d_avg
-    ]
-    ctx = ConstrainedContext(t1=sides.t1, t2=sides.t2, j_max=j_max)
-    cert = find_T_randomized(inst, params, seed=seed, within=w0, constrained=ctx)
-    if not cert.ok:
-        return fallback("effective")
-
-    res = _solve_with_T(inst, cert.t, "combined", block_bits, workers, sides.t1, sides.t2)
-    # every enumerated completion of T also enumerates both side sets
-    side_width = (1 << len(sides.t1)) + (1 << len(sides.t2))
-    counters = {
-        "t_size": len(cert.t),
-        "t1_size": len(sides.t1),
-        "t2_size": len(sides.t2),
-        "free_members": res.counters["free_members"],
-        "tie_rows": res.counters["tie_rows"],
-    }
-    return replace(res, leaves_explored=res.leaves_explored * side_width, counters=counters)
+    if not 0 < alpha < 1:  # NaN fails the comparison too
+        raise ValueError("alpha must lie in (0, 1)")
+    t, t1, t2, method = _combined_sets(
+        inst, j_max, alpha, seed, params, degree_dichotomy_factor
+    )
+    res = _solve_with_T(inst, t, method, block_bits, workers, t1, t2)
+    if t1 or t2:
+        # every enumerated completion of T also enumerates both side sets
+        side_width = (1 << len(t1)) + (1 << len(t2))
+        res = replace(res, leaves_explored=res.leaves_explored * side_width)
+    if method == "combined:outlier-split":
+        heavy = len(_outliers(inst, degree_dichotomy_factor))
+        return replace(res, counters={"outlier_vars": heavy, "branches": 1 << heavy})
+    if method == "combined":
+        return replace(res, counters={
+            "t_size": len(t),
+            "t1_size": len(t1),
+            "t2_size": len(t2),
+            "free_members": res.counters["free_members"],
+            "tie_rows": res.counters["tie_rows"],
+        })
+    return res

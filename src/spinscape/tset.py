@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field, replace
 from itertools import combinations
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from spinscape.instance import DegreeGraph, IsingInstance
 from spinscape.rand import rng_from
@@ -169,6 +169,30 @@ def _greedy_select(inst: IsingInstance, i: int, cands: Sequence[int], quota: int
     return tuple(ordered[:quota])
 
 
+def _strong_loads(
+    graph: DegreeGraph, picked: Dict[int, Tuple[int, ...]], t_set: set
+) -> Dict[int, int]:
+    """Condition 3: for each picked member, the picked strong edges at its outside neighbors."""
+    strong_count: Dict[int, int] = {}
+    for js in picked.values():
+        for j in js:
+            strong_count[j] = strong_count.get(j, 0) + 1
+    return {
+        i: sum(strong_count.get(j, 0) for j in graph.neighbors[i] if j not in t_set)
+        for i in picked
+    }
+
+
+def _cross_coupling_test(
+    inst: IsingInstance, params: TParams, constrained: ConstrainedContext
+) -> Callable[[int], bool]:
+    """Condition 4 as a test of one member, in exact integer arithmetic."""
+    side = set(constrained.t1) | set(constrained.t2)
+    v0_size = inst.n - len(side)
+    rhs = params.c_cross * constrained.j_max * (len(constrained.t1) + len(constrained.t2))
+    return lambda i: v0_size * sum(abs(inst.coupling(i, j)) for j in side) <= rhs
+
+
 def check_T(
     inst: IsingInstance,
     t: Iterable[int],
@@ -185,11 +209,8 @@ def check_T(
     for i in t_sorted:
         if not 0 <= i < inst.n:
             raise ValueError("T member %d out of range" % i)
-    side = set()
-    if constrained is not None:
-        side = set(constrained.t1) | set(constrained.t2)
-        if side & set(t_sorted):
-            raise ValueError("T must be disjoint from the side sets")
+    if constrained is not None and set(t_sorted) & (set(constrained.t1) | set(constrained.t2)):
+        raise ValueError("T must be disjoint from the side sets")
     graph = inst.degree_graph()
     t_set = set(t_sorted)
     quota = params.strong_edge_quota
@@ -197,31 +218,19 @@ def check_T(
     internal_ok = True
     count_ok = True
     strong: Dict[int, Tuple[int, ...]] = {}
-    exempt: set = set()
     for i in t_sorted:
         internal = [k for k in graph.neighbors[i] if k in t_set]
         if len(internal) > params.internal_degree_cap:
             internal_ok = False
         if constrained is None and not internal:
-            exempt.add(i)
             continue
         a_min, cands = _strong_candidates(inst, graph, i, internal, t_set | {i})
         if len(cands) < quota:
             count_ok = False
         strong[i] = _greedy_select(inst, i, cands, quota)
 
-    strong_count: Dict[int, int] = {}
-    for js in strong.values():
-        for j in js:
-            strong_count[j] = strong_count.get(j, 0) + 1
-    load_ok = True
-    for i in t_sorted:
-        if i in exempt:
-            continue
-        load = sum(strong_count.get(j, 0) for j in graph.neighbors[i] if j not in t_set)
-        if load > params.load_cap:
-            load_ok = False
-            break
+    loads = _strong_loads(graph, strong, t_set)
+    load_ok = all(load <= params.load_cap for load in loads.values())
 
     checks: List[Tuple[str, bool]] = [
         ("internal_degree", internal_ok),
@@ -229,13 +238,8 @@ def check_T(
         ("strong_edge_load", load_ok),
     ]
     if constrained is not None:
-        v0_size = inst.n - len(side)
-        rhs = params.c_cross * constrained.j_max * (len(constrained.t1) + len(constrained.t2))
-        cross_ok = all(
-            v0_size * sum(abs(inst.coupling(i, j)) for j in side) <= rhs
-            for i in t_sorted
-        )
-        checks.append(("cross_coupling_bound", cross_ok))
+        cross_ok = _cross_coupling_test(inst, params, constrained)
+        checks.append(("cross_coupling_bound", all(cross_ok(i) for i in t_sorted)))
     return TSetCertificate(
         t=t_sorted,
         strong_edges=tuple(sorted((i, js) for i, js in strong.items())),
@@ -256,15 +260,12 @@ def _label_good(
     """One labeling round: drop members violating any condition."""
     graph = inst.degree_graph()
     t0_set = set(t0)
-    side = set() if constrained is None else set(constrained.t1) | set(constrained.t2)
     quota = params.strong_edge_quota
     passed12: Dict[int, Tuple[int, ...]] = {}
-    exempt: set = set()
     bad: set = set()
     for i in t0:
         internal = [k for k in graph.neighbors[i] if k in t0_set]
         if constrained is None and not internal:
-            exempt.add(i)
             continue
         if len(internal) > params.internal_degree_cap:
             bad.add(i)
@@ -278,24 +279,12 @@ def _label_good(
         else:
             picked = _greedy_select(inst, i, cands, quota)
         passed12[i] = picked
-    strong_count: Dict[int, int] = {}
-    for js in passed12.values():
-        for j in js:
-            strong_count[j] = strong_count.get(j, 0) + 1
-    for i in t0:
-        if i in bad or i in exempt:
-            continue
-        load = sum(strong_count.get(j, 0) for j in graph.neighbors[i] if j not in t0_set)
+    for i, load in _strong_loads(graph, passed12, t0_set).items():
         if load > params.load_cap:
             bad.add(i)
     if constrained is not None:
-        v0_size = inst.n - len(side)
-        rhs = params.c_cross * constrained.j_max * (len(constrained.t1) + len(constrained.t2))
-        for i in t0:
-            if i in bad:
-                continue
-            if v0_size * sum(abs(inst.coupling(i, j)) for j in side) > rhs:
-                bad.add(i)
+        cross_ok = _cross_coupling_test(inst, params, constrained)
+        bad.update(i for i in t0 if i not in bad and not cross_ok(i))
     return [i for i in t0 if i not in bad]
 
 
@@ -318,6 +307,8 @@ def find_T_randomized(
         params = TParams.for_instance(inst)
     if strong_edge_rule not in ("greedy", "random"):
         raise ValueError("strong_edge_rule must be 'greedy' or 'random'")
+    if max_retries < 1:
+        raise ValueError("max_retries must be >= 1")
     pool = list(range(inst.n)) if within is None else sorted(set(within))
     if constrained is not None:
         side = set(constrained.t1) | set(constrained.t2)
@@ -343,7 +334,7 @@ def find_T_randomized(
             len(best.t),
         ):
             best = cert
-    return best if best is not None else check_T(inst, (), params, constrained)
+    return best  # type: ignore[return-value]
 
 
 def find_T_deterministic(
@@ -501,18 +492,8 @@ def good_set_nonsparse(
         t0_set = set(t0)
         good = []
         for i in t0:
-            a_min = 0
-            for k in graph.neighbors[i]:
-                if k in t0_set:
-                    a_min = max(a_min, abs(inst.coupling(i, k)))
-            if a_min == 0:
-                count = n - size0
-            else:
-                count = sum(
-                    1
-                    for j in graph.neighbors[i]
-                    if j not in t0_set and abs(inst.coupling(i, j)) >= a_min
-                )
+            a_min, cands = _strong_candidates(inst, graph, i, t0, t0_set)
+            count = len(cands) if a_min else n - size0
             if 2 * count >= inv:
                 good.append(i)
         ok = 2 * len(good) >= size0

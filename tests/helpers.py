@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -16,7 +17,7 @@ from spinscape.instance import (
     iter_rank_blocks,
     spin_block,
 )
-from spinscape.solver import _validate_subset
+from spinscape.solver import SolveResult, _merge_counters, _validate_subset
 
 
 def rng_for(seed: int, stream: int = 0) -> np.random.Generator:
@@ -117,3 +118,51 @@ def reference_compute_Z(inst: IsingInstance, t, block_bits: int = DEFAULT_BLOCK_
         for width, rows in enumerate(np.bincount(free_counts)):
             z += int(rows) << width
     return z
+
+
+def reference_branch_and_recombine(
+    inst: IsingInstance,
+    variables: Sequence[int],
+    solve_branch: Callable[[IsingInstance], SolveResult],
+) -> tuple[int, Assignment, int, int, dict]:
+    """Solve every spin assignment of ``variables`` by conditioning on it.
+
+    Returns the optimal energy, the lex-smallest optimum over all branches
+    (branches compare by (energy, rank)), the summed leaf and
+    outer-assignment counts and the summed branch counters.
+    """
+    nb = len(variables)
+    leaves = outers = 0
+    counters: dict = {}
+    best = None
+    for wr in range(1 << nb):
+        fixed = {
+            variables[k]: (1 if (wr >> (nb - 1 - k)) & 1 else -1) for k in range(nb)
+        }
+        sub, keep = inst.conditioned(fixed)
+        res = solve_branch(sub)
+        leaves += res.leaves_explored
+        outers += res.outer_assignments
+        _merge_counters(counters, res.counters)
+        bits = sum(1 << v for v, s in fixed.items() if s > 0)
+        for q, v in enumerate(keep):
+            if (res.best.bits >> q) & 1:
+                bits |= 1 << v
+        a = Assignment(inst.n, bits)
+        if best is None or (res.energy, a.rank) < best[:2]:
+            best = (res.energy, a.rank, a)
+    assert best is not None
+    e_star, _, assignment = best
+    assert inst.energy(assignment) == e_star
+    return e_star, assignment, leaves, outers, counters
+
+
+def optimal_outer_patterns(inst: IsingInstance, outer: Sequence[int]) -> int:
+    """Number of distinct assignments of ``outer`` among the exact optima."""
+    e_star, _ = exhaustive_min(inst)
+    patterns = set()
+    for r in range(1 << inst.n):
+        a = Assignment.from_rank(r, inst.n)
+        if inst.energy(a) == e_star:
+            patterns.add(tuple((a.bits >> v) & 1 for v in outer))
+    return len(patterns)

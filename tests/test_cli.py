@@ -390,6 +390,24 @@ class TestErrorPaths:
                                capsys)
         assert code == 3
 
+    @pytest.mark.parametrize("alpha", ["5", "-1", "nan"])
+    def test_alpha_outside_open_unit_interval_is_usage_error(self, tmp_path, capsys, alpha):
+        # average degree below 2: the solver falls back before any side-set search
+        path = tmp_path / "sparse.json"
+        run_cli(["generate", "random", "--n", "12", "--density", "0.05",
+                 "--seed", "1", "-o", str(path)], capsys)
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--method", "combined", "-i", str(path), "--alpha=" + alpha])
+        assert exc.value.code == 1
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("retries", ["0", "-3"])
+    def test_tset_max_retries_below_one_is_usage_error(self, csse4_file, capsys, retries):
+        with pytest.raises(SystemExit) as exc:
+            main(["tset", "-i", csse4_file, "--max-retries=" + retries])
+        assert exc.value.code == 1
+        assert capsys.readouterr().out == ""
+
     def test_bad_jmax_is_usage_error(self, csse4_file, capsys):
         code, _, err = run_cli(["solve", "--method", "combined",
                                 "-i", csse4_file, "--jmax", "1"], capsys)

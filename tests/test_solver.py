@@ -2,6 +2,8 @@ import contextlib
 import io
 import os
 import tempfile
+import time
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -22,7 +24,9 @@ from spinscape.instance import (
     spin_block,
 )
 from spinscape.solver import (
+    SolveResult,
     _auto_t,
+    _combined_sets,
     _key_rank,
     _key_weights,
     _largest_color_class,
@@ -40,7 +44,13 @@ from spinscape.solver import (
 )
 from spinscape.tset import TParams, check_T, find_T_randomized
 
-from helpers import exhaustive_min, random_instance, reference_compute_Z
+from helpers import (
+    exhaustive_min,
+    optimal_outer_patterns,
+    random_instance,
+    reference_branch_and_recombine,
+    reference_compute_Z,
+)
 
 
 def assert_same_optimum(res, inst):
@@ -308,6 +318,14 @@ class TestSolveEffective:
             assert_same_optimum(solve_effective(inst, seed=seed), inst)
 
 
+def two_hub_path():
+    # hubs 0 and 1 on a 52-vertex path: the remainder's largest color class
+    # has 26 members, so the one scan would need 26 + 2 outer bits
+    triples = [(v, v + 1, 1) for v in range(2, 53)]
+    triples += [(hub, v, 1) for hub in (0, 1) for v in range(2, 54)]
+    return IsingInstance(54, [0] * 54, triples)
+
+
 class TestAvgDegree:
     def star(self, n=9):
         triples = [(0, i, 2) for i in range(1, n)]
@@ -336,11 +354,28 @@ class TestAvgDegree:
     def test_leaves_accumulate_over_branches(self):
         inst = self.star(8)
         res = solve_avg_degree(inst)
-        # two hub branches; the conditioned remainder is edgeless, so the
-        # coloring strategy fixes every variable and each branch costs one leaf
+        # the hub is the one outer bit; the remainder is edgeless, so the
+        # coloring set fixes every other variable and each hub spin costs one leaf
         assert res.leaves_explored == 2
         assert res.outer_assignments == 2
         assert_same_optimum(res, inst)
+
+    def test_star_ties(self):
+        # one hub spin is optimal; summing per-branch ties would count both
+        res = solve_avg_degree(self.star(8))
+        assert res.counters["tie_rows"] == 1
+        assert res.counters["tie_rows"] == optimal_outer_patterns(self.star(8), [0])
+
+    def test_scan_ceiling_covers_the_enumerated_variables(self, tmp_path, capsys):
+        inst = two_hub_path()
+        started = time.perf_counter()
+        with pytest.raises(EnumerationLimitError, match="needs 28 bits"):
+            solve_avg_degree(inst)
+        path = tmp_path / "hubs.json"
+        path.write_text(inst.to_json())
+        assert main(["solve", "--method", "avg-degree", "-i", str(path)]) == 3
+        assert capsys.readouterr().out == ""
+        assert time.perf_counter() - started < 1.0
 
 
 class TestCombined:
@@ -387,6 +422,25 @@ class TestCombined:
         res = solve_combined(inst, degree_dichotomy_factor=1.5)
         assert res.method == "combined:outlier-split"
         assert_same_optimum(res, inst)
+
+    def test_outlier_split_with_side_sets(self):
+        # a hub over 5 disjoint 4-cliques: the side sets come from the cliques
+        base = gen_multicopy(5, 4)
+        triples = [(i, j, w) for (i, j), w in base.couplings.items()]
+        inst = IsingInstance(21, list(base.h) + [1], triples + [(20, v, 2) for v in range(20)])
+        res = solve_combined(inst, block_bits=2, degree_dichotomy_factor=1.5)
+        assert res.method == "combined:outlier-split"
+        assert res.counters == {"outlier_vars": 1, "branches": 2}
+        assert res == _reference_combined(inst, 0, 1.5)
+        oracle = solve_brute(inst)
+        assert (res.energy, res.best) == (oracle.energy, oracle.best)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 5.0, -1.0, float("nan"), float("inf")])
+    def test_alpha_outside_open_unit_interval(self, alpha):
+        # average degree below 2 falls back before any side-set search
+        inst = IsingInstance(6, [1, -2, 3, 0, 1, -1], [(0, 1, 2)])
+        with pytest.raises(ValueError, match="alpha"):
+            solve_combined(inst, alpha=alpha)
 
     def test_j_max_validation(self):
         inst = gen_multicopy(5, 4)
@@ -649,6 +703,59 @@ def test_avg_degree_matches_brute_on_degenerate_draws(inst, seed, degree_factor)
     oracle = solve_brute(inst)
     res = solve_avg_degree(inst, seed=seed, degree_factor=degree_factor, block_bits=2)
     assert (res.energy, res.best) == (oracle.energy, oracle.best), res.method
+    # one scan with W among the outer bits does the work of one scan per
+    # spin pattern of W, each against the set chosen on the first pattern
+    graph = inst.degree_graph()
+    wbar = [i for i in range(inst.n) if graph.degrees[i] > degree_factor * graph.average_degree]
+    strategy = []
+
+    def branch(sub):
+        if not strategy:
+            strategy.append(_auto_t(sub, None, seed))
+        t, method = strategy[0]
+        return _solve_with_T(sub, t, method, block_bits=2)
+
+    e_star, best, leaves, outers, counters = reference_branch_and_recombine(inst, wbar, branch)
+    assert (res.energy, res.best) == (e_star, best)
+    assert (res.leaves_explored, res.outer_assignments) == (leaves, outers)
+    assert res.method == "avg-degree:" + strategy[0][1]
+    expected = {**counters, "branches": 1 << len(wbar), "enumerated_vars": len(wbar)}
+    del expected["tie_rows"]
+    assert {k: v for k, v in res.counters.items() if k != "tie_rows"} == expected
+    keep = [i for i in range(inst.n) if i not in wbar]
+    t = {keep[i] for i in strategy[0][0]}
+    outer = [i for i in range(inst.n) if i not in t]
+    assert res.counters["tie_rows"] == optimal_outer_patterns(inst, outer)
+
+
+def _reference_combined(inst, seed, factor):
+    """The branch-per-pattern combined solve: every spin pattern of the
+    outlier-degree variables conditions the instance and solves the rest."""
+    graph = inst.degree_graph()
+    heavy = [i for i in range(inst.n) if graph.degrees[i] > factor * graph.average_degree]
+    if not heavy:
+        t, t1, t2, method = _combined_sets(inst, None, 0.5, seed, None, factor)
+        res = _solve_with_T(inst, t, method, 2, 1, t1, t2)
+        if method != "combined":
+            return res
+        counters = {"t_size": len(t), "t1_size": len(t1), "t2_size": len(t2),
+                    "free_members": res.counters["free_members"],
+                    "tie_rows": res.counters["tie_rows"]}
+        side_width = (1 << len(t1)) + (1 << len(t2))
+        return replace(res, leaves_explored=res.leaves_explored * side_width, counters=counters)
+    e_star, best, leaves, outers, _ = reference_branch_and_recombine(
+        inst, heavy, lambda sub: _reference_combined(sub, seed, factor))
+    counters = {"outlier_vars": len(heavy), "branches": 1 << len(heavy)}
+    return SolveResult(best, e_star, leaves, outers, "combined:outlier-split", counters)
+
+
+@settings(max_examples=80)
+@given(st.one_of(degenerate_instances(),
+                 st.integers(0, 10 ** 6).map(lambda s: random_instance(s, n=9))),
+       st.integers(0, 3), st.sampled_from([0.5, 1.0, 1.5]))
+def test_combined_outlier_scan_matches_branch_and_recombine(inst, seed, factor):
+    res = solve_combined(inst, seed=seed, block_bits=2, degree_dichotomy_factor=factor)
+    assert res == _reference_combined(inst, seed, factor)
 
 
 @settings(max_examples=120)

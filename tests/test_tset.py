@@ -160,6 +160,11 @@ class TestFindRandomized:
         assert cert.t == ()
         assert cert.attempts >= 1
 
+    def test_max_retries_below_one_is_rejected(self):
+        for retries in (0, -3):
+            with pytest.raises(ValueError, match="max_retries"):
+                find_T_randomized(gen_multicopy(10, 4), seed=3, max_retries=retries)
+
     def test_regular_graph_certificates(self):
         inst = gen_regular(60, 6, seed=9)
         cert = find_T_randomized(inst, seed=9)
