@@ -110,7 +110,11 @@ def _load_instance(path: Optional[str], fmt: str) -> IsingInstance:
     if fmt == "auto":
         fmt = "json" if text.lstrip().startswith("{") else "wcnf"
     if fmt == "wcnf":
-        return wcnf_to_ising(parse_wcnf(text))
+        wcnf = parse_wcnf(text)
+        try:
+            return wcnf_to_ising(wcnf)
+        except ValueError as exc:  # the weights overflow the energy budget
+            raise _InputError(str(exc)) from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

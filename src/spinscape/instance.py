@@ -240,14 +240,6 @@ class IsingInstance:
         """Exact energy change from flipping variable i."""
         return -2 * a.spin(i) * self.local_field(a, i)
 
-    def is_local_minimum(self, a: Assignment) -> bool:
-        """True when every single flip strictly increases the energy.
-
-        A zero local field makes some flip an energy tie, which already
-        disqualifies the assignment: minima are strict here.
-        """
-        return all(self.flip_delta(a, i) > 0 for i in range(self.n))
-
     def degree_graph(self) -> "DegreeGraph":
         if self._graph is None:
             nbrs: list[list[int]] = [[] for _ in range(self.n)]

@@ -25,6 +25,7 @@ of the vertex bit masks per flip mask.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, Iterator, List, Sequence, Tuple
@@ -252,14 +253,26 @@ def k_basins(
     k-minimum is necessarily an isolated vertex: any other vertex within
     distance k would see a strictly downhill move back to the minimum and
     lose its own vertex status.
+
+    The work is the vertex count times the C(n, <= k) moves; past
+    ``work_limit`` the request raises :class:`EnumerationLimitError`.
     """
     if k < 1:
         raise ValueError("need k >= 1")
     n = inst.n
+    moves = max(1, sum(math.comb(n, size) for size in range(1, min(k, n) + 1)))
+    # Every instance has a vertex (a global minimum, or under the flipped
+    # rule a global maximum), so a request with more moves than the limit is
+    # refused before any mask is built or any block is scanned.
+    if moves > work_limit:
+        raise EnumerationLimitError(
+            "basin construction needs %d moves per vertex, more than the work limit"
+            % moves
+        )
     masks = _flip_masks(n, k)
     # Past this many vertices the work limit rejects the request, so the
     # strictness checks stop there.
-    max_vertices = work_limit // max(1, len(masks))
+    max_vertices = work_limit // moves
     blocks: List[np.ndarray] = []  # vertex bit masks, rank order
     strict: List[Assignment] = []
     count = 0
@@ -274,10 +287,10 @@ def k_basins(
             strict.extend(Assignment(n, b) for b in head.tolist())
         count += len(bits)
         # the count only grows, so the scan stops at the first block past the limit
-        if count * max(1, len(masks)) > work_limit:
+        if count * moves > work_limit:
             raise EnumerationLimitError(
                 "basin construction over at least %d vertices x %d moves exceeds"
-                " the work limit" % (count, len(masks))
+                " the work limit" % (count, moves)
             )
     vertices = np.concatenate(blocks)
     uf = _UnionFind(count)

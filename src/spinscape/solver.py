@@ -24,8 +24,8 @@ in 64-bit integers, so results are exact.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,65 +60,15 @@ _KEY_BITS = 63
 
 
 @dataclass(frozen=True)
-class EffectiveView:
-    """Induced problem on T after assigning its complement.
-
-    ``h_eff[i]`` is h_i plus the couplings into the assigned outside,
-    ``h_max[i]`` the total internal coupling weight of i.  Members with
-    ``|h_eff[i]| >= h_max[i]`` are fixed (their ``forced`` spin opposes the
-    field, +1 when the field is zero); the rest are free.
-    """
-
-    t: Tuple[int, ...]
-    outer: Assignment
-    h_eff: Mapping[int, int]
-    h_max: Mapping[int, int]
-    fixed: frozenset
-    free: frozenset
-    forced: Mapping[int, int]
-
-
-def effective_view(inst: IsingInstance, t: Sequence[int], outer: Assignment) -> EffectiveView:
-    """Effective fields and fixed/free classification of T for one outer assignment.
-
-    ``outer`` assigns the complement of ``t`` in ascending variable order.
-    """
-    tt = _validate_subset(inst.n, t)
-    t_set = set(tt)
-    rest = [i for i in range(inst.n) if i not in t_set]
-    if outer.n != len(rest):
-        raise ValueError(
-            "outer assignment covers %d variables, complement has %d"
-            % (outer.n, len(rest))
-        )
-    jf = inst.full_coupling_matrix()
-    spins = outer.spins().astype(np.int64)
-    h_eff: Dict[int, int] = {}
-    h_max: Dict[int, int] = {}
-    forced: Dict[int, int] = {}
-    fixed = set()
-    for i in tt:
-        row = jf[i]
-        he = inst.h[i] + int(row[rest] @ spins)
-        hm = int(np.abs(row[list(tt)]).sum())
-        h_eff[i] = he
-        h_max[i] = hm
-        if abs(he) >= hm:
-            fixed.add(i)
-            forced[i] = -1 if he > 0 else 1
-    free = frozenset(t_set - fixed)
-    return EffectiveView(tt, outer, h_eff, h_max, frozenset(fixed), free, forced)
-
-
-@dataclass(frozen=True)
 class SolveResult:
     """Outcome of an exact solve.
 
     ``best`` is the lexicographically smallest optimal assignment,
     ``leaves_explored`` the number of fully enumerated completions and
     ``outer_assignments`` the number of scanned outer configurations.
-    ``counters`` holds integer diagnostics (fixed/free totals, and in
-    ``tie_rows`` the exact number of outer assignments at the optimum).
+    ``counters`` holds integer diagnostics under the same keys for every
+    method (``tie_rows``, the exact number of outer assignments at the
+    optimum, the set sizes and the fixed/free totals) plus a method's own.
     """
 
     best: Assignment
@@ -137,11 +87,6 @@ class SolveResult:
             "method": self.method,
             "counters": dict(self.counters),
         }
-
-
-def _merge_counters(total: Dict[str, int], part: Mapping[str, int]) -> None:
-    for k, v in part.items():
-        total[k] = total.get(k, 0) + int(v)
 
 
 def _validate_subset(n: int, t: Sequence[int]) -> Tuple[int, ...]:
@@ -273,6 +218,7 @@ class _ScanEngine:
             raise ValueError("t1 and t2 must not share coupling edges")
         n = inst.n
         self.m = m = len(self.t)
+        self.sizes = {"t_size": m, "t1_size": len(t1), "t2_size": len(t2)}
         # column ranges of T, T1 and T2 in the inner field tables
         self._split_at = (m, m + len(t1))
         j_in = jf[np.ix_(inner, inner)]
@@ -486,38 +432,41 @@ def _solve_with_T(
     workers: int = 1,
     t1: Sequence[int] = (),
     t2: Sequence[int] = (),
+    **extra: int,
 ) -> SolveResult:
     """Exact solve by one scan of the outer assignments against T (and side sets).
 
     Blocks may run on ``workers`` threads; each returns its minimum and the
     rank of its lex-smallest optimum, and the smallest (energy, rank) pair
-    wins, so the result does not depend on the thread schedule.
+    wins, so the result does not depend on the thread schedule.  The
+    counters are the scan's, plus the method's own ``extra`` keys.
     """
     engine = _ScanEngine(inst, t, block_bits, t1, t2)
     parts = thread_map(engine.scan_block, engine.split.starts, workers)
     e_star = min(part[0] for part in parts)
     leaves = ties = 0
     best_rank: Optional[int] = None
-    counters: Dict[str, int] = {}
-    for bmin, rank, rows, widths, part in parts:
+    for bmin, rank, rows, widths, _ in parts:
         for width, count in enumerate(widths):
             leaves += count << width
-        _merge_counters(counters, part)
         if bmin == e_star:
             ties += rows
             best_rank = rank if best_rank is None else min(best_rank, rank)
-    counters["tie_rows"] = ties
+    counters = {k: sum(part[4][k] for part in parts) for k in parts[0][4]}
     assert best_rank is not None
     best = Assignment.from_rank(best_rank, inst.n)
     if inst.energy(best) != e_star:
         raise AssertionError("returned assignment does not match the optimum")
+    if engine.sides:
+        # every enumerated completion of T also enumerates both side sets
+        leaves *= sum(len(own) for _, own, _ in engine.side_tables)
     return SolveResult(
         best=best,
         energy=e_star,
         leaves_explored=leaves,
         outer_assignments=1 << engine.n_out,
         method=method,
-        counters=counters,
+        counters={**engine.sizes, **counters, "tie_rows": ties, **extra},
     )
 
 
@@ -529,28 +478,30 @@ def solve_brute(
     """Reference solver: scan all assignments, keep the first optimum.
 
     Ranks ascend in lexicographic order of the bit tuple, so the first
-    minimum encountered is the lexicographically smallest one.
+    minimum encountered is the lexicographically smallest one.  Kept apart
+    from the scan engine for ``--verify``; T is empty, so ``tie_rows``
+    counts the optimal assignments.
     """
     n = inst.n
     split = SplitScan(inst, block_bits)
 
-    def scan(start: int) -> Tuple[int, int]:
+    def scan(start: int) -> Tuple[int, int, int]:
         e = split.energies(start)
         k = int(np.argmin(e))
-        return int(e[k]), start + k
+        return int(e[k]), start + k, int(np.count_nonzero(e == e[k]))
 
     parts = thread_map(scan, split.starts, workers)
-    best_e, best_rank = parts[0]
-    for e, r in parts[1:]:
-        if e < best_e:
-            best_e, best_rank = e, r
+    best_e = min(e for e, _, _ in parts)
+    best_rank = min(r for e, r, _ in parts if e == best_e)
+    counters = dict.fromkeys(("t_size", "t1_size", "t2_size", "strict_fixed",
+                              "boundary_fixed", "zero_field_fixed", "free_members"), 0)
     return SolveResult(
         best=Assignment.from_rank(best_rank, n),
         energy=best_e,
         leaves_explored=1 << n,
         outer_assignments=1 << n,
         method="brute",
-        counters={"tie_rows": 0},
+        counters={**counters, "tie_rows": sum(c for e, _, c in parts if e == best_e)},
     )
 
 
@@ -687,8 +638,7 @@ def solve_coloring_baseline(
     assignments.
     """
     t, n_colors = _largest_color_class(inst.degree_graph())
-    res = _solve_with_T(inst, t, "coloring", block_bits, workers)
-    return replace(res, counters={**res.counters, "colors": n_colors, "t_size": len(t)})
+    return _solve_with_T(inst, t, "coloring", block_bits, workers, colors=n_colors)
 
 
 def _auto_t(
@@ -736,6 +686,24 @@ def _outliers(inst: IsingInstance, factor: float) -> List[int]:
     return [i for i in range(inst.n) if graph.degrees[i] > factor * graph.average_degree]
 
 
+# T, T1, T2, the method string and the number of variables enumerated outright
+_Sets = Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...], str, int]
+
+
+def _on_remainder(inst: IsingInstance, wbar: Sequence[int],
+                  choose: Callable[[IsingInstance], _Sets]) -> _Sets:
+    """Sets that ``choose`` picks on ``inst`` conditioned on ``wbar``, mapped back.
+
+    ``wbar`` joins the outer bits.  Once it and the other outer variables
+    are assigned, each member has the effective field and ``h_max`` it has
+    in the remainder, whose couplings do not depend on ``wbar``'s spins.
+    """
+    sub, keep = inst.conditioned({v: -1 for v in wbar}) if wbar else (inst, range(inst.n))
+    t, t1, t2, method, enumerated = choose(sub)
+    t, t1, t2 = (tuple(keep[i] for i in part) for part in (t, t1, t2))
+    return t, t1, t2, method, enumerated + len(wbar)
+
+
 def solve_avg_degree(
     inst: IsingInstance,
     seed: int = 0,
@@ -746,21 +714,16 @@ def solve_avg_degree(
     """Exact solve that enumerates the high-degree variables outright.
 
     The variables W with degree above ``degree_factor`` times the average
-    join the outer bits of one scan.  T is chosen by :func:`_auto_t` on the
-    low-degree remainder (the instance conditioned on W, whose couplings do
-    not depend on W's spins), so each member is classified exactly as in
-    that remainder, and the counters are those of the single scan.
+    join the outer bits of one scan, and T is chosen by :func:`_auto_t` on
+    the low-degree remainder (see :func:`_on_remainder`).
     """
-    wbar = _outliers(inst, degree_factor)
-    sub, keep = inst.conditioned({v: -1 for v in wbar}) if wbar else (inst, range(inst.n))
-    t, method = _auto_t(sub, None, seed)
-    res = _solve_with_T(inst, [keep[i] for i in t], "avg-degree:" + method, block_bits, workers)
-    counters = {"branches": 1 << len(wbar), "enumerated_vars": len(wbar)}
-    return replace(res, counters={**res.counters, **counters})
 
+    def choose(sub: IsingInstance) -> _Sets:
+        t, method = _auto_t(sub, None, seed)
+        return t, (), (), "avg-degree:" + method, 0
 
-# T, T1, T2 and the method string of a combined solve
-_Sets = Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...], str]
+    t, _, _, method, enumerated = _on_remainder(inst, _outliers(inst, degree_factor), choose)
+    return _solve_with_T(inst, t, method, block_bits, workers, enumerated_vars=enumerated)
 
 
 def _combined_sets(
@@ -771,10 +734,10 @@ def _combined_sets(
     params: Optional[TParams],
     degree_dichotomy_factor: float,
 ) -> _Sets:
-    """Choose (T, T1, T2, method) for :func:`solve_combined`; runs no scan.
+    """Choose the sets of :func:`solve_combined` (see ``_Sets``); runs no scan.
 
     Outlier-degree variables stay outside every set: the choice is made on
-    the instance conditioned on them and mapped back.
+    the instance conditioned on them, which may have outliers of its own.
     """
     row_sums = [inst.coupling_row_abs(i) for i in range(inst.n)]
     max_row = max(row_sums) if row_sums else 0
@@ -784,14 +747,13 @@ def _combined_sets(
         raise ValueError("j_max must dominate every coupling row weight")
     heavy = _outliers(inst, degree_dichotomy_factor)
     if heavy:
-        sub, keep = inst.conditioned({v: -1 for v in heavy})
-        sets = _combined_sets(sub, None, alpha, seed, params, degree_dichotomy_factor)
-        t, t1, t2 = (tuple(keep[i] for i in part) for part in sets[:3])
-        return t, t1, t2, "combined:outlier-split"
+        t, t1, t2, _, enumerated = _on_remainder(inst, heavy, lambda sub: _combined_sets(
+            sub, None, alpha, seed, params, degree_dichotomy_factor))
+        return t, t1, t2, "combined:outlier-split", enumerated
 
     def fallback() -> _Sets:
         t, _ = _auto_t(inst, None, seed)
-        return t, (), (), "combined:effective-fallback"
+        return t, (), (), "combined:effective-fallback", 0
 
     graph = inst.degree_graph()
     d_avg = graph.average_degree
@@ -810,7 +772,7 @@ def _combined_sets(
     cert = find_T_randomized(inst, params, seed=seed, within=w0, constrained=ctx)
     if not cert.ok:
         return fallback()
-    return cert.t, sides.t1, sides.t2, "combined"
+    return cert.t, sides.t1, sides.t2, "combined", 0
 
 
 def solve_combined(
@@ -836,23 +798,8 @@ def solve_combined(
     """
     if not 0 < alpha < 1:  # NaN fails the comparison too
         raise ValueError("alpha must lie in (0, 1)")
-    t, t1, t2, method = _combined_sets(
+    t, t1, t2, method, enumerated = _combined_sets(
         inst, j_max, alpha, seed, params, degree_dichotomy_factor
     )
-    res = _solve_with_T(inst, t, method, block_bits, workers, t1, t2)
-    if t1 or t2:
-        # every enumerated completion of T also enumerates both side sets
-        side_width = (1 << len(t1)) + (1 << len(t2))
-        res = replace(res, leaves_explored=res.leaves_explored * side_width)
-    if method == "combined:outlier-split":
-        heavy = len(_outliers(inst, degree_dichotomy_factor))
-        return replace(res, counters={"outlier_vars": heavy, "branches": 1 << heavy})
-    if method == "combined":
-        return replace(res, counters={
-            "t_size": len(t),
-            "t1_size": len(t1),
-            "t2_size": len(t2),
-            "free_members": res.counters["free_members"],
-            "tie_rows": res.counters["tie_rows"],
-        })
-    return res
+    return _solve_with_T(inst, t, method, block_bits, workers, t1, t2,
+                         enumerated_vars=enumerated)

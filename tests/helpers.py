@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Callable, Dict, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -17,7 +18,7 @@ from spinscape.instance import (
     iter_rank_blocks,
     spin_block,
 )
-from spinscape.solver import SolveResult, _merge_counters, _validate_subset
+from spinscape.solver import SolveResult, _validate_subset
 
 
 def rng_for(seed: int, stream: int = 0) -> np.random.Generator:
@@ -63,14 +64,74 @@ def exhaustive_min(inst: IsingInstance) -> tuple[int, Assignment]:
     return best_e, best
 
 
+def is_local_minimum(inst: IsingInstance, a: Assignment) -> bool:
+    """True when every single flip strictly increases the energy.
+
+    A zero local field makes some flip an energy tie, which already
+    disqualifies the assignment: minima are strict here.
+    """
+    return all(inst.flip_delta(a, i) > 0 for i in range(inst.n))
+
+
 def exhaustive_minima(inst: IsingInstance) -> list[Assignment]:
     """Reference strict single-flip minima via direct definition."""
     out = []
     for r in range(1 << inst.n):
         a = Assignment.from_rank(r, inst.n)
-        if all(inst.flip_delta(a, i) > 0 for i in range(inst.n)):
+        if is_local_minimum(inst, a):
             out.append(a)
     return out
+
+
+@dataclass(frozen=True)
+class EffectiveView:
+    """Induced problem on T after assigning its complement.
+
+    ``h_eff[i]`` is h_i plus the couplings into the assigned outside,
+    ``h_max[i]`` the total internal coupling weight of i.  Members with
+    ``|h_eff[i]| >= h_max[i]`` are fixed (their ``forced`` spin opposes the
+    field, +1 when the field is zero); the rest are free.
+    """
+
+    t: Tuple[int, ...]
+    outer: Assignment
+    h_eff: Mapping[int, int]
+    h_max: Mapping[int, int]
+    fixed: frozenset
+    free: frozenset
+    forced: Mapping[int, int]
+
+
+def effective_view(inst: IsingInstance, t: Sequence[int], outer: Assignment) -> EffectiveView:
+    """Effective fields and fixed/free classification of T for one outer assignment.
+
+    ``outer`` assigns the complement of ``t`` in ascending variable order.
+    """
+    tt = _validate_subset(inst.n, t)
+    t_set = set(tt)
+    rest = [i for i in range(inst.n) if i not in t_set]
+    if outer.n != len(rest):
+        raise ValueError(
+            "outer assignment covers %d variables, complement has %d"
+            % (outer.n, len(rest))
+        )
+    jf = inst.full_coupling_matrix()
+    spins = outer.spins().astype(np.int64)
+    h_eff: Dict[int, int] = {}
+    h_max: Dict[int, int] = {}
+    forced: Dict[int, int] = {}
+    fixed = set()
+    for i in tt:
+        row = jf[i]
+        he = inst.h[i] + int(row[rest] @ spins)
+        hm = int(np.abs(row[list(tt)]).sum())
+        h_eff[i] = he
+        h_max[i] = hm
+        if abs(he) >= hm:
+            fixed.add(i)
+            forced[i] = -1 if he > 0 else 1
+    free = frozenset(t_set - fixed)
+    return EffectiveView(tt, outer, h_eff, h_max, frozenset(fixed), free, forced)
 
 
 def reference_signed_sum_counts(weights) -> tuple[list[int], int]:
@@ -129,11 +190,14 @@ def reference_branch_and_recombine(
 
     Returns the optimal energy, the lex-smallest optimum over all branches
     (branches compare by (energy, rank)), the summed leaf and
-    outer-assignment counts and the summed branch counters.
+    outer-assignment counts, and the counters that one scan with
+    ``variables`` among its outer bits reports: the fixing counters summed
+    over all branches, ``tie_rows`` summed over the optimal branches, and
+    every other key (set sizes, ...) as the one value all branches share.
     """
     nb = len(variables)
     leaves = outers = 0
-    counters: dict = {}
+    results = []
     best = None
     for wr in range(1 << nb):
         fixed = {
@@ -141,9 +205,9 @@ def reference_branch_and_recombine(
         }
         sub, keep = inst.conditioned(fixed)
         res = solve_branch(sub)
+        results.append(res)
         leaves += res.leaves_explored
         outers += res.outer_assignments
-        _merge_counters(counters, res.counters)
         bits = sum(1 << v for v, s in fixed.items() if s > 0)
         for q, v in enumerate(keep):
             if (res.best.bits >> q) & 1:
@@ -154,6 +218,13 @@ def reference_branch_and_recombine(
     assert best is not None
     e_star, _, assignment = best
     assert inst.energy(assignment) == e_star
+    summed = ("strict_fixed", "boundary_fixed", "zero_field_fixed", "free_members")
+    counters = {k: sum(r.counters[k] for r in results) for k in summed}
+    counters["tie_rows"] = sum(r.counters["tie_rows"] for r in results if r.energy == e_star)
+    for key in results[0].counters.keys() - counters.keys():
+        values = {r.counters[key] for r in results}
+        assert len(values) == 1, key
+        counters[key] = values.pop()
     return e_star, assignment, leaves, outers, counters
 
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -177,6 +178,18 @@ class TestLandscapeCommands:
         assert doc["count"] == 6 and "minima" not in doc
         code, _, err = run_cli(["basins", "-i", csse4_file, "--work-limit", "0"], capsys)
         assert code == 3 and "work limit" in err
+
+    def test_basins_refuses_too_many_moves_before_scanning(self, tmp_path, capsys):
+        # C(24, <= 12), about 9.7M moves per vertex, exceeds the default
+        # limit of 2^22 whatever the vertex count, so nothing is scanned
+        path = tmp_path / "r24.json"
+        run_cli(["generate", "random", "--n", "24", "--density", "0.2",
+                 "--seed", "1", "-o", str(path)], capsys)
+        started = time.perf_counter()
+        code, out, err = run_cli(["basins", "-i", str(path), "--k", "12"], capsys)
+        assert (code, out) == (3, "")
+        assert "work limit" in err
+        assert time.perf_counter() - started < 5.0
 
 
 class TestRepeatedCalls:
@@ -380,6 +393,18 @@ class TestErrorPaths:
         code, out, err = run_cli(["solve", "--method", "brute", "-i", str(path),
                                   "--format", "wcnf"], capsys)
         assert (code, out) == (2, "")
+
+    def test_wcnf_weights_overflowing_the_energy_budget(self, tmp_path, capsys):
+        # a unit clause of weight 2^62 reduces to c0 = 2^63, h = [-2^63]; the
+        # WCNF file and the same instance as JSON are both input errors
+        wcnf = tmp_path / "huge.wcnf"
+        wcnf.write_text("p wcnf 1 1\n%d 1 0\n" % 2**62)
+        doc = tmp_path / "huge.json"
+        doc.write_text('{"n": 1, "h": [%d], "c0": %d, "J": []}' % (-2**63, 2**63))
+        for path in (wcnf, doc):
+            code, out, err = run_cli(["solve", "--method", "brute", "-i", str(path)], capsys)
+            assert (code, out) == (2, ""), path
+            assert "energy budget" in err
 
     def test_resource_limit(self, tmp_path, capsys):
         from spinscape.instance import IsingInstance

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_instance
+from helpers import is_local_minimum, random_instance
 from spinscape.generators import gen_csse
 from spinscape.instance import (
     DEFAULT_BLOCK_BITS,
@@ -89,12 +89,12 @@ class TestInstanceBasics:
         # Zero couplings and fields: every flip is an exact tie, no minima.
         flat = IsingInstance(3, [0, 0, 0])
         for r in range(8):
-            assert not flat.is_local_minimum(Assignment.from_rank(r, 3))
+            assert not is_local_minimum(flat, Assignment.from_rank(r, 3))
 
     def test_local_minimum_balanced(self):
         inst = csse4()
-        assert inst.is_local_minimum(Assignment.from_spins([1, 1, -1, -1]))
-        assert not inst.is_local_minimum(Assignment.from_spins([1, 1, 1, -1]))
+        assert is_local_minimum(inst, Assignment.from_spins([1, 1, -1, -1]))
+        assert not is_local_minimum(inst, Assignment.from_spins([1, 1, 1, -1]))
 
     def test_coupling_normalization(self):
         inst = IsingInstance(3, [0, 0, 0], [(1, 0, 2), (0, 1, 3), (1, 2, 5), (2, 1, -5)])

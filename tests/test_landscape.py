@@ -149,9 +149,7 @@ class TestBasins:
                 k_basins(IsingInstance(6, [0] * 6), k, work_limit=100)
             assert strict_rows and sum(strict_rows) <= admitted
 
-    def test_rejected_request_stops_the_scan(self, monkeypatch):
-        # Every assignment of a coupling-free, field-free instance is a
-        # vertex, so the first block of 16 already passes a zero limit.
+    def count_scanned_blocks(self, monkeypatch):
         real = SplitScan.flip_survivors
         calls = []
 
@@ -160,9 +158,24 @@ class TestBasins:
             return real(self, *args, **kwargs)
 
         monkeypatch.setattr(SplitScan, "flip_survivors", counting)
+        return calls
+
+    def test_rejected_request_stops_the_scan(self, monkeypatch):
+        # Every assignment of a coupling-free, field-free instance is a
+        # vertex; a limit of 12 admits one vertex of 12 moves, so the
+        # first block of 16 already passes it.
+        calls = self.count_scanned_blocks(monkeypatch)
         with pytest.raises(EnumerationLimitError, match="at least 16 vertices"):
-            k_basins(IsingInstance(12, [0] * 12), 1, block_bits=4, work_limit=0)
+            k_basins(IsingInstance(12, [0] * 12), 1, block_bits=4, work_limit=12)
         assert len(calls) == 1
+
+    def test_more_moves_than_the_limit_are_refused_before_the_scan(self, monkeypatch):
+        # every instance has a vertex, so 12 moves against a limit of 11 (or 0) cannot fit
+        calls = self.count_scanned_blocks(monkeypatch)
+        for limit in (0, 11):
+            with pytest.raises(EnumerationLimitError, match="12 moves per vertex"):
+                k_basins(IsingInstance(12, [0] * 12), 1, block_bits=4, work_limit=limit)
+        assert not calls
 
 
 class TestNearBudget:

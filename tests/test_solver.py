@@ -1,9 +1,9 @@
 import contextlib
+import inspect
 import io
 import os
 import tempfile
 import time
-from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -34,7 +34,6 @@ from spinscape.solver import (
     _ScanEngine,
     _solve_with_T,
     compute_Z,
-    effective_view,
     greedy_coloring,
     solve_avg_degree,
     solve_brute,
@@ -45,6 +44,7 @@ from spinscape.solver import (
 from spinscape.tset import TParams, check_T, find_T_randomized
 
 from helpers import (
+    effective_view,
     exhaustive_min,
     optimal_outer_patterns,
     random_instance,
@@ -336,7 +336,6 @@ class TestAvgDegree:
         inst = self.star()
         res = solve_avg_degree(inst)
         assert res.counters["enumerated_vars"] == 1
-        assert res.counters["branches"] == 2
         assert res.method.startswith("avg-degree:")
         assert_same_optimum(res, inst)
 
@@ -430,7 +429,11 @@ class TestCombined:
         inst = IsingInstance(21, list(base.h) + [1], triples + [(20, v, 2) for v in range(20)])
         res = solve_combined(inst, block_bits=2, degree_dichotomy_factor=1.5)
         assert res.method == "combined:outlier-split"
-        assert res.counters == {"outlier_vars": 1, "branches": 2}
+        t, t1, t2, _, _ = _combined_sets(inst, None, 0.5, 0, None, 1.5)
+        assert 20 not in t + t1 + t2 and t1 and t2
+        sizes = tuple(res.counters[k] for k in ("t_size", "t1_size", "t2_size"))
+        assert sizes == (len(t), len(t1), len(t2))
+        assert res.counters["enumerated_vars"] == 1
         assert res == _reference_combined(inst, 0, 1.5)
         oracle = solve_brute(inst)
         assert (res.energy, res.best) == (oracle.energy, oracle.best)
@@ -719,9 +722,7 @@ def test_avg_degree_matches_brute_on_degenerate_draws(inst, seed, degree_factor)
     assert (res.energy, res.best) == (e_star, best)
     assert (res.leaves_explored, res.outer_assignments) == (leaves, outers)
     assert res.method == "avg-degree:" + strategy[0][1]
-    expected = {**counters, "branches": 1 << len(wbar), "enumerated_vars": len(wbar)}
-    del expected["tie_rows"]
-    assert {k: v for k, v in res.counters.items() if k != "tie_rows"} == expected
+    assert res.counters == {**counters, "enumerated_vars": len(wbar)}
     keep = [i for i in range(inst.n) if i not in wbar]
     t = {keep[i] for i in strategy[0][0]}
     outer = [i for i in range(inst.n) if i not in t]
@@ -734,18 +735,11 @@ def _reference_combined(inst, seed, factor):
     graph = inst.degree_graph()
     heavy = [i for i in range(inst.n) if graph.degrees[i] > factor * graph.average_degree]
     if not heavy:
-        t, t1, t2, method = _combined_sets(inst, None, 0.5, seed, None, factor)
-        res = _solve_with_T(inst, t, method, 2, 1, t1, t2)
-        if method != "combined":
-            return res
-        counters = {"t_size": len(t), "t1_size": len(t1), "t2_size": len(t2),
-                    "free_members": res.counters["free_members"],
-                    "tie_rows": res.counters["tie_rows"]}
-        side_width = (1 << len(t1)) + (1 << len(t2))
-        return replace(res, leaves_explored=res.leaves_explored * side_width, counters=counters)
-    e_star, best, leaves, outers, _ = reference_branch_and_recombine(
+        t, t1, t2, method, _ = _combined_sets(inst, None, 0.5, seed, None, factor)
+        return _solve_with_T(inst, t, method, 2, 1, t1, t2, enumerated_vars=0)
+    e_star, best, leaves, outers, counters = reference_branch_and_recombine(
         inst, heavy, lambda sub: _reference_combined(sub, seed, factor))
-    counters = {"outlier_vars": len(heavy), "branches": 1 << len(heavy)}
+    counters["enumerated_vars"] += len(heavy)
     return SolveResult(best, e_star, leaves, outers, "combined:outlier-split", counters)
 
 
@@ -756,6 +750,52 @@ def _reference_combined(inst, seed, factor):
 def test_combined_outlier_scan_matches_branch_and_recombine(inst, seed, factor):
     res = solve_combined(inst, seed=seed, block_bits=2, degree_dichotomy_factor=factor)
     assert res == _reference_combined(inst, seed, factor)
+
+
+_COMMON_COUNTERS = {"tie_rows", "t_size", "t1_size", "t2_size", "strict_fixed",
+                    "boundary_fixed", "zero_field_fixed", "free_members"}
+_OWN_COUNTERS = {"brute": set(), "coloring": {"colors"}, "effective": set(),
+                 "avg-degree": {"enumerated_vars"}, "combined": {"enumerated_vars"}}
+
+
+@settings(max_examples=60)
+@given(st.one_of(degenerate_instances(),
+                 st.integers(0, 10 ** 6).map(lambda s: random_instance(s, n=9))),
+       st.integers(0, 3), st.sampled_from([0.5, 1.0, 2.0]))
+def test_every_method_reports_the_same_counters(inst, seed, factor):
+    # every scan is recorded with its sets; tie_rows counts the optimal
+    # patterns of the variables outside them (all of them for brute)
+    signature = inspect.signature(_solve_with_T)
+    scans = []
+
+    def recording(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        scans.append(tuple(tuple(bound.arguments[k]) for k in ("t", "t1", "t2")))
+        return _solve_with_T(*args, **kwargs)
+
+    solvers = {
+        "brute": lambda: solve_brute(inst, block_bits=2),
+        "coloring": lambda: solve_coloring_baseline(inst, block_bits=2),
+        "effective": lambda: solve_effective(inst, seed=seed, block_bits=2),
+        "avg-degree": lambda: solve_avg_degree(inst, seed=seed, degree_factor=factor,
+                                               block_bits=2),
+        "combined": lambda: solve_combined(inst, seed=seed, block_bits=2,
+                                           degree_dichotomy_factor=factor),
+    }
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver_module, "_solve_with_T", recording)
+        for method, solve in solvers.items():
+            scans.clear()
+            res = solve()
+            assert set(res.counters) == _COMMON_COUNTERS | _OWN_COUNTERS[method], method
+            assert len(scans) == (method != "brute")
+            sets = scans[0] if scans else ((), (), ())
+            sizes = tuple(res.counters[k] for k in ("t_size", "t1_size", "t2_size"))
+            assert sizes == tuple(len(part) for part in sets), method
+            inner = set().union(*sets)
+            outer = [v for v in range(inst.n) if v not in inner]
+            assert res.counters["tie_rows"] == optimal_outer_patterns(inst, outer), method
 
 
 @settings(max_examples=120)
@@ -774,6 +814,9 @@ def test_engine_with_any_sets_matches_brute(inst, data):
     assert (res.energy, res.best) == (oracle.energy, oracle.best)
     if not (t1 or t2):
         assert res.leaves_explored == compute_Z(inst, t)
+    elif not t:
+        # one completion of the empty T per outer row, times both side sets
+        assert res.leaves_explored == res.outer_assignments * ((1 << len(t1)) + (1 << len(t2)))
 
 
 def _chunk_cases():
