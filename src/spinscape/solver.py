@@ -54,6 +54,11 @@ from .tset import (
 COMPLETION_CAP_BITS = 20
 AUTO_DEGREE_GATE = 16
 _CHUNK_CELLS = 1 << 22
+# Cells of one (side rows x rows x completions) slab of a side-set minimum,
+# kept below _CHUNK_CELLS.  On 2 cores, budgets of 2^12 to 2^18 cells give
+# the same combined solve times within noise; one side row per slab makes
+# 12-bit side sets 5x slower (0.17 s against 0.03 s on multicopy 8x4).
+_SLAB_CELLS = 1 << 16
 _COMPLETION_CHUNK = 1 << 16
 # Bits per int64 word of a lex key or of a packed row pattern.
 _KEY_BITS = 63
@@ -167,6 +172,34 @@ def _pattern_groups(mask: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray, 
 # -- the scan engine -----------------------------------------------------------
 
 
+def _min_plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Min over s of ``a[s, r] + b[s, c]``, for every (r, c).
+
+    The leading axis s is walked in slabs of as many rows as keep one
+    (slab x r x c) temporary within ``_SLAB_CELLS``, one row at least.
+    """
+    best = np.full((a.shape[1], b.shape[1]), INT64_MAX, dtype=np.int64)
+    slab = max(1, _SLAB_CELLS // best.size)
+    for s in range(0, len(a), slab):
+        w = a[s:s + slab, :, None] + b[s:s + slab, None, :]
+        np.minimum(best, w[0] if slab == 1 else w.min(axis=0), out=best)
+    return best
+
+
+def _first_argmin(a: np.ndarray, b: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """First s minimizing ``a[s, rows[p]] + b[s, cols[p]]``, for every pair p.
+
+    The pairs go in pieces of ``_CHUNK_CELLS // len(a)``, one at least, so
+    that one (pairs x s) temporary stays within ``_CHUNK_CELLS``.
+    """
+    out = np.empty(len(rows), dtype=np.int64)
+    step = max(1, _CHUNK_CELLS // len(a))
+    for p in range(0, len(rows), step):
+        q = slice(p, p + step)
+        out[q] = (a.T[rows[q]] + b.T[cols[q]]).argmin(axis=1)
+    return out
+
+
 class _ScanEngine:
     """One pass over every outer assignment against a set T and two side sets.
 
@@ -248,11 +281,20 @@ class _ScanEngine:
 
     # -- per-row pieces ------------------------------------------------
 
+    def _groups(self, free: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The groups of :func:`_pattern_groups`, cut so that a group's side
+        tables (rows x side rows) stay within ``_CHUNK_CELLS``."""
+        cap = max(1, _CHUNK_CELLS // self._side_width)
+        for f, x, rows in _pattern_groups(free):
+            for r in range(0, rows.size, cap):
+                yield f, x, rows[r:r + cap]
+
     def _fixed_part(self, fields: np.ndarray, x: np.ndarray, f: np.ndarray):
         """Energy of the members ``x`` set against their fields, and what they leave.
 
-        Returns that energy, the fields on the enumerated members ``f`` and
-        the side-set fields, all given the spins of ``x``.
+        Returns that energy, the fields on the enumerated members ``f`` and,
+        per side set, the table A (side rows x rows) of each side row's
+        energy in its fields, all given the spins of ``x``.
         """
         m, m1 = self._split_at
         heff = fields[:, :m]
@@ -264,55 +306,76 @@ class _ScanEngine:
             g = heff[:, f] + s_x @ self.j_tt[np.ix_(x, f)]
         else:
             g = heff[:, f]
-        v1 = fields[:, m:m1] + s_x @ self.j_t1[x]
-        v2 = fields[:, m1:] + s_x @ self.j_t2[x]
-        return e_fix, g, v1, v2
+        a = []
+        if self.sides:
+            v1 = fields[:, m:m1] + s_x @ self.j_t1[x]
+            v2 = fields[:, m1:] + s_x @ self.j_t2[x]
+            a = [spins @ v.T for v, (spins, _, _) in zip((v1, v2), self.side_tables)]
+        return e_fix, g, a
 
     def _completions(self, f: np.ndarray):
         """Spins of the members ``f`` in rank order, in chunks, with their own
-        energies and their shifts of the side-set fields."""
+        energies and, per side set, the table B (side rows x completions) of
+        each side row's own energy plus its couplings to the completion.
+
+        A chunk holds at most ``_CHUNK_CELLS`` // (side rows) completions,
+        so that B stays within ``_CHUNK_CELLS`` too.
+        """
         k = int(f.size)
         j_ff = self.j_tt[np.ix_(f, f)]
         total = 1 << k
-        step = min(total, _COMPLETION_CHUNK)
+        step = min(total, _COMPLETION_CHUNK, max(1, _CHUNK_CELLS // self._side_width))
         for start in range(0, total, step):
             s = spin_block(k, start, min(step, total - start)).astype(np.int64)
             own = ((s @ j_ff) * s).sum(axis=1) // 2
-            yield s, own, s @ self.j_t1[f], s @ self.j_t2[f]
+            b = []
+            if self.sides:
+                b = [spins @ (s @ j[f]).T + side_own[:, None]
+                     for j, (spins, side_own, _) in zip((self.j_t1, self.j_t2), self.side_tables)]
+            yield s, own, b
 
     def _row_step(self, completions: int) -> int:
-        return max(1, _CHUNK_CELLS // (completions * self._side_width))
+        """Rows per call of :meth:`_energies`.
 
-    def _energies(self, g, v1, v2, chunk, want_args: bool):
-        """(rows x completions) optimal energies of T's enumerated part and the
-        side sets; with ``want_args`` also each side set's first argmin."""
-        s, own, d1, d2 = chunk
+        A call's largest temporaries are (rows x completions) planes, so they
+        stay within ``_CHUNK_CELLS``.  With side sets they stay within
+        ``_SLAB_CELLS``, like each slab of the min-plus walk, which then
+        runs over planes that fit in cache: on 2 cores that makes combined
+        solves on multicopy 8x4 and on regular d=3 n=36 12-15% faster.
+        """
+        return max(1, (_SLAB_CELLS if self.sides else _CHUNK_CELLS) // completions)
+
+    def _energies(self, g, a, chunk) -> np.ndarray:
+        """(rows x completions) optimal energies of T's enumerated part and the side sets.
+
+        A side set's energy for side row s, table row r and completion c is
+        ``(v_r + d_c) . s + own_s = A[s, r] + B[s, c]``, with v_r its fields
+        from the outer and fixed spins and d_c its couplings to the
+        completion, so its minimum over s is a min-plus product of the two
+        tables (:func:`_min_plus`).  Nothing wraps: A, B and A + B are each
+        a sum over a subset of the terms of ``|c0| + sum |h| + sum |J|``,
+        which the instance bounds by INT64_MAX, and so is every partial sum
+        of the products that build them and of the energies added up here.
+        """
+        s, own, b = chunk
         e = g @ s.T + own
-        args = []
-        if self.sides:
-            for v, d, (spins, side_own, _) in zip((v1, v2), (d1, d2), self.side_tables):
-                w = (v[:, None, :] + d[None, :, :]) @ spins.T + side_own
-                if want_args:
-                    i = w.argmin(axis=2)
-                    args.append(i)
-                    e += np.take_along_axis(w, i[..., None], axis=2)[..., 0]
-                else:
-                    e += w.min(axis=2)
-        return e, args
+        for at, bt in zip(a, b):
+            e += _min_plus(at, bt)
+        return e
 
     def _minima(self, fields: np.ndarray, free: np.ndarray) -> np.ndarray:
         """Exact optimum of T and the side sets for each row; ``free`` members enumerated."""
         out = np.empty(len(fields), dtype=np.int64)
-        for f, x, rows in _pattern_groups(free):
+        for f, x, rows in self._groups(free):
             if f.size > MAX_ENUM_BITS:
                 raise EnumerationLimitError("free-set enumeration needs %d bits" % f.size)
-            e_fix, g, v1, v2 = self._fixed_part(fields[rows], x, f)
+            e_fix, g, a = self._fixed_part(fields[rows], x, f)
             best = np.full(rows.size, INT64_MAX, dtype=np.int64)
             for chunk in self._completions(f):
                 step = self._row_step(len(chunk[1]))
                 for r in range(0, rows.size, step):
                     sl = slice(r, r + step)
-                    e, _ = self._energies(g[sl], v1[sl], v2[sl], chunk, False)
+                    e = self._energies(g[sl], [at[:, sl] for at in a], chunk)
                     np.minimum(best[sl], e.min(axis=1), out=best[sl])
             out[rows] = e_fix + best
         return out
@@ -336,12 +399,12 @@ class _ScanEngine:
         if not (self.sides or self.has_internal):
             return _key_rank(_lex_min(None, keys), self.inst.n)
         best = None
-        for f, x, grp in _pattern_groups(~strict):
+        for f, x, grp in self._groups(~strict):
             if f.size > MAX_ENUM_BITS:
                 raise EnumerationLimitError(
                     "completion enumeration needs %d bits, limit is %d" % (f.size, MAX_ENUM_BITS)
                 )
-            e_fix, g, v1, v2 = self._fixed_part(fields[grp], x, f)
+            e_fix, g, a = self._fixed_part(fields[grp], x, f)
             need = target[grp] - e_fix
             grp_keys = keys[grp]
             hit = np.zeros(grp.size, dtype=bool)
@@ -351,13 +414,14 @@ class _ScanEngine:
                 step = self._row_step(len(chunk[1]))
                 for r in range(0, todo.size, step):
                     idx = todo[r:r + step]
-                    e, args = self._energies(g[idx], v1[idx], v2[idx], chunk, self.sides)
-                    eq = e == need[idx, None]
+                    a_idx = [at[:, idx] for at in a]
+                    eq = self._energies(g[idx], a_idx, chunk) == need[idx, None]
                     if self.sides:
+                        # a hit's key takes each side set's first optimal side row
                         rr, cc = np.nonzero(eq)
                         cand = grp_keys[idx[rr]] + chunk_keys[cc]
-                        for (_, _, side_keys), i in zip(self.side_tables, args):
-                            cand += side_keys[i[rr, cc]]
+                        for (_, _, side_keys), at, bt in zip(self.side_tables, a_idx, chunk[2]):
+                            cand += side_keys[_first_argmin(at, bt, rr, cc)]
                     else:
                         rr = np.flatnonzero(eq.any(axis=1))
                         cand = grp_keys[idx[rr]] + chunk_keys[eq[rr].argmax(axis=1)]

@@ -181,6 +181,20 @@ def reference_compute_Z(inst: IsingInstance, t, block_bits: int = DEFAULT_BLOCK_
     return z
 
 
+def reference_side_minima(v: np.ndarray, d: np.ndarray, spins: np.ndarray,
+                           own: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A side set's (rows x completions) minima and first argmins, in one 3-D product.
+
+    Row r and completion c give the side set the fields ``v[r] + d[c]``;
+    side row s (``spins[s]``, own energy ``own[s]``) then has energy
+    ``(v[r] + d[c]) . spins[s] + own[s]``.  The whole (rows x completions x
+    side rows) array is built by one batched int64 matmul.
+    """
+    w = (v[:, None, :] + d[None, :, :]) @ spins.T + own
+    i = w.argmin(axis=2)
+    return np.take_along_axis(w, i[..., None], axis=2)[..., 0], i
+
+
 def reference_branch_and_recombine(
     inst: IsingInstance,
     variables: Sequence[int],

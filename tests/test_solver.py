@@ -27,9 +27,11 @@ from spinscape.solver import (
     SolveResult,
     _auto_t,
     _combined_sets,
+    _first_argmin,
     _key_rank,
     _key_weights,
     _largest_color_class,
+    _min_plus,
     _pattern_groups,
     _ScanEngine,
     _solve_with_T,
@@ -50,6 +52,7 @@ from helpers import (
     random_instance,
     reference_branch_and_recombine,
     reference_compute_Z,
+    reference_side_minima,
 )
 
 
@@ -828,19 +831,102 @@ def _chunk_cases():
         (0, 2, 4), (1,), (6, 7)
     yield gen_multicopy(2, 4), (0, 1, 4, 5), (2,), (6,)
     yield random_instance(7, n=10, density=0.6), (1, 2, 3, 5, 8), (0,), ()
+    yield gen_multicopy(3, 4), (8, 9), (0, 1, 2), (4, 5, 6)
 
 
-@pytest.mark.parametrize("case", list(_chunk_cases()), ids=["csse8-sides", "csse8", "k6", "m24", "r10"])
+@pytest.mark.parametrize("case", list(_chunk_cases()),
+                         ids=["csse8-sides", "csse8", "k6", "m24", "r10", "m34-sides3"])
 def test_tiny_chunks_change_nothing(case, monkeypatch):
-    # completions one or two at a time and a few rows per chunk: every
-    # chunk boundary of the scan and of the tie resolution is crossed
+    # completions one or two at a time, a few rows per chunk and one side
+    # row per slab: every chunk boundary of the scan and of the tie
+    # resolution is crossed
     inst, t, t1, t2 = case
     ref = _solve_with_T(inst, t, "x", t1=t1, t2=t2)
     oracle = solve_brute(inst)
     assert (ref.energy, ref.best) == (oracle.energy, oracle.best)
     monkeypatch.setattr(solver_module, "_COMPLETION_CHUNK", 2)
     monkeypatch.setattr(solver_module, "_CHUNK_CELLS", 4)
+    monkeypatch.setattr(solver_module, "_SLAB_CELLS", 1)
     assert _solve_with_T(inst, t, "x", t1=t1, t2=t2) == ref
+
+
+def test_twelve_bit_side_sets():
+    # multicopy 8x4: copies 0-2 and 3-5 are the side sets, two coupled
+    # members of copy 6 are T, and 6 outer bits remain; every copy's
+    # optimum ties six ways, and the lex-min is 0011 in each copy
+    inst = gen_multicopy(8, 4)
+    res = _solve_with_T(inst, (24, 25), "x", t1=range(12), t2=range(12, 24))
+    assert (res.energy, res.best.rank, res.leaves_explored) == (64, 0x33333333, 1310720)
+
+
+@st.composite
+def side_cases(draw):
+    """(instance, T, T1, T2, block_bits): side sets of 1-8 and 0-8 members
+    with no edge between them, up to 3 members of T and up to 4 outer
+    variables.  Weights are small, or zero fields under equal couplings
+    (many tying side rows), or one coupling near 2^61 at a side set."""
+    k1, k2 = draw(st.integers(1, 8)), draw(st.integers(0, 8))
+    m, n_out = draw(st.integers(0, 3)), draw(st.integers(0, 4))
+    n = k1 + k2 + m + n_out
+    order = draw(st.permutations(range(n)))
+    t1, t2, t = order[:k1], order[k1:k1 + k2], order[k1 + k2:k1 + k2 + m]
+    pairs = [(i, j) for i, j in combinations(range(n), 2)
+             if not ({i, j} & set(t1) and {i, j} & set(t2))]
+    at_t1 = [p for p in pairs if set(p) & set(t1)]
+    kind = draw(st.sampled_from(["random", "zero-field", "near-budget"]))
+    if kind == "near-budget" and not at_t1:
+        kind = "zero-field"
+    if kind == "random":
+        triples = [(i, j, draw(st.sampled_from([-3, -1, 1, 2]))) for i, j in pairs
+                   if draw(st.booleans())]
+        h = draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+        inst = IsingInstance(n, h, triples, c0=draw(st.integers(-5, 5)))
+    elif kind == "zero-field":
+        w = draw(st.sampled_from([-1, 1]))
+        inst = IsingInstance(n, [0] * n, [(i, j, w) for i, j in pairs if draw(st.booleans())])
+    else:
+        i, j = draw(st.sampled_from(at_t1))
+        w = draw(st.integers(2**61 - 2**20, 2**61)) * draw(st.sampled_from([-1, 1]))
+        share = (INT64_MAX - 2 * abs(w)) // (n + 1)
+        h = [draw(st.integers(-share, share)) for _ in range(n)]
+        inst = IsingInstance(n, h, [(i, j, w)], c0=draw(st.integers(-share, share)))
+    return inst, t, t1, t2, draw(st.integers(1, n_out + 1))
+
+
+@settings(max_examples=120)
+@given(side_cases(), st.data())
+def test_side_minima_match_the_3d_reference(case, data):
+    # per completion chunk: each side set's minima from the min-plus of the
+    # engine's tables A and B, its first argmins at every (row, completion)
+    # pair, and the chunk's energies, against the 3-D product they replace;
+    # slabs of one side row, of three planes and of every side row, and
+    # argmin pieces of one pair or of all pairs
+    inst, t, t1, t2, block_bits = case
+    chunk_cells = data.draw(st.sampled_from([1, 1 << 22]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver_module, "_CHUNK_CELLS", chunk_cells)
+        engine = _ScanEngine(inst, t, block_bits, t1, t2)
+        m, m1 = engine._split_at
+        for start in engine.split.starts:
+            fields = engine.split.fields(start, engine.inner).T
+            fixed = np.array(data.draw(st.lists(st.booleans(), min_size=m, max_size=m)), dtype=bool)
+            x, f = np.flatnonzero(fixed), np.flatnonzero(~fixed)
+            s_x = np.where(fields[:, x] > 0, -1, 1)
+            v = (fields[:, m:m1] + s_x @ engine.j_t1[x], fields[:, m1:] + s_x @ engine.j_t2[x])
+            _, g, a = engine._fixed_part(fields, x, f)
+            for chunk in engine._completions(f):
+                s, own, b = chunk
+                want = g @ s.T + own
+                rr, cc = (part.ravel() for part in np.indices(want.shape))
+                for vi, j, (spins, side_own, _), at, bt in zip(
+                        v, (engine.j_t1, engine.j_t2), engine.side_tables, a, b):
+                    ref_min, ref_arg = reference_side_minima(vi, s @ j[f], spins, side_own)
+                    for slab_cells in (1, 3 * want.size, 1 << 40):
+                        mp.setattr(solver_module, "_SLAB_CELLS", slab_cells)
+                        np.testing.assert_array_equal(_min_plus(at, bt), ref_min)
+                    np.testing.assert_array_equal(_first_argmin(at, bt, rr, cc), ref_arg.ravel())
+                    want += ref_min
+                np.testing.assert_array_equal(engine._energies(g, a, chunk), want)
 
 
 @st.composite
