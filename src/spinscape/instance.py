@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, Mapping, Sequence, Tuple
@@ -32,6 +33,7 @@ from typing import Callable, Dict, Iterable, Iterator, Mapping, Sequence, Tuple
 import numpy as np
 
 INT64_MAX = 2**63 - 1
+INT32_MAX = 2**31 - 1
 
 # Hard ceiling on exhaustive scans: at most 2^MAX_ENUM_BITS assignments.
 MAX_ENUM_BITS = 26
@@ -192,6 +194,7 @@ class IsingInstance:
         budget += 2 * sum(abs(w) for w in self.couplings.values())
         if budget > INT64_MAX:
             raise ValueError("coefficient magnitudes overflow the 64-bit energy budget")
+        self._budget = budget
 
         edges = sorted(self.couplings)
         self._ii = np.array([e[0] for e in edges], dtype=np.int64)
@@ -200,6 +203,35 @@ class IsingInstance:
         self._h_arr = np.array(self.h, dtype=np.int64)
         self._graph: DegreeGraph | None = None
         self._jfull: np.ndarray | None = None
+
+    @property
+    def scan_dtype(self) -> np.dtype:
+        """Integer dtype of the split-half scan: int32 when the budget allows, else int64.
+
+        The budget B = |c0| + sum |h_i| + 2 sum |J_ij| is at most INT64_MAX
+        (checked above).  When B <= 2^31 - 1, :class:`SplitScan` builds its
+        tables in int32, and the scan engine's block arrays follow.  Every
+        value they hold or pass through is a signed sum over a subset of the
+        terms c0, h_i and J_ij, each term taken at most once:
+
+        * a block energy, its low half e_lo, each step of the doubling that
+          builds e_lo, and each partial sum as the high variables' field
+          rows are added for the couplings between the halves;
+        * a local field h_i + sum_j J_ij S_j, the share of it from any set
+          of variables, and the block constant h + s_hi J_hi: terms of
+          row i only;
+        * the engine's totals without side sets, E(outer) - sum_{i in T}
+          |L_i|, and each partial sum of it: a coupling between T and the
+          outer variables lies in one field only, and T has no coupling
+          inside.
+
+        So each value lies in [-B, B]: none wraps, and -2^31, whose abs
+        would wrap, never occurs.  Lex keys, weight sums, counters, the
+        INT64_MAX sentinels, the side-set tables and ``compute_Z`` stay in
+        int64; ``compute_Z`` keeps its own int64 route, so its leaf count
+        remains an independent audit of the narrowed scan.
+        """
+        return np.dtype(np.int32) if self._budget <= INT32_MAX else np.dtype(np.int64)
 
     # -- basic queries ---------------------------------------------------
 
@@ -447,19 +479,23 @@ class SplitScan:
     are those of :func:`iter_rank_blocks`.  Inside a block the first
     ``hi_bits`` scanned variables are constant and the last ``lo_bits`` run
     over every value in rank order, so the low half's own energies, its
-    share of every variable's local field (scanned or not) and its share of
-    any :meth:`weight_sums` are the same in every block.  They are built
-    once, by doubling, before any worker thread starts.  The field table is
-    column-major, one row of 2^lo_bits entries per variable (scanned ones
-    first, by position), so a block reads one variable's fields over its
-    rows as one contiguous row.  A block then adds one (hi_bits x
-    2^lo_bits) vector-matrix product (energies) or one constant per
-    variable (fields, single-flip survivors) to a table.
+    share of the local fields and its share of any :meth:`weight_sums` are
+    the same in every block.  They are built once, by doubling, before any
+    worker thread starts.  The field table is column-major, one row of
+    2^lo_bits entries per variable, so a block reads one variable's fields
+    over its rows as one contiguous row.  A block then adds or subtracts
+    one table row per high variable (energies) or adds one constant per
+    variable (fields, single-flip survivors).
 
-    Every intermediate is a sum over a subset of the terms of
-    ``|c0| + sum |h_i| + sum |J_ij|``, which ``IsingInstance.__init__``
-    bounds by INT64_MAX, so the int64 results are exact.  The tables are
-    read-only after construction and may be shared between threads.
+    Field rows are kept only for the high scanned variables, which
+    :meth:`energies` reads, and for ``columns``, the variables a caller
+    reads through :meth:`fields` (all of them by default).  A low variable
+    outside ``columns`` gets a row only as long as the doubling of the
+    energies reads it: 2^(width - 1 - k) entries at position k.
+
+    The tables are in ``inst.scan_dtype``, whose docstring bounds every
+    value computed here, so the results are exact.  They are read-only
+    after construction and may be shared between threads.
     """
 
     def __init__(
@@ -467,6 +503,7 @@ class SplitScan:
         inst: IsingInstance,
         block_bits: int = DEFAULT_BLOCK_BITS,
         variables: Sequence[int] | None = None,
+        columns: Iterable[int] | None = None,
     ) -> None:
         n = inst.n
         scanned = list(range(n) if variables is None else variables)
@@ -474,53 +511,89 @@ class SplitScan:
         _check_enum_bits(width)
         self.lo_bits = lo = min(block_bits, width)
         self.hi_bits = hi = width - lo
+        self.dtype = dt = inst.scan_dtype
         # Block start ranks, the same as those of iter_rank_blocks(width).
         self.starts = range(0, 1 << width, 1 << lo)
-        # Table row of each variable: scanned variable k is row k.
-        order = scanned + sorted(set(range(n)) - set(scanned))
-        self._row = np.argsort(order)
-        h = inst._h_arr[order]
+        pos = np.full(n, width, dtype=np.int64)
+        pos[scanned] = np.arange(width)
+        wanted = set(range(n) if columns is None else columns)
+        # Table rows: the high scanned variables (row k is position k), the
+        # wanted low ones by position, then the wanted unscanned ones.
+        order = scanned[:hi] + [v for v in scanned[hi:] if v in wanted]
+        order += sorted(wanted - set(scanned))
+        short = [k for k in range(hi, width) if scanned[k] not in wanted]
+        self._row = np.full(n, -1, dtype=np.int64)
+        self._row[order] = np.arange(len(order))
+        self._all_scanned = not short
+        jf = inst.full_coupling_matrix()
+        h = inst._h_arr[order].astype(dt)
+        h_scanned = inst._h_arr[scanned].astype(dt)
         # cols[k]: coupling row of scanned variable k, in table-row order
-        cols = inst.full_coupling_matrix()[np.ix_(scanned, order)]
+        cols = jf[np.ix_(scanned, order)].astype(dt)
+        j_short = jf[np.ix_(scanned, [scanned[k] for k in short])].astype(dt)
         # Doubling over the low variables, each added as the new most
         # significant low bit (spin -1 rows first): e_lo[r] is the energy of
         # the low variables alone, f_lo[i, r] their share of local field i.
-        # This costs O(2^lo_bits * n) adds and no multiplications.
-        e_lo = np.zeros(1 << lo, dtype=np.int64)
-        f_lo = np.zeros((n, 1 << lo), dtype=np.int64)
+        # A short row only needs the entries written before its own step,
+        # so it lives in f_short, which is never read past that prefix.
+        # This costs O(2^lo_bits * rows) adds and no multiplications.
+        e_lo = np.zeros(1 << lo, dtype=dt)
+        f_lo = np.zeros((len(order), 1 << lo), dtype=dt)
+        f_short = np.empty((len(short), (1 << lo) // 2), dtype=dt)
+        f_short[:, :1] = 0
         size = 1
         for k in range(width - 1, hi - 1, -1):
-            g = f_lo[k, :size] + h[k]
+            row = self._row[scanned[k]]
+            g = (f_lo[row] if row >= 0 else f_short[short.index(k)])[:size] + h_scanned[k]
             np.add(e_lo[:size], g, out=e_lo[size:2 * size])
             e_lo[:size] -= g
             col = cols[k, :, None]
             np.add(f_lo[:, :size], col, out=f_lo[:, size:2 * size])
             f_lo[:, :size] -= col
+            # short rows still to be read: the positions before k
+            live = bisect_left(short, k)
+            if live:
+                col = j_short[k, :live, None]
+                np.add(f_short[:live, :size], col, out=f_short[:live, size:2 * size])
+                f_short[:live, :size] -= col
             size *= 2
-        ii, jj = self._row[inst._ii], self._row[inst._jj]
-        in_hi = (ii < hi) & (jj < hi)
+        pi, pj = pos[inst._ii], pos[inst._jj]
+        in_hi = (pi < hi) & (pj < hi)
         self._e_lo = e_lo
         self._f_lo = f_lo
-        self._hi_terms = (inst.c0, h[:hi], ii[in_hi], jj[in_hi], inst._ww[in_hi])
+        self._hi_terms = (inst.c0, h[:hi], pi[in_hi], pj[in_hi], inst._ww[in_hi])
         self._h = h
         self._j_hi = cols[:hi]
 
     def hi_spins(self, start: int) -> np.ndarray:
         """The constant +-1 spins of the high scanned variables in the block at ``start``."""
-        return spin_block(self.hi_bits, start >> self.lo_bits, 1)[0].astype(np.int64)
+        return spin_block(self.hi_bits, start >> self.lo_bits, 1)[0].astype(self.dtype)
 
     def energies(self, start: int) -> np.ndarray:
         """Energies of the scanned variables alone, with c0, for the block at ``start``."""
         c0, h_hi, ii, jj, ww = self._hi_terms
         s = self.hi_spins(start)
         e_hi = c0 + int(s @ h_hi) + int((s[ii] * s[jj]) @ ww)
-        e = self._e_lo + s @ self._f_lo[: self.hi_bits]
-        e += e_hi
+        e = self._e_lo + self.dtype.type(e_hi)
+        # s @ f_lo[:hi_bits], one row at a time: numpy's integer matmul
+        # takes several times longer on this shape than the adds
+        for spin, row in zip(s, self._f_lo[:self.hi_bits]):
+            if spin > 0:
+                e += row
+            else:
+                e -= row
         return e
 
     def fields(self, start: int, cols: Sequence[int], out: np.ndarray | None = None) -> np.ndarray:
-        """(len(cols) x rows) fields on ``cols`` in the block at ``start``, in ``out`` if given."""
+        """(len(cols) x rows) fields on ``cols`` in the block at ``start``, in ``out`` if given.
+
+        Each of ``cols`` must have a row: be one of the constructor's
+        ``columns`` or a high scanned variable.  ``out``, if given, has this
+        scan's ``dtype``.
+        """
         rows = self._row[np.asarray(cols, dtype=np.int64)]
+        if len(rows) and rows.min() < 0:
+            raise ValueError("fields read a variable outside the scan's columns")
         # rows are in range; mode="clip" lets take write into out unbuffered
         out = np.take(self._f_lo, rows, axis=0, out=out, mode="clip")
         out += (self._h + self.hi_spins(start) @ self._j_hi)[rows, None]
@@ -559,6 +632,8 @@ class SplitScan:
         low variable at position i is bit width-1-i of the row index, so no
         spin table is read.  Returns the passing row indices in ascending order.
         """
+        if not self._all_scanned:
+            raise ValueError("single-flip survivors need every scanned variable's fields")
         s_hi = self.hi_spins(start)
         c = self._h + s_hi @ self._j_hi
         lt, gt = (np.less, np.greater) if strict else (np.less_equal, np.greater_equal)

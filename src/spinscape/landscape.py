@@ -20,7 +20,8 @@ split-half kernel :class:`~spinscape.instance.SplitScan`.  Its single-flip
 filter tests one variable at a time on the rows still alive, so a block
 costs about two passes over its rows, and only the survivors get spins and
 local fields for the larger sets.  Basin edges come from one sorted search
-of the vertex bit masks per flip mask.
+of the vertex bit masks per flip mask, and basins from array component
+labelling over those edges.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -209,22 +210,32 @@ def enumerate_k_minima(
     return LandscapeReport(k=k, minima=tuple(minima))
 
 
-class _UnionFind:
-    def __init__(self, size: int) -> None:
-        self.parent = list(range(size))
+def _component_roots(count: int, src_parts: List[np.ndarray],
+                     dst_parts: List[np.ndarray]) -> np.ndarray:
+    """Smallest vertex of each vertex's component under the edges (src, dst).
 
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+    Every round hooks, for each edge whose ends have different roots, the
+    larger root onto the smaller one (``np.minimum.at``), then jumps
+    pointers until every vertex points at a root.  A parent never exceeds
+    its vertex, so there are no cycles, and each round that leaves an edge
+    split removes a root.
+    """
+    parent = np.arange(count)
+    src = np.concatenate(src_parts) if src_parts else parent[:0]
+    dst = np.concatenate(dst_parts) if dst_parts else parent[:0]
+    while True:
+        a, b = parent[src], parent[dst]
+        split = a != b
+        if not split.any():
+            return parent
+        a, b = a[split], b[split]
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent = up
+        src, dst = src[split], dst[split]
 
 
 def _flip_masks(n: int, k: int) -> List[int]:
@@ -293,7 +304,7 @@ def k_basins(
                 " the work limit" % (count, moves)
             )
     vertices = np.concatenate(blocks)
-    uf = _UnionFind(count)
+    src_parts, dst_parts = [], []
     if count:
         order = np.argsort(vertices)
         ordered = vertices[order]
@@ -302,19 +313,18 @@ def k_basins(
             pos = np.searchsorted(ordered, target) % count
             src = np.flatnonzero(ordered[pos] == target)
             dst = order[pos[src]]
-            # Each edge is found from both ends; union it once.
+            # Each edge is found from both ends; keep it once.
             one = src < dst
-            for a, b in zip(src[one].tolist(), dst[one].tolist()):
-                uf.union(a, b)
-    sizes: Dict[int, int] = {}
-    for pos in range(count):
-        root = uf.find(pos)
-        sizes[root] = sizes.get(root, 0) + 1
+            src_parts.append(src[one])
+            dst_parts.append(dst[one])
+    roots = _component_roots(count, src_parts, dst_parts)
+    sizes = np.bincount(roots)
+    sizes = np.sort(sizes[sizes > 0])[::-1]
     return LandscapeReport(
         k=k,
         minima=tuple(strict),
         basin_count=len(sizes),
-        basin_sizes=tuple(sorted(sizes.values(), reverse=True)),
+        basin_sizes=tuple(sizes.tolist()),
         vertex_count=count,
     )
 

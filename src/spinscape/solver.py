@@ -17,8 +17,10 @@ the same pass: its rows at the block minimum enumerate every
 non-strictly-fixed member, forcing only the strictly dominated ones, and
 the block reports the lexicographically smallest optimal completion among
 them (bit of variable 0 compared first, spin -1 before +1).  The smallest
-(energy, rank) pair over all blocks is the answer.  All arithmetic stays
-in 64-bit integers, so results are exact.
+(energy, rank) pair over all blocks is the answer.  The outer scan's
+tables and block arrays are in the instance's ``scan_dtype`` (int32 under
+the bound stated there), and everything else stays in int64, so results
+are exact.
 """
 
 from __future__ import annotations
@@ -272,7 +274,8 @@ class _ScanEngine:
         self._side_width = max(len(own) for _, own, _ in self.side_tables) if self.sides else 1
 
         self.inner = inner
-        self.split = SplitScan(inst, block_bits, out)
+        # field rows only for T, T1 and T2: the engine reads no other column
+        self.split = SplitScan(inst, block_bits, out, inner)
         # lex keys of outer rows, inner variables at -1
         self._outer_keys = self.split.weight_sums(_key_weights(out, n))
         self._lock = threading.Lock()
@@ -300,7 +303,7 @@ class _ScanEngine:
         heff = fields[:, :m]
         hx = heff[:, x]
         s_x = np.where(hx > 0, -1, 1)
-        e_fix = -np.abs(hx).sum(axis=1)
+        e_fix = -np.abs(hx).sum(axis=1, dtype=np.int64)
         if self.has_internal:
             e_fix += ((s_x @ self.j_tt[np.ix_(x, x)]) * s_x).sum(axis=1) // 2
             g = heff[:, f] + s_x @ self.j_tt[np.ix_(x, f)]
@@ -447,7 +450,7 @@ class _ScanEngine:
         e_out = self.split.energies(start)
         if not hasattr(self._local, "buf"):
             # this thread's totals and inner fields, reused from block to block
-            self._local.buf = np.empty((1 + len(self.inner), len(e_out)), dtype=np.int64)
+            self._local.buf = np.empty((1 + len(self.inner), len(e_out)), dtype=self.split.dtype)
         buf = self._local.buf
         # effective fields on T, T1 and T2, columns side by side
         fields = self.split.fields(start, self.inner, buf[1:]).T
@@ -484,7 +487,8 @@ class _ScanEngine:
                 self._best = bmin
         rank = None
         if live:
-            rank = self._lex_min_rank(start, rows, fields[rows], bmin - e_out[rows])
+            target = bmin - e_out[rows].astype(np.int64)
+            rank = self._lex_min_rank(start, rows, fields[rows], target)
         return bmin, rank, int(rows.size), [int(c) for c in np.bincount(popc)], counters
 
 
@@ -547,7 +551,7 @@ def solve_brute(
     counts the optimal assignments.
     """
     n = inst.n
-    split = SplitScan(inst, block_bits)
+    split = SplitScan(inst, block_bits, columns=())
 
     def scan(start: int) -> Tuple[int, int, int]:
         e = split.energies(start)

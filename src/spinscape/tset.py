@@ -29,7 +29,7 @@ checked in exact integer arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import combinations
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
@@ -38,7 +38,6 @@ from spinscape.rand import rng_from
 
 _STREAM_TSET = 21
 _STREAM_T1T2 = 22
-_STREAM_NONSPARSE = 23
 
 MAX_DETERMINISTIC_N = 24
 MAX_DETERMINISTIC_SUBSETS = 200_000
@@ -337,37 +336,6 @@ def find_T_randomized(
     return best  # type: ignore[return-value]
 
 
-def find_T_deterministic(
-    inst: IsingInstance,
-    size: int,
-    params: TParams | None = None,
-    max_subsets: int = MAX_DETERMINISTIC_SUBSETS,
-) -> TSetCertificate:
-    """Lexicographic scan over all size-``size`` subsets; first pass wins."""
-    if params is None:
-        params = TParams.for_instance(inst)
-    if inst.n > MAX_DETERMINISTIC_N:
-        raise ValueError(
-            "deterministic search is gated to n <= %d" % MAX_DETERMINISTIC_N
-        )
-    empty = replace(
-        check_T(inst, (), params),
-        method="deterministic",
-        target_size=max(size, 1),
-    )
-    if size < 1 or size > inst.n:
-        return empty
-    seen = 0
-    for combo in combinations(range(inst.n), size):
-        seen += 1
-        if seen > max_subsets:
-            break
-        cert = check_T(inst, combo, params)
-        if cert.conditions_ok:
-            return replace(cert, method="deterministic", attempts=seen, target_size=size)
-    return replace(empty, attempts=min(seen, max_subsets))
-
-
 @dataclass(frozen=True)
 class T1T2Result:
     t1: Tuple[int, ...]
@@ -448,58 +416,3 @@ def find_T1T2(
             if res:
                 return res
     return T1T2Result((), (), target, False, method="exhausted", attempts=tries)
-
-
-@dataclass(frozen=True)
-class GoodSetResult:
-    t: Tuple[int, ...]
-    t0: Tuple[int, ...]
-    epsilon: float
-    threshold_doubled: int  # good needs 2 * count >= floor(1/epsilon)
-    ok: bool
-    attempts: int
-
-
-def good_set_nonsparse(
-    inst: IsingInstance,
-    epsilon: float | None = None,
-    seed: int = 0,
-    max_retries: int = 20,
-) -> GoodSetResult:
-    """Dense-graph variant: sample floor(epsilon*n) members, keep the "good" ones.
-
-    A member is good when at least half of floor(1/epsilon) outside vertices
-    carry a coupling magnitude at least matching the member's strongest
-    coupling into the sample (vertices with no sampled neighbor match
-    trivially).  Success means keeping at least half the sample.
-    """
-    n = inst.n
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if epsilon is None:
-        epsilon = math.log2(n) / n
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError("epsilon must lie in (0, 1]")
-    size0 = math.floor(epsilon * n)
-    if size0 < 1:
-        raise ValueError("epsilon * n too small: empty sample")
-    inv = math.floor(1.0 / epsilon)
-    graph = inst.degree_graph()
-    rng = rng_from(seed, _STREAM_NONSPARSE)
-    best: GoodSetResult | None = None
-    for attempt in range(1, max_retries + 1):
-        t0 = sorted(int(x) for x in rng.choice(n, size=size0, replace=False))
-        t0_set = set(t0)
-        good = []
-        for i in t0:
-            a_min, cands = _strong_candidates(inst, graph, i, t0, t0_set)
-            count = len(cands) if a_min else n - size0
-            if 2 * count >= inv:
-                good.append(i)
-        ok = 2 * len(good) >= size0
-        res = GoodSetResult(tuple(good), tuple(t0), epsilon, inv, ok, attempt)
-        if ok:
-            return res
-        if best is None or len(res.t) > len(best.t):
-            best = res
-    return best  # type: ignore[return-value]

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Dict, Mapping, Sequence, Tuple
@@ -18,7 +19,16 @@ from spinscape.instance import (
     iter_rank_blocks,
     spin_block,
 )
+from spinscape.rand import rng_from
 from spinscape.solver import SolveResult, _validate_subset
+from spinscape.tset import (
+    MAX_DETERMINISTIC_N,
+    MAX_DETERMINISTIC_SUBSETS,
+    TParams,
+    TSetCertificate,
+    _strong_candidates,
+    check_T,
+)
 
 
 def rng_for(seed: int, stream: int = 0) -> np.random.Generator:
@@ -251,3 +261,95 @@ def optimal_outer_patterns(inst: IsingInstance, outer: Sequence[int]) -> int:
         if inst.energy(a) == e_star:
             patterns.add(tuple((a.bits >> v) & 1 for v in outer))
     return len(patterns)
+
+
+# -- branching-set searches with no command-line caller --------------------
+
+
+def find_T_deterministic(
+    inst: IsingInstance,
+    size: int,
+    params: TParams | None = None,
+    max_subsets: int = MAX_DETERMINISTIC_SUBSETS,
+) -> TSetCertificate:
+    """Lexicographic scan over all size-``size`` subsets; first pass wins."""
+    if params is None:
+        params = TParams.for_instance(inst)
+    if inst.n > MAX_DETERMINISTIC_N:
+        raise ValueError(
+            "deterministic search is gated to n <= %d" % MAX_DETERMINISTIC_N
+        )
+    empty = replace(
+        check_T(inst, (), params),
+        method="deterministic",
+        target_size=max(size, 1),
+    )
+    if size < 1 or size > inst.n:
+        return empty
+    seen = 0
+    for combo in combinations(range(inst.n), size):
+        seen += 1
+        if seen > max_subsets:
+            break
+        cert = check_T(inst, combo, params)
+        if cert.conditions_ok:
+            return replace(cert, method="deterministic", attempts=seen, target_size=size)
+    return replace(empty, attempts=min(seen, max_subsets))
+
+
+@dataclass(frozen=True)
+class GoodSetResult:
+    t: Tuple[int, ...]
+    t0: Tuple[int, ...]
+    epsilon: float
+    threshold_doubled: int  # good needs 2 * count >= floor(1/epsilon)
+    ok: bool
+    attempts: int
+
+
+_STREAM_NONSPARSE = 23
+
+
+def good_set_nonsparse(
+    inst: IsingInstance,
+    epsilon: float | None = None,
+    seed: int = 0,
+    max_retries: int = 20,
+) -> GoodSetResult:
+    """Dense-graph variant: sample floor(epsilon*n) members, keep the "good" ones.
+
+    A member is good when at least half of floor(1/epsilon) outside vertices
+    carry a coupling magnitude at least matching the member's strongest
+    coupling into the sample (vertices with no sampled neighbor match
+    trivially).  Success means keeping at least half the sample.
+    """
+    n = inst.n
+    if n < 2:
+        raise ValueError("need n >= 2")
+    if epsilon is None:
+        epsilon = math.log2(n) / n
+    if not 0.0 < epsilon <= 1.0:
+        raise ValueError("epsilon must lie in (0, 1]")
+    size0 = math.floor(epsilon * n)
+    if size0 < 1:
+        raise ValueError("epsilon * n too small: empty sample")
+    inv = math.floor(1.0 / epsilon)
+    graph = inst.degree_graph()
+    rng = rng_from(seed, _STREAM_NONSPARSE)
+    best: GoodSetResult | None = None
+    for attempt in range(1, max_retries + 1):
+        t0 = sorted(int(x) for x in rng.choice(n, size=size0, replace=False))
+        t0_set = set(t0)
+        good = []
+        for i in t0:
+            a_min, cands = _strong_candidates(inst, graph, i, t0, t0_set)
+            count = len(cands) if a_min else n - size0
+            if 2 * count >= inv:
+                good.append(i)
+        ok = 2 * len(good) >= size0
+        res = GoodSetResult(tuple(good), tuple(t0), epsilon, inv, ok, attempt)
+        if ok:
+            return res
+        if best is None or len(res.t) > len(best.t):
+            best = res
+    return best  # type: ignore[return-value]

@@ -9,6 +9,7 @@ from helpers import is_local_minimum, random_instance
 from spinscape.generators import gen_csse
 from spinscape.instance import (
     DEFAULT_BLOCK_BITS,
+    INT32_MAX,
     INT64_MAX,
     Assignment,
     EnumerationLimitError,
@@ -298,7 +299,7 @@ def test_split_scan_matches_reference_kernels(case, data):
     bits = scan.weight_sums(weights)
     blocks = list(iter_rank_blocks(len(sub), block_bits))
     assert list(scan.starts) == [start for start, _ in blocks]
-    out = np.empty((inst.n, 1 << scan.lo_bits), dtype=np.int64)  # reused by every block
+    out = np.empty((inst.n, 1 << scan.lo_bits), dtype=scan.dtype)  # reused by every block
     for start, count in blocks:
         spins = spin_block(len(sub), start, count)
         fields = spins @ jf[sub] + h
@@ -334,6 +335,68 @@ def test_flip_survivors_match_reference_kernels(case, strict, flipped):
         passing = (sl < 0) if strict else (sl <= 0)
         rows = scan.flip_survivors(start, strict=strict, flipped=flipped)
         np.testing.assert_array_equal(rows, np.flatnonzero(passing.all(axis=1)))
+
+
+def _budget_instance(budget, sign):
+    """Six variables with a budget of exactly ``budget``, almost all of it in h_0.
+
+    The energies of rank 0 and of the last rank, and the field on variable
+    0, then lie within a few units of +-budget.
+    """
+    h = [0, -1, 2, -3, 4, 5]
+    couplings = [(0, 1, 1), (1, 2, -2), (3, 4, 1), (0, 5, -1), (2, 5, 3)]
+    h[0] = -(budget - sum(abs(x) for x in h) - 2 * sum(abs(w) for _, _, w in couplings))
+    return IsingInstance(6, [sign * x for x in h], [(i, j, sign * w) for i, j, w in couplings])
+
+
+@pytest.mark.parametrize("budget, dtype", [(INT32_MAX, np.int32), (INT32_MAX + 1, np.int64)],
+                         ids=["at-bound", "above-bound"])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("block_bits", [2, 6])
+def test_scan_dtype_at_the_int32_bound(budget, dtype, sign, block_bits):
+    inst = _budget_instance(budget, sign)
+    assert abs(inst.c0) + sum(abs(x) for x in inst.h) + 2 * sum(
+        abs(w) for w in inst.couplings.values()) == budget
+    scan = SplitScan(inst, block_bits)
+    assert scan.dtype == inst.scan_dtype == dtype
+    # Python integers cannot wrap: the extreme energies are exact, and near the bound.
+    last = (1 << inst.n) - 1
+    for rank, start in ((0, 0), (last, scan.starts[-1])):
+        exact = inst.energy(Assignment.from_rank(rank, inst.n))
+        assert abs(exact) > budget - 64
+        assert int(scan.energies(start)[rank - start]) == exact
+    for start, count in iter_rank_blocks(inst.n, block_bits):
+        spins = spin_block(inst.n, start, count)
+        energies = scan.energies(start)
+        assert energies.dtype == dtype
+        np.testing.assert_array_equal(energies, block_energies(inst, spins))
+        fields = block_local_fields(inst, spins)
+        assert np.abs(fields[:, 0]).min() > budget - 64
+        out = np.empty((inst.n, count), dtype=scan.dtype)
+        np.testing.assert_array_equal(scan.fields(start, range(inst.n), out).T, fields)
+        for strict in (True, False):
+            for flipped in (True, False):
+                sl = spins * fields * (-1 if flipped else 1)
+                passing = (sl < 0) if strict else (sl <= 0)
+                np.testing.assert_array_equal(scan.flip_survivors(start, strict, flipped),
+                                              np.flatnonzero(passing.all(axis=1)))
+
+
+def test_split_scan_builds_rows_only_for_its_columns():
+    inst = random_instance(7, n=9, density=0.6)
+    sub, cols = [4, 0, 7, 2, 8], [1, 3, 7]
+    scan = SplitScan(inst, 3, sub, cols)
+    # the two high scanned variables, and the three columns
+    assert scan._f_lo.shape == (5, 8)
+    full = SplitScan(inst, 3, sub)
+    for start in scan.starts:
+        np.testing.assert_array_equal(scan.energies(start), full.energies(start))
+        np.testing.assert_array_equal(scan.fields(start, cols), full.fields(start, cols))
+    for var in (2, 5):  # a low scanned variable and an unscanned one
+        with pytest.raises(ValueError):
+            scan.fields(0, [var])
+    with pytest.raises(ValueError):
+        scan.flip_survivors(0)
 
 
 def test_split_scan_enforces_the_ceiling():

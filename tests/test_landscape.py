@@ -1,5 +1,6 @@
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from spinscape.instance import (
 )
 from spinscape import landscape
 from spinscape.landscape import (
+    _component_roots,
     enumerate_k_minima,
     is_k_minimum,
     k_basins,
@@ -311,3 +313,35 @@ def test_landscape_matches_python_int_reference(inst, k, flipped_rule, block_bit
     assert report.vertex_count == vertex_count
     assert report.basin_sizes == sizes
     assert report.basin_count == len(sizes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 300), st.lists(st.tuples(st.integers(0, 299), st.integers(0, 299)),
+                                     max_size=400), st.integers(1, 4))
+def test_component_roots_are_component_minima(count, edges, parts):
+    # long paths and stars in drawn order make several hooking rounds
+    edges = [(a, b) for a, b in edges if a < count and b < count]
+    src = np.array([a for a, _ in edges], dtype=np.int64)
+    dst = np.array([b for _, b in edges], dtype=np.int64)
+    cuts = np.linspace(0, len(edges), parts + 1).astype(int)
+    roots = _component_roots(count, [src[a:b] for a, b in zip(cuts, cuts[1:])],
+                             [dst[a:b] for a, b in zip(cuts, cuts[1:])])
+    label = list(range(count))
+
+    def find(x):
+        while label[x] != x:
+            x = label[x]
+        return x
+
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        label[max(ra, rb)] = min(ra, rb)
+    assert roots.tolist() == [find(v) for v in range(count)]
+
+
+def test_component_roots_join_a_reversed_path():
+    # each edge joins the next vertex down: one component, root 0
+    count = 1000
+    src = np.arange(count - 1, 0, -1)
+    roots = _component_roots(count, [src], [src - 1])
+    assert roots.tolist() == [0] * count

@@ -15,6 +15,7 @@ import spinscape.solver as solver_module
 from spinscape.cli import main
 from spinscape.generators import gen_csse, gen_multicopy, gen_regular
 from spinscape.instance import (
+    INT32_MAX,
     INT64_MAX,
     Assignment,
     EnumerationLimitError,
@@ -691,8 +692,8 @@ def test_workers_do_not_change_solve_bytes_on_drawn_instances(case):
     # small blocks, so every scan has several blocks to share between threads
     inst, block_bits = case
 
-    def small_blocks(inst, _block_bits=None, variables=None):
-        return SplitScan(inst, block_bits, variables)
+    def small_blocks(inst, _block_bits=None, variables=None, columns=None):
+        return SplitScan(inst, block_bits, variables, columns)
 
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver_module, "SplitScan", small_blocks)
@@ -1033,3 +1034,65 @@ def test_every_solver_is_exact_at_the_int64_budget(case, seed):
     assert results["coloring"].leaves_explored == compute_Z(inst, t)
     t_auto, _ = _auto_t(inst, None, seed)
     assert results["effective"].leaves_explored == compute_Z(inst, t_auto)
+
+
+@st.composite
+def int32_bound_cases(draw):
+    """(instance, block_bits) whose budget lies within 3 of 2^31 - 1, on either side.
+
+    A random instance is scaled so that its fields and couplings take all,
+    half or a small part of the budget, and c0 takes the rest.
+    """
+    n = draw(st.integers(2, 9))
+    inst = random_instance(draw(st.integers(0, 10_000)), n=n)
+    base = sum(abs(x) for x in inst.h) + 2 * sum(abs(w) for w in inst.couplings.values())
+    budget = INT32_MAX + draw(st.integers(-3, 3))
+    scale = max(1, budget // max(1, base) // draw(st.sampled_from([1, 2, 1000])))
+    c0 = (budget - scale * base) * draw(st.sampled_from([-1, 1]))
+    scaled = IsingInstance(n, [scale * x for x in inst.h],
+                           [(i, j, scale * w) for (i, j), w in inst.couplings.items()], c0=c0)
+    return scaled, draw(st.integers(1, n))
+
+
+def _force_int64(mp):
+    mp.setattr(IsingInstance, "scan_dtype", property(lambda self: np.dtype(np.int64)))
+
+
+@settings(max_examples=60)
+@given(int32_bound_cases(), st.data())
+def test_int32_scan_matches_the_forced_int64_scan(case, data):
+    inst, block_bits = case
+    budget = abs(inst.c0) + sum(abs(x) for x in inst.h) + 2 * sum(
+        abs(w) for w in inst.couplings.values())
+    assert inst.scan_dtype == (np.int32 if budget <= INT32_MAX else np.int64)
+    sub = data.draw(st.permutations(range(inst.n)))[: data.draw(st.integers(1, inst.n))]
+    cols = data.draw(st.lists(st.integers(0, inst.n - 1), unique=True))
+    strict, flipped = data.draw(st.booleans()), data.draw(st.booleans())
+    solvers = {
+        "brute": solve_brute,
+        "coloring": solve_coloring_baseline,
+        "effective": solve_effective,
+        "avg-degree": solve_avg_degree,
+        "combined": solve_combined,
+    }
+    narrow = [SplitScan(inst, block_bits), SplitScan(inst, block_bits, sub, cols)]
+    solved = {m: solve(inst, block_bits=block_bits) for m, solve in solvers.items()}
+    with pytest.MonkeyPatch.context() as mp:
+        _force_int64(mp)
+        wide = [SplitScan(inst, block_bits), SplitScan(inst, block_bits, sub, cols)]
+        for method, solve in solvers.items():
+            assert solve(inst, block_bits=block_bits) == solved[method], method
+    for a, b in zip(narrow, wide):
+        assert a.dtype == inst.scan_dtype and b.dtype == np.int64
+        for start in a.starts:
+            np.testing.assert_array_equal(a.energies(start), b.energies(start))
+            np.testing.assert_array_equal(a.fields(start, cols), b.fields(start, cols))
+    full_a, full_b = narrow[0], wide[0]
+    for start in full_a.starts:
+        np.testing.assert_array_equal(full_a.fields(start, range(inst.n)),
+                                      full_b.fields(start, range(inst.n)))
+        np.testing.assert_array_equal(full_a.flip_survivors(start, strict, flipped),
+                                      full_b.flip_survivors(start, strict, flipped))
+    want = _block_oracle(inst)
+    for method, res in solved.items():
+        assert (res.energy, res.best) == want, method

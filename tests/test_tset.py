@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from helpers import find_T_deterministic, good_set_nonsparse
 from spinscape.generators import gen_csse, gen_multicopy, gen_regular
 from spinscape.instance import IsingInstance
 from spinscape.tset import (
@@ -11,9 +12,7 @@ from spinscape.tset import (
     TParams,
     check_T,
     find_T1T2,
-    find_T_deterministic,
     find_T_randomized,
-    good_set_nonsparse,
 )
 
 
