@@ -17,10 +17,19 @@ the same pass: its rows at the block minimum enumerate every
 non-strictly-fixed member, forcing only the strictly dominated ones, and
 the block reports the lexicographically smallest optimal completion among
 them (bit of variable 0 compared first, spin -1 before +1).  The smallest
-(energy, rank) pair over all blocks is the answer.  The outer scan's
-tables and block arrays are in the instance's ``scan_dtype`` (int32 under
-the bound stated there), and everything else stays in int64, so results
-are exact.
+(energy, rank) pair over all blocks is the answer.
+
+Once the outer variables are assigned, T and the side sets see the rest
+of the instance only through their effective fields, so a row's inner
+optimum and its lex-smallest optimal completion depend on its field
+vector alone.  A block therefore classes its rows by field vector and
+solves the inner problem once per class: the optimum on the class's
+smallest row, broadcast to the others, and the tie completion only on
+the first row at the block minimum of each class, which has the class's
+smallest outer key.  The counters, ``leaves_explored`` among them, still
+count every outer row.  The outer scan's tables and block arrays are in
+the instance's ``scan_dtype`` (int32 under the bound stated there), and
+everything else stays in int64, so results are exact.
 """
 
 from __future__ import annotations
@@ -62,8 +71,11 @@ _CHUNK_CELLS = 1 << 22
 # 12-bit side sets 5x slower (0.17 s against 0.03 s on multicopy 8x4).
 _SLAB_CELLS = 1 << 16
 _COMPLETION_CHUNK = 1 << 16
-# Bits per int64 word of a lex key or of a packed row pattern.
+# Bits per int64 word of a lex key.
 _KEY_BITS = 63
+# Bound on the mixed-radix row codes of :func:`_row_classes`: a code, each
+# of its digits and each sort key stay within 2^_CODE_BITS.
+_CODE_BITS = 62
 
 
 @dataclass(frozen=True)
@@ -144,31 +156,89 @@ def _lex_min(best: Optional[np.ndarray], keys: np.ndarray) -> Optional[np.ndarra
     return best
 
 
-def _pattern_groups(mask: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield (set columns, clear columns, rows) for each distinct row of ``mask``.
+def _pattern_runs(mask: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield (set columns, clear columns, rows) for each run of equal adjacent rows of ``mask``."""
+    if not len(mask):
+        return
+    cuts = np.flatnonzero(np.any(mask[1:] != mask[:-1], axis=1)) + 1
+    bounds = [0, *cuts.tolist(), len(mask)]
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        pat = mask[a]
+        yield np.flatnonzero(pat), np.flatnonzero(~pat), np.arange(a, b)
 
-    Each row is packed into 63-bit int64 words; the words fold into one
-    int64 code per row, so the grouping is a 1-D ``np.unique``.
+
+def _pattern_groups(mask: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield (set columns, clear columns, rows) for each distinct row of ``mask``."""
+    _, cls = _row_classes([mask], len(mask))
+    order = np.argsort(cls, kind="stable")
+    for f, x, run in _pattern_runs(mask[order]):
+        yield f, x, order[run]
+
+
+def _row_classes(tables: Sequence[np.ndarray], n_rows: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Class rows by their values in ``tables``: (representatives, class of each row).
+
+    ``tables`` are (``n_rows`` x columns) integer or bool arrays, read side
+    by side.  Each column is one digit of a mixed-radix int64 code per row,
+    the first column most significant: its value minus the column minimum,
+    in radix max - min + 1 (a constant column adds nothing).  Equal codes
+    are equal rows, and code order is the lexicographic order of the rows'
+    values, so classes are numbered in that order.  The representative of a class is
+    its smallest row.  One sort of the keys ``code << b | row``, with
+    2^b >= ``n_rows``, which are distinct and order rows by (code, row),
+    finds the classes.
+
+    When the next digit would take the code past 2^_CODE_BITS, the code
+    folds to its dense rank, which keeps its order, and if that is not
+    enough the digit is replaced by its dense rank too (so a column whose
+    values span more than 2^_CODE_BITS is never shifted by its minimum).
+    The code folds once more if the keys would pass 2^_CODE_BITS.  A dense
+    rank counts the distinct smaller values, so both ranks are below
+    ``n_rows``, and for any block of up to 2^30 rows no product or key
+    passes 2^_CODE_BITS: nothing wraps.
     """
-    n_rows, width = mask.shape
+    if not n_rows:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    limit = 1 << _CODE_BITS
     code = np.zeros(n_rows, dtype=np.int64)
-    for a in range(0, width, _KEY_BITS):
-        part = mask[:, a:a + _KEY_BITS]
-        word = part.astype(np.int64) @ (1 << np.arange(part.shape[1], dtype=np.int64))
-        if a:
-            # both factors are dense indices below n_rows: the code cannot wrap
-            code = (np.ravel(np.unique(code, return_inverse=True)[1]) * n_rows
-                    + np.ravel(np.unique(word, return_inverse=True)[1]))
-        else:
-            code = word
-    _, first, inverse, counts = np.unique(
-        code, return_index=True, return_inverse=True, return_counts=True
-    )
-    order = np.argsort(np.ravel(inverse), kind="stable")
-    ends = np.cumsum(counts)
-    for k, row in enumerate(first):
-        pat = mask[row]
-        yield np.flatnonzero(pat), np.flatnonzero(~pat), order[ends[k] - counts[k]:ends[k]]
+    radix = 1
+    for table in tables:
+        if not table.shape[1]:
+            continue
+        bounds = zip(table.min(axis=0).tolist(), table.max(axis=0).tolist())
+        for col, (lo, hi) in zip(table.T, bounds):
+            span = int(hi) - int(lo) + 1
+            if span == 1:
+                continue
+            if span > limit:
+                digit = col
+            else:
+                digit = col.astype(np.int64)
+                digit -= int(lo)
+            if radix * span > limit:
+                code = np.unique(code, return_inverse=True)[1]
+                radix = int(code.max()) + 1
+                if radix * span > limit:
+                    digit = np.unique(digit, return_inverse=True)[1]
+                    span = int(digit.max()) + 1
+            code *= span
+            code += digit
+            radix *= span
+    b = (n_rows - 1).bit_length()
+    if radix << b > limit:
+        code = np.unique(code, return_inverse=True)[1]
+    key = code << b
+    key |= np.arange(n_rows)
+    key.sort()
+    rows = key & ((1 << b) - 1)
+    code = key >> b
+    new = np.empty(n_rows, dtype=bool)
+    new[:1] = True
+    np.not_equal(code[1:], code[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    inverse = np.empty(n_rows, dtype=np.int64)
+    inverse[rows] = np.repeat(np.arange(len(starts)), np.diff(starts, append=n_rows))
+    return rows[starts], inverse
 
 
 # -- the scan engine -----------------------------------------------------------
@@ -220,6 +290,13 @@ class _ScanEngine:
     plus one constant per block.  All tables are read-only after
     construction and shared by the worker threads; each thread writes a
     block's fields and totals into its own array, reused block to block.
+
+    With side sets or couplings inside T, the inner optimum of a row and
+    its optimal completions are functions of its field vector on T, T1
+    and T2, so :meth:`scan_block` classes the block's rows by that vector
+    (:func:`_row_classes`, free pattern first) and enumerates completions
+    once per class.  The fixing counters and the free-member histogram
+    behind ``leaves_explored`` are still taken over every outer row.
     """
 
     def __init__(
@@ -284,11 +361,12 @@ class _ScanEngine:
 
     # -- per-row pieces ------------------------------------------------
 
-    def _groups(self, free: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """The groups of :func:`_pattern_groups`, cut so that a group's side
-        tables (rows x side rows) stay within ``_CHUNK_CELLS``."""
+    def _cut(self, groups: Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]
+             ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """(set, clear, rows) ``groups`` cut so that a group's side tables
+        (rows x side rows) stay within ``_CHUNK_CELLS``."""
         cap = max(1, _CHUNK_CELLS // self._side_width)
-        for f, x, rows in _pattern_groups(free):
+        for f, x, rows in groups:
             for r in range(0, rows.size, cap):
                 yield f, x, rows[r:r + cap]
 
@@ -367,9 +445,13 @@ class _ScanEngine:
         return e
 
     def _minima(self, fields: np.ndarray, free: np.ndarray) -> np.ndarray:
-        """Exact optimum of T and the side sets for each row; ``free`` members enumerated."""
+        """Exact optimum of T and the side sets for each row; ``free`` members enumerated.
+
+        Each run of adjacent rows with one ``free`` pattern is one group, so
+        callers put the rows of one pattern together.
+        """
         out = np.empty(len(fields), dtype=np.int64)
-        for f, x, rows in self._groups(free):
+        for f, x, rows in self._cut(_pattern_runs(free)):
             if f.size > MAX_ENUM_BITS:
                 raise EnumerationLimitError("free-set enumeration needs %d bits" % f.size)
             e_fix, g, a = self._fixed_part(fields[rows], x, f)
@@ -392,17 +474,13 @@ class _ScanEngine:
         other members they have, and those are enumerated in rank order.
         Without side sets a row's first hit is its smallest key, so the row
         stops there; side-set bits may interleave with T's, so with side
-        sets every hit is keyed.  Without side sets and couplings inside T
-        the other members have zero fields, so every completion is optimal
-        and the first one, all -1, is each row's smallest key.
+        sets every hit is keyed.
         """
         heff = fields[:, :self.m]
         strict = np.abs(heff) > self.h_max
         keys = self._outer_keys(start, rows) + ((heff < 0) & strict).astype(np.int64) @ self.w_t
-        if not (self.sides or self.has_internal):
-            return _key_rank(_lex_min(None, keys), self.inst.n)
         best = None
-        for f, x, grp in self._groups(~strict):
+        for f, x, grp in self._cut(_pattern_groups(~strict)):
             if f.size > MAX_ENUM_BITS:
                 raise EnumerationLimitError(
                     "completion enumeration needs %d bits, limit is %d" % (f.size, MAX_ENUM_BITS)
@@ -446,6 +524,17 @@ class _ScanEngine:
         rows, the histogram of free-member counts and the fixing counters.
         The rank is None when an earlier block already reached a lower
         energy, so this block cannot hold the optimum.
+
+        With side sets or couplings inside T, the inner problem is solved
+        once per class of rows with equal fields: :meth:`_minima` on each
+        class's smallest row, and :meth:`_lex_min_rank` on each class's
+        first row at the minimum.  Within a block the outer key rises with
+        the row index, and outer and inner key bits are disjoint, so that
+        row's key, plus the class's smallest optimal completion, is the
+        smallest key of the class.  Without them, every member is fixed
+        and a zero-field member may take either spin, so a tying row's
+        smallest key is its forced key with the members of negative field
+        at +1 and the others at -1.
         """
         e_out = self.split.energies(start)
         if not hasattr(self._local, "buf"):
@@ -454,13 +543,16 @@ class _ScanEngine:
         buf = self._local.buf
         # effective fields on T, T1 and T2, columns side by side
         fields = self.split.fields(start, self.inner, buf[1:]).T
-        if self.sides or self.has_internal:
+        coupled = self.sides or self.has_internal
+        if coupled:
             aheff = np.abs(fields[:, :self.m])
             strict = np.count_nonzero(aheff > self.h_max, axis=0)
             free = aheff < self.h_max
             popc = np.count_nonzero(free, axis=1)
             at_max = len(e_out) - strict - np.count_nonzero(free, axis=0)
-            totals = e_out + self._minima(fields, free)
+            # classes come out grouped by free pattern, as _minima needs
+            reps, cls = _row_classes([free, fields], len(e_out))
+            totals = e_out + self._minima(fields[reps], free[reps])[cls]
         else:
             # no coupling inside T and no side sets: h_max is 0, every
             # member is fixed and the field terms are the whole story
@@ -486,9 +578,15 @@ class _ScanEngine:
             if live:
                 self._best = bmin
         rank = None
-        if live:
-            target = bmin - e_out[rows].astype(np.int64)
-            rank = self._lex_min_rank(start, rows, fields[rows], target)
+        if live and coupled:
+            first = rows[np.unique(cls[rows], return_index=True)[1]]
+            target = bmin - e_out[first].astype(np.int64)
+            rank = self._lex_min_rank(start, first, fields[first], target)
+        elif live:
+            keys = self._outer_keys(start, rows)
+            for w, f in zip(self.w_t, buf[1:]):
+                keys += (f[rows] < 0)[:, None] * w
+            rank = _key_rank(_lex_min(None, keys), self.inst.n)
         return bmin, rank, int(rows.size), [int(c) for c in np.bincount(popc)], counters
 
 

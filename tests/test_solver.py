@@ -34,6 +34,7 @@ from spinscape.solver import (
     _largest_color_class,
     _min_plus,
     _pattern_groups,
+    _row_classes,
     _ScanEngine,
     _solve_with_T,
     compute_Z,
@@ -685,11 +686,163 @@ def _cli_solve_bytes(path, method, workers):
     return [line for line in out.getvalue().splitlines() if "wall_time_s" not in line]
 
 
+def _hub_instance(base_n, w, seed):
+    """Two hubs coupled to each other and to every variable of a 3-regular
+    base of ``base_n`` variables, every weight +-1 and every field 0."""
+    base = gen_regular(base_n, 3, wmax=1, seed=seed)
+    n = base_n + 2
+    triples = [(i + 2, j + 2, v) for i, j, v in base.edges()]
+    triples += [(0, 1, w)] + [(hub, v, w) for hub in (0, 1) for v in range(2, n)]
+    return IsingInstance(n, [0] * n, triples)
+
+
+def _scaled_to_budget(inst):
+    """``inst`` without c0, its fields and couplings times the largest factor
+    that keeps |h| + 2|J| summed within INT64_MAX; optima are unchanged."""
+    base = sum(abs(x) for x in inst.h) + 2 * sum(abs(w) for w in inst.couplings.values())
+    k = INT64_MAX // max(1, base)
+    return IsingInstance(inst.n, [k * x for x in inst.h],
+                         [(i, j, k * w) for (i, j), w in inst.couplings.items()])
+
+
+@st.composite
+def tie_heavy_instances(draw, max_n=18):
+    """Instances of at most ``max_n`` variables whose blocks repeat inner
+    field vectors: multicopy, all-pairs and hub instances (at n = 18, degree
+    17 sends `effective` to the T-set search).  Half are scaled to the int64
+    budget, where two varying field columns already span more than 2^62
+    together and the class codes fold."""
+    kind = draw(st.sampled_from(["multicopy", "csse", "hub"]))
+    if kind == "multicopy":
+        inst = gen_multicopy(draw(st.integers(1, max_n // 4)), 4)
+    elif kind == "csse":
+        inst = gen_csse(2 * draw(st.integers(1, max_n // 2)))
+    else:
+        inst = _hub_instance(2 * draw(st.integers(2, max_n // 2 - 1)),
+                             draw(st.sampled_from([-1, 1])), draw(st.integers(0, 99)))
+    return _scaled_to_budget(inst) if draw(st.booleans()) else inst
+
+
+def _identity_classes(tables, n_rows):
+    rows = np.arange(n_rows)
+    return rows, rows
+
+
+@settings(max_examples=30)
+@given(tie_heavy_instances(), st.integers(0, 3), st.integers(8, 16), st.sampled_from([62, 2]))
+def test_classing_rows_changes_no_solve_result(inst, seed, block_bits, code_bits):
+    # every row its own class is the scan without classing; 2-bit codes fold
+    # at every digit.  Classes come grouped by free pattern, so each pattern
+    # is one run of the rows that _minima gets.
+    minima = _ScanEngine._minima
+
+    def grouped(self, fields, free):
+        runs = 1 + np.count_nonzero(np.any(free[1:] != free[:-1], axis=1))
+        assert runs == len(np.unique(free, axis=0))
+        return minima(self, fields, free)
+
+    solvers = {
+        "brute": lambda: solve_brute(inst, block_bits=block_bits),
+        "coloring": lambda: solve_coloring_baseline(inst, block_bits=block_bits),
+        "effective": lambda: solve_effective(inst, seed=seed, block_bits=block_bits),
+        "avg-degree": lambda: solve_avg_degree(inst, seed=seed, block_bits=block_bits),
+        "combined": lambda: solve_combined(inst, seed=seed, block_bits=block_bits),
+    }
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver_module, "_CODE_BITS", code_bits)
+        mp.setattr(_ScanEngine, "_minima", grouped)
+        classed = {method: solve() for method, solve in solvers.items()}
+        mp.setattr(_ScanEngine, "_minima", minima)
+        mp.setattr(solver_module, "_row_classes", _identity_classes)
+        for method, solve in solvers.items():
+            assert solve() == classed[method], method
+
+
+@st.composite
+def class_columns(draw):
+    """(tables, n_rows): rows drawn from a few distinct rows of bool, small,
+    int32, up-to-2^62-wide or near-int64-limit columns, so classes repeat.
+    Each column is a table of its own, or all of them one int64 table."""
+    n_rows = draw(st.integers(1, 40))
+    kinds = draw(st.lists(st.sampled_from(["bool", "small", "int32", "wide", "int64"]),
+                          max_size=6))
+    distinct = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pick = rng.integers(0, distinct, size=n_rows)
+    columns = []
+    for kind in kinds:
+        if kind == "bool":
+            values = rng.random(distinct) < 0.5
+        elif kind == "small":
+            values = rng.integers(-3, 4, size=distinct)
+        elif kind == "int32":
+            values = rng.integers(-2**31, 2**31, size=distinct).astype(np.int32)
+        elif kind == "wide":
+            values = rng.integers(0, 2**62, size=distinct) - 2**61
+        else:
+            values = np.where(rng.random(distinct) < 0.5, INT64_MAX, -INT64_MAX - 1)
+            values = values - np.sign(values) * rng.integers(0, 3, size=distinct)
+        columns.append(values[pick])
+    if draw(st.booleans()):
+        return [col[:, None] for col in columns], n_rows
+    return [np.array(columns, dtype=np.int64).T.reshape(n_rows, len(columns))], n_rows
+
+
+@settings(max_examples=150)
+@given(class_columns(), st.sampled_from([62, 1, 3, 8]))
+def test_row_classes_match_a_row_unique(case, code_bits):
+    # two rows share a class exactly when they are equal; classes come in
+    # lexicographic order of the rows, each represented by its smallest row;
+    # 1- to 8-bit codes force every fold
+    columns, n_rows = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver_module, "_CODE_BITS", code_bits)
+        _check_row_classes(columns, n_rows)
+
+
+def _check_row_classes(tables, n_rows):
+    reps, cls = _row_classes(tables, n_rows)
+    rows = [tuple(int(x) for table in tables for x in table[r]) for r in range(n_rows)]
+    distinct = sorted(set(rows))
+    assert [rows[r] for r in reps] == distinct
+    assert list(cls) == [distinct.index(row) for row in rows]
+    assert list(reps) == [rows.index(row) for row in distinct]
+
+
+def test_row_classes_fold_wide_codes():
+    # a lone column 2^62 wide fills the code, so the row keys need one more
+    # fold; a column wider than 2^62 is ranked, never shifted by its minimum
+    wide = np.array([2**61 - 1, -2**61, 5, -2**61, 2**61 - 1, 0])
+    extreme = np.array([INT64_MAX, -INT64_MAX - 1, 0, INT64_MAX, 1, -INT64_MAX - 1])
+    for columns in ([wide], [extreme], [extreme, wide], [wide, extreme]):
+        _check_row_classes([np.array(columns).T], 6)
+    assert [list(part) for part in _row_classes([wide[:, None]], 6)] == \
+        [[1, 5, 2, 0], [3, 0, 2, 0, 3, 1]]
+
+
+def test_combined_multicopy_6x4_solves_12_classes():
+    # 256 outer rows fall into 12 field vectors on T, T1 and T2
+    seen = []
+    minima = _ScanEngine._minima
+
+    def recording(self, fields, free):
+        seen.append(len(fields))
+        return minima(self, fields, free)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_ScanEngine, "_minima", recording)
+        res = solve_combined(gen_multicopy(6, 4))
+    assert seen == [12]
+    assert res.outer_assignments == 256
+
+
 @settings(max_examples=40)
 @given(st.one_of(degenerate_instances().map(lambda inst: (inst, 2)),
-                 engine_cases().map(lambda case: (case[0], case[4]))))
+                 engine_cases().map(lambda case: (case[0], case[4])),
+                 st.tuples(tie_heavy_instances(max_n=14), st.integers(1, 3))))
 def test_workers_do_not_change_solve_bytes_on_drawn_instances(case):
-    # small blocks, so every scan has several blocks to share between threads
+    # small blocks, so every scan has several blocks to share between
+    # threads, and tie-heavy draws whose blocks class their rows
     inst, block_bits = case
 
     def small_blocks(inst, _block_bits=None, variables=None, columns=None):
