@@ -512,17 +512,17 @@ def build_parser() -> argparse.ArgumentParser:
     f_col.add_argument("--f", type=_int_token, required=True)
     f_col.add_argument("--l", type=_int_token, required=True)
     f_col.add_argument("--m-mode", choices=("zeros", "sampled"), default="zeros")
-    f_col.add_argument("--seed", type=_int_token, default=None)
+    f_col.add_argument("--seed", type=_non_negative, default=None)
     f_rand = fam.add_parser("random", help="random instance at a target density")
     f_rand.add_argument("--n", type=_int_token, required=True)
     f_rand.add_argument("--density", type=float, required=True)
     f_rand.add_argument("--wmax", type=_int_token, default=5)
-    f_rand.add_argument("--seed", type=_int_token, default=0)
+    f_rand.add_argument("--seed", type=_non_negative, default=0)
     f_reg = fam.add_parser("regular", help="random d-regular instance")
     f_reg.add_argument("--n", type=_int_token, required=True)
     f_reg.add_argument("--d", type=_int_token, required=True)
     f_reg.add_argument("--wmax", type=_int_token, default=5)
-    f_reg.add_argument("--seed", type=_int_token, default=0)
+    f_reg.add_argument("--seed", type=_non_negative, default=0)
     for fp in (f_csse, f_multi, f_col, f_rand, f_reg):
         fp.set_defaults(func=_cmd_generate)
         fp.add_argument("--output", "-o", default=None)
@@ -535,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--jmax", type=_int_token, default=None,
                        help="declared coupling row bound for the combined method")
     _add_workers_flag(solve)
-    solve.add_argument("--seed", type=_int_token, default=0)
+    solve.add_argument("--seed", type=_non_negative, default=0)
     solve.add_argument("--verify", action="store_true",
                        help="cross-check against brute force (n <= %d)" % VERIFY_MAX_N)
     solve.set_defaults(func=_cmd_solve)
@@ -543,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     cm = sub.add_parser("count-minima", help="enumerate strict k-minima")
     _add_io_flags(cm)
     cm.add_argument("--k", type=_int_token, default=1)
-    cm.add_argument("--seed", type=_int_token, default=0)
+    cm.add_argument("--seed", type=_non_negative, default=0)
     cm.add_argument("--list-limit", type=_non_negative, default=DEFAULT_MINIMA_LIST_CAP,
                     help="list assignments only when the count stays at or below this")
     cm.set_defaults(func=_cmd_count_minima)
@@ -555,12 +555,12 @@ def build_parser() -> argparse.ArgumentParser:
                      help="use the no-strict-worsening vertex rule instead")
     bas.add_argument("--work-limit", type=_non_negative, default=DEFAULT_BASIN_WORK_LIMIT,
                      help="cap on vertices x moves, at least 0")
-    bas.add_argument("--seed", type=_int_token, default=0)
+    bas.add_argument("--seed", type=_non_negative, default=0)
     bas.set_defaults(func=_cmd_basins)
 
     ts = sub.add_parser("tset", help="search a certified branching set")
     _add_io_flags(ts)
-    ts.add_argument("--seed", type=_int_token, default=0)
+    ts.add_argument("--seed", type=_non_negative, default=0)
     ts.add_argument("--epsilon", type=float, default=None,
                     help="override the sampling rate")
     ts.add_argument("--max-retries", type=_positive, default=20,
@@ -569,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     zp = sub.add_parser("z", help="predicted leaf count for the auto-chosen set")
     _add_io_flags(zp)
-    zp.add_argument("--tset-seed", type=_int_token, default=0)
+    zp.add_argument("--tset-seed", type=_non_negative, default=0)
     zp.set_defaults(func=_cmd_z)
 
     pr = sub.add_parser("probe", help="interval probabilities of weighted spin sums")
@@ -582,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--samples", type=_int_token, default=100000)
     pr.add_argument("--sizes", type=_int_token, nargs="+", default=(16, 64, 256),
                     help="weight counts for the scaling table")
-    pr.add_argument("--seed", type=_int_token, default=0)
+    pr.add_argument("--seed", type=_non_negative, default=0)
     _add_workers_flag(pr)
     pr.add_argument("--output", "-o", default=None)
     pr.set_defaults(func=_cmd_probe)
@@ -592,11 +592,11 @@ def build_parser() -> argparse.ArgumentParser:
     be.add_argument("--sizes", type=_int_token, nargs="*", default=[])
     be.add_argument("--methods", nargs="+", choices=_SOLVE_METHODS,
                     default=["brute", "coloring"])
-    be.add_argument("--block", type=_int_token, default=4)
+    be.add_argument("--block", type=_positive, default=4)
     be.add_argument("--density", type=float, default=0.3)
     be.add_argument("--d", type=_int_token, default=3)
     be.add_argument("--wmax", type=_int_token, default=5)
-    be.add_argument("--seed", type=_int_token, default=0)
+    be.add_argument("--seed", type=_non_negative, default=0)
     _add_workers_flag(be)
     be.add_argument("--table-format", choices=("json", "csv"), default="json")
     be.add_argument("--output", "-o", default=None)

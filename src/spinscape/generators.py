@@ -212,6 +212,8 @@ def gen_regular(
         raise ValueError("need 0 <= d < n")
     if (n * d) % 2:
         raise ValueError("n*d must be even")
+    if wmax < 1:
+        raise ValueError("need wmax >= 1")
     rng = rng_from(seed, _STREAM_REGULAR)
     h = [int(x) for x in rng.integers(-wmax, wmax + 1, size=n)]
     if d == 0:

@@ -444,25 +444,38 @@ class _ScanEngine:
             e += _min_plus(at, bt)
         return e
 
+    def _planes(self, fields: np.ndarray,
+                groups: Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]):
+        """Walk the completions of each (set, clear, rows) group of ``fields``.
+
+        The members set in a group are enumerated and the clear ones fixed
+        against their fields.  Yields, per (rows x completions) plane of
+        :meth:`_energies`: the plane's rows, their fixed-part energies, the
+        enumerated members, the completion chunk, the side tables A of the
+        rows and the plane itself.
+        """
+        for f, x, rows in self._cut(groups):
+            if f.size > MAX_ENUM_BITS:
+                raise EnumerationLimitError(
+                    "completion enumeration needs %d bits, limit is %d" % (f.size, MAX_ENUM_BITS)
+                )
+            e_fix, g, a = self._fixed_part(fields[rows], x, f)
+            for chunk in self._completions(f):
+                step = self._row_step(len(chunk[1]))
+                for r in range(0, rows.size, step):
+                    sl = slice(r, r + step)
+                    a_sl = [at[:, sl] for at in a]
+                    yield rows[sl], e_fix[sl], f, chunk, a_sl, self._energies(g[sl], a_sl, chunk)
+
     def _minima(self, fields: np.ndarray, free: np.ndarray) -> np.ndarray:
         """Exact optimum of T and the side sets for each row; ``free`` members enumerated.
 
         Each run of adjacent rows with one ``free`` pattern is one group, so
         callers put the rows of one pattern together.
         """
-        out = np.empty(len(fields), dtype=np.int64)
-        for f, x, rows in self._cut(_pattern_runs(free)):
-            if f.size > MAX_ENUM_BITS:
-                raise EnumerationLimitError("free-set enumeration needs %d bits" % f.size)
-            e_fix, g, a = self._fixed_part(fields[rows], x, f)
-            best = np.full(rows.size, INT64_MAX, dtype=np.int64)
-            for chunk in self._completions(f):
-                step = self._row_step(len(chunk[1]))
-                for r in range(0, rows.size, step):
-                    sl = slice(r, r + step)
-                    e = self._energies(g[sl], [at[:, sl] for at in a], chunk)
-                    np.minimum(best[sl], e.min(axis=1), out=best[sl])
-            out[rows] = e_fix + best
+        out = np.full(len(fields), INT64_MAX, dtype=np.int64)
+        for rows, e_fix, _, _, _, e in self._planes(fields, _pattern_runs(free)):
+            out[rows] = np.minimum(out[rows], e_fix + e.min(axis=1))
         return out
 
     def _lex_min_rank(self, start: int, rows: np.ndarray, fields: np.ndarray,
@@ -472,48 +485,23 @@ class _ScanEngine:
         ``target`` is each row's optimal energy of T and the side sets.
         Strictly dominated members are forced; the rows are grouped by which
         other members they have, and those are enumerated in rank order.
-        Without side sets a row's first hit is its smallest key, so the row
-        stops there; side-set bits may interleave with T's, so with side
-        sets every hit is keyed.
+        Every (row, completion) pair that reaches the target is keyed, each
+        side set taking its first optimal side row, and the smallest key wins.
         """
         heff = fields[:, :self.m]
         strict = np.abs(heff) > self.h_max
         keys = self._outer_keys(start, rows) + ((heff < 0) & strict).astype(np.int64) @ self.w_t
         best = None
-        for f, x, grp in self._cut(_pattern_groups(~strict)):
-            if f.size > MAX_ENUM_BITS:
-                raise EnumerationLimitError(
-                    "completion enumeration needs %d bits, limit is %d" % (f.size, MAX_ENUM_BITS)
-                )
-            e_fix, g, a = self._fixed_part(fields[grp], x, f)
-            need = target[grp] - e_fix
-            grp_keys = keys[grp]
-            hit = np.zeros(grp.size, dtype=bool)
-            todo = np.arange(grp.size)
-            for chunk in self._completions(f):
-                chunk_keys = (chunk[0] > 0).astype(np.int64) @ self.w_t[f]
-                step = self._row_step(len(chunk[1]))
-                for r in range(0, todo.size, step):
-                    idx = todo[r:r + step]
-                    a_idx = [at[:, idx] for at in a]
-                    eq = self._energies(g[idx], a_idx, chunk) == need[idx, None]
-                    if self.sides:
-                        # a hit's key takes each side set's first optimal side row
-                        rr, cc = np.nonzero(eq)
-                        cand = grp_keys[idx[rr]] + chunk_keys[cc]
-                        for (_, _, side_keys), at, bt in zip(self.side_tables, a_idx, chunk[2]):
-                            cand += side_keys[_first_argmin(at, bt, rr, cc)]
-                    else:
-                        rr = np.flatnonzero(eq.any(axis=1))
-                        cand = grp_keys[idx[rr]] + chunk_keys[eq[rr].argmax(axis=1)]
-                    best = _lex_min(best, cand)
-                    hit[idx[rr]] = True
-                if not self.sides:
-                    todo = np.flatnonzero(~hit)
-                    if not todo.size:
-                        break
-            if not hit.all():
-                raise AssertionError("tying row lost its optimum")
+        hit = np.zeros(rows.size, dtype=bool)
+        for idx, e_fix, f, chunk, a, e in self._planes(fields, _pattern_groups(~strict)):
+            rr, cc = np.nonzero(e == (target[idx] - e_fix)[:, None])
+            cand = keys[idx[rr]] + (chunk[0][cc] > 0).astype(np.int64) @ self.w_t[f]
+            for (_, _, side_keys), at, bt in zip(self.side_tables, a, chunk[2]):
+                cand += side_keys[_first_argmin(at, bt, rr, cc)]
+            best = _lex_min(best, cand)
+            hit[idx[rr]] = True
+        if not hit.all():
+            raise AssertionError("tying row lost its optimum")
         return _key_rank(best, self.inst.n)
 
     def scan_block(self, start: int) -> Tuple[int, Optional[int], int, List[int], Dict[str, int]]:

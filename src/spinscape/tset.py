@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, replace
 from itertools import combinations
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from spinscape.instance import DegreeGraph, IsingInstance
 from spinscape.rand import rng_from
@@ -144,8 +144,8 @@ def _strong_candidates(
     i: int,
     inside: Iterable[int],
     outside_excluded: set,
-) -> Tuple[int, List[int]]:
-    """Strongest internal magnitude and qualifying outside partners for i."""
+) -> List[int]:
+    """Outside partners of i at least as strong as its strongest internal coupling."""
     inside_set = set(inside)
     a_min = 0
     for k in graph.neighbors[i]:
@@ -155,12 +155,11 @@ def _strong_candidates(
     # nonzero by construction.  (Unconstrained members without internal
     # neighbors never reach this helper: they are exempt.  Constrained
     # members with a_min == 0 get all their neighbors as candidates.)
-    cands = [
+    return [
         j
         for j in graph.neighbors[i]
         if j not in outside_excluded and abs(inst.coupling(i, j)) >= a_min
     ]
-    return a_min, cands
 
 
 def _greedy_select(inst: IsingInstance, i: int, cands: Sequence[int], quota: int) -> Tuple[int, ...]:
@@ -192,6 +191,32 @@ def _cross_coupling_test(
     return lambda i: v0_size * sum(abs(inst.coupling(i, j)) for j in side) <= rhs
 
 
+def _member_checks(
+    inst: IsingInstance,
+    t: Sequence[int],
+    params: TParams,
+    constrained: ConstrainedContext | None,
+) -> Iterator[Tuple[int, bool, bool, Tuple[int, ...] | None]]:
+    """Conditions 1 and 2 of each member of ``t`` and its strong-edge picks.
+
+    Yields (member, condition 1, condition 2, picks).  The picks are the
+    member's strongest qualifying outside partners (largest |J| first, ties
+    to the lower index), at most the quota; they are None for an
+    unconstrained member with no neighbor in ``t``, which is exempt.
+    """
+    graph = inst.degree_graph()
+    t_set = set(t)
+    quota = params.strong_edge_quota
+    for i in t:
+        internal = [k for k in graph.neighbors[i] if k in t_set]
+        if constrained is None and not internal:
+            yield i, True, True, None
+            continue
+        cands = _strong_candidates(inst, graph, i, internal, t_set | {i})
+        yield (i, len(internal) <= params.internal_degree_cap, len(cands) >= quota,
+               _greedy_select(inst, i, cands, quota))
+
+
 def check_T(
     inst: IsingInstance,
     t: Iterable[int],
@@ -202,7 +227,7 @@ def check_T(
 
     Strong-edge selection is deterministic here (largest |J| first, ties to
     the lower index), so re-checking a returned certificate's set always
-    reproduces the same verdict.
+    reproduces the same verdict.  Condition 3 counts every member's picks.
     """
     t_sorted = tuple(sorted(set(t)))
     for i in t_sorted:
@@ -210,38 +235,20 @@ def check_T(
             raise ValueError("T member %d out of range" % i)
     if constrained is not None and set(t_sorted) & (set(constrained.t1) | set(constrained.t2)):
         raise ValueError("T must be disjoint from the side sets")
-    graph = inst.degree_graph()
-    t_set = set(t_sorted)
-    quota = params.strong_edge_quota
-
-    internal_ok = True
-    count_ok = True
-    strong: Dict[int, Tuple[int, ...]] = {}
-    for i in t_sorted:
-        internal = [k for k in graph.neighbors[i] if k in t_set]
-        if len(internal) > params.internal_degree_cap:
-            internal_ok = False
-        if constrained is None and not internal:
-            continue
-        a_min, cands = _strong_candidates(inst, graph, i, internal, t_set | {i})
-        if len(cands) < quota:
-            count_ok = False
-        strong[i] = _greedy_select(inst, i, cands, quota)
-
-    loads = _strong_loads(graph, strong, t_set)
-    load_ok = all(load <= params.load_cap for load in loads.values())
-
+    members = list(_member_checks(inst, t_sorted, params, constrained))
+    strong = {i: picks for i, _, _, picks in members if picks is not None}
+    loads = _strong_loads(inst.degree_graph(), strong, set(t_sorted))
     checks: List[Tuple[str, bool]] = [
-        ("internal_degree", internal_ok),
-        ("strong_edge_count", count_ok),
-        ("strong_edge_load", load_ok),
+        ("internal_degree", all(ok1 for _, ok1, _, _ in members)),
+        ("strong_edge_count", all(ok2 for _, _, ok2, _ in members)),
+        ("strong_edge_load", all(load <= params.load_cap for load in loads.values())),
     ]
     if constrained is not None:
         cross_ok = _cross_coupling_test(inst, params, constrained)
         checks.append(("cross_coupling_bound", all(cross_ok(i) for i in t_sorted)))
     return TSetCertificate(
         t=t_sorted,
-        strong_edges=tuple(sorted((i, js) for i, js in strong.items())),
+        strong_edges=tuple(sorted(strong.items())),
         params=params,
         checks=tuple(checks),
         constrained=constrained is not None,
@@ -253,32 +260,19 @@ def _label_good(
     t0: List[int],
     params: TParams,
     constrained: ConstrainedContext | None,
-    rng,
-    strong_edge_rule: str,
 ) -> List[int]:
-    """One labeling round: drop members violating any condition."""
-    graph = inst.degree_graph()
-    t0_set = set(t0)
-    quota = params.strong_edge_quota
-    passed12: Dict[int, Tuple[int, ...]] = {}
+    """One labeling round: drop members violating any condition.
+
+    Condition 3 counts only the picks of members that pass 1 and 2.
+    """
+    passed: Dict[int, Tuple[int, ...]] = {}
     bad: set = set()
-    for i in t0:
-        internal = [k for k in graph.neighbors[i] if k in t0_set]
-        if constrained is None and not internal:
-            continue
-        if len(internal) > params.internal_degree_cap:
+    for i, ok1, ok2, picks in _member_checks(inst, t0, params, constrained):
+        if not (ok1 and ok2):
             bad.add(i)
-            continue
-        a_min, cands = _strong_candidates(inst, graph, i, internal, t0_set | {i})
-        if len(cands) < quota:
-            bad.add(i)
-            continue
-        if strong_edge_rule == "random":
-            picked = tuple(sorted(int(x) for x in rng.choice(cands, size=quota, replace=False)))
-        else:
-            picked = _greedy_select(inst, i, cands, quota)
-        passed12[i] = picked
-    for i, load in _strong_loads(graph, passed12, t0_set).items():
+        elif picks is not None:
+            passed[i] = picks
+    for i, load in _strong_loads(inst.degree_graph(), passed, set(t0)).items():
         if load > params.load_cap:
             bad.add(i)
     if constrained is not None:
@@ -294,7 +288,6 @@ def find_T_randomized(
     max_retries: int = 20,
     within: Sequence[int] | None = None,
     constrained: ConstrainedContext | None = None,
-    strong_edge_rule: str = "greedy",
 ) -> TSetCertificate:
     """Sample members at rate epsilon, drop rule violators, re-certify.
 
@@ -304,8 +297,6 @@ def find_T_randomized(
     """
     if params is None:
         params = TParams.for_instance(inst)
-    if strong_edge_rule not in ("greedy", "random"):
-        raise ValueError("strong_edge_rule must be 'greedy' or 'random'")
     if max_retries < 1:
         raise ValueError("max_retries must be >= 1")
     pool = list(range(inst.n)) if within is None else sorted(set(within))
@@ -318,11 +309,11 @@ def find_T_randomized(
     for attempt in range(1, max_retries + 1):
         draws = rng.random(len(pool))
         t0 = [i for i, u in zip(pool, draws) if u < params.epsilon]
-        good = _label_good(inst, t0, params, constrained, rng, strong_edge_rule)
+        good = _label_good(inst, t0, params, constrained)
         cert = check_T(inst, good, params, constrained=constrained)
         cert = replace(
             cert,
-            method="randomized(seed=%d,rule=%s)" % (seed, strong_edge_rule),
+            method="randomized(seed=%d,rule=greedy)" % seed,
             attempts=attempt,
             target_size=target,
         )
@@ -368,14 +359,13 @@ def find_T1T2(
     alpha: float = 0.5,
     target: int | None = None,
     seed: int = 0,
-    max_retries: int = 50,
-    max_subsets: int = MAX_DETERMINISTIC_SUBSETS,
 ) -> T1T2Result:
     """Two equal-size sets with no coupling edges between them.
 
     The default target size is floor(alpha * n * ln(d) / d) with d the
-    average degree.  Tries the lexicographically first candidate, then
-    seeded random subsets, then (n <= 24) exhaustive subset enumeration;
+    average degree.  Tries the lexicographically first candidate, then 50
+    seeded random subsets, then (n <= 24) the first
+    ``MAX_DETERMINISTIC_SUBSETS`` subsets in lexicographic order;
     returns ``ok=False`` when every strategy fails (e.g. complete graphs).
     """
     if not 0 < alpha < 1:
@@ -401,7 +391,7 @@ def find_T1T2(
     if res:
         return res
     rng = rng_from(seed, _STREAM_T1T2)
-    for k in range(1, max_retries + 1):
+    for k in range(1, 51):
         t1 = tuple(sorted(int(x) for x in rng.choice(n, size=target, replace=False)))
         res = attempt(t1, "randomized(seed=%d)" % seed, k)
         if res:
@@ -410,7 +400,7 @@ def find_T1T2(
     if n <= MAX_DETERMINISTIC_N:
         for combo in combinations(range(n), target):
             tries += 1
-            if tries > max_subsets:
+            if tries > MAX_DETERMINISTIC_SUBSETS:
                 break
             res = attempt(combo, "deterministic", tries)
             if res:

@@ -22,11 +22,16 @@ from spinscape.instance import (
 from spinscape.rand import rng_from
 from spinscape.solver import SolveResult, _validate_subset
 from spinscape.tset import (
+    _STREAM_TSET,
     MAX_DETERMINISTIC_N,
     MAX_DETERMINISTIC_SUBSETS,
+    ConstrainedContext,
     TParams,
     TSetCertificate,
+    _cross_coupling_test,
+    _greedy_select,
     _strong_candidates,
+    _strong_loads,
     check_T,
 )
 
@@ -342,8 +347,10 @@ def good_set_nonsparse(
         t0_set = set(t0)
         good = []
         for i in t0:
-            a_min, cands = _strong_candidates(inst, graph, i, t0, t0_set)
-            count = len(cands) if a_min else n - size0
+            strongest = max((abs(inst.coupling(i, k)) for k in graph.neighbors[i]
+                             if k in t0_set), default=0)
+            cands = _strong_candidates(inst, graph, i, t0, t0_set)
+            count = len(cands) if strongest else n - size0
             if 2 * count >= inv:
                 good.append(i)
         ok = 2 * len(good) >= size0
@@ -353,3 +360,118 @@ def good_set_nonsparse(
         if best is None or len(res.t) > len(best.t):
             best = res
     return best  # type: ignore[return-value]
+
+
+# -- the T-set conditions, member by member, as two separate loops ----------
+
+
+def reference_check_T(
+    inst: IsingInstance,
+    t,
+    params: TParams,
+    constrained: ConstrainedContext | None = None,
+) -> TSetCertificate:
+    """Every certificate condition of ``t``, each member checked in one loop.
+
+    Condition 3 counts the greedy picks of every non-exempt member.
+    """
+    t_sorted = tuple(sorted(set(t)))
+    graph = inst.degree_graph()
+    t_set = set(t_sorted)
+    quota = params.strong_edge_quota
+    internal_ok = count_ok = True
+    strong: Dict[int, Tuple[int, ...]] = {}
+    for i in t_sorted:
+        internal = [k for k in graph.neighbors[i] if k in t_set]
+        if len(internal) > params.internal_degree_cap:
+            internal_ok = False
+        if constrained is None and not internal:
+            continue
+        cands = _strong_candidates(inst, graph, i, internal, t_set | {i})
+        if len(cands) < quota:
+            count_ok = False
+        strong[i] = _greedy_select(inst, i, cands, quota)
+    loads = _strong_loads(graph, strong, t_set)
+    checks = [
+        ("internal_degree", internal_ok),
+        ("strong_edge_count", count_ok),
+        ("strong_edge_load", all(load <= params.load_cap for load in loads.values())),
+    ]
+    if constrained is not None:
+        cross_ok = _cross_coupling_test(inst, params, constrained)
+        checks.append(("cross_coupling_bound", all(cross_ok(i) for i in t_sorted)))
+    return TSetCertificate(
+        t=t_sorted,
+        strong_edges=tuple(sorted(strong.items())),
+        params=params,
+        checks=tuple(checks),
+        constrained=constrained is not None,
+    )
+
+
+def reference_label_good(
+    inst: IsingInstance,
+    t0,
+    params: TParams,
+    constrained: ConstrainedContext | None,
+) -> list:
+    """One labeling round in its own loop: members failing condition 1 or 2
+    are dropped before the greedy picks, and condition 3 counts only the
+    picks of the members that remain."""
+    graph = inst.degree_graph()
+    t0_set = set(t0)
+    quota = params.strong_edge_quota
+    passed12: Dict[int, Tuple[int, ...]] = {}
+    bad: set = set()
+    for i in t0:
+        internal = [k for k in graph.neighbors[i] if k in t0_set]
+        if constrained is None and not internal:
+            continue
+        if len(internal) > params.internal_degree_cap:
+            bad.add(i)
+            continue
+        cands = _strong_candidates(inst, graph, i, internal, t0_set | {i})
+        if len(cands) < quota:
+            bad.add(i)
+            continue
+        passed12[i] = _greedy_select(inst, i, cands, quota)
+    for i, load in _strong_loads(graph, passed12, t0_set).items():
+        if load > params.load_cap:
+            bad.add(i)
+    if constrained is not None:
+        cross_ok = _cross_coupling_test(inst, params, constrained)
+        bad.update(i for i in t0 if not cross_ok(i))
+    return [i for i in t0 if i not in bad]
+
+
+def reference_find_T_randomized(
+    inst: IsingInstance,
+    params: TParams | None = None,
+    seed: int = 0,
+    max_retries: int = 20,
+    within=None,
+    constrained: ConstrainedContext | None = None,
+) -> TSetCertificate:
+    """The randomized T-set search over :func:`reference_label_good` and
+    :func:`reference_check_T`, drawing the same samples."""
+    if params is None:
+        params = TParams.for_instance(inst)
+    pool = list(range(inst.n)) if within is None else sorted(set(within))
+    if constrained is not None:
+        side = set(constrained.t1) | set(constrained.t2)
+        pool = [i for i in pool if i not in side]
+    target = max(1, math.ceil(params.target_fraction * params.epsilon * len(pool) - 1e-9))
+    rng = rng_from(seed, _STREAM_TSET)
+    best = None
+    for attempt in range(1, max_retries + 1):
+        draws = rng.random(len(pool))
+        t0 = [i for i, u in zip(pool, draws) if u < params.epsilon]
+        good = reference_label_good(inst, t0, params, constrained)
+        cert = replace(reference_check_T(inst, good, params, constrained),
+                       method="randomized(seed=%d,rule=greedy)" % seed,
+                       attempts=attempt, target_size=target)
+        if cert.ok:
+            return cert
+        if best is None or (cert.conditions_ok, len(cert.t)) > (best.conditions_ok, len(best.t)):
+            best = cert
+    return best

@@ -346,6 +346,15 @@ class TestBench:
         assert code == 1
         assert "multiple" in err
 
+    @pytest.mark.parametrize("block", ["0", "-4"])
+    def test_block_below_one_is_usage_error(self, capsys, block):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--family", "multicopy", "--sizes", "8", "--block", block])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --block: must be >= 1" in captured.err
+
 
 class TestErrorPaths:
     def test_unknown_method_is_usage_error(self, csse4_file, capsys):
@@ -432,6 +441,35 @@ class TestErrorPaths:
             main(["tset", "-i", csse4_file, "--max-retries=" + retries])
         assert exc.value.code == 1
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "column", "--f", "2", "--l", "2", "--seed"],
+        ["generate", "random", "--n", "6", "--density", "0.5", "--seed"],
+        ["generate", "regular", "--n", "6", "--d", "3", "--seed"],
+        ["solve", "--method", "effective", "-i", "CSSE4", "--seed"],
+        ["count-minima", "-i", "CSSE4", "--seed"],
+        ["basins", "-i", "CSSE4", "--seed"],
+        ["tset", "-i", "CSSE4", "--seed"],
+        ["z", "-i", "CSSE4", "--tset-seed"],
+        ["probe", "--mode", "scaling", "--sizes", "4", "--seed"],
+        ["bench", "--family", "csse", "--sizes", "4", "--seed"],
+    ], ids=lambda argv: "-".join(argv[:2]))
+    def test_negative_seed_is_usage_error(self, csse4_file, capsys, argv):
+        # refused at parse time, also where no search would draw from the seed
+        argv = [csse4_file if a == "CSSE4" else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["-1"])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument %s: must be >= 0, got -1" % argv[-1] in captured.err
+
+    def test_regular_wmax_below_one_is_usage_error(self, capsys):
+        for d in ("3", "0"):
+            code, out, err = run_cli(["generate", "regular", "--n", "10", "--d", d,
+                                      "--wmax", "0"], capsys)
+            assert (code, out) == (1, ""), d
+            assert "need wmax >= 1" in err
 
     def test_bad_jmax_is_usage_error(self, csse4_file, capsys):
         code, _, err = run_cli(["solve", "--method", "combined",

@@ -155,3 +155,6 @@ class TestRandomFamilies:
             gen_regular(5, 3)  # odd stub count
         with pytest.raises(ValueError):
             gen_regular(4, 4)
+        for d in (3, 0):
+            with pytest.raises(ValueError, match="need wmax >= 1"):
+                gen_regular(10, d, wmax=0)

@@ -3,8 +3,16 @@ import math
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import find_T_deterministic, good_set_nonsparse
+from helpers import (
+    find_T_deterministic,
+    good_set_nonsparse,
+    random_instance,
+    reference_check_T,
+    reference_find_T_randomized,
+)
 from spinscape.generators import gen_csse, gen_multicopy, gen_regular
 from spinscape.instance import IsingInstance
 from spinscape.tset import (
@@ -13,6 +21,7 @@ from spinscape.tset import (
     check_T,
     find_T1T2,
     find_T_randomized,
+    side_set_target,
 )
 
 
@@ -144,14 +153,6 @@ class TestFindRandomized:
         c = find_T_randomized(inst, seed=4)
         assert a.t != c.t or a.attempts == c.attempts  # seeds may collide; sets usually differ
 
-    def test_random_edge_rule_also_revalidates(self):
-        inst = gen_multicopy(12, 4)
-        cert = find_T_randomized(inst, seed=5, strong_edge_rule="random")
-        assert cert.ok
-        assert check_T(inst, cert.t, cert.params).conditions_ok
-        with pytest.raises(ValueError):
-            find_T_randomized(inst, seed=5, strong_edge_rule="sorted")
-
     def test_impossible_instance_flags_failure(self):
         # epsilon 1 samples every vertex each attempt; no outside partners exist
         cert = find_T_randomized(triangle(), TParams(d=2, epsilon=1.0), seed=1, max_retries=3)
@@ -169,6 +170,57 @@ class TestFindRandomized:
         cert = find_T_randomized(inst, seed=9)
         assert cert.ok
         assert check_T(inst, cert.t, cert.params).conditions_ok
+
+
+@st.composite
+def tset_cases(draw):
+    """(instance, params): random instances of 3-16 variables, with the
+    default params or with small constants, so that every condition fails
+    on some draws and condition 3 sees members that fail 1 or 2."""
+    inst = random_instance(draw(st.integers(0, 2**32 - 1)), n=draw(st.integers(3, 16)),
+                           density=draw(st.sampled_from([0.2, 0.4, 0.8])))
+    if inst.degree_graph().max_degree >= 2 and draw(st.booleans()):
+        return inst, TParams.for_instance(inst)
+    return inst, TParams(d=draw(st.integers(1, 8)),
+                         epsilon=draw(st.sampled_from([0.1, 0.25, 0.5, 1.0])),
+                         c_internal=draw(st.integers(1, 3)), c_strong=draw(st.integers(1, 3)),
+                         c_load=draw(st.integers(1, 3)), c_cross=draw(st.integers(1, 3)))
+
+
+def combined_search_sets(inst, seed):
+    """The pool and side-set context that the combined solver hands the
+    randomized search at alpha 0.5, or None where it searches no side sets."""
+    graph = inst.degree_graph()
+    d_avg = graph.average_degree
+    if d_avg < 2 or side_set_target(inst.n, d_avg, 0.5) < 1:
+        return None
+    sides = find_T1T2(graph, seed=seed)
+    if not sides.ok:
+        return None
+    side = set(sides.t1) | set(sides.t2)
+    w0 = [i for i in range(inst.n) if i not in side and graph.degrees[i] <= 2.0 * d_avg]
+    j_max = max(inst.coupling_row_abs(i) for i in range(inst.n))
+    return w0, ConstrainedContext(t1=sides.t1, t2=sides.t2, j_max=j_max)
+
+
+@settings(max_examples=150)
+@given(tset_cases(), st.integers(0, 5), st.data())
+def test_member_checks_match_the_reference_loops(case, seed, data):
+    # the search and the certificate share one member check; the reference
+    # runs the labelling and the certificate as two loops of their own
+    inst, params = case
+    assert find_T_randomized(inst, params, seed=seed, max_retries=3) == \
+        reference_find_T_randomized(inst, params, seed=seed, max_retries=3)
+    t = data.draw(st.sets(st.integers(0, inst.n - 1)))
+    assert check_T(inst, t, params) == reference_check_T(inst, t, params)
+    sets = combined_search_sets(inst, seed)
+    if sets is None:
+        return
+    w0, ctx = sets
+    assert find_T_randomized(inst, params, seed=seed, within=w0, constrained=ctx) == \
+        reference_find_T_randomized(inst, params, seed=seed, within=w0, constrained=ctx)
+    t = t - set(ctx.t1) - set(ctx.t2)
+    assert check_T(inst, t, params, ctx) == reference_check_T(inst, t, params, ctx)
 
 
 class TestFindDeterministic:
