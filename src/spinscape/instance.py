@@ -220,13 +220,20 @@ class IsingInstance:
         * a local field h_i + sum_j J_ij S_j, the share of it from any set
           of variables, and the block constant h + s_hi J_hi: terms of
           row i only;
-        * the engine's totals without side sets, E(outer) - sum_{i in T}
-          |L_i|, and each partial sum of it: a coupling between T and the
-          outer variables lies in one field only, and T has no coupling
-          inside.
+        * the engine's lower bound E(outer) - W_in - sum_{i in T, T1, T2}
+          |L_i|, with W_in the sum of |J_ij| over the couplings among T,
+          T1 and T2, and each partial sum of it: the outer energy's terms,
+          the couplings among the inner variables and each field's own
+          terms (h_i and the couplings from i to the outer variables) are
+          disjoint.  Without couplings among T, T1 and T2 it is the exact
+          total;
+        * an exact total written over a kept row's bound: the energy of a
+          real assignment.
 
         So each value lies in [-B, B]: none wraps, and -2^31, whose abs
-        would wrap, never occurs.  Lex keys, weight sums, counters, the
+        would wrap, never occurs.  The engine compares the bound with its
+        incumbent, itself an energy in [-B, B], and never adds W_in to it,
+        which could leave the range.  Lex keys, weight sums, counters, the
         INT64_MAX sentinels, the side-set tables and ``compute_Z`` stay in
         int64; ``compute_Z`` keeps its own int64 route, so its leaf count
         remains an independent audit of the narrowed scan.

@@ -26,10 +26,13 @@ vector alone.  A block therefore classes its rows by field vector and
 solves the inner problem once per class: the optimum on the class's
 smallest row, broadcast to the others, and the tie completion only on
 the first row at the block minimum of each class, which has the class's
-smallest outer key.  The counters, ``leaves_explored`` among them, still
-count every outer row.  The outer scan's tables and block arrays are in
-the instance's ``scan_dtype`` (int32 under the bound stated there), and
-everything else stays in int64, so results are exact.
+smallest outer key.  Before classing, a block drops the rows whose
+lower bound on every completion exceeds the energy of a greedy
+completion of one of its rows: they cannot reach the block minimum.
+The counters, ``leaves_explored`` among them, still count every outer
+row.  The outer scan's tables and block arrays are in the instance's
+``scan_dtype`` (int32 under the bound stated there), and everything else
+stays in int64, so results are exact.
 """
 
 from __future__ import annotations
@@ -76,6 +79,8 @@ _KEY_BITS = 63
 # Bound on the mixed-radix row codes of :func:`_row_classes`: a code, each
 # of its digits and each sort key stay within 2^_CODE_BITS.
 _CODE_BITS = 62
+# Rows of lowest bound whose greedy completions give a block's incumbent.
+_INCUMBENT_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -297,6 +302,17 @@ class _ScanEngine:
     (:func:`_row_classes`, free pattern first) and enumerates completions
     once per class.  The fixing counters and the free-member histogram
     behind ``leaves_explored`` are still taken over every outer row.
+
+    Most rows need no inner solve at all.  Every completion of a row with
+    outer energy e_out and fields f on T, T1 and T2 costs at least
+    ``LB = e_out - sum |f| - W_in``, where W_in is the weight of the
+    couplings among T, T1 and T2, and the greedy completion (each inner
+    variable against its field) of any row is a real assignment of the
+    block.  So a row whose LB exceeds the block's incumbent, the best
+    greedy energy among its rows of lowest LB (:meth:`_survivors`), holds
+    no optimum and is dropped before classing.  The incumbent reads the
+    block alone, never the running best, so which rows are dropped does
+    not depend on the thread schedule.
     """
 
     def __init__(
@@ -337,9 +353,14 @@ class _ScanEngine:
         # per-member threshold over the whole inner region: a fixed member
         # of T stays dominated whatever T's free part and the side sets do
         self.h_max = np.abs(j_in[:m]).sum(axis=1)
+        # the same thresholds in the scan's dtype; each is at most the budget
+        self._h_lim = self.h_max.astype(inst.scan_dtype)
         self.j_tt = j_in[:m, :m]
         self.j_t1 = j_in[:m, m:m + len(t1)]
         self.j_t2 = j_in[:m, m + len(t1):]
+        self._j_in = j_in
+        # W_in: the weight of every coupling among T, T1 and T2, each edge once
+        self._w_in = inst.scan_dtype.type(np.abs(j_in).sum() // 2)
         self.has_internal = bool(np.any(self.j_tt))
         self.sides = bool(t1 or t2)
         self.w_t = _key_weights(self.t, n)
@@ -504,6 +525,54 @@ class _ScanEngine:
             raise AssertionError("tying row lost its optimum")
         return _key_rank(best, self.inst.n)
 
+    def _bound(self, e_out: np.ndarray, inner_rows: np.ndarray, totals: np.ndarray,
+               free: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each row's lower bound, and how each member of T is fixed, in one pass.
+
+        Writes ``e_out - W_in - sum |f|`` over T, T1 and T2 into ``totals``,
+        and into row i of ``free`` (one row per member of T, or none
+        without side sets or couplings inside T) the block rows where
+        member i is free.  Returns, per member of T, the number of block
+        rows where it is strictly fixed and where it is free, and per
+        block row its number of free members.  With no coupling among T,
+        T1 and T2, W_in is 0 and the bound is the exact total.
+        """
+        np.subtract(e_out, self._w_in, out=totals)
+        strict = np.zeros(self.m, dtype=np.int64)
+        n_free = np.zeros(self.m, dtype=np.int64)
+        popc = np.zeros(len(totals), dtype=np.intp)
+        for i, f in enumerate(inner_rows):
+            mag = np.abs(f)
+            totals -= mag
+            if i < self.m:
+                h = self._h_lim[i]
+                # with h_max 0, a member is strictly fixed where its field is not 0
+                strict[i] = np.count_nonzero(mag > h) if h else np.count_nonzero(f)
+            if i < len(free):
+                np.less(mag, h, out=free[i])
+                n_free[i] = np.count_nonzero(free[i])
+                popc += free[i]
+        return strict, n_free, popc
+
+    def _survivors(self, lb: np.ndarray, e_out: np.ndarray,
+                   fields: np.ndarray) -> Optional[np.ndarray]:
+        """Rows of a block whose bound ``lb`` does not exceed the block's incumbent.
+
+        The incumbent is the smallest exact energy of the greedy completion
+        (each inner variable set against its field, a zero field at -1) of
+        the ``_INCUMBENT_ROWS`` rows of lowest bound, so it depends on the
+        block alone.  Returns the kept rows in ascending order, or None when
+        more than half survive: gathering them would cost more than the
+        classing it saves.
+        """
+        k = min(_INCUMBENT_ROWS, len(lb))
+        low = np.flatnonzero(lb <= np.partition(lb, k - 1)[k - 1])[:k]
+        f = fields[low].astype(np.int64)
+        s = np.where(f < 0, 1, -1)
+        greedy = e_out[low] - np.abs(f).sum(axis=1) + ((s @ self._j_in) * s).sum(axis=1) // 2
+        keep = lb <= lb.dtype.type(greedy.min())
+        return np.flatnonzero(keep) if 2 * np.count_nonzero(keep) <= len(lb) else None
+
     def scan_block(self, start: int) -> Tuple[int, Optional[int], int, List[int], Dict[str, int]]:
         """Scan one block of outer assignments and resolve its ties.
 
@@ -513,44 +582,53 @@ class _ScanEngine:
         The rank is None when an earlier block already reached a lower
         energy, so this block cannot hold the optimum.
 
-        With side sets or couplings inside T, the inner problem is solved
-        once per class of rows with equal fields: :meth:`_minima` on each
-        class's smallest row, and :meth:`_lex_min_rank` on each class's
-        first row at the minimum.  Within a block the outer key rises with
-        the row index, and outer and inner key bits are disjoint, so that
-        row's key, plus the class's smallest optimal completion, is the
-        smallest key of the class.  Without them, every member is fixed
-        and a zero-field member may take either spin, so a tying row's
-        smallest key is its forced key with the members of negative field
-        at +1 and the others at -1.
+        One pass over the field rows gives every row's lower bound LB and
+        the fixing counters (:meth:`_bound`).  With side sets or couplings
+        inside T, the rows whose LB exceeds the block's greedy incumbent UB
+        are dropped (:meth:`_survivors`), and the inner problem is solved
+        once per class of kept rows with equal fields: :meth:`_minima` on
+        each class's smallest row, and :meth:`_lex_min_rank` on each
+        class's first row at the minimum.  Within a block the outer key
+        rises with the row index, and outer and inner key bits are
+        disjoint, so that row's key, plus the class's smallest optimal
+        completion, is the smallest key of the class.  Without them, every
+        member is fixed and LB is the exact total; a zero-field member may
+        take either spin, so a tying row's smallest key is its forced key
+        with the members of negative field at +1 and the others at -1.
+
+        Dropping rows changes no output.  UB is the energy of a real
+        assignment of the block, so the block minimum is at most UB.  A
+        dropped row keeps LB > UB as its total, so it is neither the
+        minimum nor one of the rows at it, and a row at the minimum has
+        LB <= minimum <= UB, so it is kept, classed and keyed as before.
+        The block minimum, ``tie_rows`` and the rank are therefore those
+        of the unbounded scan, and the counters and the free-member
+        histogram behind ``leaves_explored`` still count every row.
         """
         e_out = self.split.energies(start)
-        if not hasattr(self._local, "buf"):
-            # this thread's totals and inner fields, reused from block to block
-            self._local.buf = np.empty((1 + len(self.inner), len(e_out)), dtype=self.split.dtype)
-        buf = self._local.buf
-        # effective fields on T, T1 and T2, columns side by side
-        fields = self.split.fields(start, self.inner, buf[1:]).T
+        n_rows = len(e_out)
         coupled = self.sides or self.has_internal
+        if not hasattr(self._local, "buf"):
+            # this thread's totals, inner fields and free flags, reused from
+            # block to block
+            self._local.buf = np.empty((1 + len(self.inner), n_rows), dtype=self.split.dtype)
+            self._local.free = np.empty((self.m if coupled else 0, n_rows), dtype=bool)
+        buf, free = self._local.buf, self._local.free
+        totals, inner_rows = buf[0], buf[1:]
+        # effective fields on T, T1 and T2, columns side by side
+        fields = self.split.fields(start, self.inner, inner_rows).T
+        strict, n_free, popc = self._bound(e_out, inner_rows, totals, free)
+        at_max = n_rows - strict - n_free
+        # without side sets or couplings inside T, h_max is 0, every member
+        # is fixed and the bound is the total
         if coupled:
-            aheff = np.abs(fields[:, :self.m])
-            strict = np.count_nonzero(aheff > self.h_max, axis=0)
-            free = aheff < self.h_max
-            popc = np.count_nonzero(free, axis=1)
-            at_max = len(e_out) - strict - np.count_nonzero(free, axis=0)
+            kept = self._survivors(totals, e_out, fields)
+            sub = slice(None) if kept is None else kept
+            sel, sel_free = inner_rows[:, sub].T, free[:, sub].T
             # classes come out grouped by free pattern, as _minima needs
-            reps, cls = _row_classes([free, fields], len(e_out))
-            totals = e_out + self._minima(fields[reps], free[reps])[cls]
-        else:
-            # no coupling inside T and no side sets: h_max is 0, every
-            # member is fixed and the field terms are the whole story
-            popc = np.zeros(len(e_out), dtype=np.int64)
-            strict = np.array([np.count_nonzero(f) for f in buf[1:]])
-            at_max = len(e_out) - strict
-            totals = buf[0]
-            totals[:] = e_out
-            for f in buf[1:]:
-                totals -= np.abs(f)
+            reps, cls = _row_classes([sel_free, sel], len(sel))
+            # a dropped row keeps its bound, above the block minimum
+            totals[sub] = e_out[sub] + self._minima(sel[reps], sel_free[reps])[cls]
         bmin = int(totals.min())
         rows = np.flatnonzero(totals == bmin)
         counters = {
@@ -567,12 +645,14 @@ class _ScanEngine:
                 self._best = bmin
         rank = None
         if live and coupled:
-            first = rows[np.unique(cls[rows], return_index=True)[1]]
+            # every row at the minimum was kept: its bound is at most bmin
+            at = rows if kept is None else np.searchsorted(kept, rows)
+            first = rows[np.unique(cls[at], return_index=True)[1]]
             target = bmin - e_out[first].astype(np.int64)
             rank = self._lex_min_rank(start, first, fields[first], target)
         elif live:
             keys = self._outer_keys(start, rows)
-            for w, f in zip(self.w_t, buf[1:]):
+            for w, f in zip(self.w_t, inner_rows):
                 keys += (f[rows] < 0)[:, None] * w
             rank = _key_rank(_lex_min(None, keys), self.inst.n)
         return bmin, rank, int(rows.size), [int(c) for c in np.bincount(popc)], counters

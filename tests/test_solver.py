@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import spinscape.solver as solver_module
 from spinscape.cli import main
-from spinscape.generators import gen_csse, gen_multicopy, gen_regular
+from spinscape.generators import gen_csse, gen_multicopy, gen_random, gen_regular
 from spinscape.instance import (
     INT32_MAX,
     INT64_MAX,
@@ -1249,3 +1249,101 @@ def test_int32_scan_matches_the_forced_int64_scan(case, data):
     want = _block_oracle(inst)
     for method, res in solved.items():
         assert (res.energy, res.best) == want, method
+
+
+def _keep_every_row(self, lb, e_out, fields):
+    return None
+
+
+def _at_budget(inst, budget):
+    """``inst`` with its fields and couplings scaled up and c0 set so that
+    |c0| + sum |h| + 2 sum |J| is exactly ``budget``; optima are unchanged."""
+    base = sum(abs(x) for x in inst.h) + 2 * sum(abs(w) for w in inst.couplings.values())
+    scale = max(1, budget // max(1, base))
+    return IsingInstance(inst.n, [scale * x for x in inst.h],
+                         [(i, j, scale * w) for (i, j), w in inst.couplings.items()],
+                         c0=budget - scale * base)
+
+
+@st.composite
+def pruning_cases(draw):
+    """(instance, block_bits, (T, T1, T2)) for the pruning bound.
+
+    "aligned" draws have one field sign and couplings that the greedy
+    completion satisfies, so at the optimum the bound meets the incumbent
+    (LB == UB) and that row must be kept.  The explicit sets put the most
+    significant inner variable in T1, ahead of every member of T.  Budgets
+    sit at 2^31 - 1 (int32 scan) or 2^31 (int64), and blocks of 2 to 16
+    rows give multi-block scans.
+    """
+    kind = draw(st.sampled_from(["aligned", "random", "degenerate"]))
+    if kind == "degenerate":
+        inst = draw(degenerate_instances())
+    else:
+        n = draw(st.integers(3, 10))
+        pairs = [p for p in combinations(range(n), 2) if draw(st.booleans())]
+        if kind == "aligned":
+            sign = draw(st.sampled_from([-1, 1]))
+            h = [sign * draw(st.integers(0, 3)) for _ in range(n)]
+            triples = [(i, j, -draw(st.integers(1, 3))) for i, j in pairs]
+        else:
+            h = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+            triples = [(i, j, draw(st.sampled_from([-3, -1, 1, 2]))) for i, j in pairs]
+        inst = IsingInstance(n, h, triples)
+    budget = draw(st.sampled_from([None, INT32_MAX, INT32_MAX + 1]))
+    if budget is not None:
+        inst = _at_budget(inst, budget)
+    inner = sorted(draw(st.permutations(range(inst.n)))[:draw(st.integers(1, inst.n))])
+    roles = draw(st.lists(st.integers(0, 2), min_size=len(inner), max_size=len(inner)))
+    t1 = [v for v, r in zip(inner, roles) if r == 1 or v == inner[0]]
+    t = [v for v, r in zip(inner, roles) if r == 0 and v != inner[0]]
+    t2 = [v for v, r in zip(inner, roles)
+          if r == 2 and v != inner[0] and not any(inst.coupling(v, u) for u in t1)]
+    return inst, draw(st.integers(1, 4)), (t, t1, t2)
+
+
+@settings(max_examples=60)
+@given(pruning_cases(), st.integers(0, 3))
+def test_pruning_changes_no_solve_result(case, seed):
+    # every method, and a scan over drawn sets, with the bound and with
+    # the bound patched to keep every row: the same energy, assignment,
+    # leaf and outer counts and counters
+    inst, block_bits, (t, t1, t2) = case
+    solvers = {
+        "coloring": lambda: solve_coloring_baseline(inst, block_bits=block_bits),
+        "effective": lambda: solve_effective(inst, seed=seed, block_bits=block_bits),
+        "avg-degree": lambda: solve_avg_degree(inst, seed=seed, block_bits=block_bits),
+        "combined": lambda: solve_combined(inst, seed=seed, block_bits=block_bits),
+        "sets": lambda: _solve_with_T(inst, t, "x", block_bits, t1=t1, t2=t2),
+    }
+    pruned = {method: solve() for method, solve in solvers.items()}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_ScanEngine, "_survivors", _keep_every_row)
+        for method, solve in solvers.items():
+            assert solve() == pruned[method], method
+    oracle = solve_brute(inst)
+    assert (pruned["sets"].energy, pruned["sets"].best) == (oracle.energy, oracle.best)
+
+
+def test_pruning_skips_inner_solves():
+    # effective on random n = 20 at density 0.8 (the benchmark's d20, seed
+    # 1) branches on a certified T with couplings inside: every one of its
+    # 32,768 outer rows is a class of its own, and the bound leaves a few
+    # dozen of them to solve
+    inst = gen_random(20, 0.8, seed=1)
+    seen = []
+    minima = _ScanEngine._minima
+
+    def recording(self, fields, free):
+        seen.append(len(fields))
+        return minima(self, fields, free)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_ScanEngine, "_minima", recording)
+        pruned = solve_effective(inst, seed=1)
+        solved = sum(seen)
+        seen.clear()
+        mp.setattr(_ScanEngine, "_survivors", _keep_every_row)
+        assert solve_effective(inst, seed=1) == pruned
+    assert pruned.method == "effective-field"
+    assert 0 < solved < sum(seen) == pruned.outer_assignments
