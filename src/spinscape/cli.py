@@ -577,10 +577,11 @@ def build_parser() -> argparse.ArgumentParser:
                     required=True)
     pr.add_argument("--weights-file", default=None,
                     help="whitespace-separated integers, '-' for stdin")
-    pr.add_argument("--delta", type=_int_token, default=1)
+    pr.add_argument("--delta", type=_non_negative, default=1,
+                    help="window half-width, at least 1 for --mode scaling")
     pr.add_argument("--h", type=_int_token, default=0)
-    pr.add_argument("--samples", type=_int_token, default=100000)
-    pr.add_argument("--sizes", type=_int_token, nargs="+", default=(16, 64, 256),
+    pr.add_argument("--samples", type=_positive, default=100000)
+    pr.add_argument("--sizes", type=_positive, nargs="+", default=(16, 64, 256),
                     help="weight counts for the scaling table")
     pr.add_argument("--seed", type=_non_negative, default=0)
     _add_workers_flag(pr)

@@ -15,11 +15,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from spinscape.instance import INT64_MAX, EnumerationLimitError, thread_map
+from spinscape.instance import INT32_MAX, INT64_MAX, EnumerationLimitError, thread_map
 
 SUPPORT_LIMIT = 10**7
 _STREAM_MC = 31
@@ -66,19 +67,12 @@ def _coerce(weights) -> WeightedSum:
     return WeightedSum(tuple(weights))
 
 
-def signed_sum_counts(weights) -> Tuple[List[int], int]:
-    """Outcome counts of the sign sum over its integer support.
+def _packed_counts(w: WeightedSum) -> Tuple[bytes, int, int]:
+    """The count table of ``signed_sum_counts`` as (data, width, radius).
 
-    Returns (counts, radius) where counts[v + radius] is the number of the
-    2**n sign choices with sum exactly v.
-
-    The counts live in one packed Python int, one ``width``-byte slot per
-    support point, least significant slot first.  Weights are grouped by
-    magnitude: the largest group (m, k) is the binomial row C(k, j) at
-    stride 2m, and every other weight of magnitude m adds the table shifted
-    by 2m slots to itself.
+    Slot i of the table is ``data[i * width : (i + 1) * width]``, a
+    little-endian count of the sign choices with sum i - radius.
     """
-    w = _coerce(weights)
     radius = w.support_radius
     if 2 * radius + 1 > SUPPORT_LIMIT:
         raise SupportLimitError(
@@ -100,30 +94,45 @@ def signed_sum_counts(weights) -> Tuple[List[int], int]:
         shift = 2 * mag * 8 * width  # bits in 2 * mag slots
         for _ in range(count):
             packed += packed << shift
-    data = packed.to_bytes((2 * radius + 1) * width, "little")
+    return packed.to_bytes((2 * radius + 1) * width, "little"), width, radius
+
+
+def signed_sum_counts(weights) -> Tuple[List[int], int]:
+    """Outcome counts of the sign sum over its integer support.
+
+    Returns (counts, radius) where counts[v + radius] is the number of the
+    2**n sign choices with sum exactly v.
+
+    The counts live in one packed Python int, one ``width``-byte slot per
+    support point, least significant slot first.  Weights are grouped by
+    magnitude: the largest group (m, k) is the binomial row C(k, j) at
+    stride 2m, and every other weight of magnitude m adds the table shifted
+    by 2m slots to itself.
+    """
+    data, width, radius = _packed_counts(_coerce(weights))
     counts = [
         int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)
     ]
     return counts, radius
 
 
-def _range_count(counts: List[int], radius: int, lo: int, hi: int) -> int:
-    lo = max(lo, -radius)
-    hi = min(hi, radius)
-    if lo > hi:
-        return 0
-    return sum(counts[lo + radius : hi + radius + 1])
-
-
 def exact_interval_prob(weights, delta: int, h: int) -> Fraction:
-    """Exact Pr(|X + h| <= delta) for the sign sum X."""
+    """Exact Pr(|X + h| <= delta) for the sign sum X.
+
+    Only the slots of the window are read from the packed count table.
+    """
     delta = int(delta)
     h = int(h)
     if delta < 0:
         raise ValueError("delta must be >= 0")
     w = _coerce(weights)
-    counts, radius = signed_sum_counts(w)
-    hits = _range_count(counts, radius, -h - delta, -h + delta)
+    data, width, radius = _packed_counts(w)
+    lo = max(-h - delta, -radius) + radius
+    hi = min(-h + delta, radius) + radius
+    hits = sum(
+        int.from_bytes(data[i : i + width], "little")
+        for i in range(lo * width, (hi + 1) * width, width)
+    )
     return Fraction(hits, 1 << w.n)
 
 
@@ -131,31 +140,29 @@ def max_interval_prob(weights, delta: int) -> Tuple[int, Fraction]:
     """Maximize Pr(|X + h| <= delta) over integer shifts h.
 
     Only h in [-A - delta, A + delta] can score (A the support radius);
-    ties resolve to the smallest h.
+    ties resolve to the smallest h.  Step j of the scan is the shift
+    h = j - A - delta, whose window holds the counts of the sums
+    A - j .. A - j + 2 * delta: one running sum takes in the count that
+    enters the window at the bottom and drops the one that leaves at the
+    top, so every step costs one add whatever delta is.  A window at least
+    as wide as the support first holds all of it at h = A - delta.
     """
     delta = int(delta)
     if delta < 0:
         raise ValueError("delta must be >= 0")
     w = _coerce(weights)
     counts, radius = signed_sum_counts(w)
-    prefix = [0]
-    for c in counts:
-        prefix.append(prefix[-1] + c)
-
-    def window(lo: int, hi: int) -> int:
-        lo = max(lo, -radius)
-        hi = min(hi, radius)
-        if lo > hi:
-            return 0
-        return prefix[hi + radius + 1] - prefix[lo + radius]
-
-    best_h = -(radius + delta)
-    best = window(-best_h - delta, -best_h + delta)
-    for h in range(-(radius + delta) + 1, radius + delta + 1):
-        c = window(-h - delta, -h + delta)
-        if c > best:
-            best, best_h = c, h
-    return best_h, Fraction(best, 1 << w.n)
+    if delta >= radius:
+        return radius - delta, Fraction(1)
+    span = 2 * delta + 1
+    entering = chain(reversed(counts), repeat(0, span - 1))
+    leaving = chain(repeat(0, span), reversed(counts))
+    best = best_j = run = 0
+    for j, (add, drop) in enumerate(zip(entering, leaving)):
+        run += add - drop
+        if run > best:
+            best, best_j = run, j
+    return best_j - radius - delta, Fraction(best, 1 << w.n)
 
 
 class MCEstimate(NamedTuple):
@@ -170,23 +177,24 @@ def mc_interval_prob(
 
     Samples are split over a fixed number of shards with per-shard seed
     streams, so the pooled count does not depend on the worker count.  A
-    shard reads its 0/1 rows, ``_MC_CHUNK_ROWS`` at a time, from the raw
-    64-bit words of its Philox generator, each word split into its low and
-    then its high 32-bit half.  Draw j of the shard is the sign bit of half
-    j: that is ``Generator.integers(0, 2)``, which returns (2u) >> 32 for the
-    next 32-bit output u.  A chunk of odd size leaves the high half of its
-    last word over; the shard carries it into the next chunk, so the chunk
-    size does not change the draws.
+    shard reads its 0/1 rows from the raw 64-bit words of its Philox
+    generator, taken as one stream of little-endian bytes.  With
+    G = ceil(n/8), row r is bytes r*G .. r*G + G - 1 of the stream, and its
+    draw j is bit 7 - j%8 of byte j//8, so the first draw sits in the top
+    bit; the pad bits of a row's last byte are drawn and weigh nothing.
+    Rows are read ``_MC_CHUNK_ROWS`` at a time; the bytes of a chunk's last
+    word that the chunk does not use carry into the next chunk, so the
+    chunk size does not change the draws.
 
     With bits b in {0, 1} and s = b . a, the sum is X = 2s - sum(a), so the
-    test is lo <= s <= hi.  Each row is packed into ceil(n/8) bytes, first
-    draw in the top bit, and s is the sum of one table entry per byte: entry
-    (g, v) is the sum of the weights of group g (draws 8g..8g+7) whose bits
-    are set in v.  Every entry and every partial sum is a sum over a subset
-    of the weights, so it is at most sum(|a_i|) <= INT64_MAX in magnitude
-    and the int64 arithmetic is exact.  The bounds are Python ints clamped
-    to the range of s, so no int64 arithmetic can wrap, whatever h and
-    delta are.
+    test is lo <= s <= hi, and s is the sum of one table entry per row
+    byte: entry (g, v) is the sum of the weights of group g (draws
+    8g..8g+7) whose bits are set in v.  Every entry and every partial sum
+    is a sum over a subset of the weights, so it is at most sum(|a_i|) in
+    magnitude: the table is int32 when that is <= INT32_MAX and int64
+    otherwise, and its arithmetic is exact.  The bounds are Python ints
+    clamped to the range of s, so no fixed-width arithmetic can wrap,
+    whatever h and delta are.
     """
     delta = int(delta)
     h = int(h)
@@ -202,11 +210,13 @@ def mc_interval_prob(
     base, extra = divmod(samples, _MC_SHARDS)
     shard_sizes = [base + (1 if k < extra else 0) for k in range(_MC_SHARDS)]
     groups = -(-n // 8)
-    padded = np.zeros((groups, 8), dtype=np.int64)
+    dtype = np.int32 if w.support_radius <= INT32_MAX else np.int64
+    padded = np.zeros((groups, 8), dtype=dtype)
     padded.flat[:n] = w.a
-    table = np.zeros((groups, 1), dtype=np.int64)
+    table = np.zeros((groups, 1), dtype=dtype)
     for j in range(7, -1, -1):  # the last weight of a group ends in bit 0
         table = np.concatenate([table, table + padded[:, j : j + 1]], axis=1)
+    table = table.ravel()
     offsets = np.arange(0, 256 * groups, 256, dtype=np.intp)
 
     def run_shard(k: int) -> int:
@@ -214,24 +224,15 @@ def mc_interval_prob(
         if size == 0 or lo > hi:
             return 0
         gen = np.random.Philox(np.random.SeedSequence([seed, _STREAM_MC, k]))
-        spare = np.zeros(0, dtype=bool)
+        spare = np.zeros(0, dtype=np.uint8)
         hits = 0
         for done in range(0, size, _MC_CHUNK_ROWS):
             m = min(_MC_CHUNK_ROWS, size - done)
-            cells = m * n
-            count = (cells - spare.size + 1) // 2
-            bits = np.empty(spare.size + 2 * count, dtype=bool)
-            bits[: spare.size] = spare
-            # little-endian bytes put each word's low half first
-            halves = gen.random_raw(count).astype("<u8", copy=False).view("<i4")
-            np.less(halves, 0, out=bits[spare.size :])
-            # drop the words and the bits before the next draw, so their
-            # memory is reused instead of returned and faulted in again
-            del halves
-            spare = bits[cells:].copy()
-            packed = np.packbits(bits[:cells].reshape(m, n), axis=1)
-            del bits
-            s = np.take(table, packed + offsets).sum(axis=1)
+            nbytes = m * groups
+            words = gen.random_raw(-(-(nbytes - spare.size) // 8)).astype("<u8", copy=False)
+            stream = np.concatenate([spare, words.view(np.uint8)])
+            spare = stream[nbytes:].copy()
+            s = table[stream[:nbytes].reshape(m, groups) + offsets].sum(axis=1, dtype=dtype)
             hits += int(np.count_nonzero((s >= lo) & (s <= hi)))
         return hits
 

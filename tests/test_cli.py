@@ -280,6 +280,27 @@ class TestProbe:
                        "--h", h, "--samples", "1000"], capsys)
         assert (mc["estimate"], mc["std_error"]) == (0.0, 0.0)
 
+    # refused at parse time, before the weights file is opened
+    @pytest.mark.parametrize("option,value,low", [
+        ("--samples", "0", 1), ("--samples", "-5", 1),
+        ("--delta", "-1", 0), ("--sizes", "0", 1), ("--sizes", "-4", 1),
+    ])
+    def test_out_of_range_counts_are_usage_errors(self, tmp_path, capsys,
+                                                  option, value, low):
+        missing = str(tmp_path / "no-such-weights.txt")
+        with pytest.raises(SystemExit) as exc:
+            main(["probe", "--mode", "mc", "--weights-file", missing, option, value])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument %s: must be >= %d, got %s" % (option, low, value) in captured.err
+
+    def test_scaling_needs_delta_of_one(self, capsys):
+        code, out, err = run_cli(["probe", "--mode", "scaling", "--sizes", "4",
+                                  "--delta", "0"], capsys)
+        assert (code, out) == (1, "")
+        assert "delta must be >= 1" in err
+
     def test_weights_file_required(self, capsys):
         code, _, err = run_cli(["probe", "--mode", "exact"], capsys)
         assert code == 1

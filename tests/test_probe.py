@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_max_interval_prob, reference_signed_sum_counts
@@ -42,19 +42,38 @@ def grouped_weights(draw):
     return [m * s for m, s in zip(mags, signs)]
 
 
+@st.composite
+def window_cases(draw):
+    """Weights from ``grouped_weights`` and a narrow window or one about as
+    wide as the support."""
+    ws = draw(grouped_weights())
+    radius = sum(abs(w) for w in ws)
+    delta = draw(st.integers(0, 4) | st.integers(max(radius - 2, 0), radius + 3))
+    return ws, delta
+
+
 def reference_mc_hits(weights, delta, h, samples, seed):
-    """Hit count of the seeded stream by the plain route: one int64 0/1 block
-    per shard from ``Generator.integers``, a matmul, and the window test on
-    Python ints."""
+    """Hit count of the seeded stream by an independent route: each shard's
+    raw words as little-endian bytes, ``np.unpackbits`` of one row's
+    ceil(n/8) bytes at a time (first draw in the top bit, pad bits cut),
+    an int64 matmul, and the window test on Python ints."""
+    n = len(weights)
+    row_bytes = -(-n // 8)
     a = np.array(weights, dtype=np.int64)
     total = sum(weights)
     base, extra = divmod(samples, probe._MC_SHARDS)
     hits = 0
     for k in range(probe._MC_SHARDS):
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence([seed, probe._STREAM_MC, k]))
-        )
-        rows = rng.integers(0, 2, size=(base + (k < extra), len(weights)), dtype=np.int64)
+        size = base + (k < extra)
+        gen = np.random.Philox(np.random.SeedSequence([seed, probe._STREAM_MC, k]))
+        words = gen.random_raw(-(-size * row_bytes // 8))
+        raw = words.astype("<u8").tobytes()
+        rows = np.array(
+            [np.unpackbits(np.frombuffer(raw[r * row_bytes : (r + 1) * row_bytes],
+                                         dtype=np.uint8))[:n]
+             for r in range(size)],
+            dtype=np.int64,
+        ).reshape(size, n)
         hits += sum(abs(2 * s - total + h) <= delta for s in (rows @ a).tolist())
     return hits
 
@@ -159,6 +178,13 @@ class TestExact:
     def test_monotone_in_delta(self, ws, delta, h):
         assert exact_interval_prob(ws, delta, h) <= exact_interval_prob(ws, delta + 1, h)
 
+    @given(grouped_weights(), st.integers(0, 8), st.integers(-400, 400))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_reference_counts(self, ws, delta, h):
+        counts, radius = reference_signed_sum_counts(ws)
+        hits = sum(c for v, c in enumerate(counts, -radius) if abs(v + h) <= delta)
+        assert exact_interval_prob(ws, delta, h) == Fraction(hits, 1 << len(ws))
+
     @given(small_weights)
     @settings(max_examples=40, deadline=None)
     def test_full_window_has_mass_one(self, ws):
@@ -183,6 +209,10 @@ class TestMax:
             h, p = max_interval_prob((k,), k)
             assert (h, p) == (0, Fraction(1))
 
+    def test_window_far_wider_than_the_support(self):
+        # a scan over all 2A + 2 delta + 1 shifts would never end
+        assert max_interval_prob((3, -1), 2**62) == (4 - 2**62, Fraction(1))
+
     @given(small_weights, st.integers(0, 5))
     @settings(max_examples=60, deadline=None)
     def test_max_dominates_every_shift(self, ws, delta):
@@ -195,9 +225,19 @@ class TestMax:
                 assert h_star <= h
                 break
 
-    @given(grouped_weights(), st.integers(0, 4))
-    @settings(max_examples=80)
-    def test_matches_window_scan(self, ws, delta):
+    # single weights and far-apart magnitudes put a lone count under every
+    # window, so the first and the last shift tie for the maximum; a window
+    # wider than the support holds all of it over a whole run of shifts
+    @given(window_cases())
+    @example(([5], 0))
+    @example(([5], 4))
+    @example(([2, -7], 1))
+    @example(([1], 1))
+    @example(([3, 3, -3], 9))
+    @example(([2, 2, 2, -2], 13))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_window_scan(self, case):
+        ws, delta = case
         assert max_interval_prob(ws, delta) == reference_max_interval_prob(ws, delta)
 
 
@@ -224,13 +264,13 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             mc_interval_prob((1,), 1, 0, samples=0)
 
-    # hit counts of the seeded stream; a change of chunking or dtype that moves
-    # the draws moves these
+    # hit counts of the seeded stream, as ``reference_mc_hits`` counts them; a
+    # change of chunking or dtype that moves the draws moves these
     @pytest.mark.parametrize("samples, seed, delta, h, hits", [
-        (20001, 4, 2, 1, 3232),  # shards of 2501 rows span several chunks
-        (16395, 11, 1, -2, 1745),
-        (1, 6, 2, 1, 1),
-        (1, 0, 2, 1, 0),
+        (20001, 4, 2, 1, 3355),  # shards of 2501 rows span several chunks
+        (16395, 11, 1, -2, 1790),
+        (1, 6, 2, 1, 0),
+        (1, 0, 2, 1, 1),
     ])
     def test_frozen_stream(self, samples, seed, delta, h, hits):
         est = mc_interval_prob((3, -1, 4, 1, -5, 9, 2), delta, h, samples, seed=seed)
@@ -243,6 +283,17 @@ class TestMonteCarlo:
         want = mc_interval_prob(ws, 2, 1, 5003, seed=4)
         monkeypatch.setattr(probe, "_MC_CHUNK_ROWS", rows)
         assert mc_interval_prob(ws, 2, 1, 5003, seed=4) == want
+
+    # 9 weights take 2 bytes a row, so chunks of 1, 3 and 7 rows end inside a
+    # word and carry its last 6, 2 and 2 bytes into the next chunk
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    def test_chunks_ending_inside_a_word_carry_its_bytes(self, rows, monkeypatch):
+        ws = (3, -1, 4, 1, -5, 9, 2, -6, 5)
+        want = mc_interval_prob(ws, 3, 2, 3001, seed=8)
+        monkeypatch.setattr(probe, "_MC_CHUNK_ROWS", rows)
+        got = mc_interval_prob(ws, 3, 2, 3001, seed=8, workers=2)
+        assert got == want
+        assert got.estimate == reference_mc_hits(ws, 3, 2, 3001, 8) / 3001
 
     @given(mc_cases(), st.integers(0, 2**32))
     @settings(max_examples=80, deadline=None)
@@ -260,6 +311,17 @@ class TestMonteCarlo:
         assert mc_interval_prob((1,), 1, h, samples=1000, seed=1) == MCEstimate(0.0, 0.0)
         assert exact_interval_prob((1,), abs(h) + 1, h) == 1
         assert mc_interval_prob((1,), abs(h) + 1, h, samples=1000, seed=1) == (1.0, 0.0)
+
+    # total magnitudes of 2**31 - 1 (int32 table) and 2**31 (int64 table); the
+    # row with every bit set sums to the total and is the only hit
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_sums_at_the_int32_budget(self, extra):
+        ws = (2**30, 2**30 - 2 + extra, 1)
+        total = sum(ws)
+        est = mc_interval_prob(ws, 0, -total, samples=4000, seed=3)
+        hits = reference_mc_hits(ws, 0, -total, 4000, 3)
+        assert 0 < hits < 4000
+        assert est.estimate == hits / 4000
 
     def test_sums_near_the_int64_budget(self):
         # X + 3 == 0 needs equal signs on the two large weights and -1 on the 3
