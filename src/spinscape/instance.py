@@ -498,7 +498,11 @@ class SplitScan:
     :meth:`energies` reads, and for ``columns``, the variables a caller
     reads through :meth:`fields` (all of them by default).  A low variable
     outside ``columns`` gets a row only as long as the doubling of the
-    energies reads it: 2^(width - 1 - k) entries at position k.
+    energies reads it: 2^(width - 1 - k) entries at position k.  The
+    ``members`` are the columns outside the scan: with every variable
+    scanned or a member, and the members pairwise uncoupled,
+    :meth:`member_spins` and :meth:`flip_survivors` find the assignments
+    that pass every single flip from the scanned rows alone.
 
     The tables are in ``inst.scan_dtype``, whose docstring bounds every
     value computed here, so the results are exact.  They are read-only
@@ -533,6 +537,14 @@ class SplitScan:
         self._row[order] = np.arange(len(order))
         self._all_scanned = not short
         jf = inst.full_coupling_matrix()
+        # The members: the wanted variables outside the scan, whose spins
+        # the single-flip filter may set, and each scanned variable's
+        # couplings into them.
+        self.members = members = sorted(wanted - set(scanned))
+        self._members_coupled = bool(jf[np.ix_(members, members)].any())
+        j_members = jf[np.ix_(scanned, members)]
+        self._member_terms = [[(m, dt.type(j_members[k, m])) for m in np.flatnonzero(j_members[k])]
+                              for k in range(width)]
         h = inst._h_arr[order].astype(dt)
         h_scanned = inst._h_arr[scanned].astype(dt)
         # cols[k]: coupling row of scanned variable k, in table-row order
@@ -627,37 +639,74 @@ class SplitScan:
 
         return lookup
 
-    def flip_survivors(self, start: int, strict: bool = True,
-                       flipped: bool = False) -> np.ndarray:
-        """Rows of the block at ``start`` that pass every single-flip test.
+    def member_spins(self, start: int, strict: bool = True,
+                     flipped: bool = False) -> Tuple[np.ndarray, np.ndarray]:
+        """Rows of the block at ``start`` whose members pass their single flips, and their spins.
 
-        A row passes when S_i * L_i < 0 for every scanned variable i (every
-        single flip strictly raises the energy), or <= 0 with ``strict=False``;
-        ``flipped=True`` reverses the sign (> 0, >= 0).  The rows are
-        filtered one variable at a time, and each test reads only the rows
-        still alive.  A high variable's spin is constant in the block; the
-        low variable at position i is bit width-1-i of the row index, so no
-        spin table is read.  Returns the passing row indices in ascending order.
+        The members must be pairwise uncoupled, so each member's local field
+        is its :meth:`fields` row, fixed by the scanned spins once every
+        variable is scanned or a member.  A member passes the test of
+        :meth:`flip_survivors` exactly when its spin is set against its
+        field, S = -sign(L) (``flipped=True``: +sign(L)).  A zero field
+        fails every strict test, so ``strict=True`` drops those rows; under
+        ``strict=False`` both spins pass, and the member gets spin 0: free.
+        Returns the rows in ascending order and the (members x rows) spins
+        in this scan's ``dtype``.
+        """
+        if self._members_coupled:
+            raise ValueError("member spins need pairwise uncoupled members")
+        spins = np.sign(self.fields(start, self.members))
+        if not flipped:
+            np.negative(spins, out=spins)
+        if not strict:
+            return np.arange(len(self._e_lo)), spins
+        rows = np.flatnonzero(spins.all(axis=0))
+        return rows, spins[:, rows]
+
+    def flip_survivors(self, start: int, strict: bool = True, flipped: bool = False,
+                       rows: np.ndarray | None = None,
+                       spins: np.ndarray | None = None) -> np.ndarray:
+        """Candidates of the block at ``start`` that pass every scanned variable's single flip.
+
+        A candidate is a row of the block, from ``rows`` (by default every
+        row, in order), with the +-1 spins of the members in the matching
+        column of ``spins`` (members x candidates), as :meth:`member_spins`
+        gives them once its free members are set.  Without ``spins`` the
+        members count as absent, and a row's fields come from the scanned
+        spins alone.
+
+        A candidate passes when S_i * L_i < 0 for every scanned variable i
+        (every single flip strictly raises the energy), or <= 0 with
+        ``strict=False``; ``flipped=True`` reverses the sign (> 0, >= 0).
+        L_i is the row's field plus J_im * S_m for each member m coupled to
+        i.  The candidates are filtered one variable at a time, and each
+        test reads only the candidates still alive.  A high variable's spin
+        is constant in the block; the low variable at position i is bit
+        width-1-i of the row index, so no spin table is read.  Returns the
+        positions of the passing candidates in ascending order.
         """
         if not self._all_scanned:
             raise ValueError("single-flip survivors need every scanned variable's fields")
         s_hi = self.hi_spins(start)
         c = self._h + s_hi @ self._j_hi
         lt, gt = (np.less, np.greater) if strict else (np.less_equal, np.greater_equal)
-        size = len(self._e_lo)
-        rows = np.arange(size)
+        live = np.arange(len(self._e_lo) if rows is None else len(rows))
         for i, f in enumerate(self._f_lo[:self.width]):
-            fields = (f if len(rows) == size else f[rows]) + c[i]
+            at = live if rows is None else rows[live]  # the block row of each live candidate
+            fields = f[at] + c[i]
+            if spins is not None:
+                for m, w in self._member_terms[i]:
+                    fields += w * spins[m, live]
             # S_i * L_i < 0 is L_i < 0 where S_i = +1 and L_i > 0 where
             # S_i = -1; the flipped test swaps the two.
             if i < self.hi_bits:
                 keep = lt(fields, 0) if (s_hi[i] > 0) != flipped else gt(fields, 0)
             else:
-                up = ((rows >> (self.width - 1 - i)) & 1).astype(bool)
+                up = ((at >> (self.width - 1 - i)) & 1).astype(bool)
                 if flipped:
                     up = ~up
                 keep = np.where(up, lt(fields, 0), gt(fields, 0))
-            rows = rows[keep]
-            if not len(rows):
+            live = live[keep]
+            if not len(live):
                 break
-        return rows
+        return live

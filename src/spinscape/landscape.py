@@ -15,26 +15,37 @@ component does; each component is a connected set no larger than U.  The
 checks run size by size over the connected sets, one array per size, and a
 row is checked at the next size only while it passes.
 
-Enumeration scans the full assignment space in rank blocks with the
-split-half kernel :class:`~spinscape.instance.SplitScan`.  Its single-flip
-filter tests one variable at a time on the rows still alive, so a block
-costs about two passes over its rows, and only the survivors get spins and
-local fields for the larger sets.  Basin edges come from one sorted search
-of the vertex bit masks per flip mask, and basins from array component
-labelling over those edges.
+Enumeration is the paper's branching argument run as a scan.  T is the
+largest greedy color class, an independent set, and the split-half kernel
+:class:`~spinscape.instance.SplitScan` walks the 2^(n-|T|) assignments of the
+other, outer, variables in rank blocks.  A member of T has no coupling inside
+T, so the outer row fixes its local field, and only the spin set against that
+field passes its single flip.  A row thus holds at most one strict minimum,
+and none where a member's field is 0; a basin vertex leaves such a member
+free, and its row expands over both spins, at most 2^block_bits candidates at
+a time.  The filter then tests one outer variable at a time on the
+candidates still alive, with its field plus its couplings into T's spins, so
+a block costs about two passes over its rows, and only the survivors get
+spins and local fields for the larger sets.  With T empty the same filter
+walks all 2^n assignments.  The survivors are int64 bit masks, put into rank
+order at the end.  Basin edges come from sorted searches of the vertex bit
+masks, one per chunk of (vertices x flip masks), and basins from array
+component labelling over those edges.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 import numpy as np
 
 from spinscape.instance import (
     DEFAULT_BLOCK_BITS,
+    MAX_ENUM_BITS,
     Assignment,
     EnumerationLimitError,
     IsingInstance,
@@ -43,24 +54,37 @@ from spinscape.instance import (
     # Unused here; perfbench/tracing.py wraps it under this name.
     spin_block,  # noqa: F401
 )
+from spinscape.solver import _largest_color_class
 
 # vertex-count * neighborhood budget for basin construction
 DEFAULT_BASIN_WORK_LIMIT = 1 << 22
 
+# Assignments are int64 bit masks, bit v for variable v.
+MAX_MASK_BITS = 62
+
 
 @dataclass(frozen=True)
 class LandscapeReport:
-    """Result of a minima enumeration or basin decomposition."""
+    """Result of a minima enumeration or basin decomposition.
+
+    The strict minima are kept as bit masks in rank order; :attr:`minima`
+    builds their assignments on first read.
+    """
 
     k: int
-    minima: Tuple[Assignment, ...]
+    n: int
+    minima_bits: Tuple[int, ...]
     basin_count: int | None = None
     basin_sizes: Tuple[int, ...] | None = None
     vertex_count: int | None = None
 
     @property
     def minima_count(self) -> int:
-        return len(self.minima)
+        return len(self.minima_bits)
+
+    @cached_property
+    def minima(self) -> Tuple[Assignment, ...]:
+        return tuple(Assignment(self.n, b) for b in self.minima_bits)
 
 
 def _passes(half: np.ndarray, strict: bool, flipped: bool) -> np.ndarray:
@@ -77,17 +101,20 @@ def _passes(half: np.ndarray, strict: bool, flipped: bool) -> np.ndarray:
 class _ConnectedSets:
     """The variable sets of sizes 1..min(k, n) that the couplings connect.
 
-    ``level(size)`` is a (count x size) int64 array of sorted sets, in
-    lexicographic order.  Each size grows from the one below by adding a
-    coupled neighbor, the first time a check reaches it: a complete graph
-    has all C(n, size) sets of every size, while the rows that pass the
-    smaller sizes are usually few or none.
+    ``level(size)`` is a (count x size) int64 array of sets, each row in
+    ascending order and the rows in ascending order of their bit masks.
+    Each size grows from the one below by adding a coupled neighbor, the
+    first time a check reaches it: a complete graph has all C(n, size) sets
+    of every size, while the rows that pass the smaller sizes are usually
+    few or none.  A set is grown once from each member whose removal leaves
+    it connected, and one copy per bit mask is kept, so n <= 62.
     """
 
     def __init__(self, inst: IsingInstance, k: int) -> None:
         self.k = min(k, inst.n)
         self._adjacent = inst.full_coupling_matrix() != 0
         self._levels = [np.arange(inst.n, dtype=np.int64)[:, None]]
+        self._masks = np.int64(1) << self._levels[0][:, 0]  # of the last level
 
     def level(self, size: int) -> np.ndarray:
         while len(self._levels) < size:
@@ -95,25 +122,17 @@ class _ConnectedSets:
             grow = self._adjacent[low].any(axis=1)
             grow[np.arange(len(low))[:, None], low] = False
             rows, extra = np.nonzero(grow)
-            grown = np.sort(np.column_stack([low[rows], extra]), axis=1)
-            self._levels.append(np.unique(grown, axis=0))
+            self._masks, first = np.unique(self._masks[rows] | (np.int64(1) << extra),
+                                           return_index=True)
+            rows, extra = rows[first], extra[first]
+            self._levels.append(np.sort(np.column_stack([low[rows], extra]), axis=1))
         return self._levels[size - 1]
 
 
-def is_k_minimum(inst: IsingInstance, a: Assignment, k: int) -> bool:
-    """True when every change of 1..k variables strictly raises the energy."""
-    if k < 1:
-        raise ValueError("need k >= 1")
-    if a.n != inst.n:
-        raise ValueError("assignment does not match instance size")
-    spins = a.spins().astype(np.int64)[None, :]
-    sets = _ConnectedSets(inst, k)
-    return bool(_k_checks(inst, spins, sets, strict=True, singles_known=False)[0])
-
-
-# Cap on the cells of one (rows x sets) half-delta array in _k_checks:
-# 8 MB of int64, whatever the survivor count.
-_CHUNK_CELLS = 1 << 20
+# Cap on the cells of one (rows x sets) half-delta array in _k_checks, of
+# one (rows x n) spin array that _checked passes it, and of one chunk of the
+# basin edge search: 512 KB of int64, whatever the survivor count.
+_CHUNK_CELLS = 1 << 16
 
 
 def _k_checks(
@@ -174,27 +193,98 @@ def _bit_spins(bits: np.ndarray, n: int) -> np.ndarray:
     return ((bits[:, None] >> np.arange(n)) & 1) * 2 - 1
 
 
+def _checked(inst: IsingInstance, bits: np.ndarray, sets: _ConnectedSets,
+             strict: bool, flipped: bool = False, singles_known: bool = True) -> np.ndarray:
+    """The bit masks of ``bits`` that pass :func:`_k_checks`, checked a slice of rows at a time."""
+    step = max(1, _CHUNK_CELLS // max(1, inst.n))
+    parts = [b[_k_checks(inst, _bit_spins(b, inst.n), sets, strict=strict, flipped=flipped,
+                         singles_known=singles_known)]
+             for b in (bits[lo:lo + step] for lo in range(0, len(bits), step))]
+    return np.concatenate(parts) if parts else bits
+
+
+def _in_rank_order(parts: List[np.ndarray], n: int) -> Tuple[int, ...]:
+    """The bit masks of ``parts``, sorted by rank (variable 0 the most significant)."""
+    bits = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+    rank = np.zeros_like(bits)
+    for v in range(n):
+        rank |= ((bits >> v) & 1) << (n - 1 - v)
+    return tuple(bits[np.argsort(rank)].tolist())
+
+
+def _expand(rows: np.ndarray, spins: np.ndarray, counts: np.ndarray,
+            chunk: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Chunks of at most ``chunk`` candidates: each row with each setting of its free members.
+
+    ``spins`` is (members x rows) with 0 for a free member, and row r
+    stands for counts[r] = 2^(free members) candidates; the one numbered j
+    gives its p-th free member the spin of bit p of j.  Without free
+    members the rows, at most ``chunk`` of them, are the one chunk.
+    """
+    if spins.all():
+        yield rows, spins
+        return
+    ends = np.cumsum(counts)
+    total = int(ends[-1])
+    for lo in range(0, total, chunk):
+        cand = np.arange(lo, min(lo + chunk, total))
+        r = np.searchsorted(ends, cand, side="right")
+        j = cand - (ends[r] - counts[r])
+        s = spins[:, r]
+        for member in s:
+            free = member == 0
+            member[free] = ((j[free] & 1) * 2 - 1).astype(s.dtype)
+            j[free] >>= 1
+        yield rows[r], s
+
+
 def _vertex_bits(
     inst: IsingInstance,
     sets: _ConnectedSets,
     strict: bool,
     flipped: bool,
     block_bits: int,
+    t: Iterable[int] | None = None,
 ) -> Iterator[np.ndarray]:
-    """Bit masks of each block's rows whose every change of 1..k variables passes.
+    """Bit masks of the assignments whose every change of 1..k variables passes.
 
-    The blocks come in rank order, and so do the rows within each block.
+    One array per chunk of at most 2^block_bits candidates, in no set
+    order.  ``t`` is the independent set T, the largest greedy color class
+    by default; any independent set gives the same masks.  Past any of
+    three limits the scan raises
+    :class:`EnumerationLimitError`: n - |T| above the scan ceiling, more
+    than 2^MAX_ENUM_BITS candidates once the free members are expanded,
+    or more than ``MAX_MASK_BITS`` variables.
     """
-    scan = SplitScan(inst, block_bits)
-    # the bit mask of an assignment is the sum of 1 << v over its +1 variables
-    bits = scan.weight_sums(1 << np.arange(inst.n, dtype=np.int64))
+    n = inst.n
+    if n > MAX_MASK_BITS:
+        raise EnumerationLimitError(
+            "%d variables exceed the %d-bit assignment masks" % (n, MAX_MASK_BITS))
+    t = set(_largest_color_class(inst.degree_graph())[0] if t is None else t)
+    outer = [v for v in range(n) if v not in t]
+    scan = SplitScan(inst, block_bits, outer, columns=range(n))
+    one = np.int64(1)
+    outer_bits = scan.weight_sums(one << np.array(outer, dtype=np.int64))
+    member_bits = one << np.array(scan.members, dtype=np.int64)
+    candidates = 0
     for start in scan.starts:
-        found = bits(start, scan.flip_survivors(start, strict=strict, flipped=flipped))
-        # The survivors pass every single flip, which is all k = 1 asks.
-        if sets.k > 1:
-            found = found[_k_checks(inst, _bit_spins(found, inst.n), sets,
-                                    strict=strict, flipped=flipped)]
-        yield found
+        rows, spins = scan.member_spins(start, strict=strict, flipped=flipped)
+        # 2^(free members) candidates per row, capped past the limit
+        free = np.count_nonzero(spins == 0, axis=0)
+        counts = one << np.minimum(free, MAX_ENUM_BITS + 1)
+        candidates += int(counts.sum())
+        if candidates > 1 << MAX_ENUM_BITS:
+            raise EnumerationLimitError(
+                "the rows with free members expand past 2^%d candidates" % MAX_ENUM_BITS)
+        for at, s in _expand(rows, spins, counts, 1 << block_bits):
+            keep = scan.flip_survivors(start, strict=strict, flipped=flipped, rows=at, spins=s)
+            found = outer_bits(start, at[keep])
+            for bit, up in zip(member_bits, s[:, keep] > 0):
+                found |= up * bit
+            # The survivors pass every single flip, which is all k = 1 asks.
+            if sets.k > 1:
+                found = _checked(inst, found, sets, strict=strict, flipped=flipped)
+            yield found
 
 
 def enumerate_k_minima(
@@ -203,11 +293,9 @@ def enumerate_k_minima(
     """Exhaustively list all strict k-minima in lexicographic order."""
     if k < 1:
         raise ValueError("need k >= 1")
-    minima: List[Assignment] = []
-    for bits in _vertex_bits(inst, _ConnectedSets(inst, k), strict=True, flipped=False,
-                             block_bits=block_bits):
-        minima.extend(Assignment(inst.n, b) for b in bits.tolist())
-    return LandscapeReport(k=k, minima=tuple(minima))
+    found = list(_vertex_bits(inst, _ConnectedSets(inst, k), strict=True, flipped=False,
+                              block_bits=block_bits))
+    return LandscapeReport(k=k, n=inst.n, minima_bits=_in_rank_order(found, inst.n))
 
 
 def _component_roots(count: int, src_parts: List[np.ndarray],
@@ -238,15 +326,16 @@ def _component_roots(count: int, src_parts: List[np.ndarray],
         src, dst = src[split], dst[split]
 
 
-def _flip_masks(n: int, k: int) -> List[int]:
-    masks = []
-    for size in range(1, min(k, n) + 1):
-        for subset in combinations(range(n), size):
-            m = 0
-            for i in subset:
-                m |= 1 << i
-            masks.append(m)
-    return masks
+def _flip_masks(n: int, k: int) -> np.ndarray:
+    """Bit masks of the variable sets of sizes 1..min(k, n), smallest size first."""
+    bit = np.int64(1) << np.arange(n, dtype=np.int64)
+    masks, top = bit, np.arange(n)  # the sets of one size, and each one's largest variable
+    parts = [masks]
+    for _ in range(1, min(k, n)):
+        rows, extra = np.nonzero(top[:, None] < np.arange(n))
+        masks, top = masks[rows] | bit[extra], extra
+        parts.append(masks)
+    return np.concatenate(parts)
 
 
 def k_basins(
@@ -284,8 +373,8 @@ def k_basins(
     # Past this many vertices the work limit rejects the request, so the
     # strictness checks stop there.
     max_vertices = work_limit // moves
-    blocks: List[np.ndarray] = []  # vertex bit masks, rank order
-    strict: List[Assignment] = []
+    blocks: List[np.ndarray] = []  # vertex bit masks
+    strict: List[np.ndarray] = []
     count = 0
     sets = _ConnectedSets(inst, k)
     for bits in _vertex_bits(inst, sets, strict=False, flipped=flipped_rule,
@@ -293,11 +382,9 @@ def k_basins(
         blocks.append(bits)
         if not flipped_rule:
             head = bits[: max(0, max_vertices - count)]
-            head = head[_k_checks(inst, _bit_spins(head, n), sets, strict=True,
-                                  singles_known=False)]
-            strict.extend(Assignment(n, b) for b in head.tolist())
+            strict.append(_checked(inst, head, sets, strict=True, singles_known=False))
         count += len(bits)
-        # the count only grows, so the scan stops at the first block past the limit
+        # the count only grows, so the scan stops at the first chunk past the limit
         if count * moves > work_limit:
             raise EnumerationLimitError(
                 "basin construction over at least %d vertices x %d moves exceeds"
@@ -308,11 +395,14 @@ def k_basins(
     if count:
         order = np.argsort(vertices)
         ordered = vertices[order]
-        for m in masks:
-            target = vertices ^ m
+        # one sorted search per chunk of (vertices x masks) cells
+        step = max(1, _CHUNK_CELLS // count)
+        for lo in range(0, len(masks), step):
+            part = masks[lo:lo + step]
+            target = (vertices[:, None] ^ part).ravel()
             pos = np.searchsorted(ordered, target) % count
-            src = np.flatnonzero(ordered[pos] == target)
-            dst = order[pos[src]]
+            hit = np.flatnonzero(ordered[pos] == target)
+            src, dst = hit // len(part), order[pos[hit]]
             # Each edge is found from both ends; keep it once.
             one = src < dst
             src_parts.append(src[one])
@@ -322,17 +412,10 @@ def k_basins(
     sizes = np.sort(sizes[sizes > 0])[::-1]
     return LandscapeReport(
         k=k,
-        minima=tuple(strict),
+        n=n,
+        minima_bits=_in_rank_order(strict, n),
         basin_count=len(sizes),
         basin_sizes=tuple(sizes.tolist()),
         vertex_count=count,
     )
 
-
-def min_pairwise_hamming(assignments: Sequence[Assignment]) -> int:
-    """Minimum Hamming distance over all pairs; n+1 when fewer than two items."""
-    if not assignments:
-        raise ValueError("need at least one assignment")
-    if len(assignments) == 1:
-        return assignments[0].n + 1
-    return min(a.hamming(b) for a, b in combinations(assignments, 2))

@@ -16,11 +16,13 @@ from spinscape.instance import (
     Assignment,
     EnumerationLimitError,
     IsingInstance,
+    SplitScan,
     iter_rank_blocks,
     spin_block,
 )
+from spinscape.landscape import _ConnectedSets, _k_checks
 from spinscape.rand import rng_from
-from spinscape.solver import SolveResult, _validate_subset
+from spinscape.solver import SolveResult, _largest_color_class, _validate_subset
 from spinscape.tset import (
     _STREAM_TSET,
     MAX_DETERMINISTIC_N,
@@ -96,6 +98,58 @@ def exhaustive_minima(inst: IsingInstance) -> list[Assignment]:
         if is_local_minimum(inst, a):
             out.append(a)
     return out
+
+
+def is_k_minimum(inst: IsingInstance, a: Assignment, k: int) -> bool:
+    """True when every change of 1..k variables strictly raises the energy."""
+    if k < 1:
+        raise ValueError("need k >= 1")
+    if a.n != inst.n:
+        raise ValueError("assignment does not match instance size")
+    spins = a.spins().astype(np.int64)[None, :]
+    sets = _ConnectedSets(inst, k)
+    return bool(_k_checks(inst, spins, sets, strict=True, singles_known=False)[0])
+
+
+def member_filter_ranks(inst: IsingInstance, block_bits: int, strict: bool,
+                        flipped: bool) -> np.ndarray:
+    """Ranks of the assignments that SplitScan's member and single-flip filters pass.
+
+    T is the largest greedy color class and the other variables are
+    scanned.  Each row of each block is tried with every setting of T's
+    spins that ``member_spins`` allows (a free member either way), and
+    ``flip_survivors`` tests the scanned variables.  The ranks are sorted.
+    """
+    n = inst.n
+    t = list(_largest_color_class(inst.degree_graph())[0])
+    outer = [v for v in range(n) if v not in t]
+    scan = SplitScan(inst, block_bits, outer, range(n))
+    assert scan.members == sorted(t)
+    settings = spin_block(len(t), 0, 1 << len(t)).T.astype(scan.dtype)
+    per_row = settings.shape[1]
+    found = [np.zeros((0, n), dtype=np.int64)]
+    for start in scan.starts:
+        rows, spins = scan.member_spins(start, strict=strict, flipped=flipped)
+        at, s = np.repeat(rows, per_row), np.tile(settings, len(rows))
+        forced = np.repeat(spins, per_row, axis=1)
+        allowed = ((forced == 0) | (forced == s)).all(axis=0)
+        at, s = at[allowed], s[:, allowed]
+        keep = scan.flip_survivors(start, strict=strict, flipped=flipped, rows=at, spins=s)
+        full = np.empty((len(keep), n), dtype=np.int64)
+        full[:, outer] = spin_block(len(outer), start, 1 << scan.lo_bits)[at[keep]]
+        full[:, scan.members] = s[:, keep].T
+        found.append(full)
+    weights = np.int64(1) << (n - 1 - np.arange(n, dtype=np.int64))
+    return np.sort((np.concatenate(found) > 0).astype(np.int64) @ weights)
+
+
+def min_pairwise_hamming(assignments: Sequence[Assignment]) -> int:
+    """Minimum Hamming distance over all pairs; n+1 when fewer than two items."""
+    if not assignments:
+        raise ValueError("need at least one assignment")
+    if len(assignments) == 1:
+        return assignments[0].n + 1
+    return min(a.hamming(b) for a, b in combinations(assignments, 2))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ import json
 import math
 import time
 
+from helpers import is_k_minimum, min_pairwise_hamming
 from spinscape.cli import main
 from spinscape.generators import (
     gen_column,
@@ -21,11 +22,7 @@ from spinscape.generators import (
     zero_energy_assignments,
 )
 from spinscape.instance import IsingInstance
-from spinscape.landscape import (
-    enumerate_k_minima,
-    is_k_minimum,
-    min_pairwise_hamming,
-)
+from spinscape.landscape import enumerate_k_minima
 from spinscape.probe import (
     WeightedSum,
     exact_interval_prob,
@@ -35,6 +32,7 @@ from spinscape.probe import (
 from spinscape.rand import rng_from
 from spinscape.solver import (
     _auto_t,
+    _largest_color_class,
     compute_Z,
     solve_avg_degree,
     solve_brute,
@@ -88,12 +86,15 @@ def test_criterion_02_all_pairs_minima_counts():
 
 
 def test_criterion_03_multicopy_minima_counts():
-    """Disjoint copies multiply the minima count: 6^c for c blocks of 4."""
+    """Disjoint copies multiply the minima count: 6^c for c blocks of 4.
+
+    At c = 7 (n = 28) the scan walks 2^21 outer rows, past T's 7 members.
+    """
     started = time.time()
-    for c in (1, 2, 3, 4):
+    for c in (1, 2, 3, 4, 7):
         count = enumerate_k_minima(gen_multicopy(c, 4), 1).minima_count
         assert count == 6 ** c, (c, count)
-    print("criterion 3: PASS - counts 6^c for c=1..4 in %.1fs"
+    print("criterion 3: PASS - counts 6^c for c=1..4 and 7 in %.1fs"
           % (time.time() - started))
 
 
@@ -155,6 +156,10 @@ def test_criterion_06_minima_bounded_by_z():
                 assert res2.leaves_explored == z2, (i, res2.leaves_explored, z2)
                 certs += 1
         checked += 1
+    # the enumerator's own set T on multicopy 7x4, past the 2^26 full scan
+    inst = gen_multicopy(7, 4)
+    t_scan, _ = _largest_color_class(inst.degree_graph())
+    assert enumerate_k_minima(inst, 1).minima_count <= compute_Z(inst, t_scan)
     print("criterion 6: PASS - %d instances, %d extra certificates, bound and "
           "counter identity exact, in %.1fs" % (checked, certs, time.time() - started))
 

@@ -192,6 +192,30 @@ class TestLandscapeCommands:
         assert time.perf_counter() - started < 5.0
 
 
+    def test_count_minima_refuses_more_than_62_variables(self, tmp_path, capsys):
+        # coupling-free: T is every variable, so only the bit masks limit n
+        path = tmp_path / "free80.json"
+        path.write_text(IsingInstance(80, [1] * 80).to_json())
+        code, out, err = run_cli(["count-minima", "-i", str(path)], capsys)
+        assert (code, out) == (3, "")
+        assert "62-bit" in err
+
+    def test_basins_refuses_too_many_free_member_candidates(self, tmp_path, capsys):
+        # no fields and no couplings: all 30 members are free, 2^30 candidates
+        path = tmp_path / "flat30.json"
+        path.write_text(IsingInstance(30, [0] * 30).to_json())
+        code, out, err = run_cli(["basins", "-i", str(path), "--work-limit", str(10**15)],
+                                 capsys)
+        assert (code, out) == (3, "")
+        assert "2^26 candidates" in err
+
+    def test_count_minima_multicopy_7x4(self, tmp_path, capsys):
+        path = tmp_path / "m74.json"
+        run_cli(["generate", "multicopy", "--copies", "7", "-o", str(path)], capsys)
+        doc = run_json(["count-minima", "-i", str(path), "--list-limit", "0"], capsys)
+        assert (doc["n"], doc["count"]) == (28, 6 ** 7)
+
+
 class TestRepeatedCalls:
     # main() reuses one parser per process; an option one call sets must
     # not carry over into the next call's defaults.

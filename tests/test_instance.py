@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import is_local_minimum, random_instance
+from helpers import is_local_minimum, member_filter_ranks, random_instance
 from spinscape.generators import gen_csse
 from spinscape.instance import (
     DEFAULT_BLOCK_BITS,
@@ -335,6 +335,12 @@ def test_flip_survivors_match_reference_kernels(case, strict, flipped):
         passing = (sl < 0) if strict else (sl <= 0)
         rows = scan.flip_survivors(start, strict=strict, flipped=flipped)
         np.testing.assert_array_equal(rows, np.flatnonzero(passing.all(axis=1)))
+    # T a color class: the outer rows with T's spins, over all 2^n assignments
+    spins = spin_block(inst.n, 0, 1 << inst.n)
+    sl = spins * block_local_fields(inst, spins) * (-1 if flipped else 1)
+    passing = (sl < 0) if strict else (sl <= 0)
+    np.testing.assert_array_equal(member_filter_ranks(inst, block_bits, strict, flipped),
+                                  np.flatnonzero(passing.all(axis=1)))
 
 
 def _budget_instance(budget, sign):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import exhaustive_minima, random_instance
-from spinscape.generators import gen_column, gen_csse, zero_energy_assignments
+from helpers import exhaustive_minima, is_k_minimum, min_pairwise_hamming, random_instance
+from spinscape.generators import gen_column, gen_csse, gen_regular, zero_energy_assignments
 from spinscape.instance import (
     INT64_MAX,
     Assignment,
@@ -18,10 +18,9 @@ from spinscape import landscape
 from spinscape.landscape import (
     _component_roots,
     enumerate_k_minima,
-    is_k_minimum,
     k_basins,
-    min_pairwise_hamming,
 )
+from spinscape.solver import _largest_color_class
 
 
 def naive_is_k_minimum(inst, a, k):
@@ -180,6 +179,82 @@ class TestBasins:
         assert not calls
 
 
+class TestBranchingScan:
+    def test_two_independent_sets_give_the_same_masks(self):
+        inst = gen_regular(30, 3, seed=1)
+        colored = _largest_color_class(inst.degree_graph())[0]
+        # a maximal independent set taken greedily from the last variable down
+        other = []
+        for v in reversed(range(inst.n)):
+            if all(inst.coupling(u, v) == 0 for u in other):
+                other.append(v)
+        assert set(other) != set(colored) and len(other) >= 4
+        for k, strict in ((1, True), (2, True), (1, False)):
+            sets = landscape._ConnectedSets(inst, k)
+            masks = [np.sort(np.concatenate(list(landscape._vertex_bits(
+                inst, sets, strict=strict, flipped=False, block_bits=12, t=t))))
+                for t in (colored, other)]
+            np.testing.assert_array_equal(masks[0], masks[1])
+            assert len(masks[0])
+
+    def test_coupling_free_n40_has_one_minimum_and_one_vertex(self):
+        # T is every variable: one outer row, and each spin set against its field
+        h = [(-1) ** v * (v + 1) for v in range(40)]
+        inst = IsingInstance(40, h)
+        want = sum(1 << v for v in range(40) if h[v] < 0)
+        assert enumerate_k_minima(inst, 1).minima_bits == (want,)
+        report = k_basins(inst, 1)
+        assert (report.vertex_count, report.basin_count, report.minima_bits) == (1, 1, (want,))
+
+    def test_more_than_62_variables_are_refused(self):
+        inst = IsingInstance(63, [1] * 63)
+        with pytest.raises(EnumerationLimitError, match="62-bit"):
+            enumerate_k_minima(inst, 1)
+        with pytest.raises(EnumerationLimitError, match="62-bit"):
+            k_basins(inst, 1)
+
+    def test_free_member_expansions_are_capped(self):
+        # every spin of a field-free, coupling-free instance is free: 2^27 candidates
+        with pytest.raises(EnumerationLimitError, match="2\\^26 candidates"):
+            k_basins(IsingInstance(27, [0] * 27), 1, work_limit=10**12)
+        # the strict scan drops the row instead
+        assert enumerate_k_minima(IsingInstance(27, [0] * 27), 1).minima_count == 0
+
+    def test_minima_are_built_on_first_read(self):
+        report = enumerate_k_minima(gen_csse(4), 1)
+        assert "minima" not in vars(report)
+        assert [a.bits for a in report.minima] == list(report.minima_bits)
+        assert report.minima is report.minima
+
+
+def _connected(inst, subset):
+    seen, todo = {subset[0]}, [subset[0]]
+    while todo:
+        u = todo.pop()
+        for v in subset:
+            if v not in seen and inst.coupling(u, v):
+                seen.add(v)
+                todo.append(v)
+    return len(seen) == len(subset)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.data())
+def test_connected_sets_match_brute_force(n, data):
+    pairs = list(combinations(range(n), 2))
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    inst = IsingInstance(n, [0] * n, [(i, j, 1) for i, j in edges])
+    sets = landscape._ConnectedSets(inst, n)
+    for size in range(1, n + 1):
+        level = sets.level(size).tolist()
+        want = [c for c in combinations(range(n), size) if _connected(inst, c)]
+        # each connected set once, as an ascending row, rows in bit-mask order
+        assert sorted(map(tuple, level)) == want
+        masks = [sum(1 << v for v in row) for row in level]
+        assert masks == sorted(masks)
+        assert all(row == sorted(row) for row in level)
+
+
 class TestNearBudget:
     # Half-deltas near 2^62 double past INT64_MAX; the checks read their
     # sign instead, so these instances get exact answers.
@@ -283,8 +358,8 @@ def _reference_landscape(inst, k, flipped_rule):
 
 @st.composite
 def landscape_cases(draw):
-    """Random, all-zero and near-budget instances over at most 6 variables."""
-    n = draw(st.integers(1, 6))
+    """Random, all-zero and near-budget instances over at most 8 variables."""
+    n = draw(st.integers(1, 8))
     kind = draw(st.sampled_from(["random", "all-zero", "near-budget"]))
     if kind == "random":
         return random_instance(draw(st.integers(0, 10_000)), n=n, density=0.5)

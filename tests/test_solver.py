@@ -50,6 +50,7 @@ from spinscape.tset import TParams, check_T, find_T_randomized
 from helpers import (
     effective_view,
     exhaustive_min,
+    member_filter_ranks,
     optimal_outer_patterns,
     random_instance,
     reference_branch_and_recombine,
@@ -1246,6 +1247,12 @@ def test_int32_scan_matches_the_forced_int64_scan(case, data):
                                       full_b.fields(start, range(inst.n)))
         np.testing.assert_array_equal(full_a.flip_survivors(start, strict, flipped),
                                       full_b.flip_survivors(start, strict, flipped))
+    # the filter with T a color class, through the member spins
+    narrow_ranks = member_filter_ranks(inst, block_bits, strict, flipped)
+    with pytest.MonkeyPatch.context() as mp:
+        _force_int64(mp)
+        np.testing.assert_array_equal(member_filter_ranks(inst, block_bits, strict, flipped),
+                                      narrow_ranks)
     want = _block_oracle(inst)
     for method, res in solved.items():
         assert (res.energy, res.best) == want, method
