@@ -67,13 +67,10 @@ from .tset import (
 
 COMPLETION_CAP_BITS = 20
 AUTO_DEGREE_GATE = 16
-_CHUNK_CELLS = 1 << 22
-# Cells of one (side rows x rows x completions) slab of a side-set minimum,
-# kept below _CHUNK_CELLS.  On 2 cores, budgets of 2^12 to 2^18 cells give
-# the same combined solve times within noise; one side row per slab makes
+# Cells of every chunked temporary of the scan engine: planes, side tables A
+# and B, min-plus slabs and argmin pieces.  One side row per slab would make
 # 12-bit side sets 5x slower (0.17 s against 0.03 s on multicopy 8x4).
-_SLAB_CELLS = 1 << 16
-_COMPLETION_CHUNK = 1 << 16
+_CHUNK_CELLS = 1 << 16
 # Bits per int64 word of a lex key.
 _KEY_BITS = 63
 # Bound on the mixed-radix row codes of :func:`_row_classes`: a code, each
@@ -161,35 +158,24 @@ def _lex_min(best: Optional[np.ndarray], keys: np.ndarray) -> Optional[np.ndarra
     return best
 
 
-def _pattern_runs(mask: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield (set columns, clear columns, rows) for each run of equal adjacent rows of ``mask``."""
-    if not len(mask):
-        return
-    cuts = np.flatnonzero(np.any(mask[1:] != mask[:-1], axis=1)) + 1
-    bounds = [0, *cuts.tolist(), len(mask)]
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        pat = mask[a]
-        yield np.flatnonzero(pat), np.flatnonzero(~pat), np.arange(a, b)
-
-
 def _pattern_groups(mask: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Yield (set columns, clear columns, rows) for each distinct row of ``mask``."""
-    _, cls = _row_classes([mask], len(mask))
+    reps, cls = _row_classes(mask, len(mask))
     order = np.argsort(cls, kind="stable")
-    for f, x, run in _pattern_runs(mask[order]):
-        yield f, x, order[run]
+    for rep, rows in zip(reps, np.split(order, np.cumsum(np.bincount(cls))[:-1])):
+        yield np.flatnonzero(mask[rep]), np.flatnonzero(~mask[rep]), rows
 
 
-def _row_classes(tables: Sequence[np.ndarray], n_rows: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Class rows by their values in ``tables``: (representatives, class of each row).
+def _row_classes(table: np.ndarray, n_rows: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Class the rows of ``table`` by value: (representatives, class of each row).
 
-    ``tables`` are (``n_rows`` x columns) integer or bool arrays, read side
-    by side.  Each column is one digit of a mixed-radix int64 code per row,
-    the first column most significant: its value minus the column minimum,
-    in radix max - min + 1 (a constant column adds nothing).  Equal codes
-    are equal rows, and code order is the lexicographic order of the rows'
-    values, so classes are numbered in that order.  The representative of a class is
-    its smallest row.  One sort of the keys ``code << b | row``, with
+    ``table`` is an (``n_rows`` x columns) integer or bool array.  Each
+    column is one digit of a mixed-radix int64 code per row, the first
+    column most significant: its value minus the column minimum, in radix
+    max - min + 1 (a constant column adds nothing).  Equal codes are equal
+    rows, and code order is the lexicographic order of the rows' values,
+    so classes are numbered in that order.  The representative of a class
+    is its smallest row.  One sort of the keys ``code << b | row``, with
     2^b >= ``n_rows``, which are distinct and order rows by (code, row),
     finds the classes.
 
@@ -207,28 +193,25 @@ def _row_classes(tables: Sequence[np.ndarray], n_rows: int) -> Tuple[np.ndarray,
     limit = 1 << _CODE_BITS
     code = np.zeros(n_rows, dtype=np.int64)
     radix = 1
-    for table in tables:
-        if not table.shape[1]:
+    bounds = zip(table.min(axis=0).tolist(), table.max(axis=0).tolist())
+    for col, (lo, hi) in zip(table.T, bounds):
+        span = int(hi) - int(lo) + 1
+        if span == 1:
             continue
-        bounds = zip(table.min(axis=0).tolist(), table.max(axis=0).tolist())
-        for col, (lo, hi) in zip(table.T, bounds):
-            span = int(hi) - int(lo) + 1
-            if span == 1:
-                continue
-            if span > limit:
-                digit = col
-            else:
-                digit = col.astype(np.int64)
-                digit -= int(lo)
+        if span > limit:
+            digit = col
+        else:
+            digit = col.astype(np.int64)
+            digit -= int(lo)
+        if radix * span > limit:
+            code = np.unique(code, return_inverse=True)[1]
+            radix = int(code.max()) + 1
             if radix * span > limit:
-                code = np.unique(code, return_inverse=True)[1]
-                radix = int(code.max()) + 1
-                if radix * span > limit:
-                    digit = np.unique(digit, return_inverse=True)[1]
-                    span = int(digit.max()) + 1
-            code *= span
-            code += digit
-            radix *= span
+                digit = np.unique(digit, return_inverse=True)[1]
+                span = int(digit.max()) + 1
+        code *= span
+        code += digit
+        radix *= span
     b = (n_rows - 1).bit_length()
     if radix << b > limit:
         code = np.unique(code, return_inverse=True)[1]
@@ -253,10 +236,10 @@ def _min_plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Min over s of ``a[s, r] + b[s, c]``, for every (r, c).
 
     The leading axis s is walked in slabs of as many rows as keep one
-    (slab x r x c) temporary within ``_SLAB_CELLS``, one row at least.
+    (slab x r x c) temporary within ``_CHUNK_CELLS``, one row at least.
     """
     best = np.full((a.shape[1], b.shape[1]), INT64_MAX, dtype=np.int64)
-    slab = max(1, _SLAB_CELLS // best.size)
+    slab = max(1, _CHUNK_CELLS // best.size)
     for s in range(0, len(a), slab):
         w = a[s:s + slab, :, None] + b[s:s + slab, None, :]
         np.minimum(best, w[0] if slab == 1 else w.min(axis=0), out=best)
@@ -296,12 +279,12 @@ class _ScanEngine:
     construction and shared by the worker threads; each thread writes a
     block's fields and totals into its own array, reused block to block.
 
-    With side sets or couplings inside T, the inner optimum of a row and
-    its optimal completions are functions of its field vector on T, T1
-    and T2, so :meth:`scan_block` classes the block's rows by that vector
-    (:func:`_row_classes`, free pattern first) and enumerates completions
-    once per class.  The fixing counters and the free-member histogram
-    behind ``leaves_explored`` are still taken over every outer row.
+    With side sets or couplings inside T, the inner optimum of a row, its
+    free members and its optimal completions are functions of its field
+    vector on T, T1 and T2, so :meth:`scan_block` classes the block's rows
+    by that vector (:func:`_row_classes`) and the one completion walk,
+    :meth:`_planes`, runs once per class.  The fixing counters and the
+    free-member histogram behind ``leaves_explored`` still count every row.
 
     Most rows need no inner solve at all.  Every completion of a row with
     outer energy e_out and fields f on T, T1 and T2 costs at least
@@ -382,15 +365,6 @@ class _ScanEngine:
 
     # -- per-row pieces ------------------------------------------------
 
-    def _cut(self, groups: Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]
-             ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """(set, clear, rows) ``groups`` cut so that a group's side tables
-        (rows x side rows) stay within ``_CHUNK_CELLS``."""
-        cap = max(1, _CHUNK_CELLS // self._side_width)
-        for f, x, rows in groups:
-            for r in range(0, rows.size, cap):
-                yield f, x, rows[r:r + cap]
-
     def _fixed_part(self, fields: np.ndarray, x: np.ndarray, f: np.ndarray):
         """Energy of the members ``x`` set against their fields, and what they leave.
 
@@ -421,12 +395,12 @@ class _ScanEngine:
         each side row's own energy plus its couplings to the completion.
 
         A chunk holds at most ``_CHUNK_CELLS`` // (side rows) completions,
-        so that B stays within ``_CHUNK_CELLS`` too.
+        so that B stays within ``_CHUNK_CELLS``.
         """
         k = int(f.size)
         j_ff = self.j_tt[np.ix_(f, f)]
         total = 1 << k
-        step = min(total, _COMPLETION_CHUNK, max(1, _CHUNK_CELLS // self._side_width))
+        step = min(total, max(1, _CHUNK_CELLS // self._side_width))
         for start in range(0, total, step):
             s = spin_block(k, start, min(step, total - start)).astype(np.int64)
             own = ((s @ j_ff) * s).sum(axis=1) // 2
@@ -435,17 +409,6 @@ class _ScanEngine:
                 b = [spins @ (s @ j[f]).T + side_own[:, None]
                      for j, (spins, side_own, _) in zip((self.j_t1, self.j_t2), self.side_tables)]
             yield s, own, b
-
-    def _row_step(self, completions: int) -> int:
-        """Rows per call of :meth:`_energies`.
-
-        A call's largest temporaries are (rows x completions) planes, so they
-        stay within ``_CHUNK_CELLS``.  With side sets they stay within
-        ``_SLAB_CELLS``, like each slab of the min-plus walk, which then
-        runs over planes that fit in cache: on 2 cores that makes combined
-        solves on multicopy 8x4 and on regular d=3 n=36 12-15% faster.
-        """
-        return max(1, (_SLAB_CELLS if self.sides else _CHUNK_CELLS) // completions)
 
     def _energies(self, g, a, chunk) -> np.ndarray:
         """(rows x completions) optimal energies of T's enumerated part and the side sets.
@@ -465,37 +428,44 @@ class _ScanEngine:
             e += _min_plus(at, bt)
         return e
 
-    def _planes(self, fields: np.ndarray,
-                groups: Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]):
-        """Walk the completions of each (set, clear, rows) group of ``fields``.
+    def _planes(self, fields: np.ndarray, enum: np.ndarray):
+        """Walk the completions of the rows of ``fields``, grouped by ``enum``.
 
-        The members set in a group are enumerated and the clear ones fixed
-        against their fields.  Yields, per (rows x completions) plane of
-        :meth:`_energies`: the plane's rows, their fixed-part energies, the
-        enumerated members, the completion chunk, the side tables A of the
-        rows and the plane itself.
+        ``enum`` marks, per row, the members of T to enumerate; the others
+        are fixed against their fields.  The rows of one pattern form a
+        group, cut so that its side tables A (side rows x rows) stay within
+        ``_CHUNK_CELLS``, and each plane of :meth:`_energies` holds as many
+        of a group's rows as keep it within ``_CHUNK_CELLS`` too.  Yields,
+        per (rows x completions) plane: its rows, their fixed-part energies,
+        the enumerated members, the completion chunk, the side tables A of
+        the rows and the plane itself.
         """
-        for f, x, rows in self._cut(groups):
+        cap = max(1, _CHUNK_CELLS // self._side_width)
+        for f, x, group in _pattern_groups(enum):
             if f.size > MAX_ENUM_BITS:
                 raise EnumerationLimitError(
                     "completion enumeration needs %d bits, limit is %d" % (f.size, MAX_ENUM_BITS)
                 )
-            e_fix, g, a = self._fixed_part(fields[rows], x, f)
-            for chunk in self._completions(f):
-                step = self._row_step(len(chunk[1]))
-                for r in range(0, rows.size, step):
-                    sl = slice(r, r + step)
-                    a_sl = [at[:, sl] for at in a]
-                    yield rows[sl], e_fix[sl], f, chunk, a_sl, self._energies(g[sl], a_sl, chunk)
+            for r in range(0, group.size, cap):
+                rows = group[r:r + cap]
+                e_fix, g, a = self._fixed_part(fields[rows], x, f)
+                for chunk in self._completions(f):
+                    step = max(1, _CHUNK_CELLS // len(chunk[1]))
+                    for p in range(0, rows.size, step):
+                        sl = slice(p, p + step)
+                        a_sl = [at[:, sl] for at in a]
+                        e = self._energies(g[sl], a_sl, chunk)
+                        yield rows[sl], e_fix[sl], f, chunk, a_sl, e
 
-    def _minima(self, fields: np.ndarray, free: np.ndarray) -> np.ndarray:
-        """Exact optimum of T and the side sets for each row; ``free`` members enumerated.
+    def _minima(self, fields: np.ndarray) -> np.ndarray:
+        """Exact optimum of T and the side sets for each row of ``fields``.
 
-        Each run of adjacent rows with one ``free`` pattern is one group, so
-        callers put the rows of one pattern together.
+        Members whose field magnitude stays below ``h_max`` are enumerated;
+        fixing the others against their fields loses no optimum.
         """
         out = np.full(len(fields), INT64_MAX, dtype=np.int64)
-        for rows, e_fix, _, _, _, e in self._planes(fields, _pattern_runs(free)):
+        enum = np.abs(fields[:, :self.m]) < self.h_max
+        for rows, e_fix, _, _, _, e in self._planes(fields, enum):
             out[rows] = np.minimum(out[rows], e_fix + e.min(axis=1))
         return out
 
@@ -504,17 +474,17 @@ class _ScanEngine:
         """Rank of the lex-smallest optimal completion of some rows of a block.
 
         ``target`` is each row's optimal energy of T and the side sets.
-        Strictly dominated members are forced; the rows are grouped by which
-        other members they have, and those are enumerated in rank order.
-        Every (row, completion) pair that reaches the target is keyed, each
-        side set taking its first optimal side row, and the smallest key wins.
+        Strictly dominated members are forced, and the members whose field
+        magnitude is at most ``h_max`` are enumerated in rank order.  Every
+        (row, completion) pair that reaches the target is keyed, each side
+        set taking its first optimal side row, and the smallest key wins.
         """
         heff = fields[:, :self.m]
-        strict = np.abs(heff) > self.h_max
-        keys = self._outer_keys(start, rows) + ((heff < 0) & strict).astype(np.int64) @ self.w_t
+        enum = np.abs(heff) <= self.h_max
+        keys = self._outer_keys(start, rows) + ((heff < 0) & ~enum).astype(np.int64) @ self.w_t
         best = None
         hit = np.zeros(rows.size, dtype=bool)
-        for idx, e_fix, f, chunk, a, e in self._planes(fields, _pattern_groups(~strict)):
+        for idx, e_fix, f, chunk, a, e in self._planes(fields, enum):
             rr, cc = np.nonzero(e == (target[idx] - e_fix)[:, None])
             cand = keys[idx[rr]] + (chunk[0][cc] > 0).astype(np.int64) @ self.w_t[f]
             for (_, _, side_keys), at, bt in zip(self.side_tables, a, chunk[2]):
@@ -525,17 +495,16 @@ class _ScanEngine:
             raise AssertionError("tying row lost its optimum")
         return _key_rank(best, self.inst.n)
 
-    def _bound(self, e_out: np.ndarray, inner_rows: np.ndarray, totals: np.ndarray,
-               free: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _bound(self, e_out: np.ndarray, inner_rows: np.ndarray,
+               totals: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Each row's lower bound, and how each member of T is fixed, in one pass.
 
-        Writes ``e_out - W_in - sum |f|`` over T, T1 and T2 into ``totals``,
-        and into row i of ``free`` (one row per member of T, or none
-        without side sets or couplings inside T) the block rows where
-        member i is free.  Returns, per member of T, the number of block
-        rows where it is strictly fixed and where it is free, and per
-        block row its number of free members.  With no coupling among T,
-        T1 and T2, W_in is 0 and the bound is the exact total.
+        Writes ``e_out - W_in - sum |f|`` over T, T1 and T2 into ``totals``.
+        Returns, per member of T, the number of block rows where it is
+        strictly fixed and where it is free (its field magnitude below a
+        positive ``h_max``), and per block row its number of free members.
+        With no coupling among T, T1 and T2, W_in is 0, no member is free
+        and the bound is the exact total.
         """
         np.subtract(e_out, self._w_in, out=totals)
         strict = np.zeros(self.m, dtype=np.int64)
@@ -548,10 +517,10 @@ class _ScanEngine:
                 h = self._h_lim[i]
                 # with h_max 0, a member is strictly fixed where its field is not 0
                 strict[i] = np.count_nonzero(mag > h) if h else np.count_nonzero(f)
-            if i < len(free):
-                np.less(mag, h, out=free[i])
-                n_free[i] = np.count_nonzero(free[i])
-                popc += free[i]
+                if h:
+                    free = mag < h
+                    n_free[i] = np.count_nonzero(free)
+                    popc += free
         return strict, n_free, popc
 
     def _survivors(self, lb: np.ndarray, e_out: np.ndarray,
@@ -585,16 +554,17 @@ class _ScanEngine:
         One pass over the field rows gives every row's lower bound LB and
         the fixing counters (:meth:`_bound`).  With side sets or couplings
         inside T, the rows whose LB exceeds the block's greedy incumbent UB
-        are dropped (:meth:`_survivors`), and the inner problem is solved
-        once per class of kept rows with equal fields: :meth:`_minima` on
-        each class's smallest row, and :meth:`_lex_min_rank` on each
-        class's first row at the minimum.  Within a block the outer key
-        rises with the row index, and outer and inner key bits are
-        disjoint, so that row's key, plus the class's smallest optimal
-        completion, is the smallest key of the class.  Without them, every
-        member is fixed and LB is the exact total; a zero-field member may
-        take either spin, so a tying row's smallest key is its forced key
-        with the members of negative field at +1 and the others at -1.
+        are dropped (:meth:`_survivors`), the kept rows are classed by
+        their fields alone, and the inner problem is solved once per class:
+        :meth:`_minima` on each class's smallest row, and
+        :meth:`_lex_min_rank` on each class's first row at the minimum.
+        Within a block the outer key rises with the row index, and outer
+        and inner key bits are disjoint, so that row's key, plus the class's
+        smallest optimal completion, is the smallest key of the class.
+        Without them, every member is fixed and LB is the exact total; a
+        zero-field member may take either spin, so a tying row's smallest
+        key is its forced key with the members of negative field at +1 and
+        the others at -1.
 
         Dropping rows changes no output.  UB is the energy of a real
         assignment of the block, so the block minimum is at most UB.  A
@@ -607,28 +577,24 @@ class _ScanEngine:
         """
         e_out = self.split.energies(start)
         n_rows = len(e_out)
-        coupled = self.sides or self.has_internal
         if not hasattr(self._local, "buf"):
-            # this thread's totals, inner fields and free flags, reused from
-            # block to block
+            # this thread's totals and inner fields, reused from block to block
             self._local.buf = np.empty((1 + len(self.inner), n_rows), dtype=self.split.dtype)
-            self._local.free = np.empty((self.m if coupled else 0, n_rows), dtype=bool)
-        buf, free = self._local.buf, self._local.free
-        totals, inner_rows = buf[0], buf[1:]
+        totals, inner_rows = self._local.buf[0], self._local.buf[1:]
         # effective fields on T, T1 and T2, columns side by side
         fields = self.split.fields(start, self.inner, inner_rows).T
-        strict, n_free, popc = self._bound(e_out, inner_rows, totals, free)
+        strict, n_free, popc = self._bound(e_out, inner_rows, totals)
         at_max = n_rows - strict - n_free
         # without side sets or couplings inside T, h_max is 0, every member
         # is fixed and the bound is the total
+        coupled = self.sides or self.has_internal
         if coupled:
             kept = self._survivors(totals, e_out, fields)
             sub = slice(None) if kept is None else kept
-            sel, sel_free = inner_rows[:, sub].T, free[:, sub].T
-            # classes come out grouped by free pattern, as _minima needs
-            reps, cls = _row_classes([sel_free, sel], len(sel))
+            sel = inner_rows[:, sub].T
+            reps, cls = _row_classes(sel, len(sel))
             # a dropped row keeps its bound, above the block minimum
-            totals[sub] = e_out[sub] + self._minima(sel[reps], sel_free[reps])[cls]
+            totals[sub] = e_out[sub] + self._minima(sel[reps])[cls]
         bmin = int(totals.min())
         rows = np.flatnonzero(totals == bmin)
         counters = {

@@ -4,7 +4,7 @@ import io
 import os
 import tempfile
 import time
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -724,7 +724,7 @@ def tie_heavy_instances(draw, max_n=18):
     return _scaled_to_budget(inst) if draw(st.booleans()) else inst
 
 
-def _identity_classes(tables, n_rows):
+def _identity_classes(table, n_rows):
     rows = np.arange(n_rows)
     return rows, rows
 
@@ -733,14 +733,12 @@ def _identity_classes(tables, n_rows):
 @given(tie_heavy_instances(), st.integers(0, 3), st.integers(8, 16), st.sampled_from([62, 2]))
 def test_classing_rows_changes_no_solve_result(inst, seed, block_bits, code_bits):
     # every row its own class is the scan without classing; 2-bit codes fold
-    # at every digit.  Classes come grouped by free pattern, so each pattern
-    # is one run of the rows that _minima gets.
+    # at every digit.  Classed, _minima gets one row per field vector.
     minima = _ScanEngine._minima
 
-    def grouped(self, fields, free):
-        runs = 1 + np.count_nonzero(np.any(free[1:] != free[:-1], axis=1))
-        assert runs == len(np.unique(free, axis=0))
-        return minima(self, fields, free)
+    def once_per_class(self, fields):
+        assert len(np.unique(fields, axis=0)) == len(fields)
+        return minima(self, fields)
 
     solvers = {
         "brute": lambda: solve_brute(inst, block_bits=block_bits),
@@ -751,7 +749,7 @@ def test_classing_rows_changes_no_solve_result(inst, seed, block_bits, code_bits
     }
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver_module, "_CODE_BITS", code_bits)
-        mp.setattr(_ScanEngine, "_minima", grouped)
+        mp.setattr(_ScanEngine, "_minima", once_per_class)
         classed = {method: solve() for method, solve in solvers.items()}
         mp.setattr(_ScanEngine, "_minima", minima)
         mp.setattr(solver_module, "_row_classes", _identity_classes)
@@ -761,12 +759,16 @@ def test_classing_rows_changes_no_solve_result(inst, seed, block_bits, code_bits
 
 @st.composite
 def class_columns(draw):
-    """(tables, n_rows): rows drawn from a few distinct rows of bool, small,
+    """(table, n_rows): rows drawn from a few distinct rows of bool, small,
     int32, up-to-2^62-wide or near-int64-limit columns, so classes repeat.
-    Each column is a table of its own, or all of them one int64 table."""
+    The table has columns of one kind in their own dtype, or of mixed
+    kinds in int64."""
     n_rows = draw(st.integers(1, 40))
     kinds = draw(st.lists(st.sampled_from(["bool", "small", "int32", "wide", "int64"]),
                           max_size=6))
+    native = draw(st.booleans())
+    if native:
+        kinds = kinds[:1] * len(kinds)
     distinct = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pick = rng.integers(0, distinct, size=n_rows)
@@ -784,9 +786,9 @@ def class_columns(draw):
             values = np.where(rng.random(distinct) < 0.5, INT64_MAX, -INT64_MAX - 1)
             values = values - np.sign(values) * rng.integers(0, 3, size=distinct)
         columns.append(values[pick])
-    if draw(st.booleans()):
-        return [col[:, None] for col in columns], n_rows
-    return [np.array(columns, dtype=np.int64).T.reshape(n_rows, len(columns))], n_rows
+    if native and columns:
+        return np.column_stack(columns), n_rows
+    return np.array(columns, dtype=np.int64).T.reshape(n_rows, len(columns)), n_rows
 
 
 @settings(max_examples=150)
@@ -795,15 +797,15 @@ def test_row_classes_match_a_row_unique(case, code_bits):
     # two rows share a class exactly when they are equal; classes come in
     # lexicographic order of the rows, each represented by its smallest row;
     # 1- to 8-bit codes force every fold
-    columns, n_rows = case
+    table, n_rows = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver_module, "_CODE_BITS", code_bits)
-        _check_row_classes(columns, n_rows)
+        _check_row_classes(table, n_rows)
 
 
-def _check_row_classes(tables, n_rows):
-    reps, cls = _row_classes(tables, n_rows)
-    rows = [tuple(int(x) for table in tables for x in table[r]) for r in range(n_rows)]
+def _check_row_classes(table, n_rows):
+    reps, cls = _row_classes(table, n_rows)
+    rows = [tuple(int(x) for x in table[r]) for r in range(n_rows)]
     distinct = sorted(set(rows))
     assert [rows[r] for r in reps] == distinct
     assert list(cls) == [distinct.index(row) for row in rows]
@@ -816,8 +818,8 @@ def test_row_classes_fold_wide_codes():
     wide = np.array([2**61 - 1, -2**61, 5, -2**61, 2**61 - 1, 0])
     extreme = np.array([INT64_MAX, -INT64_MAX - 1, 0, INT64_MAX, 1, -INT64_MAX - 1])
     for columns in ([wide], [extreme], [extreme, wide], [wide, extreme]):
-        _check_row_classes([np.array(columns).T], 6)
-    assert [list(part) for part in _row_classes([wide[:, None]], 6)] == \
+        _check_row_classes(np.array(columns).T, 6)
+    assert [list(part) for part in _row_classes(wide[:, None], 6)] == \
         [[1, 5, 2, 0], [3, 0, 2, 0, 3, 1]]
 
 
@@ -826,9 +828,9 @@ def test_combined_multicopy_6x4_solves_12_classes():
     seen = []
     minima = _ScanEngine._minima
 
-    def recording(self, fields, free):
+    def recording(self, fields):
         seen.append(len(fields))
-        return minima(self, fields, free)
+        return minima(self, fields)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_ScanEngine, "_minima", recording)
@@ -992,17 +994,16 @@ def _chunk_cases():
 @pytest.mark.parametrize("case", list(_chunk_cases()),
                          ids=["csse8-sides", "csse8", "k6", "m24", "r10", "m34-sides3"])
 def test_tiny_chunks_change_nothing(case, monkeypatch):
-    # completions one or two at a time, a few rows per chunk and one side
-    # row per slab: every chunk boundary of the scan and of the tie
-    # resolution is crossed
+    # completions, rows per plane and per side table, side rows per slab and
+    # pairs per argmin piece one or two at a time: every chunk boundary of
+    # the scan and of the tie resolution is crossed
     inst, t, t1, t2 = case
     ref = _solve_with_T(inst, t, "x", t1=t1, t2=t2)
     oracle = solve_brute(inst)
     assert (ref.energy, ref.best) == (oracle.energy, oracle.best)
-    monkeypatch.setattr(solver_module, "_COMPLETION_CHUNK", 2)
-    monkeypatch.setattr(solver_module, "_CHUNK_CELLS", 4)
-    monkeypatch.setattr(solver_module, "_SLAB_CELLS", 1)
-    assert _solve_with_T(inst, t, "x", t1=t1, t2=t2) == ref
+    for chunk_cells in (1, 2):
+        monkeypatch.setattr(solver_module, "_CHUNK_CELLS", chunk_cells)
+        assert _solve_with_T(inst, t, "x", t1=t1, t2=t2) == ref
 
 
 def test_twelve_bit_side_sets():
@@ -1077,11 +1078,85 @@ def test_side_minima_match_the_3d_reference(case, data):
                         v, (engine.j_t1, engine.j_t2), engine.side_tables, a, b):
                     ref_min, ref_arg = reference_side_minima(vi, s @ j[f], spins, side_own)
                     for slab_cells in (1, 3 * want.size, 1 << 40):
-                        mp.setattr(solver_module, "_SLAB_CELLS", slab_cells)
+                        mp.setattr(solver_module, "_CHUNK_CELLS", slab_cells)
                         np.testing.assert_array_equal(_min_plus(at, bt), ref_min)
+                    mp.setattr(solver_module, "_CHUNK_CELLS", chunk_cells)
                     np.testing.assert_array_equal(_first_argmin(at, bt, rr, cc), ref_arg.ravel())
                     want += ref_min
                 np.testing.assert_array_equal(engine._energies(g, a, chunk), want)
+
+
+def _inner_energy(jf, sets, f, s_t):
+    """Energy of T at spins ``s_t`` and of the best spins of each side set,
+    given fields ``f`` on T, T1 and T2; every side row is enumerated."""
+    t, t1, t2 = sets
+    e = int(f[:len(t)] @ s_t) + int(s_t @ jf[np.ix_(t, t)] @ s_t) // 2
+    for side, v in ((t1, f[len(t):len(t) + len(t1)]), (t2, f[len(t) + len(t1):])):
+        spins = np.array(list(product((-1, 1), repeat=len(side))), dtype=np.int64)
+        own = ((spins @ jf[np.ix_(side, side)]) * spins).sum(axis=1) // 2
+        e += int((spins @ (v + s_t @ jf[np.ix_(t, side)]) + own).min())
+    return e
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(side_cases(), engine_cases()), st.data())
+def test_planes_walk_each_completion_once(case, data):
+    # field rows of real blocks that repeat, in shuffled order, under drawn
+    # enum masks: each row gets every completion of its enumerated members
+    # exactly once, each plane cell is that completion's energy with the
+    # other members set against their fields, and _minima is the optimum
+    # over every spin of T and of both side sets
+    inst, t, t1, t2, block_bits = case
+    engine = _ScanEngine(inst, t, block_bits, t1, t2)
+    m = engine.m
+    sets = (list(engine.t), sorted(t1), sorted(t2))
+    jf = inst.full_coupling_matrix()
+    pool = np.concatenate([engine.split.fields(start, engine.inner).T
+                           for start in engine.split.starts])
+    distinct = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=4,
+                                  unique=True))
+    fields = pool[data.draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=12))]
+    enum = np.array(data.draw(st.lists(st.booleans(), min_size=len(fields) * m,
+                                       max_size=len(fields) * m)), dtype=bool)
+    enum = enum.reshape(len(fields), m)
+    energy = {}
+
+    def reference(r, s_t):
+        key = (r, tuple(s_t))
+        if key not in energy:
+            energy[key] = _inner_energy(jf, sets, fields[r].astype(np.int64), s_t)
+        return energy[key]
+
+    want = [min(reference(r, np.array(s_t, dtype=np.int64)) for s_t in product((-1, 1), repeat=m))
+            for r in range(len(fields))]
+    for chunk_cells in (1, 7, 1 << 16):
+        seen = [[] for _ in fields]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver_module, "_CHUNK_CELLS", chunk_cells)
+            for rows, e_fix, f, chunk, _, e in engine._planes(fields, enum):
+                for i, r in enumerate(rows):
+                    np.testing.assert_array_equal(f, np.flatnonzero(enum[r]))
+                    for c, spins in enumerate(chunk[0]):
+                        seen[r].append(tuple(spins))
+                        s_t = np.where(fields[r, :m] > 0, -1, 1).astype(np.int64)
+                        s_t[f] = spins
+                        assert e_fix[i] + e[i, c] == reference(r, s_t)
+            assert list(engine._minima(fields)) == want
+        for r, completions in enumerate(seen):
+            k = int(enum[r].sum())
+            assert sorted(completions) == sorted(product((-1, 1), repeat=k))
+
+
+def test_completion_enumeration_refuses_more_than_26_free_members():
+    # a ring with zero fields: every member of T, all 27 variables, is free
+    ring = IsingInstance(27, [0] * 27, [(i, (i + 1) % 27, 1) for i in range(27)])
+    with pytest.raises(EnumerationLimitError, match="needs 27 bits"):
+        _solve_with_T(ring, range(27), "x")
+
+
+def test_side_sets_wider_than_the_cap_are_refused():
+    with pytest.raises(EnumerationLimitError, match="side sets too large to enumerate"):
+        _solve_with_T(IsingInstance(21, [1] * 21), (), "x", t1=range(21))
 
 
 @st.composite
@@ -1341,9 +1416,9 @@ def test_pruning_skips_inner_solves():
     seen = []
     minima = _ScanEngine._minima
 
-    def recording(self, fields, free):
+    def recording(self, fields):
         seen.append(len(fields))
-        return minima(self, fields, free)
+        return minima(self, fields)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_ScanEngine, "_minima", recording)
