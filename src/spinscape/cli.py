@@ -26,7 +26,7 @@ import json
 import sys
 import time
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .generators import (
@@ -77,6 +77,10 @@ class _InputError(Exception):
 
 class _UsageError(Exception):
     """Flag combination invalid beyond what argparse can see (exit 1)."""
+
+
+class _VerifyError(Exception):
+    """``solve --verify`` found a different answer (exit 4)."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -144,11 +148,10 @@ def _digest_of(obj) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _emit(doc: Dict, output: Optional[str], started: float) -> int:
-    doc["version"] = __version__
-    doc["wall_time_s"] = round(time.perf_counter() - started, 6)
-    _write_text(output, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return EXIT_OK
+def _instance_doc(args: argparse.Namespace, seed: int) -> Tuple[IsingInstance, Dict]:
+    """The instance named by ``--input``, and the document header that describes it."""
+    inst = _load_instance(args.input, args.format)
+    return inst, {"seed": seed, "digest": inst.digest(), "n": inst.n}
 
 
 # -- generate ---------------------------------------------------------------
@@ -184,14 +187,12 @@ def _make_family(args: argparse.Namespace):
     raise _UsageError("unknown family %r" % fam)
 
 
-def _cmd_generate(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def _cmd_generate(args: argparse.Namespace) -> Dict:
     try:
         inst, params, extra, seed = _make_family(args)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     doc = {
-        "command": "generate",
         "family": args.family,
         "params": params,
         "seed": seed,
@@ -200,7 +201,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         "counters": {"variables": inst.n, "couplings": len(inst.couplings)},
     }
     doc.update(extra)
-    return _emit(doc, args.output, started)
+    return doc
 
 
 # -- solve ------------------------------------------------------------------
@@ -220,17 +221,9 @@ def _run_method(inst: IsingInstance, args: argparse.Namespace) -> SolveResult:
     )
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    inst = _load_instance(args.input, args.format)
+def _cmd_solve(args: argparse.Namespace) -> Dict:
+    inst, doc = _instance_doc(args, args.seed)
     res = _run_method(inst, args)
-    doc = {
-        "command": "solve",
-        "method": args.method,
-        "seed": args.seed,
-        "digest": inst.digest(),
-        "n": inst.n,
-    }
     doc.update(res.to_json_dict())
     doc["method"] = args.method
     doc["engine"] = res.method
@@ -238,50 +231,33 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         if inst.n <= VERIFY_MAX_N:
             oracle = solve_brute(inst)
             if res.energy != oracle.energy or res.best != oracle.best:
-                print(
-                    "verification failed: %s found %d/%s, brute force found %d/%s"
-                    % (args.method, res.energy, res.best, oracle.energy, oracle.best),
-                    file=sys.stderr,
-                )
-                return EXIT_VERIFY
+                raise _VerifyError("%s found %d/%s, brute force found %d/%s" % (
+                    args.method, res.energy, res.best, oracle.energy, oracle.best))
             doc["verified"] = True
         else:
             doc["verified"] = None
-    return _emit(doc, args.output, started)
+    return doc
 
 
 # -- landscape --------------------------------------------------------------
 
 
-def _cmd_count_minima(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    inst = _load_instance(args.input, args.format)
+def _cmd_count_minima(args: argparse.Namespace) -> Dict:
+    inst, doc = _instance_doc(args, args.seed)
     report = enumerate_k_minima(inst, k=args.k)
-    doc = {
-        "command": "count-minima",
-        "seed": args.seed,
-        "digest": inst.digest(),
-        "n": inst.n,
-        "k": args.k,
-        "count": report.minima_count,
-        "counters": {"minima": report.minima_count},
-    }
+    doc.update(k=args.k, count=report.minima_count,
+               counters={"minima": report.minima_count})
     if report.minima_count <= args.list_limit:
         doc["minima"] = [a.bitstring() for a in report.minima]
-    return _emit(doc, args.output, started)
+    return doc
 
 
-def _cmd_basins(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    inst = _load_instance(args.input, args.format)
+def _cmd_basins(args: argparse.Namespace) -> Dict:
+    inst, doc = _instance_doc(args, args.seed)
     report = k_basins(
         inst, k=args.k, flipped_rule=args.flipped_rule, work_limit=args.work_limit
     )
-    doc = {
-        "command": "basins",
-        "seed": args.seed,
-        "digest": inst.digest(),
-        "n": inst.n,
+    doc.update({
         "k": args.k,
         "flipped_rule": args.flipped_rule,
         "vertex_count": report.vertex_count,
@@ -292,47 +268,34 @@ def _cmd_basins(args: argparse.Namespace) -> int:
             "vertices": report.vertex_count or 0,
             "basins": report.basin_count or 0,
         },
-    }
-    return _emit(doc, args.output, started)
+    })
+    return doc
 
 
 # -- branching sets ---------------------------------------------------------
 
 
-def _cmd_tset(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    inst = _load_instance(args.input, args.format)
+def _cmd_tset(args: argparse.Namespace) -> Dict:
+    inst, doc = _instance_doc(args, args.seed)
     params = None
     if args.epsilon is not None:
         params = dataclasses.replace(TParams.for_instance(inst), epsilon=args.epsilon)
     cert = find_T_randomized(inst, params, seed=args.seed, max_retries=args.max_retries)
-    doc = {
-        "command": "tset",
-        "seed": args.seed,
-        "digest": inst.digest(),
-        "n": inst.n,
-        "certificate": cert.to_json_dict(),
-        "counters": {"t_size": len(cert.t), "attempts": cert.attempts},
-    }
-    return _emit(doc, args.output, started)
+    doc.update(certificate=cert.to_json_dict(),
+               counters={"t_size": len(cert.t), "attempts": cert.attempts})
+    return doc
 
 
-def _cmd_z(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    inst = _load_instance(args.input, args.format)
+def _cmd_z(args: argparse.Namespace) -> Dict:
+    inst, doc = _instance_doc(args, args.tset_seed)
     t, method = _auto_t(inst, None, args.tset_seed)
-    z = compute_Z(inst, t)
-    doc = {
-        "command": "z",
-        "seed": args.tset_seed,
-        "digest": inst.digest(),
-        "n": inst.n,
+    doc.update({
         "t": list(t),
         "t_source": "randomized" if method == "effective-field" else "coloring-class",
-        "z": z,
+        "z": compute_Z(inst, t),
         "counters": {"t_size": len(t)},
-    }
-    return _emit(doc, args.output, started)
+    })
+    return doc
 
 
 # -- probe ------------------------------------------------------------------
@@ -343,17 +306,15 @@ def _prob_fields(prob: Fraction) -> Dict:
             "probability_float": float(prob)}
 
 
-def _cmd_probe(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    doc: Dict = {"command": "probe", "mode": args.mode, "delta": args.delta,
-                 "seed": args.seed}
+def _cmd_probe(args: argparse.Namespace) -> Dict:
+    doc: Dict = {"mode": args.mode, "delta": args.delta, "seed": args.seed}
     if args.mode == "scaling":
         report = scaling_report(args.sizes, delta=args.delta, seed=args.seed)
         doc["digest"] = _digest_of({"sizes": list(args.sizes), "delta": args.delta,
                                     "seed": args.seed})
         doc.update(report.to_json_dict())
         doc["counters"] = {"rows": len(report.rows)}
-        return _emit(doc, args.output, started)
+        return doc
 
     if args.weights_file is None:
         raise _UsageError("--weights-file is required for mode %r" % args.mode)
@@ -377,7 +338,7 @@ def _cmd_probe(args: argparse.Namespace) -> int:
         doc["estimate"] = est.estimate
         doc["std_error"] = est.std_error
         doc["counters"]["samples"] = args.samples
-    return _emit(doc, args.output, started)
+    return doc
 
 
 # -- bench ------------------------------------------------------------------
@@ -397,8 +358,7 @@ def _bench_instance(family: str, n: int, args: argparse.Namespace) -> IsingInsta
     return gen_regular(n, args.d, wmax=args.wmax, seed=args.seed)
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def _cmd_bench(args: argparse.Namespace) -> Optional[Dict]:
     rows: List[Dict] = []
     for n in args.sizes:
         try:
@@ -429,9 +389,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         writer.writeheader()
         writer.writerows(rows)
         _write_text(args.output, buf.getvalue())
-        return EXIT_OK
-    doc = {
-        "command": "bench",
+        return None
+    return {
         "family": args.family,
         "sizes": list(args.sizes),
         "methods": list(args.methods),
@@ -441,7 +400,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         "table": rows,
         "counters": {"rows": len(rows)},
     }
-    return _emit(doc, args.output, started)
 
 
 # -- parser -----------------------------------------------------------------
@@ -615,8 +573,18 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _shared_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        # None: the command wrote its own output (bench --table-format csv)
+        doc = args.func(args)
+        if doc is not None:
+            doc["command"] = args.command
+            doc["version"] = __version__
+            doc["wall_time_s"] = round(time.perf_counter() - started, 6)
+            _write_text(args.output, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    except _VerifyError as exc:
+        print("verification failed: %s" % exc, file=sys.stderr)
+        return EXIT_VERIFY
     except _UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
@@ -635,6 +603,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

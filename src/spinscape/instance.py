@@ -28,6 +28,7 @@ import re
 from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, Iterable, Iterator, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -397,19 +398,20 @@ class DegreeGraph:
     n: int
     neighbors: Tuple[Tuple[int, ...], ...]
 
-    @property
+    # Cached in the instance dict, which the frozen fields' equality ignores.
+    @cached_property
     def degrees(self) -> Tuple[int, ...]:
         return tuple(len(x) for x in self.neighbors)
 
     @property
     def max_degree(self) -> int:
-        return max((len(x) for x in self.neighbors), default=0)
+        return max(self.degrees, default=0)
 
     @property
     def edge_count(self) -> int:
-        return sum(len(x) for x in self.neighbors) // 2
+        return sum(self.degrees) // 2
 
-    @property
+    @cached_property
     def average_degree(self) -> float:
         if self.n == 0:
             return 0.0
@@ -663,17 +665,14 @@ class SplitScan:
         rows = np.flatnonzero(spins.all(axis=0))
         return rows, spins[:, rows]
 
-    def flip_survivors(self, start: int, strict: bool = True, flipped: bool = False,
-                       rows: np.ndarray | None = None,
-                       spins: np.ndarray | None = None) -> np.ndarray:
+    def flip_survivors(self, start: int, rows: np.ndarray, spins: np.ndarray,
+                       strict: bool = True, flipped: bool = False) -> np.ndarray:
         """Candidates of the block at ``start`` that pass every scanned variable's single flip.
 
-        A candidate is a row of the block, from ``rows`` (by default every
-        row, in order), with the +-1 spins of the members in the matching
-        column of ``spins`` (members x candidates), as :meth:`member_spins`
-        gives them once its free members are set.  Without ``spins`` the
-        members count as absent, and a row's fields come from the scanned
-        spins alone.
+        A candidate is a row of the block, from ``rows``, with the +-1 spins
+        of the members in the matching column of ``spins`` (members x
+        candidates), as :meth:`member_spins` gives them once its free
+        members are set.
 
         A candidate passes when S_i * L_i < 0 for every scanned variable i
         (every single flip strictly raises the energy), or <= 0 with
@@ -690,13 +689,12 @@ class SplitScan:
         s_hi = self.hi_spins(start)
         c = self._h + s_hi @ self._j_hi
         lt, gt = (np.less, np.greater) if strict else (np.less_equal, np.greater_equal)
-        live = np.arange(len(self._e_lo) if rows is None else len(rows))
+        live = np.arange(len(rows))
         for i, f in enumerate(self._f_lo[:self.width]):
-            at = live if rows is None else rows[live]  # the block row of each live candidate
+            at = rows[live]  # the block row of each live candidate
             fields = f[at] + c[i]
-            if spins is not None:
-                for m, w in self._member_terms[i]:
-                    fields += w * spins[m, live]
+            for m, w in self._member_terms[i]:
+                fields += w * spins[m, live]
             # S_i * L_i < 0 is L_i < 0 where S_i = +1 and L_i > 0 where
             # S_i = -1; the flipped test swaps the two.
             if i < self.hi_bits:

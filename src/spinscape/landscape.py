@@ -277,7 +277,7 @@ def _vertex_bits(
             raise EnumerationLimitError(
                 "the rows with free members expand past 2^%d candidates" % MAX_ENUM_BITS)
         for at, s in _expand(rows, spins, counts, 1 << block_bits):
-            keep = scan.flip_survivors(start, strict=strict, flipped=flipped, rows=at, spins=s)
+            keep = scan.flip_survivors(start, at, s, strict=strict, flipped=flipped)
             found = outer_bits(start, at[keep])
             for bit, up in zip(member_bits, s[:, keep] > 0):
                 found |= up * bit

@@ -111,6 +111,16 @@ def is_k_minimum(inst: IsingInstance, a: Assignment, k: int) -> bool:
     return bool(_k_checks(inst, spins, sets, strict=True, singles_known=False)[0])
 
 
+def every_row(scan: SplitScan) -> Tuple[np.ndarray, np.ndarray]:
+    """Every row of a block, in order, with zero member spins: the members count as absent.
+
+    A zero spin adds nothing to any field, so ``scan.flip_survivors(start,
+    *every_row(scan))`` reads each row's fields from the scanned spins alone.
+    """
+    size = 1 << scan.lo_bits
+    return np.arange(size), np.zeros((len(scan.members), size), dtype=scan.dtype)
+
+
 def member_filter_ranks(inst: IsingInstance, block_bits: int, strict: bool,
                         flipped: bool) -> np.ndarray:
     """Ranks of the assignments that SplitScan's member and single-flip filters pass.

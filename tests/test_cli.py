@@ -401,6 +401,37 @@ class TestBench:
         assert "argument --block: must be >= 1" in captured.err
 
 
+class TestOutputPath:
+    @pytest.mark.parametrize("argv", [
+        ["generate", "csse", "--n", "4"],
+        ["solve", "--method", "brute", "-i", "CSSE4"],
+        ["count-minima", "-i", "CSSE4"],
+        ["basins", "-i", "CSSE4"],
+        ["tset", "-i", "CSSE4"],
+        ["z", "-i", "CSSE4"],
+        ["probe", "--mode", "scaling", "--sizes", "4"],
+        ["bench", "--family", "csse", "--sizes", "4", "--methods", "brute"],
+    ], ids=lambda argv: argv[0])
+    def test_every_document_carries_the_common_header(self, csse4_file, capsys, argv):
+        doc = run_json([csse4_file if a == "CSSE4" else a for a in argv], capsys)
+        assert doc["command"] == argv[0]
+        assert doc["version"]
+        assert isinstance(doc["wall_time_s"], float)
+        assert "seed" in doc
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "csse", "--n", "4"],
+        ["bench", "--family", "csse", "--sizes", "4", "--table-format", "csv"],
+    ], ids=lambda argv: argv[0])
+    def test_unwritable_output_is_input_error(self, tmp_path, capsys, argv):
+        target = tmp_path / "missing" / "x.out"
+        code, out, err = run_cli(argv + ["-o", str(target)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "input error" in err
+        assert not target.exists()
+
+
 class TestErrorPaths:
     def test_unknown_method_is_usage_error(self, csse4_file, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import is_local_minimum, member_filter_ranks, random_instance
+from helpers import every_row, is_local_minimum, member_filter_ranks, random_instance
 from spinscape.generators import gen_csse
 from spinscape.instance import (
     DEFAULT_BLOCK_BITS,
     INT32_MAX,
     INT64_MAX,
     Assignment,
+    DegreeGraph,
     EnumerationLimitError,
     IsingInstance,
     SplitScan,
@@ -112,6 +113,16 @@ class TestInstanceBasics:
         assert g.edge_count == 2
         assert g.average_degree == 1.0
         assert g.adjacent(0, 1) and not g.adjacent(0, 2)
+
+    def test_degree_graph_caches_its_degrees(self):
+        inst = IsingInstance(4, [1, 0, 0, 0], [(0, 1, 1), (1, 2, -3)])
+        g = inst.degree_graph()
+        h = DegreeGraph(g.n, g.neighbors)
+        assert g.degrees is g.degrees
+        assert g.average_degree == 1.0 and "average_degree" in vars(g)
+        # the cache lives in g's instance dict; equality compares the fields
+        assert "degrees" not in vars(h)
+        assert g == h and hash(g) == hash(h)
 
     def test_overflow_guard(self):
         big = 2**62
@@ -311,7 +322,8 @@ def test_split_scan_matches_reference_kernels(case, data):
                                       (spins > 0).astype(np.int64) @ weights)
         sl = spins * fields[:, sub] * (-1 if flipped else 1)
         passing = (sl < 0) if strict else (sl <= 0)
-        np.testing.assert_array_equal(scan.flip_survivors(start, strict, flipped),
+        np.testing.assert_array_equal(scan.flip_survivors(start, *every_row(scan),
+                                                          strict, flipped),
                                       np.flatnonzero(passing.all(axis=1)))
     for rank in (0, (1 << len(sub)) - 1):
         a = Assignment.from_rank(rank, len(sub))
@@ -333,7 +345,7 @@ def test_flip_survivors_match_reference_kernels(case, strict, flipped):
         if flipped:
             sl = -sl
         passing = (sl < 0) if strict else (sl <= 0)
-        rows = scan.flip_survivors(start, strict=strict, flipped=flipped)
+        rows = scan.flip_survivors(start, *every_row(scan), strict=strict, flipped=flipped)
         np.testing.assert_array_equal(rows, np.flatnonzero(passing.all(axis=1)))
     # T a color class: the outer rows with T's spins, over all 2^n assignments
     spins = spin_block(inst.n, 0, 1 << inst.n)
@@ -384,7 +396,8 @@ def test_scan_dtype_at_the_int32_bound(budget, dtype, sign, block_bits):
             for flipped in (True, False):
                 sl = spins * fields * (-1 if flipped else 1)
                 passing = (sl < 0) if strict else (sl <= 0)
-                np.testing.assert_array_equal(scan.flip_survivors(start, strict, flipped),
+                np.testing.assert_array_equal(scan.flip_survivors(start, *every_row(scan),
+                                                                  strict, flipped),
                                               np.flatnonzero(passing.all(axis=1)))
 
 
@@ -402,7 +415,7 @@ def test_split_scan_builds_rows_only_for_its_columns():
         with pytest.raises(ValueError):
             scan.fields(0, [var])
     with pytest.raises(ValueError):
-        scan.flip_survivors(0)
+        scan.flip_survivors(0, *every_row(scan))
 
 
 def test_split_scan_enforces_the_ceiling():

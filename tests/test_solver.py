@@ -49,6 +49,7 @@ from spinscape.tset import TParams, check_T, find_T_randomized
 
 from helpers import (
     effective_view,
+    every_row,
     exhaustive_min,
     member_filter_ranks,
     optimal_outer_patterns,
@@ -1320,8 +1321,9 @@ def test_int32_scan_matches_the_forced_int64_scan(case, data):
     for start in full_a.starts:
         np.testing.assert_array_equal(full_a.fields(start, range(inst.n)),
                                       full_b.fields(start, range(inst.n)))
-        np.testing.assert_array_equal(full_a.flip_survivors(start, strict, flipped),
-                                      full_b.flip_survivors(start, strict, flipped))
+        np.testing.assert_array_equal(
+            full_a.flip_survivors(start, *every_row(full_a), strict, flipped),
+            full_b.flip_survivors(start, *every_row(full_b), strict, flipped))
     # the filter with T a color class, through the member spins
     narrow_ranks = member_filter_ranks(inst, block_bits, strict, flipped)
     with pytest.MonkeyPatch.context() as mp:
