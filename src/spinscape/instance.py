@@ -228,6 +228,11 @@ class IsingInstance:
           terms (h_i and the couplings from i to the outer variables) are
           disjoint.  Without couplings among T, T1 and T2 it is the exact
           total;
+        * without those couplings, the engine's folded table, the sum of
+          ``-|h_i + low share|`` over the members of T with no coupling to
+          a high variable, each partial sum of it, and a block's energies
+          plus that table, less the other members' ``|L_i|`` one at a
+          time: sums over the same disjoint terms;
         * an exact total written over a kept row's bound: the energy of a
           real assignment.
 
@@ -508,7 +513,8 @@ class SplitScan:
 
     The tables are in ``inst.scan_dtype``, whose docstring bounds every
     value computed here, so the results are exact.  They are read-only
-    after construction and may be shared between threads.
+    after construction and may be shared between threads; the scan engine
+    reads its members' low rows (``_f_lo`` by ``_row``) in place.
     """
 
     def __init__(
@@ -605,6 +611,15 @@ class SplitScan:
                 e -= row
         return e
 
+    def field_constants(self, start: int) -> np.ndarray:
+        """The part of each table row's field that is constant in the block at ``start``.
+
+        It is h plus the couplings to the high scanned variables, whose
+        spins the block fixes; a field over the block is its low table row
+        plus this constant.  One entry per table row.
+        """
+        return self._h + self.hi_spins(start) @ self._j_hi
+
     def fields(self, start: int, cols: Sequence[int], out: np.ndarray | None = None) -> np.ndarray:
         """(len(cols) x rows) fields on ``cols`` in the block at ``start``, in ``out`` if given.
 
@@ -617,7 +632,7 @@ class SplitScan:
             raise ValueError("fields read a variable outside the scan's columns")
         # rows are in range; mode="clip" lets take write into out unbuffered
         out = np.take(self._f_lo, rows, axis=0, out=out, mode="clip")
-        out += (self._h + self.hi_spins(start) @ self._j_hi)[rows, None]
+        out += self.field_constants(start)[rows, None]
         return out
 
     def weight_sums(self, weights: np.ndarray) -> Callable[[int, np.ndarray], np.ndarray]:
@@ -687,7 +702,7 @@ class SplitScan:
         if not self._all_scanned:
             raise ValueError("single-flip survivors need every scanned variable's fields")
         s_hi = self.hi_spins(start)
-        c = self._h + s_hi @ self._j_hi
+        c = self.field_constants(start)
         lt, gt = (np.less, np.greater) if strict else (np.less_equal, np.greater_equal)
         live = np.arange(len(rows))
         for i, f in enumerate(self._f_lo[:self.width]):

@@ -68,8 +68,9 @@ from .tset import (
 COMPLETION_CAP_BITS = 20
 AUTO_DEGREE_GATE = 16
 # Cells of every chunked temporary of the scan engine: planes, side tables A
-# and B, min-plus slabs and argmin pieces.  One side row per slab would make
-# 12-bit side sets 5x slower (0.17 s against 0.03 s on multicopy 8x4).
+# and B, min-plus slabs, argmin pieces and the folded members' field rows.
+# One side row per slab would make 12-bit side sets 5x slower (0.17 s
+# against 0.03 s on multicopy 8x4).
 _CHUNK_CELLS = 1 << 16
 # Bits per int64 word of a lex key.
 _KEY_BITS = 63
@@ -276,8 +277,10 @@ class _ScanEngine:
     effective fields on T, T1 and T2 (the local fields from the outer
     spins) and the lex keys of its rows, each from a table built once
     plus one constant per block.  All tables are read-only after
-    construction and shared by the worker threads; each thread writes a
-    block's fields and totals into its own array, reused block to block.
+    construction and shared by the worker threads; each thread writes into
+    its own array, reused block to block: a block's fields and totals, or
+    without side sets and couplings inside T one mixed member's field row
+    at a time (:meth:`_fold_low_members`).
 
     With side sets or couplings inside T, the inner optimum of a row, its
     free members and its optimal completions are functions of its field
@@ -362,6 +365,51 @@ class _ScanEngine:
         self._lock = threading.Lock()
         self._local = threading.local()
         self._best: Optional[int] = None
+        self.coupled = self.sides or self.has_internal
+        if not self.coupled:
+            self._fold_low_members(jf)
+
+    def _fold_low_members(self, jf: np.ndarray) -> None:
+        """Sort the members of an uncoupled T by where their outer couplings go.
+
+        A member's field over a block is its low table row of the scan plus
+        the block constant (:meth:`SplitScan.field_constants`).  A member
+        with no coupling to a high outer variable (an isolated one too) has
+        the constant h in every block, so its field rows are the same in
+        every block: its ``-|f|``, its count of non-zero fields and its key
+        bit (``f < 0``) are folded here, once, into ``_fold``,
+        ``_lo_strict`` and ``_key_lo`` (one row per key word).  A member
+        coupled to high outer variables alone has an all-zero low row: its
+        field is one constant per block.  Only the others, the mixed
+        members, keep a field row per block.  The engine reads the scan's
+        low table rows in place, by their table row.
+        """
+        split = self.split
+        t = np.array(self.t, dtype=np.int64)
+        j_out = jf[np.ix_(self.out, t)]
+        high = j_out[:split.hi_bits].any(axis=0)
+        low = j_out[split.hi_bits:].any(axis=0)
+        at = split._row[t]
+        c = split.field_constants(0)
+        n_rows = 1 << split.lo_bits
+        self._fold = np.zeros(n_rows, dtype=split.dtype)
+        self._key_lo = np.zeros((self.w_t.shape[1], n_rows), dtype=np.int64)
+        self._lo_strict = 0
+        lo_v, lo_at, lo_w = t[~high], at[~high], self.w_t[~high]
+        # as many members at a time as keep their field rows within _CHUNK_CELLS
+        step = max(1, _CHUNK_CELLS // n_rows)
+        for k in range(0, len(lo_v), step):
+            sel = lo_at[k:k + step]
+            f = split._f_lo[sel]
+            f += c[sel, None]
+            self._lo_strict += int(np.count_nonzero(f))
+            for v, w, neg in zip(lo_v[k:k + step].tolist(), lo_w[k:k + step], f < 0):
+                word = v // _KEY_BITS
+                np.add(self._key_lo[word], w[word], out=self._key_lo[word], where=neg)
+            self._fold -= np.abs(f, out=f).sum(axis=0, dtype=split.dtype)
+        high_only, mixed = high & ~low, high & low
+        self._hi_at, self._w_hi = at[high_only], self.w_t[high_only]
+        self._mixed_at, self._w_mixed = at[mixed], self.w_t[mixed]
 
     # -- per-row pieces ------------------------------------------------
 
@@ -503,8 +551,6 @@ class _ScanEngine:
         Returns, per member of T, the number of block rows where it is
         strictly fixed and where it is free (its field magnitude below a
         positive ``h_max``), and per block row its number of free members.
-        With no coupling among T, T1 and T2, W_in is 0, no member is free
-        and the bound is the exact total.
         """
         np.subtract(e_out, self._w_in, out=totals)
         strict = np.zeros(self.m, dtype=np.int64)
@@ -542,6 +588,14 @@ class _ScanEngine:
         keep = lb <= lb.dtype.type(greedy.min())
         return np.flatnonzero(keep) if 2 * np.count_nonzero(keep) <= len(lb) else None
 
+    def _live(self, bmin: int) -> bool:
+        """Whether a block of minimum ``bmin`` may hold the optimum; records its minimum."""
+        with self._lock:
+            live = self._best is None or bmin <= self._best
+            if live:
+                self._best = bmin
+        return live
+
     def scan_block(self, start: int) -> Tuple[int, Optional[int], int, List[int], Dict[str, int]]:
         """Scan one block of outer assignments and resolve its ties.
 
@@ -549,22 +603,19 @@ class _ScanEngine:
         completion among the rows at that minimum, the number of those
         rows, the histogram of free-member counts and the fixing counters.
         The rank is None when an earlier block already reached a lower
-        energy, so this block cannot hold the optimum.
+        energy, so this block cannot hold the optimum.  Blocks without side
+        sets or couplings inside T go to :meth:`_scan_uncoupled`.
 
         One pass over the field rows gives every row's lower bound LB and
-        the fixing counters (:meth:`_bound`).  With side sets or couplings
-        inside T, the rows whose LB exceeds the block's greedy incumbent UB
-        are dropped (:meth:`_survivors`), the kept rows are classed by
-        their fields alone, and the inner problem is solved once per class:
-        :meth:`_minima` on each class's smallest row, and
-        :meth:`_lex_min_rank` on each class's first row at the minimum.
-        Within a block the outer key rises with the row index, and outer
-        and inner key bits are disjoint, so that row's key, plus the class's
-        smallest optimal completion, is the smallest key of the class.
-        Without them, every member is fixed and LB is the exact total; a
-        zero-field member may take either spin, so a tying row's smallest
-        key is its forced key with the members of negative field at +1 and
-        the others at -1.
+        the fixing counters (:meth:`_bound`).  The rows whose LB exceeds
+        the block's greedy incumbent UB are dropped (:meth:`_survivors`),
+        the kept rows are classed by their fields alone, and the inner
+        problem is solved once per class: :meth:`_minima` on each class's
+        smallest row, and :meth:`_lex_min_rank` on each class's first row
+        at the minimum.  Within a block the outer key rises with the row
+        index, and outer and inner key bits are disjoint, so that row's
+        key, plus the class's smallest optimal completion, is the smallest
+        key of the class.
 
         Dropping rows changes no output.  UB is the energy of a real
         assignment of the block, so the block minimum is at most UB.  A
@@ -575,6 +626,8 @@ class _ScanEngine:
         of the unbounded scan, and the counters and the free-member
         histogram behind ``leaves_explored`` still count every row.
         """
+        if not self.coupled:
+            return self._scan_uncoupled(start)
         e_out = self.split.energies(start)
         n_rows = len(e_out)
         if not hasattr(self._local, "buf"):
@@ -585,16 +638,12 @@ class _ScanEngine:
         fields = self.split.fields(start, self.inner, inner_rows).T
         strict, n_free, popc = self._bound(e_out, inner_rows, totals)
         at_max = n_rows - strict - n_free
-        # without side sets or couplings inside T, h_max is 0, every member
-        # is fixed and the bound is the total
-        coupled = self.sides or self.has_internal
-        if coupled:
-            kept = self._survivors(totals, e_out, fields)
-            sub = slice(None) if kept is None else kept
-            sel = inner_rows[:, sub].T
-            reps, cls = _row_classes(sel, len(sel))
-            # a dropped row keeps its bound, above the block minimum
-            totals[sub] = e_out[sub] + self._minima(sel[reps])[cls]
+        kept = self._survivors(totals, e_out, fields)
+        sub = slice(None) if kept is None else kept
+        sel = inner_rows[:, sub].T
+        reps, cls = _row_classes(sel, len(sel))
+        # a dropped row keeps its bound, above the block minimum
+        totals[sub] = e_out[sub] + self._minima(sel[reps])[cls]
         bmin = int(totals.min())
         rows = np.flatnonzero(totals == bmin)
         counters = {
@@ -605,23 +654,61 @@ class _ScanEngine:
             "zero_field_fixed": int(at_max[self.h_max == 0].sum()),
             "free_members": int(popc.sum()),
         }
-        with self._lock:
-            live = self._best is None or bmin <= self._best
-            if live:
-                self._best = bmin
         rank = None
-        if live and coupled:
+        if self._live(bmin):
             # every row at the minimum was kept: its bound is at most bmin
             at = rows if kept is None else np.searchsorted(kept, rows)
             first = rows[np.unique(cls[at], return_index=True)[1]]
             target = bmin - e_out[first].astype(np.int64)
             rank = self._lex_min_rank(start, first, fields[first], target)
-        elif live:
-            keys = self._outer_keys(start, rows)
-            for w, f in zip(self.w_t, inner_rows):
-                keys += (f[rows] < 0)[:, None] * w
-            rank = _key_rank(_lex_min(None, keys), self.inst.n)
         return bmin, rank, int(rows.size), [int(c) for c in np.bincount(popc)], counters
+
+    def _scan_uncoupled(self, start: int) -> Tuple[int, Optional[int], int, List[int], Dict[str, int]]:
+        """:meth:`scan_block` without side sets or couplings inside T.
+
+        Every member is fixed against its field, so a row's total is
+        ``e_out - sum |f|`` over T, exact.  The low-only members' share is
+        the folded table (:meth:`_fold_low_members`), a high-only member
+        subtracts one block constant, and only the mixed members add,
+        take ``abs`` and subtract a field row, in this thread's buffer,
+        reused from block to block.  No member is free, so the width
+        histogram is one entry, and a field is strict where it is not 0.
+
+        A zero-field member may take either spin, so a tying row's smallest
+        key is its outer key with the members of negative field at +1 and
+        the others at -1: the folded key table, the high-only members'
+        bits of the block and the mixed members' bits at the tying rows.
+        """
+        totals = self.split.energies(start)
+        n_rows = len(totals)
+        totals += self._fold
+        c = self.split.field_constants(start)
+        c_hi = c[self._hi_at]
+        strict = self._lo_strict + n_rows * int(np.count_nonzero(c_hi))
+        if len(self._mixed_at) and not hasattr(self._local, "buf"):
+            self._local.buf = np.empty(n_rows, dtype=self.split.dtype)
+        for r in self._mixed_at:
+            f = np.add(self.split._f_lo[r], c[r], out=self._local.buf)
+            strict += int(np.count_nonzero(f))
+            totals -= np.abs(f, out=f)
+        low = totals.min()
+        rows = np.flatnonzero(totals == low)
+        # the high-only members' -|c| is the same on every row
+        bmin = int(low) - sum(abs(int(x)) for x in c_hi)
+        counters = {
+            "strict_fixed": strict,
+            "boundary_fixed": 0,
+            "zero_field_fixed": self.m * n_rows - strict,
+            "free_members": 0,
+        }
+        rank = None
+        if self._live(bmin):
+            keys = self._outer_keys(start, rows) + self._key_lo[:, rows].T
+            keys += self._w_hi[c_hi < 0].sum(axis=0)
+            for r, w in zip(self._mixed_at, self._w_mixed):
+                keys += (self.split._f_lo[r, rows] + c[r] < 0)[:, None] * w
+            rank = _key_rank(_lex_min(None, keys), self.inst.n)
+        return bmin, rank, int(rows.size), [n_rows], counters
 
 
 def _solve_with_T(

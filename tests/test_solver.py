@@ -22,7 +22,9 @@ from spinscape.instance import (
     IsingInstance,
     SplitScan,
     block_energies,
+    block_local_fields,
     spin_block,
+    thread_map,
 )
 from spinscape.solver import (
     SolveResult,
@@ -511,9 +513,19 @@ class TestLexMinAboveTheScanCeiling:
             assert res.counters["tie_rows"] == 1 << 20
 
     def test_multicopy_7x4_coloring(self):
+        # T is one variable per copy, and every field on it is non-zero
         res = solve_coloring_baseline(gen_multicopy(7, 4))
         assert res.best.bitstring() == "0011" * 7
         assert res.counters["tie_rows"] == 6 ** 7
+        assert res.counters["strict_fixed"] == 7 * 2**21
+        assert res.counters["zero_field_fixed"] == 0
+        assert res.leaves_explored == 2**21
+
+    def test_multicopy_8x4_coloring(self):
+        # 2^24 outer rows in 256 blocks, 6^8 of them at the optimum
+        res = solve_coloring_baseline(gen_multicopy(8, 4))
+        assert res.best.bitstring() == "0011" * 8
+        assert res.counters["tie_rows"] == 6 ** 8
 
     def multiword(self):
         # 63 variables pinned to -1 fill the first key word; the optimum is
@@ -634,6 +646,87 @@ def test_engine_tables_match_reference_formulas(case):
                      for (i, j), w in inst.couplings.items() if i in out and j in out)
         start = rank - rank % count
         assert int(split.energies(start)[rank - start]) == exact
+
+
+@st.composite
+def uncoupled_cases(draw):
+    """(instance, T, block_bits) with T an independent set and high outer bits.
+
+    Each member of T draws where its couplings go: to low outer variables
+    only, to high ones only, to both, or nowhere.  The outer variables
+    interleave with T and are coupled among themselves.  Small fields and
+    couplings make zero fields common, and wide draws pass 63 variables,
+    so that keys span two words.
+    """
+    block_bits = draw(st.integers(1, 4))
+    n_out = draw(st.integers(block_bits + 1, 8))
+    m = draw(st.integers(58, 66) if draw(st.booleans()) else st.integers(1, 8))
+    n = n_out + m
+    out = sorted(draw(st.permutations(range(n)))[:n_out])
+    t = [v for v in range(n) if v not in out]
+    high, low = out[:n_out - block_bits], out[n_out - block_bits:]
+    weight = st.sampled_from([-2, -1, 1, 2])
+    triples = [(i, j, draw(weight)) for i, j in combinations(out, 2) if draw(st.booleans())]
+    for v in t:
+        kind = draw(st.sampled_from(["low", "high", "mixed", "isolated"]))
+        for side, pool in (("low", low), ("high", high)):
+            if kind in (side, "mixed"):
+                nbrs = draw(st.lists(st.sampled_from(pool), min_size=1, unique=True))
+                triples += [(v, u, draw(weight)) for u in nbrs]
+    h = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    return IsingInstance(n, h, triples, c0=draw(st.integers(-3, 3))), t, block_bits
+
+
+def _uncoupled_reference(inst, t, block_bits):
+    """Per block of the scan over the variables outside ``t``: (minimum, rank of
+    the lex-min optimum, tying rows, width histogram, counters), row by row.
+
+    Each member of the independent set ``t`` goes against its local field,
+    to -1 on a zero field, which is the lex-smallest optimal completion.
+    """
+    out = [v for v in range(inst.n) if v not in set(t)]
+    count = 1 << min(block_bits, len(out))
+    for start in range(0, 1 << len(out), count):
+        spins = np.full((count, inst.n), -1, dtype=np.int64)
+        spins[:, out] = spin_block(len(out), start, count)
+        f = block_local_fields(inst, spins)[:, t]
+        spins[:, t] = np.where(f < 0, 1, -1)
+        e = block_energies(inst, spins)
+        at = np.flatnonzero(e == e.min())
+        rank = min(Assignment.from_spins([int(x) for x in spins[r]]).rank for r in at)
+        strict = int(np.count_nonzero(f))
+        counters = {"strict_fixed": strict, "boundary_fixed": 0,
+                    "zero_field_fixed": len(t) * count - strict, "free_members": 0}
+        yield int(e.min()), rank, int(at.size), [count], counters
+
+
+@settings(max_examples=80, deadline=None)
+@given(uncoupled_cases(), st.sampled_from([1, 2]))
+def test_uncoupled_blocks_match_a_per_row_reference(case, workers):
+    # the folded pass: low-only members from the engine's tables, high-only
+    # ones from the block constant, mixed ones row by row
+    inst, t, block_bits = case
+    want = list(_uncoupled_reference(inst, t, block_bits))
+    best = min(ref[0] for ref in want)
+    engine = _ScanEngine(inst, t, block_bits)
+    assert not engine.coupled and len(engine.split.starts) == len(want) > 1
+    for (bmin, rank, ties, widths, counters), ref in zip(
+            thread_map(engine.scan_block, engine.split.starts, workers), want):
+        assert (bmin, ties, widths, counters) == (ref[0],) + ref[2:]
+        # a block skips its ties only when another block is lower
+        assert rank == ref[1] or (rank is None and bmin > best)
+    # every block's rank, with no running best to skip it
+    engine = _ScanEngine(inst, t, block_bits)
+    for start, ref in zip(engine.split.starts, want):
+        engine._best = None
+        assert engine.scan_block(start)[1] == ref[1]
+    res = _solve_with_T(inst, t, "x", block_bits, workers)
+    assert res.energy == best
+    assert res.best.rank == min(ref[1] for ref in want if ref[0] == best)
+    assert res.counters["tie_rows"] == sum(ref[2] for ref in want if ref[0] == best)
+    assert res.leaves_explored == res.outer_assignments
+    for key in want[0][4]:
+        assert res.counters[key] == sum(ref[4][key] for ref in want)
 
 
 @st.composite
