@@ -68,10 +68,18 @@ def _coerce(weights) -> WeightedSum:
 
 
 def _packed_counts(w: WeightedSum) -> Tuple[bytes, int, int]:
-    """The count table of ``signed_sum_counts`` as (data, width, radius).
+    """The half count table of the sign sum as (data, width, radius).
 
-    Slot i of the table is ``data[i * width : (i + 1) * width]``, a
-    little-endian count of the sign choices with sum i - radius.
+    A sign sum always has the parity of its radius A = sum |a_i|, so only
+    the A + 1 points 2i - A of [-A, A] can be hit.  Slot i of the table is
+    ``data[i * width : (i + 1) * width]``, a little-endian count of the
+    sign choices with sum 2i - A.
+
+    Weights are grouped by magnitude: the largest group (m, k) alone is the
+    binomial row C(k, j) at stride m, and every other weight of magnitude
+    ``mag`` adds the table to itself shifted by ``mag`` slots, smallest
+    magnitudes first.  With a single group no add runs and the joined row
+    bytes are the table.
     """
     radius = w.support_radius
     if 2 * radius + 1 > SUPPORT_LIMIT:
@@ -86,40 +94,50 @@ def _packed_counts(w: WeightedSum) -> Tuple[bytes, int, int]:
     m, k = max(groups.items(), key=lambda g: (g[1], g[0]))
     del groups[m]
     row = [1]
-    for j in range(k):
+    for j in range(k // 2):
         row.append(row[-1] * (k - j) // (j + 1))
-    gap = bytes((2 * m - 1) * width)
-    packed = int.from_bytes(gap.join(c.to_bytes(width, "little") for c in row), "little")
-    for mag, count in groups.items():
-        shift = 2 * mag * 8 * width  # bits in 2 * mag slots
+    row += row[k - len(row) :: -1]  # C(k, j) = C(k, k - j)
+    gap = bytes((m - 1) * width)
+    data = gap.join(c.to_bytes(width, "little") for c in row)
+    if not groups:
+        return data, width, radius
+    packed = int.from_bytes(data, "little")
+    # ascending magnitudes keep the table short for the most adds
+    for mag, count in sorted(groups.items()):
+        shift = mag * 8 * width  # bits in mag slots
         for _ in range(count):
             packed += packed << shift
-    return packed.to_bytes((2 * radius + 1) * width, "little"), width, radius
+    return packed.to_bytes((radius + 1) * width, "little"), width, radius
+
+
+def _half_counts(w: WeightedSum) -> Tuple[List[int], int]:
+    """The slots of ``_packed_counts`` as exact integers, and the radius."""
+    data, width, radius = _packed_counts(w)
+    return [
+        int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)
+    ], radius
 
 
 def signed_sum_counts(weights) -> Tuple[List[int], int]:
     """Outcome counts of the sign sum over its integer support.
 
     Returns (counts, radius) where counts[v + radius] is the number of the
-    2**n sign choices with sum exactly v.
-
-    The counts live in one packed Python int, one ``width``-byte slot per
-    support point, least significant slot first.  Weights are grouped by
-    magnitude: the largest group (m, k) is the binomial row C(k, j) at
-    stride 2m, and every other weight of magnitude m adds the table shifted
-    by 2m slots to itself.
+    2**n sign choices with sum exactly v.  The sums of the other parity
+    than the radius are never hit, so every other count is zero; the rest
+    are the slots of ``_packed_counts``.
     """
-    data, width, radius = _packed_counts(_coerce(weights))
-    counts = [
-        int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)
-    ]
+    half, radius = _half_counts(_coerce(weights))
+    counts = [0] * (2 * radius + 1)
+    counts[::2] = half
     return counts, radius
 
 
 def exact_interval_prob(weights, delta: int, h: int) -> Fraction:
     """Exact Pr(|X + h| <= delta) for the sign sum X.
 
-    Only the slots of the window are read from the packed count table.
+    The window [-h - delta, -h + delta], clamped to [-A, A] as [lo, hi],
+    holds the points 2i - A of slots ceil((lo + A) / 2) .. floor((hi + A) / 2)
+    of the half count table, and only those slots are read.
     """
     delta = int(delta)
     h = int(h)
@@ -127,11 +145,11 @@ def exact_interval_prob(weights, delta: int, h: int) -> Fraction:
         raise ValueError("delta must be >= 0")
     w = _coerce(weights)
     data, width, radius = _packed_counts(w)
-    lo = max(-h - delta, -radius) + radius
-    hi = min(-h + delta, radius) + radius
+    first = (max(-h - delta, -radius) + radius + 1) // 2
+    last = (min(-h + delta, radius) + radius) // 2
     hits = sum(
         int.from_bytes(data[i : i + width], "little")
-        for i in range(lo * width, (hi + 1) * width, width)
+        for i in range(first * width, (last + 1) * width, width)
     )
     return Fraction(hits, 1 << w.n)
 
@@ -139,30 +157,42 @@ def exact_interval_prob(weights, delta: int, h: int) -> Fraction:
 def max_interval_prob(weights, delta: int) -> Tuple[int, Fraction]:
     """Maximize Pr(|X + h| <= delta) over integer shifts h.
 
-    Only h in [-A - delta, A + delta] can score (A the support radius);
-    ties resolve to the smallest h.  Step j of the scan is the shift
-    h = j - A - delta, whose window holds the counts of the sums
-    A - j .. A - j + 2 * delta: one running sum takes in the count that
-    enters the window at the bottom and drops the one that leaves at the
-    top, so every step costs one add whatever delta is.  A window at least
-    as wide as the support first holds all of it at h = A - delta.
+    Ties resolve to the smallest h.  A window at least as wide as the
+    support (delta >= A) first holds all of it at h = A - delta, which is
+    returned without a table.
+
+    Otherwise only the aligned windows are scanned: those whose lowest
+    point 2i - A has the parity of the sum.  Aligned window i holds slots
+    i .. i + delta of the half count table and has shift h = A - 2i - delta.
+    No other window can be the answer:
+
+    - a window whose lowest point has the other parity holds a subset of
+      the points of the next aligned window up, whose shift is smaller;
+    - a window whose lowest point lies below -A holds a subset of the
+      points of window 0, whose shift is smaller;
+    - if the lowest slot of an aligned window is empty, the next aligned
+      window up (one slot higher, a shift two smaller) scores at least as
+      much, so the best window's lowest point lies in the support.
+
+    So i runs from A down to 0 (h upwards) with one running sum that takes
+    in slot i and drops slot i + delta + 1, and the first strict maximum
+    is kept.
     """
     delta = int(delta)
     if delta < 0:
         raise ValueError("delta must be >= 0")
     w = _coerce(weights)
-    counts, radius = signed_sum_counts(w)
-    if delta >= radius:
-        return radius - delta, Fraction(1)
-    span = 2 * delta + 1
-    entering = chain(reversed(counts), repeat(0, span - 1))
-    leaving = chain(repeat(0, span), reversed(counts))
-    best = best_j = run = 0
-    for j, (add, drop) in enumerate(zip(entering, leaving)):
+    if delta >= w.support_radius:
+        return w.support_radius - delta, Fraction(1)
+    counts, radius = _half_counts(w)
+    entering = reversed(counts)
+    leaving = chain(repeat(0, delta + 1), reversed(counts))
+    best = best_i = run = 0
+    for i, add, drop in zip(range(radius, -1, -1), entering, leaving):
         run += add - drop
         if run > best:
-            best, best_j = run, j
-    return best_j - radius - delta, Fraction(best, 1 << w.n)
+            best, best_i = run, i
+    return radius - 2 * best_i - delta, Fraction(best, 1 << w.n)
 
 
 class MCEstimate(NamedTuple):

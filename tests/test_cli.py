@@ -339,6 +339,13 @@ class TestProbe:
         assert (code, out) == (3, "")
         assert "resource limit" in err
 
+    def test_window_wider_than_the_support_needs_no_table(self, tmp_path, capsys):
+        path = tmp_path / "w.txt"
+        path.write_text("10000000\n")
+        doc = run_json(["probe", "--mode", "max", "--weights-file", str(path),
+                        "--delta", "10000000"], capsys)
+        assert (doc["h_star"], doc["probability"]) == (0, "1/1")
+
     def test_malformed_weights_file(self, tmp_path, capsys):
         path = tmp_path / "w.txt"
         path.write_text("1 two 3\n")

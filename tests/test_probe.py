@@ -52,6 +52,23 @@ def window_cases(draw):
     return ws, delta
 
 
+@st.composite
+def gapped_cases(draw):
+    """A few magnitudes from {1, 2} and a few from {10, 17, 40}, so whole
+    runs of the support are empty; a narrow window or one about as wide as
+    the support; a shift of either parity relative to the radius."""
+    mags = draw(st.lists(st.sampled_from((1, 2)), max_size=3))
+    mags += draw(st.lists(st.sampled_from((10, 17, 40)), min_size=1, max_size=3))
+    mags = draw(st.permutations(mags))
+    signs = draw(st.lists(st.sampled_from((-1, 1)), min_size=len(mags), max_size=len(mags)))
+    ws = [m * s for m, s in zip(mags, signs)]
+    radius = sum(mags)
+    delta = draw(st.integers(0, 3) | st.integers(max(radius - 2, 0), radius + 2))
+    half = (radius + 4) // 2
+    h = 2 * draw(st.integers(-half, half)) + radius % 2 + draw(st.sampled_from((0, 1)))
+    return ws, delta, h
+
+
 def reference_mc_hits(weights, delta, h, samples, seed):
     """Hit count of the seeded stream by an independent route: each shard's
     raw words as little-endian bytes, ``np.unpackbits`` of one row's
@@ -136,6 +153,16 @@ class TestCounts:
         ws = [(-1) ** i * (1 + i % 3) for i in range(n)]
         assert signed_sum_counts(ws) == reference_signed_sum_counts(ws)
 
+    @pytest.mark.parametrize("n", SLOT_BOUNDARY_SIZES)
+    def test_table_holds_only_the_points_of_the_sums_parity(self, n):
+        for ws in ([1] * n, [-3] * n, [(-1) ** i * (1 + i % 3) for i in range(n)]):
+            data, width, radius = probe._packed_counts(WeightedSum(ws))
+            assert width == (n + 8) // 8
+            assert len(data) == (radius + 1) * width
+            slots = [int.from_bytes(data[i : i + width], "little")
+                     for i in range(0, len(data), width)]
+            assert slots == reference_signed_sum_counts(ws)[0][::2]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             WeightedSum(())
@@ -212,6 +239,31 @@ class TestMax:
     def test_window_far_wider_than_the_support(self):
         # a scan over all 2A + 2 delta + 1 shifts would never end
         assert max_interval_prob((3, -1), 2**62) == (4 - 2**62, Fraction(1))
+
+    def test_window_wider_than_the_support_needs_no_table(self):
+        # a table of 2 * 10**7 + 1 cells would exceed SUPPORT_LIMIT
+        assert max_interval_prob((10**7,), 10**7) == (0, Fraction(1))
+        assert max_interval_prob((-(10**7),), 10**7 + 5) == (-5, Fraction(1))
+        with pytest.raises(probe.SupportLimitError):
+            max_interval_prob((10**7,), 10**7 - 1)
+
+    # whole runs of the support are empty, so many aligned windows hold
+    # nothing, and the windows of the other parity hold a subset of the next
+    # aligned window up
+    @given(gapped_cases())
+    @example(([1, -10, 10], 1, 0))
+    @example(([1, -10, 10], 1, 1))
+    @example(([10, 10], 1, 0))
+    @example(([10, 10], 1, 1))
+    @example(([3, 8], 0, 0))
+    @example(([3, 8], 0, 5))
+    @settings(max_examples=120, deadline=None)
+    def test_gapped_magnitudes_match_the_references(self, case):
+        ws, delta, h = case
+        assert max_interval_prob(ws, delta) == reference_max_interval_prob(ws, delta)
+        counts, radius = reference_signed_sum_counts(ws)
+        hits = sum(c for v, c in enumerate(counts, -radius) if abs(v + h) <= delta)
+        assert exact_interval_prob(ws, delta, h) == Fraction(hits, 1 << len(ws))
 
     @given(small_weights, st.integers(0, 5))
     @settings(max_examples=60, deadline=None)
