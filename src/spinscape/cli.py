@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import hashlib
 import io
@@ -279,7 +278,7 @@ def _cmd_tset(args: argparse.Namespace) -> Dict:
     inst, doc = _instance_doc(args, args.seed)
     params = None
     if args.epsilon is not None:
-        params = dataclasses.replace(TParams.for_instance(inst), epsilon=args.epsilon)
+        params = TParams.for_instance(inst, epsilon=args.epsilon)
     cert = find_T_randomized(inst, params, seed=args.seed, max_retries=args.max_retries)
     doc.update(certificate=cert.to_json_dict(),
                counters={"t_size": len(cert.t), "attempts": cert.attempts})

@@ -656,32 +656,31 @@ class SplitScan:
 
         return lookup
 
-    def member_spins(self, start: int, strict: bool = True,
-                     flipped: bool = False) -> Tuple[np.ndarray, np.ndarray]:
+    def member_spins(self, start: int, strict: bool = True) -> Tuple[np.ndarray, np.ndarray]:
         """Rows of the block at ``start`` whose members pass their single flips, and their spins.
 
         The members must be pairwise uncoupled, so each member's local field
         is its :meth:`fields` row, fixed by the scanned spins once every
         variable is scanned or a member.  A member passes the test of
         :meth:`flip_survivors` exactly when its spin is set against its
-        field, S = -sign(L) (``flipped=True``: +sign(L)).  A zero field
-        fails every strict test, so ``strict=True`` drops those rows; under
-        ``strict=False`` both spins pass, and the member gets spin 0: free.
-        Returns the rows in ascending order and the (members x rows) spins
-        in this scan's ``dtype``.
+        field, S = -sign(L).  A zero field fails every strict test, so
+        ``strict=True`` drops those rows; under ``strict=False`` both spins
+        pass, and the member gets spin 0: free.  The mirror test (no flip
+        lowers the energy) is this one on the negated instance, whose
+        fields are -L.  Returns the rows in ascending order and the
+        (members x rows) spins in this scan's ``dtype``.
         """
         if self._members_coupled:
             raise ValueError("member spins need pairwise uncoupled members")
         spins = np.sign(self.fields(start, self.members))
-        if not flipped:
-            np.negative(spins, out=spins)
+        np.negative(spins, out=spins)
         if not strict:
             return np.arange(len(self._e_lo)), spins
         rows = np.flatnonzero(spins.all(axis=0))
         return rows, spins[:, rows]
 
     def flip_survivors(self, start: int, rows: np.ndarray, spins: np.ndarray,
-                       strict: bool = True, flipped: bool = False) -> np.ndarray:
+                       strict: bool = True) -> np.ndarray:
         """Candidates of the block at ``start`` that pass every scanned variable's single flip.
 
         A candidate is a row of the block, from ``rows``, with the +-1 spins
@@ -691,12 +690,13 @@ class SplitScan:
 
         A candidate passes when S_i * L_i < 0 for every scanned variable i
         (every single flip strictly raises the energy), or <= 0 with
-        ``strict=False``; ``flipped=True`` reverses the sign (> 0, >= 0).
-        L_i is the row's field plus J_im * S_m for each member m coupled to
-        i.  The candidates are filtered one variable at a time, and each
-        test reads only the candidates still alive.  A high variable's spin
-        is constant in the block; the low variable at position i is bit
-        width-1-i of the row index, so no spin table is read.  Returns the
+        ``strict=False``; the reversed tests (> 0, >= 0) are these on the
+        negated instance, whose fields are -L.  L_i is the row's field plus
+        J_im * S_m for each member m coupled to i.  The candidates are
+        filtered one variable at a time, and each test reads only the
+        candidates still alive.  A high variable's spin is constant in the
+        block; the low variable at position i is bit width-1-i of the row
+        index, so no spin table is read.  Returns the
         positions of the passing candidates in ascending order.
         """
         if not self._all_scanned:
@@ -710,14 +710,11 @@ class SplitScan:
             fields = f[at] + c[i]
             for m, w in self._member_terms[i]:
                 fields += w * spins[m, live]
-            # S_i * L_i < 0 is L_i < 0 where S_i = +1 and L_i > 0 where
-            # S_i = -1; the flipped test swaps the two.
+            # S_i * L_i < 0 is L_i < 0 where S_i = +1 and L_i > 0 where S_i = -1.
             if i < self.hi_bits:
-                keep = lt(fields, 0) if (s_hi[i] > 0) != flipped else gt(fields, 0)
+                keep = lt(fields, 0) if s_hi[i] > 0 else gt(fields, 0)
             else:
                 up = ((at >> (self.width - 1 - i)) & 1).astype(bool)
-                if flipped:
-                    up = ~up
                 keep = np.where(up, lt(fields, 0), gt(fields, 0))
             live = live[keep]
             if not len(live):

@@ -7,10 +7,13 @@ strictly increases the energy.  The energy change of flipping a set U is
 
 with L the local fields, so all checks run on exact integers; they read the
 sign of the bracket (the half-delta), which never wraps in int64.
+:func:`k_basins` with ``flipped_rule`` (no change strictly lowers the
+energy) runs the weak rule on -E: every local field and every half-delta
+changes sign under E -> -E.
 
 Only the sets that the couplings connect need a check.  J is zero between
 the coupled components of any set U, so half(U) is the sum of the halves of
-U's components, and U passes the strict, weak or flipped test whenever each
+U's components, and U passes the strict or weak test whenever each
 component does; each component is a connected set no larger than U.  The
 checks run size by size over the connected sets, one array per size, and a
 row is checked at the next size only while it passes.
@@ -87,17 +90,6 @@ class LandscapeReport:
         return tuple(Assignment(self.n, b) for b in self.minima_bits)
 
 
-def _passes(half: np.ndarray, strict: bool, flipped: bool) -> np.ndarray:
-    """Elementwise test of delta = -2 * half: delta > 0 (strict) or >= 0.
-
-    ``flipped=True`` tests -delta instead.  Comparing the sign of the
-    half-delta never doubles it, so it cannot wrap.
-    """
-    if flipped:
-        return half > 0 if strict else half >= 0
-    return half < 0 if strict else half <= 0
-
-
 class _ConnectedSets:
     """The variable sets of sizes 1..min(k, n) that the couplings connect.
 
@@ -140,15 +132,14 @@ def _k_checks(
     spins: np.ndarray,
     sets: _ConnectedSets,
     strict: bool,
-    flipped: bool = False,
     singles_known: bool = True,
 ) -> np.ndarray:
     """Mask of the rows of ``spins`` whose every change of 1..k variables passes.
 
-    strict=True demands delta > 0 for every change, strict=False allows
-    ties (delta >= 0), and flipped=True tests -delta instead.  With
-    ``singles_known`` the caller guarantees that every single flip of every
-    row already passes the same test, so size 1 is skipped.
+    strict=True demands delta > 0 for every change, and strict=False allows
+    ties (delta >= 0).  With ``singles_known`` the caller guarantees that
+    every single flip of every row already passes the same test, so size 1
+    is skipped.
 
     Every size up to k is checked over the connected sets alone (see the
     module docstring), for the rows that passed every smaller size.  The
@@ -160,6 +151,8 @@ def _k_checks(
     each 2 * |J_ab| are therefore sums over a subset of the terms of the
     energy budget |c0| + sum |h_i| + 2 * sum |J_ij| <= INT64_MAX that
     :class:`~spinscape.instance.IsingInstance` enforces, so int64 is exact.
+    The test of delta = -2 * half compares the sign of the half-delta and
+    never doubles it, so it cannot wrap.
     """
     fields = block_local_fields(inst, spins)
     sl = spins * fields
@@ -184,7 +177,7 @@ def _k_checks(
                 half += x[:, col]
             for a, b, w in pairs:
                 half -= 2 * w * s[:, a] * s[:, b]
-            ok[rows] = _passes(half, strict, flipped).all(axis=1)
+            ok[rows] = (half < 0 if strict else half <= 0).all(axis=1)
     return ok
 
 
@@ -194,10 +187,10 @@ def _bit_spins(bits: np.ndarray, n: int) -> np.ndarray:
 
 
 def _checked(inst: IsingInstance, bits: np.ndarray, sets: _ConnectedSets,
-             strict: bool, flipped: bool = False, singles_known: bool = True) -> np.ndarray:
+             strict: bool, singles_known: bool = True) -> np.ndarray:
     """The bit masks of ``bits`` that pass :func:`_k_checks`, checked a slice of rows at a time."""
     step = max(1, _CHUNK_CELLS // max(1, inst.n))
-    parts = [b[_k_checks(inst, _bit_spins(b, inst.n), sets, strict=strict, flipped=flipped,
+    parts = [b[_k_checks(inst, _bit_spins(b, inst.n), sets, strict=strict,
                          singles_known=singles_known)]
              for b in (bits[lo:lo + step] for lo in range(0, len(bits), step))]
     return np.concatenate(parts) if parts else bits
@@ -242,7 +235,6 @@ def _vertex_bits(
     inst: IsingInstance,
     sets: _ConnectedSets,
     strict: bool,
-    flipped: bool,
     block_bits: int,
     t: Iterable[int] | None = None,
 ) -> Iterator[np.ndarray]:
@@ -268,7 +260,7 @@ def _vertex_bits(
     member_bits = one << np.array(scan.members, dtype=np.int64)
     candidates = 0
     for start in scan.starts:
-        rows, spins = scan.member_spins(start, strict=strict, flipped=flipped)
+        rows, spins = scan.member_spins(start, strict=strict)
         # 2^(free members) candidates per row, capped past the limit
         free = np.count_nonzero(spins == 0, axis=0)
         counts = one << np.minimum(free, MAX_ENUM_BITS + 1)
@@ -277,13 +269,13 @@ def _vertex_bits(
             raise EnumerationLimitError(
                 "the rows with free members expand past 2^%d candidates" % MAX_ENUM_BITS)
         for at, s in _expand(rows, spins, counts, 1 << block_bits):
-            keep = scan.flip_survivors(start, at, s, strict=strict, flipped=flipped)
+            keep = scan.flip_survivors(start, at, s, strict=strict)
             found = outer_bits(start, at[keep])
             for bit, up in zip(member_bits, s[:, keep] > 0):
                 found |= up * bit
             # The survivors pass every single flip, which is all k = 1 asks.
             if sets.k > 1:
-                found = _checked(inst, found, sets, strict=strict, flipped=flipped)
+                found = _checked(inst, found, sets, strict=strict)
             yield found
 
 
@@ -293,7 +285,7 @@ def enumerate_k_minima(
     """Exhaustively list all strict k-minima in lexicographic order."""
     if k < 1:
         raise ValueError("need k >= 1")
-    found = list(_vertex_bits(inst, _ConnectedSets(inst, k), strict=True, flipped=False,
+    found = list(_vertex_bits(inst, _ConnectedSets(inst, k), strict=True,
                               block_bits=block_bits))
     return LandscapeReport(k=k, n=inst.n, minima_bits=_in_rank_order(found, inst.n))
 
@@ -347,12 +339,14 @@ def k_basins(
 ) -> LandscapeReport:
     """Group weak k-minima into components under moves of Hamming width <= k.
 
-    Vertices are assignments no change of <= k variables strictly improves
-    (``flipped_rule=True`` instead keeps assignments no such change strictly
-    worsens); edges join vertices within Hamming distance k.  Every strict
-    k-minimum is necessarily an isolated vertex: any other vertex within
-    distance k would see a strictly downhill move back to the minimum and
-    lose its own vertex status.
+    Vertices are assignments no change of <= k variables strictly improves;
+    edges join vertices within Hamming distance k.  Every strict k-minimum
+    is necessarily an isolated vertex: any other vertex within distance k
+    would see a strictly downhill move back to the minimum and lose its own
+    vertex status.  ``flipped_rule=True`` instead keeps the assignments no
+    such change strictly worsens, which is the same rule run on -E, since
+    E -> -E reverses the sign of every energy change.  It reports no strict
+    minima.
 
     The work is the vertex count times the C(n, <= k) moves; past
     ``work_limit`` the request raises :class:`EnumerationLimitError`.
@@ -361,8 +355,8 @@ def k_basins(
         raise ValueError("need k >= 1")
     n = inst.n
     moves = max(1, sum(math.comb(n, size) for size in range(1, min(k, n) + 1)))
-    # Every instance has a vertex (a global minimum, or under the flipped
-    # rule a global maximum), so a request with more moves than the limit is
+    # Every instance has a vertex (a global minimum, or under flipped_rule
+    # a global maximum), so a request with more moves than the limit is
     # refused before any mask is built or any block is scanned.
     if moves > work_limit:
         raise EnumerationLimitError(
@@ -376,9 +370,14 @@ def k_basins(
     blocks: List[np.ndarray] = []  # vertex bit masks
     strict: List[np.ndarray] = []
     count = 0
+    if flipped_rule:
+        # -E exactly: (h, -J) alone is -E with every spin reversed, which
+        # gives the same counts at other assignments.  The budget and the
+        # nonzero couplings, so scan_dtype, T and the connected sets, stay.
+        inst = IsingInstance(n, [-x for x in inst.h],
+                             {e: -w for e, w in inst.couplings.items()}, c0=-inst.c0)
     sets = _ConnectedSets(inst, k)
-    for bits in _vertex_bits(inst, sets, strict=False, flipped=flipped_rule,
-                             block_bits=block_bits):
+    for bits in _vertex_bits(inst, sets, strict=False, block_bits=block_bits):
         blocks.append(bits)
         if not flipped_rule:
             head = bits[: max(0, max_vertices - count)]

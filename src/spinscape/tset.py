@@ -63,11 +63,13 @@ class TParams:
 
     @classmethod
     def for_instance(cls, inst: IsingInstance, **overrides) -> "TParams":
+        """Params at the instance's max degree d; the default epsilon log2(d) / d needs d >= 2."""
         d = inst.degree_graph().max_degree
-        if d < 2:
-            raise ValueError("instance graph needs max degree >= 2 for default params")
-        eps = overrides.pop("epsilon", math.log2(d) / d)
-        return cls(d=d, epsilon=eps, **overrides)
+        if "epsilon" not in overrides:
+            if d < 2:
+                raise ValueError("instance graph needs max degree >= 2 for default params")
+            overrides["epsilon"] = math.log2(d) / d
+        return cls(d=d, **overrides)
 
     @property
     def internal_degree_cap(self) -> float:

@@ -121,6 +121,12 @@ def every_row(scan: SplitScan) -> Tuple[np.ndarray, np.ndarray]:
     return np.arange(size), np.zeros((len(scan.members), size), dtype=scan.dtype)
 
 
+def negated(inst: IsingInstance) -> IsingInstance:
+    """The instance of -E: c0, every field and every coupling negated."""
+    return IsingInstance(inst.n, [-x for x in inst.h],
+                         {e: -w for e, w in inst.couplings.items()}, c0=-inst.c0)
+
+
 def member_filter_ranks(inst: IsingInstance, block_bits: int, strict: bool,
                         flipped: bool) -> np.ndarray:
     """Ranks of the assignments that SplitScan's member and single-flip filters pass.
@@ -128,8 +134,12 @@ def member_filter_ranks(inst: IsingInstance, block_bits: int, strict: bool,
     T is the largest greedy color class and the other variables are
     scanned.  Each row of each block is tried with every setting of T's
     spins that ``member_spins`` allows (a free member either way), and
-    ``flip_survivors`` tests the scanned variables.  The ranks are sorted.
+    ``flip_survivors`` tests the scanned variables.  ``flipped`` runs the
+    filters on :func:`negated` ``inst``, so they test that no single flip
+    lowers the energy.  The ranks are sorted.
     """
+    if flipped:
+        inst = negated(inst)
     n = inst.n
     t = list(_largest_color_class(inst.degree_graph())[0])
     outer = [v for v in range(n) if v not in t]
@@ -139,12 +149,12 @@ def member_filter_ranks(inst: IsingInstance, block_bits: int, strict: bool,
     per_row = settings.shape[1]
     found = [np.zeros((0, n), dtype=np.int64)]
     for start in scan.starts:
-        rows, spins = scan.member_spins(start, strict=strict, flipped=flipped)
+        rows, spins = scan.member_spins(start, strict=strict)
         at, s = np.repeat(rows, per_row), np.tile(settings, len(rows))
         forced = np.repeat(spins, per_row, axis=1)
         allowed = ((forced == 0) | (forced == s)).all(axis=0)
         at, s = at[allowed], s[:, allowed]
-        keep = scan.flip_survivors(start, strict=strict, flipped=flipped, rows=at, spins=s)
+        keep = scan.flip_survivors(start, strict=strict, rows=at, spins=s)
         full = np.empty((len(keep), n), dtype=np.int64)
         full[:, outer] = spin_block(len(outer), start, 1 << scan.lo_bits)[at[keep]]
         full[:, scan.members] = s[:, keep].T

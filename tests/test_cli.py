@@ -251,6 +251,20 @@ class TestTsetAndZ:
         assert all(cert["checks"].values())
         assert doc["counters"]["t_size"] == cert["t_size"] > 0
 
+    def test_tset_epsilon_needs_no_default_degree(self, tmp_path, capsys):
+        # max degree 1: the default epsilon log2(d) / d is undefined, a given one is not
+        path = tmp_path / "deg1.json"
+        path.write_text('{"n": 4, "h": [1, 0, 0, 0], "J": [[0, 1, 2], [2, 3, -1]]}')
+        cert = run_json(["tset", "-i", str(path), "--epsilon", "0.5"], capsys)["certificate"]
+        assert cert["t"] == [3] and cert["ok"] is True
+        assert (cert["params"]["d"], cert["params"]["epsilon"]) == (1, 0.5)
+        code, out, err = run_cli(["tset", "-i", str(path)], capsys)
+        assert (code, out) == (1, "") and "max degree >= 2" in err
+        # an edgeless graph has no reference degree at all
+        path.write_text('{"n": 3, "h": [1, 0, 0], "J": []}')
+        code, out, err = run_cli(["tset", "-i", str(path), "--epsilon", "0.5"], capsys)
+        assert (code, out) == (1, "") and "reference degree must be >= 1" in err
+
     def test_z_matches_effective_leaf_counter(self, capsys, tmp_path):
         path = tmp_path / "r12.json"
         run_cli(["generate", "random", "--n", "12", "--density", "0.4",

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import every_row, is_local_minimum, member_filter_ranks, random_instance
+from helpers import every_row, is_local_minimum, member_filter_ranks, negated, random_instance
 from spinscape.generators import gen_csse
 from spinscape.instance import (
     DEFAULT_BLOCK_BITS,
@@ -304,6 +304,8 @@ def test_split_scan_matches_reference_kernels(case, data):
     sub = data.draw(st.permutations(range(inst.n)))[: data.draw(st.integers(0, inst.n))]
     strict, flipped = data.draw(st.booleans()), data.draw(st.booleans())
     scan = SplitScan(inst, block_bits, sub)
+    # flipped filters on -E, against the reference's reversed test on E
+    filtered = SplitScan(negated(inst), block_bits, sub) if flipped else scan
     jf = inst.full_coupling_matrix()
     h = np.array(inst.h, dtype=np.int64)
     weights = np.array([1 << v for v in sub], dtype=np.int64)
@@ -322,8 +324,7 @@ def test_split_scan_matches_reference_kernels(case, data):
                                       (spins > 0).astype(np.int64) @ weights)
         sl = spins * fields[:, sub] * (-1 if flipped else 1)
         passing = (sl < 0) if strict else (sl <= 0)
-        np.testing.assert_array_equal(scan.flip_survivors(start, *every_row(scan),
-                                                          strict, flipped),
+        np.testing.assert_array_equal(filtered.flip_survivors(start, *every_row(filtered), strict),
                                       np.flatnonzero(passing.all(axis=1)))
     for rank in (0, (1 << len(sub)) - 1):
         a = Assignment.from_rank(rank, len(sub))
@@ -338,14 +339,15 @@ def test_split_scan_matches_reference_kernels(case, data):
 @given(split_cases(), st.booleans(), st.booleans())
 def test_flip_survivors_match_reference_kernels(case, strict, flipped):
     inst, block_bits = case
-    scan = SplitScan(inst, block_bits)
+    # flipped scans -E, against the reference's reversed test on E
+    scan = SplitScan(negated(inst) if flipped else inst, block_bits)
     for start, count in iter_rank_blocks(inst.n, block_bits):
         ref_spins = spin_block(inst.n, start, count)
         sl = ref_spins * block_local_fields(inst, ref_spins)
         if flipped:
             sl = -sl
         passing = (sl < 0) if strict else (sl <= 0)
-        rows = scan.flip_survivors(start, *every_row(scan), strict=strict, flipped=flipped)
+        rows = scan.flip_survivors(start, *every_row(scan), strict=strict)
         np.testing.assert_array_equal(rows, np.flatnonzero(passing.all(axis=1)))
     # T a color class: the outer rows with T's spins, over all 2^n assignments
     spins = spin_block(inst.n, 0, 1 << inst.n)
@@ -393,12 +395,10 @@ def test_scan_dtype_at_the_int32_bound(budget, dtype, sign, block_bits):
         out = np.empty((inst.n, count), dtype=scan.dtype)
         np.testing.assert_array_equal(scan.fields(start, range(inst.n), out).T, fields)
         for strict in (True, False):
-            for flipped in (True, False):
-                sl = spins * fields * (-1 if flipped else 1)
-                passing = (sl < 0) if strict else (sl <= 0)
-                np.testing.assert_array_equal(scan.flip_survivors(start, *every_row(scan),
-                                                                  strict, flipped),
-                                              np.flatnonzero(passing.all(axis=1)))
+            sl = spins * fields
+            passing = (sl < 0) if strict else (sl <= 0)
+            np.testing.assert_array_equal(scan.flip_survivors(start, *every_row(scan), strict),
+                                          np.flatnonzero(passing.all(axis=1)))
 
 
 def test_split_scan_builds_rows_only_for_its_columns():

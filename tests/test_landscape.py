@@ -192,7 +192,7 @@ class TestBranchingScan:
         for k, strict in ((1, True), (2, True), (1, False)):
             sets = landscape._ConnectedSets(inst, k)
             masks = [np.sort(np.concatenate(list(landscape._vertex_bits(
-                inst, sets, strict=strict, flipped=False, block_bits=12, t=t))))
+                inst, sets, strict=strict, block_bits=12, t=t))))
                 for t in (colored, other)]
             np.testing.assert_array_equal(masks[0], masks[1])
             assert len(masks[0])

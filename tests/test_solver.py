@@ -1415,8 +1415,8 @@ def test_int32_scan_matches_the_forced_int64_scan(case, data):
         np.testing.assert_array_equal(full_a.fields(start, range(inst.n)),
                                       full_b.fields(start, range(inst.n)))
         np.testing.assert_array_equal(
-            full_a.flip_survivors(start, *every_row(full_a), strict, flipped),
-            full_b.flip_survivors(start, *every_row(full_b), strict, flipped))
+            full_a.flip_survivors(start, *every_row(full_a), strict),
+            full_b.flip_survivors(start, *every_row(full_b), strict))
     # the filter with T a color class, through the member spins
     narrow_ranks = member_filter_ranks(inst, block_bits, strict, flipped)
     with pytest.MonkeyPatch.context() as mp:
