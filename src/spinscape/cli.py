@@ -179,11 +179,9 @@ def _make_family(args: argparse.Namespace):
         inst = gen_random(args.n, args.density, wmax=args.wmax, seed=args.seed)
         params = {"n": args.n, "density": args.density, "wmax": args.wmax}
         return inst, params, {}, args.seed
-    if fam == "regular":
-        inst = gen_regular(args.n, args.d, wmax=args.wmax, seed=args.seed)
-        params = {"n": args.n, "d": args.d, "wmax": args.wmax}
-        return inst, params, {}, args.seed
-    raise _UsageError("unknown family %r" % fam)
+    inst = gen_regular(args.n, args.d, wmax=args.wmax, seed=args.seed)
+    params = {"n": args.n, "d": args.d, "wmax": args.wmax}
+    return inst, params, {}, args.seed
 
 
 def _cmd_generate(args: argparse.Namespace) -> Dict:
@@ -287,7 +285,7 @@ def _cmd_tset(args: argparse.Namespace) -> Dict:
 
 def _cmd_z(args: argparse.Namespace) -> Dict:
     inst, doc = _instance_doc(args, args.tset_seed)
-    t, method = _auto_t(inst, None, args.tset_seed)
+    t, method = _auto_t(inst, args.tset_seed)
     doc.update({
         "t": list(t),
         "t_source": "randomized" if method == "effective-field" else "coloring-class",

@@ -18,10 +18,7 @@ from typing import Iterable, List, Sequence, Tuple
 import numpy as np
 
 from spinscape.instance import (
-    DEFAULT_BLOCK_BITS,
-    MAX_ENUM_BITS,
     Assignment,
-    EnumerationLimitError,
     IsingInstance,
     iter_rank_blocks,
     spin_block,
@@ -31,6 +28,8 @@ from spinscape.rand import rng_from
 _STREAM_COLUMN = 11
 _STREAM_RANDOM = 12
 _STREAM_REGULAR = 13
+# Restarts of gen_regular's stub matching before it gives up.
+_REGULAR_TRIES = 2000
 
 
 def gen_csse(n: int) -> IsingInstance:
@@ -147,23 +146,16 @@ def gen_column(
     )
 
 
-def zero_energy_assignments(
-    ci: ColumnInstance, block_bits: int = DEFAULT_BLOCK_BITS
-) -> List[Assignment]:
+def zero_energy_assignments(ci: ColumnInstance) -> List[Assignment]:
     """All assignments meeting every column-sum target, in lexicographic order."""
     n = ci.l**ci.f
-    if n > MAX_ENUM_BITS:
-        raise EnumerationLimitError(
-            "zero-energy scan over %d variables exceeds the 2^%d ceiling"
-            % (n, MAX_ENUM_BITS)
-        )
     col_mat = np.zeros((n, len(ci.columns)), dtype=np.int16)
     for c, col in enumerate(ci.columns):
         for i in col:
             col_mat[i, c] = 1
     targets = np.array(ci.m_values, dtype=np.int64)
     out: List[Assignment] = []
-    for start, count in iter_rank_blocks(n, block_bits):
+    for start, count in iter_rank_blocks(n):
         sums = spin_block(n, start, count) @ col_mat
         hits = np.nonzero((sums == targets).all(axis=1))[0]
         out.extend(Assignment.from_rank(start + int(r), n) for r in hits)
@@ -204,9 +196,7 @@ def gen_random(
     return IsingInstance(n, h, triples)
 
 
-def gen_regular(
-    n: int, d: int, wmax: int = 5, seed: int = 0, max_tries: int = 2000
-) -> IsingInstance:
+def gen_regular(n: int, d: int, wmax: int = 5, seed: int = 0) -> IsingInstance:
     """Random d-regular coupling graph (pairing model with rejection)."""
     if not 0 <= d < n:
         raise ValueError("need 0 <= d < n")
@@ -219,7 +209,7 @@ def gen_regular(
     if d == 0:
         return IsingInstance(n, h, [])
     stubs = np.repeat(np.arange(n), d)
-    for _ in range(max_tries):
+    for _ in range(_REGULAR_TRIES):
         # Incremental stub matching: pair off the shuffled stub list one edge
         # at a time, retrying individual draws that would create a loop or a
         # duplicate edge, and restarting from scratch when stuck.  Rejecting

@@ -339,6 +339,8 @@ class IsingInstance:
             raise ValueError("h entries must be integers")
         if not _is_json_int(c0):
             raise ValueError("c0 must be an integer")
+        if not isinstance(j_entries, list):
+            raise ValueError("J must be a list of [i, j, w] triples")
         seen = set()
         triples = []
         for entry in j_entries:
@@ -429,20 +431,23 @@ class DegreeGraph:
 # -- vectorized enumeration helpers ---------------------------------------
 
 
-def _check_enum_bits(n: int, max_bits: int = MAX_ENUM_BITS) -> None:
-    if n > max_bits:
+def check_scan_bits(bits: int, what: str) -> None:
+    """Refuse a scan over 2^bits rows when ``bits`` exceeds ``MAX_ENUM_BITS``.
+
+    The one place that compares a scan's width with the ceiling; ``what``
+    names the scan in the message.
+    """
+    if bits > MAX_ENUM_BITS:
         raise EnumerationLimitError(
-            "exhaustive scan over %d variables exceeds the 2^%d ceiling" % (n, max_bits)
+            "%s needs %d bits, limit is %d" % (what, bits, MAX_ENUM_BITS)
         )
 
 
 def iter_rank_blocks(
-    n: int,
-    block_bits: int = DEFAULT_BLOCK_BITS,
-    max_bits: int = MAX_ENUM_BITS,
+    n: int, block_bits: int = DEFAULT_BLOCK_BITS
 ) -> Iterator[Tuple[int, int]]:
     """Yield (start_rank, count) covering all ranks 0..2^n - 1 in order."""
-    _check_enum_bits(n, max_bits)
+    check_scan_bits(n, "outer enumeration")
     total = 1 << n
     step = 1 << min(block_bits, n)
     for start in range(0, total, step):
@@ -490,7 +495,9 @@ class SplitScan:
 
     The scanned variables (all of them by default) are read in rank order:
     the first is the most significant bit, and over all variables the blocks
-    are those of :func:`iter_rank_blocks`.  Inside a block the first
+    are those of :func:`iter_rank_blocks`.  More than ``MAX_ENUM_BITS`` of
+    them are refused by :func:`check_scan_bits` ("outer enumeration needs N
+    bits, limit is 26") before any table is built.  Inside a block the first
     ``hi_bits`` scanned variables are constant and the last ``lo_bits`` run
     over every value in rank order, so the low half's own energies, its
     share of the local fields and its share of any :meth:`weight_sums` are
@@ -527,7 +534,7 @@ class SplitScan:
         n = inst.n
         scanned = list(range(n) if variables is None else variables)
         self.width = width = len(scanned)
-        _check_enum_bits(width)
+        check_scan_bits(width, "outer enumeration")
         self.lo_bits = lo = min(block_bits, width)
         self.hi_bits = hi = width - lo
         self.dtype = dt = inst.scan_dtype

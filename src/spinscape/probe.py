@@ -21,6 +21,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from spinscape.instance import INT32_MAX, INT64_MAX, EnumerationLimitError, thread_map
+from spinscape.rand import rng_from
 
 SUPPORT_LIMIT = 10**7
 _STREAM_MC = 31
@@ -318,9 +319,7 @@ def scaling_report(
     delta = int(delta)
     if delta < 1:
         raise ValueError("delta must be >= 1 for the normalized column")
-    rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence([seed, _STREAM_SCALING]))
-    )
+    rng = rng_from(seed, _STREAM_SCALING)
     rows: List[ScalingRow] = []
     for n in n_list:
         if n < 1:

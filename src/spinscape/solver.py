@@ -53,12 +53,12 @@ from .instance import (
     IsingInstance,
     SplitScan,
     block_energies,  # noqa: F401  perfbench/tracing.py wraps it under this name
+    check_scan_bits,
     spin_block,
     thread_map,
 )
 from .tset import (
     ConstrainedContext,
-    TParams,
     TSetCertificate,
     find_T1T2,
     find_T_randomized,
@@ -320,11 +320,7 @@ class _ScanEngine:
         out = [i for i in range(inst.n) if i not in inner_set]
         self.out = tuple(out)
         self.n_out = len(out)
-        if self.n_out > MAX_ENUM_BITS:
-            raise EnumerationLimitError(
-                "outer enumeration needs %d bits, limit is %d"
-                % (self.n_out, MAX_ENUM_BITS)
-            )
+        check_scan_bits(self.n_out, "outer enumeration")
         if max(len(t1), len(t2)) > COMPLETION_CAP_BITS:
             raise EnumerationLimitError("side sets too large to enumerate")
         jf = inst.full_coupling_matrix()
@@ -490,10 +486,7 @@ class _ScanEngine:
         """
         cap = max(1, _CHUNK_CELLS // self._side_width)
         for f, x, group in _pattern_groups(enum):
-            if f.size > MAX_ENUM_BITS:
-                raise EnumerationLimitError(
-                    "completion enumeration needs %d bits, limit is %d" % (f.size, MAX_ENUM_BITS)
-                )
+            check_scan_bits(f.size, "completion enumeration")
             for r in range(0, group.size, cap):
                 rows = group[r:r + cap]
                 e_fix, g, a = self._fixed_part(fields[rows], x, f)
@@ -815,6 +808,9 @@ def compute_Z(inst: IsingInstance, t: Sequence[int], block_bits: int = DEFAULT_B
     must be enumerated; this sums 2**(number of such members).  Kept
     separate from the solver so the two can be compared as independent
     computations: it calls neither :class:`SplitScan` nor ``spin_block``.
+    More than ``MAX_ENUM_BITS`` outer variables are refused by
+    :func:`check_scan_bits`, with the solver's message ("outer enumeration
+    needs N bits, limit is 26").
 
     Z is a sum over outer rows, so they are visited in Gray order, not by
     rank.  The first ``min(block_bits, w)`` outer variables are the low
@@ -838,8 +834,7 @@ def compute_Z(inst: IsingInstance, t: Sequence[int], block_bits: int = DEFAULT_B
     members = set(tt)
     out = [i for i in range(inst.n) if i not in members]
     w = len(out)
-    if w > MAX_ENUM_BITS:
-        raise EnumerationLimitError("outer enumeration too wide")
+    check_scan_bits(w, "outer enumeration")
     jf = inst.full_coupling_matrix()
     h_max = np.abs(jf[np.ix_(tt, tt)]).sum(axis=1)
     keep = h_max > 0
@@ -928,15 +923,11 @@ def solve_coloring_baseline(
     return _solve_with_T(inst, t, "coloring", block_bits, workers, colors=n_colors)
 
 
-def _auto_t(
-    inst: IsingInstance,
-    params: Optional[TParams],
-    seed: int,
-) -> Tuple[Tuple[int, ...], str]:
+def _auto_t(inst: IsingInstance, seed: int) -> Tuple[Tuple[int, ...], str]:
     """Pick a set T for :func:`solve_effective` when no certificate is given."""
     graph = inst.degree_graph()
     if graph.max_degree >= AUTO_DEGREE_GATE:
-        cert = find_T_randomized(inst, params, seed=seed)
+        cert = find_T_randomized(inst, seed=seed)
         if cert.ok and inst.n - len(cert.t) <= MAX_ENUM_BITS:
             return cert.t, "effective-field"
     t, _ = _largest_color_class(graph)
@@ -948,7 +939,6 @@ def _auto_t(
 def solve_effective(
     inst: IsingInstance,
     cert: Optional[TSetCertificate] = None,
-    params: Optional[TParams] = None,
     seed: int = 0,
     block_bits: int = DEFAULT_BLOCK_BITS,
     workers: int = 1,
@@ -964,7 +954,7 @@ def solve_effective(
         if not cert.ok:
             raise ValueError("certificate did not validate; refusing to branch on it")
         return _solve_with_T(inst, cert.t, "effective-field", block_bits, workers)
-    t, method = _auto_t(inst, params, seed)
+    t, method = _auto_t(inst, seed)
     return _solve_with_T(inst, t, method, block_bits, workers)
 
 
@@ -1006,7 +996,7 @@ def solve_avg_degree(
     """
 
     def choose(sub: IsingInstance) -> _Sets:
-        t, method = _auto_t(sub, None, seed)
+        t, method = _auto_t(sub, seed)
         return t, (), (), "avg-degree:" + method, 0
 
     t, _, _, method, enumerated = _on_remainder(inst, _outliers(inst, degree_factor), choose)
@@ -1018,7 +1008,6 @@ def _combined_sets(
     j_max: Optional[int],
     alpha: float,
     seed: int,
-    params: Optional[TParams],
     degree_dichotomy_factor: float,
 ) -> _Sets:
     """Choose the sets of :func:`solve_combined` (see ``_Sets``); runs no scan.
@@ -1035,11 +1024,11 @@ def _combined_sets(
     heavy = _outliers(inst, degree_dichotomy_factor)
     if heavy:
         t, t1, t2, _, enumerated = _on_remainder(inst, heavy, lambda sub: _combined_sets(
-            sub, None, alpha, seed, params, degree_dichotomy_factor))
+            sub, None, alpha, seed, degree_dichotomy_factor))
         return t, t1, t2, "combined:outlier-split", enumerated
 
     def fallback() -> _Sets:
-        t, _ = _auto_t(inst, None, seed)
+        t, _ = _auto_t(inst, seed)
         return t, (), (), "combined:effective-fallback", 0
 
     graph = inst.degree_graph()
@@ -1056,7 +1045,7 @@ def _combined_sets(
         if i not in side_set and graph.degrees[i] <= 2.0 * d_avg
     ]
     ctx = ConstrainedContext(t1=sides.t1, t2=sides.t2, j_max=j_max)
-    cert = find_T_randomized(inst, params, seed=seed, within=w0, constrained=ctx)
+    cert = find_T_randomized(inst, seed=seed, within=w0, constrained=ctx)
     if not cert.ok:
         return fallback()
     return cert.t, sides.t1, sides.t2, "combined", 0
@@ -1067,7 +1056,6 @@ def solve_combined(
     j_max: Optional[int] = None,
     alpha: float = 0.5,
     seed: int = 0,
-    params: Optional[TParams] = None,
     block_bits: int = DEFAULT_BLOCK_BITS,
     workers: int = 1,
     degree_dichotomy_factor: float = 1000.0,
@@ -1086,7 +1074,7 @@ def solve_combined(
     if not 0 < alpha < 1:  # NaN fails the comparison too
         raise ValueError("alpha must lie in (0, 1)")
     t, t1, t2, method, enumerated = _combined_sets(
-        inst, j_max, alpha, seed, params, degree_dichotomy_factor
+        inst, j_max, alpha, seed, degree_dichotomy_factor
     )
     return _solve_with_T(inst, t, method, block_bits, workers, t1, t2,
                          enumerated_vars=enumerated)

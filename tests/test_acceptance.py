@@ -141,7 +141,7 @@ def test_criterion_06_minima_bounded_by_z():
         if inst.n > 14:
             continue
         count = enumerate_k_minima(inst, 1).minima_count
-        t_auto, _ = _auto_t(inst, None, i)
+        t_auto, _ = _auto_t(inst, i)
         z = compute_Z(inst, t_auto)
         res = solve_effective(inst, seed=i)
         assert count <= z, (i, count, z)

@@ -5,6 +5,7 @@ import pytest
 
 from spinscape.cli import main
 from spinscape.instance import IsingInstance
+from spinscape.tset import side_set_target
 
 
 def run_cli(argv, capsys):
@@ -114,6 +115,17 @@ class TestSolve:
         assert out == ""
         assert "verification failed" in err
 
+    def test_alpha_sizes_the_side_sets(self, tmp_path, capsys):
+        path = tmp_path / "r20.json"
+        run_cli(["generate", "regular", "--n", "20", "--d", "3", "--seed", "1",
+                 "-o", str(path)], capsys)
+        argv = ["solve", "--method", "combined", "--verify", "-i", str(path)]
+        default = run_json(argv, capsys)
+        wider = run_json(argv + ["--alpha", "0.7"], capsys)
+        assert default["verified"] is wider["verified"] is True
+        assert default["counters"]["t1_size"] == side_set_target(20, 3.0, 0.5) == 3
+        assert wider["counters"]["t1_size"] == side_set_target(20, 3.0, 0.7) == 5
+
     def test_workers_do_not_change_output_bytes(self, random14_file, capsys):
         outs = []
         for workers in ("1", "4"):
@@ -172,6 +184,12 @@ class TestLandscapeCommands:
             main(argv + ["-1", "-i", csse4_file])
         assert exc.value.code == 1
         assert argv[1] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["count-minima", "basins"])
+    def test_k_below_one_is_usage_error(self, csse4_file, capsys, command):
+        code, out, err = run_cli([command, "-i", csse4_file, "--k", "0"], capsys)
+        assert (code, out) == (1, "")
+        assert "need k >= 1" in err
 
     def test_zero_limits_are_accepted(self, csse4_file, capsys):
         doc = run_json(["count-minima", "-i", csse4_file, "--list-limit", "0"], capsys)
@@ -360,6 +378,14 @@ class TestProbe:
                         "--delta", "10000000"], capsys)
         assert (doc["h_star"], doc["probability"]) == (0, "1/1")
 
+    def test_zero_weight_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "w.txt"
+        path.write_text("0\n")
+        code, out, err = run_cli(["probe", "--mode", "exact",
+                                  "--weights-file", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert "weight magnitudes must be >= 1" in err
+
     def test_malformed_weights_file(self, tmp_path, capsys):
         path = tmp_path / "w.txt"
         path.write_text("1 two 3\n")
@@ -469,12 +495,19 @@ class TestErrorPaths:
                                 "-i", "/nonexistent/x.json"], capsys)
         assert code == 2
 
-    def test_malformed_instance_json(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text, message", [
+        ('{"n": 3, "h": [1, 2]}', "h must be a list of length n"),
+        ('{"n":1,"h":[0],"J":null}', "J must be a list of [i, j, w] triples"),
+        ('{"n":1,"h":[0],"J":5}', "J must be a list of [i, j, w] triples"),
+        ('{"n": 3,', "instance is not valid JSON"),
+    ], ids=["short-h", "J-null", "J-int", "cut"])
+    def test_malformed_instance_json(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad.json"
-        path.write_text('{"n": 3, "h": [1, 2]}')
-        code, _, err = run_cli(["solve", "--method", "brute", "-i", str(path)],
-                               capsys)
-        assert code == 2
+        path.write_text(text)
+        code, out, err = run_cli(["solve", "--method", "brute", "-i", str(path)],
+                                 capsys)
+        assert (code, out) == (2, "")
+        assert "input error: " + message in err
 
     def test_non_integer_fields_are_input_errors(self, tmp_path, capsys):
         path = tmp_path / "float.json"
@@ -521,7 +554,25 @@ class TestErrorPaths:
                                capsys)
         assert code == 3
 
-    @pytest.mark.parametrize("alpha", ["5", "-1", "nan"])
+    # random n = 60: max degree 12, so no T-set search; the largest color
+    # class has 18 members, which leaves 42 outer bits
+    @pytest.mark.parametrize("argv, message", [
+        (["solve", "--method", "effective"], "no branching set keeps the scan within limits"),
+        (["z"], "no branching set keeps the scan within limits"),
+        (["solve", "--method", "coloring"], "outer enumeration needs 42 bits, limit is 26"),
+        (["count-minima"], "outer enumeration needs 42 bits, limit is 26"),
+        (["basins"], "outer enumeration needs 42 bits, limit is 26"),
+        (["solve", "--method", "brute"], "outer enumeration needs 60 bits, limit is 26"),
+    ], ids=["effective", "z", "coloring", "count-minima", "basins", "brute"])
+    def test_wide_instance_is_refused_by_every_scan(self, tmp_path, capsys, argv, message):
+        path = tmp_path / "r60.json"
+        run_cli(["generate", "random", "--n", "60", "--density", "0.1",
+                 "--seed", "1", "-o", str(path)], capsys)
+        code, out, err = run_cli(argv + ["-i", str(path)], capsys)
+        assert (code, out) == (3, "")
+        assert "resource limit: %s" % message in err
+
+    @pytest.mark.parametrize("alpha", ["5", "-1", "nan", "abc"])
     def test_alpha_outside_open_unit_interval_is_usage_error(self, tmp_path, capsys, alpha):
         # average degree below 2: the solver falls back before any side-set search
         path = tmp_path / "sparse.json"

@@ -11,6 +11,7 @@ from spinscape.instance import (
     DEFAULT_BLOCK_BITS,
     INT32_MAX,
     INT64_MAX,
+    MAX_ENUM_BITS,
     Assignment,
     DegreeGraph,
     EnumerationLimitError,
@@ -18,6 +19,7 @@ from spinscape.instance import (
     SplitScan,
     block_energies,
     block_local_fields,
+    check_scan_bits,
     iter_rank_blocks,
     spin_block,
 )
@@ -153,7 +155,7 @@ class TestSerialization:
         bad_dup = dict(good, J=[[0, 1, 1], [0, 1, 2]])
         bad_zero = dict(good, J=[[0, 1, 0]])
         bad_h = dict(good, h=[0])
-        for doc in (bad_order, bad_dup, bad_zero, bad_h):
+        for doc in (bad_order, bad_dup, bad_zero, bad_h, dict(good, J=None), dict(good, J=5)):
             with pytest.raises(ValueError):
                 IsingInstance.from_json_dict(doc)
         with pytest.raises(ValueError):
@@ -223,8 +225,14 @@ class TestBlockHelpers:
                 assert fields[r, i] == inst.local_field(a, i)
 
     def test_enumeration_ceiling(self):
-        with pytest.raises(EnumerationLimitError):
+        with pytest.raises(EnumerationLimitError, match="needs 30 bits"):
             list(iter_rank_blocks(30))
+
+    def test_scan_ceiling_is_26_bits(self):
+        check_scan_bits(MAX_ENUM_BITS, "outer enumeration")
+        with pytest.raises(EnumerationLimitError) as exc:
+            check_scan_bits(MAX_ENUM_BITS + 1, "completion enumeration")
+        assert str(exc.value) == "completion enumeration needs 27 bits, limit is 26"
 
 
 @settings(max_examples=60, deadline=None)
@@ -419,7 +427,7 @@ def test_split_scan_builds_rows_only_for_its_columns():
 
 
 def test_split_scan_enforces_the_ceiling():
-    with pytest.raises(EnumerationLimitError):
+    with pytest.raises(EnumerationLimitError, match="needs 30 bits"):
         SplitScan(IsingInstance(30, [0] * 30))
 
 

@@ -114,6 +114,10 @@ class TestComputeZ:
         # one of the 8 outer assignments
         assert compute_Z(gen_csse(4), (0,)) == 8
 
+    def test_refuses_more_than_26_outer_variables(self):
+        with pytest.raises(EnumerationLimitError, match="outer enumeration needs 27 bits"):
+            compute_Z(IsingInstance(27, [0] * 27), [])
+
 
 class TestEffectiveView:
     def test_isolated_member_is_fixed(self):
@@ -438,7 +442,7 @@ class TestCombined:
         inst = IsingInstance(21, list(base.h) + [1], triples + [(20, v, 2) for v in range(20)])
         res = solve_combined(inst, block_bits=2, degree_dichotomy_factor=1.5)
         assert res.method == "combined:outlier-split"
-        t, t1, t2, _, _ = _combined_sets(inst, None, 0.5, 0, None, 1.5)
+        t, t1, t2, _, _ = _combined_sets(inst, None, 0.5, 0, 1.5)
         assert 20 not in t + t1 + t2 and t1 and t2
         sizes = tuple(res.counters[k] for k in ("t_size", "t1_size", "t2_size"))
         assert sizes == (len(t), len(t1), len(t2))
@@ -968,7 +972,7 @@ def test_avg_degree_matches_brute_on_degenerate_draws(inst, seed, degree_factor)
 
     def branch(sub):
         if not strategy:
-            strategy.append(_auto_t(sub, None, seed))
+            strategy.append(_auto_t(sub, seed))
         t, method = strategy[0]
         return _solve_with_T(sub, t, method, block_bits=2)
 
@@ -989,7 +993,7 @@ def _reference_combined(inst, seed, factor):
     graph = inst.degree_graph()
     heavy = [i for i in range(inst.n) if graph.degrees[i] > factor * graph.average_degree]
     if not heavy:
-        t, t1, t2, method, _ = _combined_sets(inst, None, 0.5, seed, None, factor)
+        t, t1, t2, method, _ = _combined_sets(inst, None, 0.5, seed, factor)
         return _solve_with_T(inst, t, method, 2, 1, t1, t2, enumerated_vars=0)
     e_star, best, leaves, outers, counters = reference_branch_and_recombine(
         inst, heavy, lambda sub: _reference_combined(sub, seed, factor))
@@ -1317,7 +1321,7 @@ def test_compute_z_uses_no_scan_kernel(monkeypatch):
 def test_leaf_counts_match_the_audit_at_scale(inst):
     t, _ = _largest_color_class(inst.degree_graph())
     assert solve_coloring_baseline(inst).leaves_explored == compute_Z(inst, t)
-    t_auto, _ = _auto_t(inst, None, 0)
+    t_auto, _ = _auto_t(inst, 0)
     assert solve_effective(inst).leaves_explored == compute_Z(inst, t_auto)
 
 
@@ -1355,7 +1359,7 @@ def test_every_solver_is_exact_at_the_int64_budget(case, seed):
         assert (res.energy, res.best) == want, method
     t, _ = _largest_color_class(inst.degree_graph())
     assert results["coloring"].leaves_explored == compute_Z(inst, t)
-    t_auto, _ = _auto_t(inst, None, seed)
+    t_auto, _ = _auto_t(inst, seed)
     assert results["effective"].leaves_explored == compute_Z(inst, t_auto)
 
 
