@@ -94,10 +94,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_text(path: Optional[str]) -> str:
-    if path is None or path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path is None or path == "-":
+            return sys.stdin.buffer.read().decode("utf-8")
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise _InputError("input is not UTF-8 text: %s" % exc) from exc
 
 
 def _write_text(path: Optional[str], text: str) -> None:

@@ -506,22 +506,19 @@ class SplitScan:
     2^lo_bits entries per variable, so a block reads one variable's fields
     over its rows as one contiguous row.  A block then adds or subtracts
     one table row per high variable (energies) or adds one constant per
-    variable (fields, single-flip survivors).
+    variable (fields).
 
     Field rows are kept only for the high scanned variables, which
     :meth:`energies` reads, and for ``columns``, the variables a caller
     reads through :meth:`fields` (all of them by default).  A low variable
     outside ``columns`` gets a row only as long as the doubling of the
-    energies reads it: 2^(width - 1 - k) entries at position k.  The
-    ``members`` are the columns outside the scan: with every variable
-    scanned or a member, and the members pairwise uncoupled,
-    :meth:`member_spins` and :meth:`flip_survivors` find the assignments
-    that pass every single flip from the scanned rows alone.
+    energies reads it: 2^(width - 1 - k) entries at position k.
 
     The tables are in ``inst.scan_dtype``, whose docstring bounds every
     value computed here, so the results are exact.  They are read-only
-    after construction and may be shared between threads; the scan engine
-    reads its members' low rows (``_f_lo`` by ``_row``) in place.
+    after construction and may be shared between threads; the solvers'
+    scan engine and the landscape's single-flip filter read the low rows
+    (``_f_lo`` by ``_row``) in place.
     """
 
     def __init__(
@@ -550,16 +547,7 @@ class SplitScan:
         short = [k for k in range(hi, width) if scanned[k] not in wanted]
         self._row = np.full(n, -1, dtype=np.int64)
         self._row[order] = np.arange(len(order))
-        self._all_scanned = not short
         jf = inst.full_coupling_matrix()
-        # The members: the wanted variables outside the scan, whose spins
-        # the single-flip filter may set, and each scanned variable's
-        # couplings into them.
-        self.members = members = sorted(wanted - set(scanned))
-        self._members_coupled = bool(jf[np.ix_(members, members)].any())
-        j_members = jf[np.ix_(scanned, members)]
-        self._member_terms = [[(m, dt.type(j_members[k, m])) for m in np.flatnonzero(j_members[k])]
-                              for k in range(width)]
         h = inst._h_arr[order].astype(dt)
         h_scanned = inst._h_arr[scanned].astype(dt)
         # cols[k]: coupling row of scanned variable k, in table-row order
@@ -662,68 +650,3 @@ class SplitScan:
             return table[rows] + (self.hi_spins(start) > 0).astype(np.int64) @ w_hi
 
         return lookup
-
-    def member_spins(self, start: int, strict: bool = True) -> Tuple[np.ndarray, np.ndarray]:
-        """Rows of the block at ``start`` whose members pass their single flips, and their spins.
-
-        The members must be pairwise uncoupled, so each member's local field
-        is its :meth:`fields` row, fixed by the scanned spins once every
-        variable is scanned or a member.  A member passes the test of
-        :meth:`flip_survivors` exactly when its spin is set against its
-        field, S = -sign(L).  A zero field fails every strict test, so
-        ``strict=True`` drops those rows; under ``strict=False`` both spins
-        pass, and the member gets spin 0: free.  The mirror test (no flip
-        lowers the energy) is this one on the negated instance, whose
-        fields are -L.  Returns the rows in ascending order and the
-        (members x rows) spins in this scan's ``dtype``.
-        """
-        if self._members_coupled:
-            raise ValueError("member spins need pairwise uncoupled members")
-        spins = np.sign(self.fields(start, self.members))
-        np.negative(spins, out=spins)
-        if not strict:
-            return np.arange(len(self._e_lo)), spins
-        rows = np.flatnonzero(spins.all(axis=0))
-        return rows, spins[:, rows]
-
-    def flip_survivors(self, start: int, rows: np.ndarray, spins: np.ndarray,
-                       strict: bool = True) -> np.ndarray:
-        """Candidates of the block at ``start`` that pass every scanned variable's single flip.
-
-        A candidate is a row of the block, from ``rows``, with the +-1 spins
-        of the members in the matching column of ``spins`` (members x
-        candidates), as :meth:`member_spins` gives them once its free
-        members are set.
-
-        A candidate passes when S_i * L_i < 0 for every scanned variable i
-        (every single flip strictly raises the energy), or <= 0 with
-        ``strict=False``; the reversed tests (> 0, >= 0) are these on the
-        negated instance, whose fields are -L.  L_i is the row's field plus
-        J_im * S_m for each member m coupled to i.  The candidates are
-        filtered one variable at a time, and each test reads only the
-        candidates still alive.  A high variable's spin is constant in the
-        block; the low variable at position i is bit width-1-i of the row
-        index, so no spin table is read.  Returns the
-        positions of the passing candidates in ascending order.
-        """
-        if not self._all_scanned:
-            raise ValueError("single-flip survivors need every scanned variable's fields")
-        s_hi = self.hi_spins(start)
-        c = self.field_constants(start)
-        lt, gt = (np.less, np.greater) if strict else (np.less_equal, np.greater_equal)
-        live = np.arange(len(rows))
-        for i, f in enumerate(self._f_lo[:self.width]):
-            at = rows[live]  # the block row of each live candidate
-            fields = f[at] + c[i]
-            for m, w in self._member_terms[i]:
-                fields += w * spins[m, live]
-            # S_i * L_i < 0 is L_i < 0 where S_i = +1 and L_i > 0 where S_i = -1.
-            if i < self.hi_bits:
-                keep = lt(fields, 0) if s_hi[i] > 0 else gt(fields, 0)
-            else:
-                up = ((at >> (self.width - 1 - i)) & 1).astype(bool)
-                keep = np.where(up, lt(fields, 0), gt(fields, 0))
-            live = live[keep]
-            if not len(live):
-                break
-        return live

@@ -26,14 +26,14 @@ T, so the outer row fixes its local field, and only the spin set against that
 field passes its single flip.  A row thus holds at most one strict minimum,
 and none where a member's field is 0; a basin vertex leaves such a member
 free, and its row expands over both spins, at most 2^block_bits candidates at
-a time.  The filter then tests one outer variable at a time on the
-candidates still alive, with its field plus its couplings into T's spins, so
-a block costs about two passes over its rows, and only the survivors get
-spins and local fields for the larger sets.  With T empty the same filter
-walks all 2^n assignments.  The survivors are int64 bit masks, put into rank
-order at the end.  Basin edges come from sorted searches of the vertex bit
-masks, one per chunk of (vertices x flip masks), and basins from array
-component labelling over those edges.
+a time.  This module's filter (the kernel only gives it fields) tests one
+outer variable at a time on the candidates still alive, with its field plus
+its couplings into T's spins, so a block costs about two passes over its
+rows, and only the survivors get spins and local fields for the larger sets.
+With T empty the same filter walks all 2^n assignments.  The survivors are
+int64 bit masks, put into rank order at the end.  Basin edges come from
+sorted searches of the vertex bit masks, one per chunk of (vertices x flip
+masks), and basins from array component labelling over those edges.
 """
 
 from __future__ import annotations
@@ -231,6 +231,79 @@ def _expand(rows: np.ndarray, spins: np.ndarray, counts: np.ndarray,
         yield rows[r], s
 
 
+def _flip_terms(inst: IsingInstance, scan: SplitScan, outer: List[int],
+                t: List[int]) -> List[List[Tuple[int, np.integer]]]:
+    """Each of ``outer``'s couplings into the sorted ``t``, as (position in ``t``, J) pairs.
+
+    Raises ValueError unless ``t`` is pairwise uncoupled and ``scan``
+    scans ``outer`` with a field row at each position.
+    """
+    if not np.array_equal(scan._row[outer], np.arange(scan.width)):
+        raise ValueError("single-flip survivors need every scanned variable's fields")
+    graph, at = inst.degree_graph(), {m: p for p, m in enumerate(t)}
+    if any(v in at for m in t for v in graph.neighbors[m]):
+        raise ValueError("member spins need pairwise uncoupled members")
+    return [[(at[v], scan.dtype.type(inst.coupling(u, v))) for v in graph.neighbors[u] if v in at]
+            for u in outer]
+
+
+def _member_spins(scan: SplitScan, start: int, t: List[int],
+                  strict: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """Rows of the block at ``start`` where each member of ``t`` passes its flip, and the spins.
+
+    T is pairwise uncoupled, so the outer spins fix each member's field L,
+    and it passes exactly with S = -sign(L).  A zero field fails every
+    strict test, so ``strict=True`` drops those rows; under
+    ``strict=False`` both spins pass, and the member gets spin 0: free.
+    Returns the rows in ascending order and the (members x rows) spins.
+    """
+    spins = np.sign(scan.fields(start, t))
+    np.negative(spins, out=spins)
+    if not strict:
+        return np.arange(1 << scan.lo_bits), spins
+    rows = np.flatnonzero(spins.all(axis=0))
+    return rows, spins[:, rows]
+
+
+def _flip_survivors(scan: SplitScan, start: int, rows: np.ndarray, spins: np.ndarray,
+                    terms: List[List[Tuple[int, np.integer]]], strict: bool) -> np.ndarray:
+    """Candidates of the block at ``start`` that pass every scanned variable's single flip.
+
+    A candidate is a row of the block, from ``rows``, with T's +-1 spins in
+    its column of ``spins`` (members x candidates, free members set), and
+    ``terms`` is :func:`_flip_terms` of the scan.
+
+    A candidate passes when S_i * L_i < 0 for every scanned variable i
+    (every single flip strictly raises the energy), or <= 0 with
+    ``strict=False``.  L_i is the row's field plus J_im * S_m for each
+    member m coupled to i.  The candidates are filtered one variable at a
+    time, and each test reads only the candidates still alive.  A high
+    variable's spin is constant in the block; the low variable at
+    position i is bit width-1-i of the row index, so no spin table is
+    read.  Returns the positions of the passing candidates in ascending
+    order.
+    """
+    s_hi = scan.hi_spins(start)
+    c = scan.field_constants(start)
+    lt, gt = (np.less, np.greater) if strict else (np.less_equal, np.greater_equal)
+    live = np.arange(len(rows))
+    for i, f in enumerate(scan._f_lo[:scan.width]):
+        at = rows[live]  # the block row of each live candidate
+        fields = f[at] + c[i]
+        for m, w in terms[i]:
+            fields += w * spins[m, live]
+        # S_i * L_i < 0 is L_i < 0 where S_i = +1 and L_i > 0 where S_i = -1.
+        if i < scan.hi_bits:
+            keep = lt(fields, 0) if s_hi[i] > 0 else gt(fields, 0)
+        else:
+            up = ((at >> (scan.width - 1 - i)) & 1).astype(bool)
+            keep = np.where(up, lt(fields, 0), gt(fields, 0))
+        live = live[keep]
+        if not len(live):
+            break
+    return live
+
+
 def _vertex_bits(
     inst: IsingInstance,
     sets: _ConnectedSets,
@@ -242,25 +315,26 @@ def _vertex_bits(
 
     One array per chunk of at most 2^block_bits candidates, in no set
     order.  ``t`` is the independent set T, the largest greedy color class
-    by default; any independent set gives the same masks.  Past any of
-    three limits the scan raises
-    :class:`EnumerationLimitError`: n - |T| above the scan ceiling, more
-    than 2^MAX_ENUM_BITS candidates once the free members are expanded,
-    or more than ``MAX_MASK_BITS`` variables.
+    by default; any independent set gives the same masks, and a coupled
+    pair in ``t`` raises ValueError.  Past any of three limits the scan
+    raises :class:`EnumerationLimitError`: n - |T| above the scan ceiling,
+    more than 2^MAX_ENUM_BITS candidates once the free members are
+    expanded, or more than ``MAX_MASK_BITS`` variables.
     """
     n = inst.n
     if n > MAX_MASK_BITS:
         raise EnumerationLimitError(
             "%d variables exceed the %d-bit assignment masks" % (n, MAX_MASK_BITS))
-    t = set(_largest_color_class(inst.degree_graph())[0] if t is None else t)
-    outer = [v for v in range(n) if v not in t]
+    t = sorted(set(_largest_color_class(inst.degree_graph())[0] if t is None else t))
+    outer = sorted(set(range(n)).difference(t))
     scan = SplitScan(inst, block_bits, outer, columns=range(n))
+    terms = _flip_terms(inst, scan, outer, t)
     one = np.int64(1)
     outer_bits = scan.weight_sums(one << np.array(outer, dtype=np.int64))
-    member_bits = one << np.array(scan.members, dtype=np.int64)
+    member_bits = one << np.array(t, dtype=np.int64)
     candidates = 0
     for start in scan.starts:
-        rows, spins = scan.member_spins(start, strict=strict)
+        rows, spins = _member_spins(scan, start, t, strict)
         # 2^(free members) candidates per row, capped past the limit
         free = np.count_nonzero(spins == 0, axis=0)
         counts = one << np.minimum(free, MAX_ENUM_BITS + 1)
@@ -269,7 +343,7 @@ def _vertex_bits(
             raise EnumerationLimitError(
                 "the rows with free members expand past 2^%d candidates" % MAX_ENUM_BITS)
         for at, s in _expand(rows, spins, counts, 1 << block_bits):
-            keep = scan.flip_survivors(start, at, s, strict=strict)
+            keep = _flip_survivors(scan, start, at, s, terms, strict)
             found = outer_bits(start, at[keep])
             for bit, up in zip(member_bits, s[:, keep] > 0):
                 found |= up * bit

@@ -20,7 +20,13 @@ from spinscape.instance import (
     iter_rank_blocks,
     spin_block,
 )
-from spinscape.landscape import _ConnectedSets, _k_checks
+from spinscape.landscape import (
+    _ConnectedSets,
+    _flip_survivors,
+    _flip_terms,
+    _k_checks,
+    _member_spins,
+)
 from spinscape.rand import rng_from
 from spinscape.solver import SolveResult, _largest_color_class, _validate_subset
 from spinscape.tset import (
@@ -111,14 +117,18 @@ def is_k_minimum(inst: IsingInstance, a: Assignment, k: int) -> bool:
     return bool(_k_checks(inst, spins, sets, strict=True, singles_known=False)[0])
 
 
-def every_row(scan: SplitScan) -> Tuple[np.ndarray, np.ndarray]:
-    """Every row of a block, in order, with zero member spins: the members count as absent.
+def every_row(inst: IsingInstance, scan: SplitScan,
+              outer: Sequence[int]) -> Tuple[np.ndarray, np.ndarray, list]:
+    """Every row of a block, in order, with an empty T: the unscanned variables count as absent.
 
-    A zero spin adds nothing to any field, so ``scan.flip_survivors(start,
-    *every_row(scan))`` reads each row's fields from the scanned spins alone.
+    ``scan`` scans ``outer`` of ``inst``.  With no members the filter adds
+    nothing to any field, so ``_flip_survivors(scan, start, *every_row(inst,
+    scan, outer), strict)`` reads each row's fields from the scanned spins
+    alone.
     """
     size = 1 << scan.lo_bits
-    return np.arange(size), np.zeros((len(scan.members), size), dtype=scan.dtype)
+    return (np.arange(size), np.zeros((0, size), dtype=scan.dtype),
+            _flip_terms(inst, scan, list(outer), []))
 
 
 def negated(inst: IsingInstance) -> IsingInstance:
@@ -129,12 +139,12 @@ def negated(inst: IsingInstance) -> IsingInstance:
 
 def member_filter_ranks(inst: IsingInstance, block_bits: int, strict: bool,
                         flipped: bool) -> np.ndarray:
-    """Ranks of the assignments that SplitScan's member and single-flip filters pass.
+    """Ranks of the assignments that the landscape's member and single-flip filters pass.
 
     T is the largest greedy color class and the other variables are
     scanned.  Each row of each block is tried with every setting of T's
-    spins that ``member_spins`` allows (a free member either way), and
-    ``flip_survivors`` tests the scanned variables.  ``flipped`` runs the
+    spins that ``_member_spins`` allows (a free member either way), and
+    ``_flip_survivors`` tests the scanned variables.  ``flipped`` runs the
     filters on :func:`negated` ``inst``, so they test that no single flip
     lowers the energy.  The ranks are sorted.
     """
@@ -144,20 +154,21 @@ def member_filter_ranks(inst: IsingInstance, block_bits: int, strict: bool,
     t = list(_largest_color_class(inst.degree_graph())[0])
     outer = [v for v in range(n) if v not in t]
     scan = SplitScan(inst, block_bits, outer, range(n))
-    assert scan.members == sorted(t)
+    assert t == sorted(t)
+    terms = _flip_terms(inst, scan, outer, t)
     settings = spin_block(len(t), 0, 1 << len(t)).T.astype(scan.dtype)
     per_row = settings.shape[1]
     found = [np.zeros((0, n), dtype=np.int64)]
     for start in scan.starts:
-        rows, spins = scan.member_spins(start, strict=strict)
+        rows, spins = _member_spins(scan, start, t, strict=strict)
         at, s = np.repeat(rows, per_row), np.tile(settings, len(rows))
         forced = np.repeat(spins, per_row, axis=1)
         allowed = ((forced == 0) | (forced == s)).all(axis=0)
         at, s = at[allowed], s[:, allowed]
-        keep = scan.flip_survivors(start, strict=strict, rows=at, spins=s)
+        keep = _flip_survivors(scan, start, strict=strict, rows=at, spins=s, terms=terms)
         full = np.empty((len(keep), n), dtype=np.int64)
         full[:, outer] = spin_block(len(outer), start, 1 << scan.lo_bits)[at[keep]]
-        full[:, scan.members] = s[:, keep].T
+        full[:, t] = s[:, keep].T
         found.append(full)
     weights = np.int64(1) << (n - 1 - np.arange(n, dtype=np.int64))
     return np.sort((np.concatenate(found) > 0).astype(np.int64) @ weights)

@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 import time
 
 import pytest
@@ -508,6 +510,24 @@ class TestErrorPaths:
                                  capsys)
         assert (code, out) == (2, "")
         assert "input error: " + message in err
+
+    @pytest.mark.parametrize("name, argv", [
+        ("bad.json", ["solve", "--method", "brute", "-i"]),
+        ("bad.txt", ["probe", "--mode", "max", "--weights-file"]),
+        ("bad.wcnf", ["solve", "--method", "brute", "--format", "wcnf", "-i"]),
+    ], ids=["instance", "weights", "wcnf"])
+    def test_non_utf8_input_is_input_error(self, tmp_path, capsys, name, argv):
+        path = tmp_path / name
+        path.write_bytes(b'\xff\xfe{"n":1}')
+        code, out, err = run_cli(argv + [str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert "input error: input is not UTF-8 text" in err
+
+    def test_non_utf8_stdin_is_input_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff")))
+        code, out, err = run_cli(["solve", "--method", "brute"], capsys)
+        assert (code, out) == (2, "")
+        assert "input error: input is not UTF-8 text" in err
 
     def test_non_integer_fields_are_input_errors(self, tmp_path, capsys):
         path = tmp_path / "float.json"

@@ -23,7 +23,7 @@ from spinscape.instance import (
     iter_rank_blocks,
     spin_block,
 )
-from spinscape.landscape import enumerate_k_minima, k_basins
+from spinscape.landscape import _flip_survivors, _flip_terms, enumerate_k_minima, k_basins
 from spinscape.solver import _solve_with_T, solve_brute, solve_combined
 
 
@@ -313,7 +313,8 @@ def test_split_scan_matches_reference_kernels(case, data):
     strict, flipped = data.draw(st.booleans()), data.draw(st.booleans())
     scan = SplitScan(inst, block_bits, sub)
     # flipped filters on -E, against the reference's reversed test on E
-    filtered = SplitScan(negated(inst), block_bits, sub) if flipped else scan
+    neg = negated(inst) if flipped else inst
+    filtered = SplitScan(neg, block_bits, sub) if flipped else scan
     jf = inst.full_coupling_matrix()
     h = np.array(inst.h, dtype=np.int64)
     weights = np.array([1 << v for v in sub], dtype=np.int64)
@@ -332,8 +333,9 @@ def test_split_scan_matches_reference_kernels(case, data):
                                       (spins > 0).astype(np.int64) @ weights)
         sl = spins * fields[:, sub] * (-1 if flipped else 1)
         passing = (sl < 0) if strict else (sl <= 0)
-        np.testing.assert_array_equal(filtered.flip_survivors(start, *every_row(filtered), strict),
-                                      np.flatnonzero(passing.all(axis=1)))
+        np.testing.assert_array_equal(
+            _flip_survivors(filtered, start, *every_row(neg, filtered, sub), strict),
+            np.flatnonzero(passing.all(axis=1)))
     for rank in (0, (1 << len(sub)) - 1):
         a = Assignment.from_rank(rank, len(sub))
         exact = inst.c0 + sum(inst.h[v] * a.spin(k) for k, v in enumerate(sub))
@@ -348,14 +350,15 @@ def test_split_scan_matches_reference_kernels(case, data):
 def test_flip_survivors_match_reference_kernels(case, strict, flipped):
     inst, block_bits = case
     # flipped scans -E, against the reference's reversed test on E
-    scan = SplitScan(negated(inst) if flipped else inst, block_bits)
+    scanned = negated(inst) if flipped else inst
+    scan = SplitScan(scanned, block_bits)
     for start, count in iter_rank_blocks(inst.n, block_bits):
         ref_spins = spin_block(inst.n, start, count)
         sl = ref_spins * block_local_fields(inst, ref_spins)
         if flipped:
             sl = -sl
         passing = (sl < 0) if strict else (sl <= 0)
-        rows = scan.flip_survivors(start, *every_row(scan), strict=strict)
+        rows = _flip_survivors(scan, start, *every_row(scanned, scan, range(inst.n)), strict)
         np.testing.assert_array_equal(rows, np.flatnonzero(passing.all(axis=1)))
     # T a color class: the outer rows with T's spins, over all 2^n assignments
     spins = spin_block(inst.n, 0, 1 << inst.n)
@@ -405,8 +408,9 @@ def test_scan_dtype_at_the_int32_bound(budget, dtype, sign, block_bits):
         for strict in (True, False):
             sl = spins * fields
             passing = (sl < 0) if strict else (sl <= 0)
-            np.testing.assert_array_equal(scan.flip_survivors(start, *every_row(scan), strict),
-                                          np.flatnonzero(passing.all(axis=1)))
+            np.testing.assert_array_equal(
+                _flip_survivors(scan, start, *every_row(inst, scan, range(inst.n)), strict),
+                np.flatnonzero(passing.all(axis=1)))
 
 
 def test_split_scan_builds_rows_only_for_its_columns():
@@ -422,8 +426,9 @@ def test_split_scan_builds_rows_only_for_its_columns():
     for var in (2, 5):  # a low scanned variable and an unscanned one
         with pytest.raises(ValueError):
             scan.fields(0, [var])
-    with pytest.raises(ValueError):
-        scan.flip_survivors(0, *every_row(scan))
+    # the landscape's filter refuses a scan whose low scanned variables lack field rows
+    with pytest.raises(ValueError, match="every scanned variable's fields"):
+        _flip_terms(inst, scan, sub, [])
 
 
 def test_split_scan_enforces_the_ceiling():

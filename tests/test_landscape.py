@@ -12,7 +12,6 @@ from spinscape.instance import (
     Assignment,
     EnumerationLimitError,
     IsingInstance,
-    SplitScan,
 )
 from spinscape import landscape
 from spinscape.landscape import (
@@ -151,14 +150,14 @@ class TestBasins:
             assert strict_rows and sum(strict_rows) <= admitted
 
     def count_scanned_blocks(self, monkeypatch):
-        real = SplitScan.flip_survivors
+        real = landscape._flip_survivors
         calls = []
 
-        def counting(self, *args, **kwargs):
+        def counting(*args, **kwargs):
             calls.append(args)
-            return real(self, *args, **kwargs)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(SplitScan, "flip_survivors", counting)
+        monkeypatch.setattr(landscape, "_flip_survivors", counting)
         return calls
 
     def test_rejected_request_stops_the_scan(self, monkeypatch):
@@ -196,6 +195,13 @@ class TestBranchingScan:
                 for t in (colored, other)]
             np.testing.assert_array_equal(masks[0], masks[1])
             assert len(masks[0])
+
+    def test_a_coupled_pair_in_t_is_refused(self):
+        inst = gen_regular(16, 3, seed=1)
+        i, j = next(iter(inst.couplings))
+        sets = landscape._ConnectedSets(inst, 1)
+        with pytest.raises(ValueError, match="pairwise uncoupled"):
+            next(landscape._vertex_bits(inst, sets, strict=True, block_bits=12, t=[i, j]))
 
     def test_coupling_free_n40_has_one_minimum_and_one_vertex(self):
         # T is every variable: one outer row, and each spin set against its field

@@ -26,6 +26,7 @@ from spinscape.instance import (
     spin_block,
     thread_map,
 )
+from spinscape.landscape import _flip_survivors
 from spinscape.solver import (
     SolveResult,
     _auto_t,
@@ -47,7 +48,7 @@ from spinscape.solver import (
     solve_combined,
     solve_effective,
 )
-from spinscape.tset import TParams, check_T, find_T_randomized
+from spinscape.tset import TParams, check_T, find_T1T2, find_T_randomized
 
 from helpers import (
     effective_view,
@@ -416,6 +417,19 @@ class TestCombined:
         res = solve_combined(inst)
         assert res.method == "combined:effective-fallback"
         assert_same_optimum(res, inst)
+
+    def test_failed_constrained_search_falls_back(self):
+        # Side sets are found, but a constrained member of T needs a partner
+        # outside T, and the ten isolated variables have none.
+        base = gen_regular(8, 5, seed=1)
+        inst = IsingInstance(18, list(base.h) + [1] * 10, base.couplings, c0=base.c0)
+        sides = find_T1T2(inst.degree_graph(), alpha=0.5, seed=0)
+        assert sides.ok and (sides.t1, sides.t2) == ((0, 1, 2), (8, 9, 10))
+        res = solve_combined(inst)
+        assert res.method == "combined:effective-fallback"
+        assert (res.counters["t1_size"], res.counters["t_size"]) == (0, 12)
+        oracle = solve_brute(inst)
+        assert (res.energy, res.best) == (oracle.energy, oracle.best) and res.energy == -46
 
     def test_complete_graph_fallback(self):
         triples = [(i, j, 1) for i, j in combinations(range(8), 2)]
@@ -1419,8 +1433,8 @@ def test_int32_scan_matches_the_forced_int64_scan(case, data):
         np.testing.assert_array_equal(full_a.fields(start, range(inst.n)),
                                       full_b.fields(start, range(inst.n)))
         np.testing.assert_array_equal(
-            full_a.flip_survivors(start, *every_row(full_a), strict),
-            full_b.flip_survivors(start, *every_row(full_b), strict))
+            _flip_survivors(full_a, start, *every_row(inst, full_a, range(inst.n)), strict),
+            _flip_survivors(full_b, start, *every_row(inst, full_b, range(inst.n)), strict))
     # the filter with T a color class, through the member spins
     narrow_ranks = member_filter_ranks(inst, block_bits, strict, flipped)
     with pytest.MonkeyPatch.context() as mp:
