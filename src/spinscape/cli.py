@@ -46,8 +46,8 @@ from .probe import (
 )
 from .solver import (
     SolveResult,
-    _auto_t,
     compute_Z,
+    plan_effective,
     solve_avg_degree,
     solve_brute,
     solve_coloring_baseline,
@@ -288,12 +288,12 @@ def _cmd_tset(args: argparse.Namespace) -> Dict:
 
 def _cmd_z(args: argparse.Namespace) -> Dict:
     inst, doc = _instance_doc(args, args.tset_seed)
-    t, method = _auto_t(inst, args.tset_seed)
+    plan = plan_effective(inst, args.tset_seed)
     doc.update({
-        "t": list(t),
-        "t_source": "randomized" if method == "effective-field" else "coloring-class",
-        "z": compute_Z(inst, t),
-        "counters": {"t_size": len(t)},
+        "t": list(plan.t),
+        "t_source": plan.source,
+        "z": compute_Z(inst, plan.t),
+        "counters": {"t_size": len(plan.t)},
     })
     return doc
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -704,24 +704,48 @@ class _ScanEngine:
         return bmin, rank, int(rows.size), [n_rows], counters
 
 
-def _solve_with_T(
-    inst: IsingInstance,
-    t: Sequence[int],
-    method: str,
-    block_bits: int = DEFAULT_BLOCK_BITS,
-    workers: int = 1,
-    t1: Sequence[int] = (),
-    t2: Sequence[int] = (),
-    **extra: int,
-) -> SolveResult:
-    """Exact solve by one scan of the outer assignments against T (and side sets).
+class Plan(NamedTuple):
+    """The sets that one method scans, in original indices, and where T came from.
+
+    ``wbar`` holds the variables enumerated outright among the outer bits;
+    ``source`` is ``coloring-class``, ``randomized`` or ``constrained`` (the
+    search under the side sets' bound); ``colors`` is the coloring's color count.
+    """
+
+    method: str
+    t: Sequence[int]
+    t1: Sequence[int] = ()
+    t2: Sequence[int] = ()
+    wbar: Sequence[int] = ()
+    source: str = "coloring-class"
+    colors: int = 0
+
+
+def _engine_of(plan: Plan) -> Tuple[str, Dict[str, int]]:
+    """The ``engine`` string that a plan reports, and its method's own counters."""
+    if plan.method == "coloring":
+        return "coloring", {"colors": plan.colors}
+    fallback = ":coloring-fallback" if plan.source == "coloring-class" else ""
+    if plan.method == "effective":
+        return "effective-field" + fallback, {}
+    own = {"enumerated_vars": len(plan.wbar)}
+    if plan.method == "avg-degree":
+        return "avg-degree:effective-field" + fallback, own
+    if plan.wbar:
+        return "combined:outlier-split", own
+    return "combined" if plan.source == "constrained" else "combined:effective-fallback", own
+
+
+def _solve_with_T(inst: IsingInstance, plan: Plan, block_bits: int = DEFAULT_BLOCK_BITS,
+                  workers: int = 1) -> SolveResult:
+    """Exact solve by one scan of the outer assignments against a plan's sets.
 
     Blocks may run on ``workers`` threads; each returns its minimum and the
     rank of its lex-smallest optimum, and the smallest (energy, rank) pair
     wins, so the result does not depend on the thread schedule.  The
-    counters are the scan's, plus the method's own ``extra`` keys.
+    counters are the scan's, then the method's own (:func:`_engine_of`).
     """
-    engine = _ScanEngine(inst, t, block_bits, t1, t2)
+    engine = _ScanEngine(inst, plan.t, block_bits, plan.t1, plan.t2)
     parts = thread_map(engine.scan_block, engine.split.starts, workers)
     e_star = min(part[0] for part in parts)
     leaves = ties = 0
@@ -740,13 +764,14 @@ def _solve_with_T(
     if engine.sides:
         # every enumerated completion of T also enumerates both side sets
         leaves *= sum(len(own) for _, own, _ in engine.side_tables)
+    method, own = _engine_of(plan)
     return SolveResult(
         best=best,
         energy=e_star,
         leaves_explored=leaves,
         outer_assignments=1 << engine.n_out,
         method=method,
-        counters={**engine.sizes, **counters, "tie_rows": ties, **extra},
+        counters={**engine.sizes, **counters, "tie_rows": ties, **own},
     )
 
 
@@ -908,11 +933,8 @@ def _largest_color_class(graph: DegreeGraph) -> Tuple[Tuple[int, ...], int]:
     return tuple(classes[best]), n_colors
 
 
-def solve_coloring_baseline(
-    inst: IsingInstance,
-    block_bits: int = DEFAULT_BLOCK_BITS,
-    workers: int = 1,
-) -> SolveResult:
+def solve_coloring_baseline(inst: IsingInstance, block_bits: int = DEFAULT_BLOCK_BITS,
+                            workers: int = 1) -> SolveResult:
     """Baseline: T is the largest greedy color class (an independent set).
 
     Independence means no internal couplings, so every member is fixed by
@@ -920,19 +942,24 @@ def solve_coloring_baseline(
     assignments.
     """
     t, n_colors = _largest_color_class(inst.degree_graph())
-    return _solve_with_T(inst, t, "coloring", block_bits, workers, colors=n_colors)
+    return _solve_with_T(inst, Plan("coloring", t, colors=n_colors), block_bits, workers)
 
 
-def _auto_t(inst: IsingInstance, seed: int) -> Tuple[Tuple[int, ...], str]:
-    """Pick a set T for :func:`solve_effective` when no certificate is given."""
+def plan_effective(inst: IsingInstance, seed: int, method: str = "effective") -> Plan:
+    """The plan of :func:`solve_effective` without a certificate, made for ``method``.
+
+    The randomized search runs when the maximum degree reaches
+    ``AUTO_DEGREE_GATE``; without a certificate within ``MAX_ENUM_BITS``
+    outer bits, T is the largest color class, if that fits the scan.
+    """
     graph = inst.degree_graph()
     if graph.max_degree >= AUTO_DEGREE_GATE:
         cert = find_T_randomized(inst, seed=seed)
         if cert.ok and inst.n - len(cert.t) <= MAX_ENUM_BITS:
-            return cert.t, "effective-field"
+            return Plan(method, cert.t, source="randomized")
     t, _ = _largest_color_class(graph)
     if inst.n - len(t) <= MAX_ENUM_BITS:
-        return t, "effective-field:coloring-fallback"
+        return Plan(method, t, source="coloring-class")
     raise EnumerationLimitError("no branching set keeps the scan within limits")
 
 
@@ -945,17 +972,14 @@ def solve_effective(
 ) -> SolveResult:
     """Exact solve branching on a certified set T.
 
-    With an explicit certificate the scan always runs over its set.  The
-    automatic path searches for a certificate only when the maximum degree
-    reaches ``AUTO_DEGREE_GATE`` and otherwise falls back to the coloring
-    baseline, then to a plain scan, tagging the method string accordingly.
+    With an explicit certificate the scan always runs over its set;
+    otherwise :func:`plan_effective` chooses T or refuses the instance.
     """
-    if cert is not None:
-        if not cert.ok:
-            raise ValueError("certificate did not validate; refusing to branch on it")
-        return _solve_with_T(inst, cert.t, "effective-field", block_bits, workers)
-    t, method = _auto_t(inst, seed)
-    return _solve_with_T(inst, t, method, block_bits, workers)
+    if cert is None:
+        return _solve_with_T(inst, plan_effective(inst, seed), block_bits, workers)
+    if not cert.ok:
+        raise ValueError("certificate did not validate; refusing to branch on it")
+    return _solve_with_T(inst, Plan("effective", cert.t, source="randomized"), block_bits, workers)
 
 
 def _outliers(inst: IsingInstance, factor: float) -> List[int]:
@@ -963,22 +987,25 @@ def _outliers(inst: IsingInstance, factor: float) -> List[int]:
     return [i for i in range(inst.n) if graph.degrees[i] > factor * graph.average_degree]
 
 
-# T, T1, T2, the method string and the number of variables enumerated outright
-_Sets = Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...], str, int]
-
-
 def _on_remainder(inst: IsingInstance, wbar: Sequence[int],
-                  choose: Callable[[IsingInstance], _Sets]) -> _Sets:
-    """Sets that ``choose`` picks on ``inst`` conditioned on ``wbar``, mapped back.
+                  choose: Callable[[IsingInstance], Plan]) -> Plan:
+    """The plan that ``choose`` makes on ``inst`` conditioned on ``wbar``, mapped back.
 
-    ``wbar`` joins the outer bits.  Once it and the other outer variables
-    are assigned, each member has the effective field and ``h_max`` it has
+    ``wbar`` joins the outer bits, ahead of the plan's own.  With the outer
+    bits assigned, each member has the effective field and ``h_max`` it has
     in the remainder, whose couplings do not depend on ``wbar``'s spins.
     """
     sub, keep = inst.conditioned({v: -1 for v in wbar}) if wbar else (inst, range(inst.n))
-    t, t1, t2, method, enumerated = choose(sub)
-    t, t1, t2 = (tuple(keep[i] for i in part) for part in (t, t1, t2))
-    return t, t1, t2, method, enumerated + len(wbar)
+    plan = choose(sub)
+    t, t1, t2, inner = (tuple(keep[i] for i in part)
+                        for part in (plan.t, plan.t1, plan.t2, plan.wbar))
+    return plan._replace(t=t, t1=t1, t2=t2, wbar=tuple(wbar) + inner)
+
+
+def plan_avg_degree(inst: IsingInstance, seed: int, degree_factor: float) -> Plan:
+    """The plan of :func:`solve_avg_degree`: W, then T by :func:`plan_effective` on the rest."""
+    return _on_remainder(inst, _outliers(inst, degree_factor),
+                         lambda sub: plan_effective(sub, seed, "avg-degree"))
 
 
 def solve_avg_degree(
@@ -991,64 +1018,40 @@ def solve_avg_degree(
     """Exact solve that enumerates the high-degree variables outright.
 
     The variables W with degree above ``degree_factor`` times the average
-    join the outer bits of one scan, and T is chosen by :func:`_auto_t` on
-    the low-degree remainder (see :func:`_on_remainder`).
+    join the outer bits of one scan, and T is chosen on the low-degree
+    remainder (:func:`plan_avg_degree`).
     """
-
-    def choose(sub: IsingInstance) -> _Sets:
-        t, method = _auto_t(sub, seed)
-        return t, (), (), "avg-degree:" + method, 0
-
-    t, _, _, method, enumerated = _on_remainder(inst, _outliers(inst, degree_factor), choose)
-    return _solve_with_T(inst, t, method, block_bits, workers, enumerated_vars=enumerated)
+    return _solve_with_T(inst, plan_avg_degree(inst, seed, degree_factor), block_bits, workers)
 
 
-def _combined_sets(
-    inst: IsingInstance,
-    j_max: Optional[int],
-    alpha: float,
-    seed: int,
-    degree_dichotomy_factor: float,
-) -> _Sets:
-    """Choose the sets of :func:`solve_combined` (see ``_Sets``); runs no scan.
-
-    Outlier-degree variables stay outside every set: the choice is made on
-    the instance conditioned on them, which may have outliers of its own.
+def plan_combined(inst: IsingInstance, j_max: Optional[int], alpha: float, seed: int,
+                  degree_dichotomy_factor: float) -> Plan:
+    """The plan of :func:`solve_combined`, chosen on the instance conditioned on
+    its outlier-degree variables (the remainder may have outliers of its own).
+    Without side sets or a constrained T it falls back to :func:`plan_effective`.
     """
-    row_sums = [inst.coupling_row_abs(i) for i in range(inst.n)]
-    max_row = max(row_sums) if row_sums else 0
+    max_row = max((inst.coupling_row_abs(i) for i in range(inst.n)), default=0)
     if j_max is None:
         j_max = max_row
     elif j_max < max_row:
         raise ValueError("j_max must dominate every coupling row weight")
     heavy = _outliers(inst, degree_dichotomy_factor)
     if heavy:
-        t, t1, t2, _, enumerated = _on_remainder(inst, heavy, lambda sub: _combined_sets(
+        return _on_remainder(inst, heavy, lambda sub: plan_combined(
             sub, None, alpha, seed, degree_dichotomy_factor))
-        return t, t1, t2, "combined:outlier-split", enumerated
-
-    def fallback() -> _Sets:
-        t, _ = _auto_t(inst, seed)
-        return t, (), (), "combined:effective-fallback", 0
-
     graph = inst.degree_graph()
     d_avg = graph.average_degree
-    if d_avg < 2 or side_set_target(inst.n, d_avg, alpha) < 1:
-        # too sparse, or too few variables for side sets of one member each
-        return fallback()
-    sides = find_T1T2(graph, alpha=alpha, seed=seed)
-    if not sides.ok:
-        return fallback()
-    side_set = set(sides.t1) | set(sides.t2)
-    w0 = [
-        i for i in range(inst.n)
-        if i not in side_set and graph.degrees[i] <= 2.0 * d_avg
-    ]
-    ctx = ConstrainedContext(t1=sides.t1, t2=sides.t2, j_max=j_max)
-    cert = find_T_randomized(inst, seed=seed, within=w0, constrained=ctx)
-    if not cert.ok:
-        return fallback()
-    return cert.t, sides.t1, sides.t2, "combined", 0
+    if d_avg >= 2 and side_set_target(inst.n, d_avg, alpha) >= 1:
+        sides = find_T1T2(graph, alpha=alpha, seed=seed)
+        if sides.ok:
+            side_set = set(sides.t1) | set(sides.t2)
+            w0 = [i for i in range(inst.n)
+                  if i not in side_set and graph.degrees[i] <= 2.0 * d_avg]
+            ctx = ConstrainedContext(t1=sides.t1, t2=sides.t2, j_max=j_max)
+            cert = find_T_randomized(inst, seed=seed, within=w0, constrained=ctx)
+            if cert.ok:
+                return Plan("combined", cert.t, sides.t1, sides.t2, source="constrained")
+    return plan_effective(inst, seed, "combined")
 
 
 def solve_combined(
@@ -1068,13 +1071,10 @@ def solve_combined(
     ``degree_dichotomy_factor`` times the average (never more than a
     1/``factor`` fraction of all variables) are enumerated outright: they
     join the outer bits of the one scan, and the sets are chosen on the
-    remainder.  Every unproductive search falls back to the set of
-    :func:`solve_effective`, with a tagged method string.
+    remainder (:func:`plan_combined`); every unproductive search falls
+    back to :func:`plan_effective`.
     """
     if not 0 < alpha < 1:  # NaN fails the comparison too
         raise ValueError("alpha must lie in (0, 1)")
-    t, t1, t2, method, enumerated = _combined_sets(
-        inst, j_max, alpha, seed, degree_dichotomy_factor
-    )
-    return _solve_with_T(inst, t, method, block_bits, workers, t1, t2,
-                         enumerated_vars=enumerated)
+    plan = plan_combined(inst, j_max, alpha, seed, degree_dichotomy_factor)
+    return _solve_with_T(inst, plan, block_bits, workers)

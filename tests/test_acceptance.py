@@ -31,9 +31,9 @@ from spinscape.probe import (
 )
 from spinscape.rand import rng_from
 from spinscape.solver import (
-    _auto_t,
     _largest_color_class,
     compute_Z,
+    plan_effective,
     solve_avg_degree,
     solve_brute,
     solve_coloring_baseline,
@@ -141,7 +141,7 @@ def test_criterion_06_minima_bounded_by_z():
         if inst.n > 14:
             continue
         count = enumerate_k_minima(inst, 1).minima_count
-        t_auto, _ = _auto_t(inst, i)
+        t_auto = plan_effective(inst, i).t
         z = compute_Z(inst, t_auto)
         res = solve_effective(inst, seed=i)
         assert count <= z, (i, count, z)

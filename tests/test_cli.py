@@ -299,6 +299,19 @@ class TestTsetAndZ:
         assert doc["z"] == 8
         assert doc["t"] == [0]
 
+    @pytest.mark.parametrize("family, t_source, t_size, z", [
+        (["csse", "--n", "18"], "randomized", 5, 194_378),
+        (["multicopy", "--copies", "3"], "coloring-class", 3, 512),
+    ], ids=["csse18", "multicopy3x4"])
+    def test_z_reports_where_t_came_from(self, tmp_path, capsys, family, t_source, t_size, z):
+        path = tmp_path / "inst.json"
+        run_cli(["generate", *family, "-o", str(path)], capsys)
+        doc = run_json(["z", "-i", str(path), "--tset-seed", "2"], capsys)
+        assert (doc["t_source"], doc["counters"]["t_size"], doc["z"]) == (t_source, t_size, z)
+        solve_doc = run_json(["solve", "--method", "effective", "-i", str(path),
+                              "--seed", "2"], capsys)
+        assert solve_doc["counters"]["t_size"] == t_size
+
 
 class TestProbe:
     def test_exact_and_max_unit_weights(self, tmp_path, capsys):

@@ -24,7 +24,7 @@ from spinscape.instance import (
     spin_block,
 )
 from spinscape.landscape import _flip_survivors, _flip_terms, enumerate_k_minima, k_basins
-from spinscape.solver import _solve_with_T, solve_brute, solve_combined
+from spinscape.solver import Plan, _solve_with_T, solve_brute, solve_combined
 
 
 def csse4() -> IsingInstance:
@@ -456,10 +456,10 @@ def test_block_size_does_not_change_scan_results(inst):
     # the scan engine resolves ties per block: neither the block size nor
     # the thread count may change what it returns, and it matches brute force
     t = range(0, inst.n, 2)
-    ref = _solve_with_T(inst, t, "effective-field", block_bits=default)
+    ref = _solve_with_T(inst, Plan("effective", t), block_bits=default)
     assert (ref.energy, ref.best) == (a.energy, a.best)
-    assert _solve_with_T(inst, t, "effective-field", block_bits=small) == ref
-    assert _solve_with_T(inst, t, "effective-field", block_bits=small, workers=2) == ref
+    assert _solve_with_T(inst, Plan("effective", t), block_bits=small) == ref
+    assert _solve_with_T(inst, Plan("effective", t), block_bits=small, workers=2) == ref
     comb = solve_combined(inst, block_bits=default)
     assert (comb.energy, comb.best) == (a.energy, a.best)
     assert solve_combined(inst, block_bits=small) == comb

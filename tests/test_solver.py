@@ -29,8 +29,7 @@ from spinscape.instance import (
 from spinscape.landscape import _flip_survivors
 from spinscape.solver import (
     SolveResult,
-    _auto_t,
-    _combined_sets,
+    Plan,
     _first_argmin,
     _key_rank,
     _key_weights,
@@ -42,6 +41,9 @@ from spinscape.solver import (
     _solve_with_T,
     compute_Z,
     greedy_coloring,
+    plan_avg_degree,
+    plan_combined,
+    plan_effective,
     solve_avg_degree,
     solve_brute,
     solve_coloring_baseline,
@@ -165,14 +167,14 @@ class TestEngineExactness:
         # |field| equals h_max on variable 0: both spins appear in optima and
         # the smaller bit pattern (spin -1) must win
         inst = IsingInstance(2, [-1, -3], [(0, 1, 1)])
-        res = _solve_with_T(inst, (0, 1), "effective-field")
+        res = _solve_with_T(inst, Plan("effective", (0, 1)))
         assert res.energy == -3
         assert res.best.bitstring() == "01"
         assert_same_optimum(res, inst)
 
     def test_zero_field_members_prefer_minus_one(self):
         inst = IsingInstance(3, [0, 0, 0])
-        res = _solve_with_T(inst, (0, 1, 2), "effective-field")
+        res = _solve_with_T(inst, Plan("effective", (0, 1, 2)))
         assert res.best.bits == 0
         assert res.energy == 0
 
@@ -182,33 +184,33 @@ class TestEngineExactness:
             inst = random_instance(seed, n=n, density=(0.15, 0.45, 0.8)[seed % 3])
             for pick in range(3):
                 sel = [i for i in range(n) if (i * 7 + seed + pick) % 3 != 0]
-                res = _solve_with_T(inst, sel, "effective-field")
+                res = _solve_with_T(inst, Plan("effective", sel))
                 assert_same_optimum(res, inst)
                 assert res.leaves_explored == compute_Z(inst, sel)
 
     def test_t_covering_all_variables(self):
         inst = random_instance(3, n=8, density=0.4)
-        res = _solve_with_T(inst, range(8), "effective-field")
+        res = _solve_with_T(inst, Plan("effective", range(8)))
         assert_same_optimum(res, inst)
         assert res.outer_assignments == 1
         assert res.leaves_explored == compute_Z(inst, range(8))
 
     def test_empty_t_equals_brute(self):
         inst = random_instance(4, n=9, density=0.3)
-        res = _solve_with_T(inst, (), "effective-field")
+        res = _solve_with_T(inst, Plan("effective", ()))
         assert_same_optimum(res, inst)
         assert res.leaves_explored == 1 << 9
 
     def test_degenerate_all_pairs_lex_min(self):
         inst = gen_csse(8)
-        res = _solve_with_T(inst, (0, 2, 4, 6), "effective-field")
+        res = _solve_with_T(inst, Plan("effective", (0, 2, 4, 6)))
         oracle = solve_brute(inst)
         assert res.energy == oracle.energy
         assert res.best == oracle.best
 
     def test_all_tying_rows_are_counted_and_resolved(self):
         inst = IsingInstance(8, [0] * 8)  # every assignment is optimal
-        res = _solve_with_T(inst, (0, 1, 2, 3), "effective-field")
+        res = _solve_with_T(inst, Plan("effective", (0, 1, 2, 3)))
         assert res.counters["tie_rows"] == 16  # every outer assignment ties
         assert "repair_rescan" not in res.counters
         assert res.best.bits == 0
@@ -216,8 +218,8 @@ class TestEngineExactness:
 
     def test_workers_do_not_change_anything(self):
         inst = random_instance(11, n=14, density=0.3)
-        one = _solve_with_T(inst, range(5), "effective-field", block_bits=6, workers=1)
-        four = _solve_with_T(inst, range(5), "effective-field", block_bits=6, workers=4)
+        one = _solve_with_T(inst, Plan("effective", range(5)), block_bits=6, workers=1)
+        four = _solve_with_T(inst, Plan("effective", range(5)), block_bits=6, workers=4)
         assert one == four
 
     def test_threads_sharing_the_running_best_agree(self):
@@ -227,11 +229,11 @@ class TestEngineExactness:
 
         inst = IsingInstance(16, [0] * 16, [(2 * k, 2 * k + 1, -1) for k in range(8)])
         t = (1, 3, 5, 7)
-        one = _solve_with_T(inst, t, "effective-field", block_bits=2)
+        one = _solve_with_T(inst, Plan("effective", t), block_bits=2)
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            many = _solve_with_T(inst, t, "effective-field", block_bits=2, workers=8)
+            many = _solve_with_T(inst, Plan("effective", t), block_bits=2, workers=8)
         finally:
             sys.setswitchinterval(old)
         assert many == one
@@ -240,13 +242,13 @@ class TestEngineExactness:
     def test_outer_guard(self):
         inst = IsingInstance(30, [1] * 30)
         with pytest.raises(EnumerationLimitError):
-            _solve_with_T(inst, (0, 1), "effective-field")
+            _solve_with_T(inst, Plan("effective", (0, 1)))
 
     def test_strictly_dominated_members_agree_with_oracle_optima(self):
         # every optimum of the full instance must respect a strict domination
         inst = random_instance(7, n=8, density=0.5, allow_zero_field=False)
         t = (2, 3, 4)
-        res = _solve_with_T(inst, t, "effective-field")
+        res = _solve_with_T(inst, Plan("effective", t))
         jf = inst.full_coupling_matrix()
         h_max = np.abs(jf[np.ix_(t, t)]).sum(axis=1)
         e_star = res.energy
@@ -456,7 +458,8 @@ class TestCombined:
         inst = IsingInstance(21, list(base.h) + [1], triples + [(20, v, 2) for v in range(20)])
         res = solve_combined(inst, block_bits=2, degree_dichotomy_factor=1.5)
         assert res.method == "combined:outlier-split"
-        t, t1, t2, _, _ = _combined_sets(inst, None, 0.5, 0, 1.5)
+        plan = plan_combined(inst, None, 0.5, 0, 1.5)
+        t, t1, t2 = plan.t, plan.t1, plan.t2
         assert 20 not in t + t1 + t2 and t1 and t2
         sizes = tuple(res.counters[k] for k in ("t_size", "t1_size", "t2_size"))
         assert sizes == (len(t), len(t1), len(t2))
@@ -557,7 +560,7 @@ class TestLexMinAboveTheScanCeiling:
         want = "0" * 63 + "0011" + "000"
         for solve in (solve_coloring_baseline, solve_effective):
             assert solve(inst).best.bitstring() == want
-        res = _solve_with_T(inst, range(63), "combined", t1=(64, 65), t2=(67, 68))
+        res = _solve_with_T(inst, Plan("combined", range(63), (64, 65), (67, 68)))
         assert res.best.bitstring() == want
         assert res.energy == -63 - 2
 
@@ -738,7 +741,7 @@ def test_uncoupled_blocks_match_a_per_row_reference(case, workers):
     for start, ref in zip(engine.split.starts, want):
         engine._best = None
         assert engine.scan_block(start)[1] == ref[1]
-    res = _solve_with_T(inst, t, "x", block_bits, workers)
+    res = _solve_with_T(inst, Plan("effective", t), block_bits, workers)
     assert res.energy == best
     assert res.best.rank == min(ref[1] for ref in want if ref[0] == best)
     assert res.counters["tie_rows"] == sum(ref[2] for ref in want if ref[0] == best)
@@ -983,20 +986,21 @@ def test_avg_degree_matches_brute_on_degenerate_draws(inst, seed, degree_factor)
     graph = inst.degree_graph()
     wbar = [i for i in range(inst.n) if graph.degrees[i] > degree_factor * graph.average_degree]
     strategy = []
+    engines = []
 
     def branch(sub):
         if not strategy:
-            strategy.append(_auto_t(sub, seed))
-        t, method = strategy[0]
-        return _solve_with_T(sub, t, method, block_bits=2)
+            strategy.append(plan_effective(sub, seed))
+        engines.append(_solve_with_T(sub, strategy[0], block_bits=2))
+        return engines[-1]
 
     e_star, best, leaves, outers, counters = reference_branch_and_recombine(inst, wbar, branch)
     assert (res.energy, res.best) == (e_star, best)
     assert (res.leaves_explored, res.outer_assignments) == (leaves, outers)
-    assert res.method == "avg-degree:" + strategy[0][1]
+    assert res.method == "avg-degree:" + engines[0].method
     assert res.counters == {**counters, "enumerated_vars": len(wbar)}
     keep = [i for i in range(inst.n) if i not in wbar]
-    t = {keep[i] for i in strategy[0][0]}
+    t = {keep[i] for i in strategy[0].t}
     outer = [i for i in range(inst.n) if i not in t]
     assert res.counters["tie_rows"] == optimal_outer_patterns(inst, outer)
 
@@ -1007,8 +1011,7 @@ def _reference_combined(inst, seed, factor):
     graph = inst.degree_graph()
     heavy = [i for i in range(inst.n) if graph.degrees[i] > factor * graph.average_degree]
     if not heavy:
-        t, t1, t2, method, _ = _combined_sets(inst, None, 0.5, seed, factor)
-        return _solve_with_T(inst, t, method, 2, 1, t1, t2, enumerated_vars=0)
+        return _solve_with_T(inst, plan_combined(inst, None, 0.5, seed, factor), 2, 1)
     e_star, best, leaves, outers, counters = reference_branch_and_recombine(
         inst, heavy, lambda sub: _reference_combined(sub, seed, factor))
     counters["enumerated_vars"] += len(heavy)
@@ -1043,7 +1046,8 @@ def test_every_method_reports_the_same_counters(inst, seed, factor):
     def recording(*args, **kwargs):
         bound = signature.bind(*args, **kwargs)
         bound.apply_defaults()
-        scans.append(tuple(tuple(bound.arguments[k]) for k in ("t", "t1", "t2")))
+        plan = bound.arguments["plan"]
+        scans.append(tuple(tuple(part) for part in (plan.t, plan.t1, plan.t2)))
         return _solve_with_T(*args, **kwargs)
 
     solvers = {
@@ -1081,7 +1085,7 @@ def test_engine_with_any_sets_matches_brute(inst, data):
     t2 = [v for v in range(inst.n)
           if roles[v] == 3 and not any(inst.coupling(v, u) for u in t1)]
     block_bits = data.draw(st.integers(1, 4))
-    res = _solve_with_T(inst, t, "x", block_bits=block_bits, t1=t1, t2=t2)
+    res = _solve_with_T(inst, Plan("combined", t, t1, t2), block_bits=block_bits)
     oracle = solve_brute(inst)
     assert (res.energy, res.best) == (oracle.energy, oracle.best)
     if not (t1 or t2):
@@ -1110,12 +1114,12 @@ def test_tiny_chunks_change_nothing(case, monkeypatch):
     # pairs per argmin piece one or two at a time: every chunk boundary of
     # the scan and of the tie resolution is crossed
     inst, t, t1, t2 = case
-    ref = _solve_with_T(inst, t, "x", t1=t1, t2=t2)
+    ref = _solve_with_T(inst, Plan("combined", t, t1, t2))
     oracle = solve_brute(inst)
     assert (ref.energy, ref.best) == (oracle.energy, oracle.best)
     for chunk_cells in (1, 2):
         monkeypatch.setattr(solver_module, "_CHUNK_CELLS", chunk_cells)
-        assert _solve_with_T(inst, t, "x", t1=t1, t2=t2) == ref
+        assert _solve_with_T(inst, Plan("combined", t, t1, t2)) == ref
 
 
 def test_twelve_bit_side_sets():
@@ -1123,7 +1127,7 @@ def test_twelve_bit_side_sets():
     # members of copy 6 are T, and 6 outer bits remain; every copy's
     # optimum ties six ways, and the lex-min is 0011 in each copy
     inst = gen_multicopy(8, 4)
-    res = _solve_with_T(inst, (24, 25), "x", t1=range(12), t2=range(12, 24))
+    res = _solve_with_T(inst, Plan("combined", (24, 25), range(12), range(12, 24)))
     assert (res.energy, res.best.rank, res.leaves_explored) == (64, 0x33333333, 1310720)
 
 
@@ -1263,12 +1267,12 @@ def test_completion_enumeration_refuses_more_than_26_free_members():
     # a ring with zero fields: every member of T, all 27 variables, is free
     ring = IsingInstance(27, [0] * 27, [(i, (i + 1) % 27, 1) for i in range(27)])
     with pytest.raises(EnumerationLimitError, match="needs 27 bits"):
-        _solve_with_T(ring, range(27), "x")
+        _solve_with_T(ring, Plan("effective", range(27)))
 
 
 def test_side_sets_wider_than_the_cap_are_refused():
     with pytest.raises(EnumerationLimitError, match="side sets too large to enumerate"):
-        _solve_with_T(IsingInstance(21, [1] * 21), (), "x", t1=range(21))
+        _solve_with_T(IsingInstance(21, [1] * 21), Plan("combined", (), range(21)))
 
 
 @st.composite
@@ -1335,7 +1339,7 @@ def test_compute_z_uses_no_scan_kernel(monkeypatch):
 def test_leaf_counts_match_the_audit_at_scale(inst):
     t, _ = _largest_color_class(inst.degree_graph())
     assert solve_coloring_baseline(inst).leaves_explored == compute_Z(inst, t)
-    t_auto, _ = _auto_t(inst, 0)
+    t_auto = plan_effective(inst, 0).t
     assert solve_effective(inst).leaves_explored == compute_Z(inst, t_auto)
 
 
@@ -1343,7 +1347,7 @@ def test_leaf_count_matches_the_audit_with_coupled_members():
     # two coupled members per 4-clique: each member is free on some rows
     inst = gen_multicopy(7, 4)
     t = [v for v in range(inst.n) if v % 4 < 2]
-    res = _solve_with_T(inst, t, "effective-field")
+    res = _solve_with_T(inst, Plan("effective", t))
     assert res.leaves_explored == compute_Z(inst, t) == 10_000_000
 
 
@@ -1373,7 +1377,7 @@ def test_every_solver_is_exact_at_the_int64_budget(case, seed):
         assert (res.energy, res.best) == want, method
     t, _ = _largest_color_class(inst.degree_graph())
     assert results["coloring"].leaves_explored == compute_Z(inst, t)
-    t_auto, _ = _auto_t(inst, seed)
+    t_auto = plan_effective(inst, seed).t
     assert results["effective"].leaves_explored == compute_Z(inst, t_auto)
 
 
@@ -1509,7 +1513,7 @@ def test_pruning_changes_no_solve_result(case, seed):
         "effective": lambda: solve_effective(inst, seed=seed, block_bits=block_bits),
         "avg-degree": lambda: solve_avg_degree(inst, seed=seed, block_bits=block_bits),
         "combined": lambda: solve_combined(inst, seed=seed, block_bits=block_bits),
-        "sets": lambda: _solve_with_T(inst, t, "x", block_bits, t1=t1, t2=t2),
+        "sets": lambda: _solve_with_T(inst, Plan("combined", t, t1, t2), block_bits),
     }
     pruned = {method: solve() for method, solve in solvers.items()}
     with pytest.MonkeyPatch.context() as mp:
@@ -1542,3 +1546,58 @@ def test_pruning_skips_inner_solves():
         assert solve_effective(inst, seed=1) == pruned
     assert pruned.method == "effective-field"
     assert 0 < solved < sum(seen) == pruned.outer_assignments
+
+
+def _hub_clique():
+    # hub plus one clique, as in TestCombined.test_outlier_split
+    triples = [(i, j, 1) for i, j in combinations(range(1, 5), 2)]
+    triples += [(0, i, 3) for i in range(1, 9)]
+    return IsingInstance(9, [1] * 9, triples)
+
+
+_HUB5 = IsingInstance(5, [1, 0, 0, 0, 0], [(0, 1, 2), (0, 2, 2), (0, 3, 2), (0, 4, 2)])
+_ENGINE_CASES = [
+    *[(gen_csse(18), solve_effective, {"seed": s}, "effective-field") for s in range(4)],
+    *[(gen_csse(18), solve_avg_degree, {"seed": s}, "avg-degree:effective-field")
+      for s in range(4)],
+    (gen_multicopy(3, 4), solve_coloring_baseline, {}, "coloring"),
+    (gen_multicopy(3, 4), solve_effective, {}, "effective-field:coloring-fallback"),
+    (_HUB5, solve_avg_degree, {}, "avg-degree:effective-field:coloring-fallback"),
+    (_HUB5, solve_combined, {}, "combined:effective-fallback"),
+    (gen_multicopy(5, 4), solve_combined, {}, "combined"),
+    (_hub_clique(), solve_combined, {"degree_dichotomy_factor": 1.5}, "combined:outlier-split"),
+]
+
+
+@pytest.mark.parametrize("inst, solve, kwargs, engine", _ENGINE_CASES,
+                         ids=["csse18-effective-s%d" % s for s in range(4)]
+                         + ["csse18-avg-s%d" % s for s in range(4)]
+                         + ["m34-coloring", "m34-effective", "hub5-avg", "hub5-combined",
+                            "m54-combined", "hub-clique-combined"])
+def test_every_engine_string(inst, solve, kwargs, engine):
+    # the eight engine values, each on an instance that takes its path
+    assert solve(inst, **kwargs).method == engine
+
+
+@settings(max_examples=100)
+@given(st.one_of(degenerate_instances(),
+                 st.integers(0, 10 ** 6).map(lambda s: random_instance(s)),
+                 st.tuples(st.integers(0, 10 ** 6), st.integers(2, 13)).map(
+                     lambda a: random_instance(a[0], n=a[1], density=0.5))),
+       st.integers(0, 3), st.floats(0.5, 2.0))
+def test_leaves_match_the_audit_for_every_plan_without_side_sets(inst, seed, factor):
+    # avg-degree scans T mapped back from the remainder with W among the
+    # outer bits, and combined its fallback or its outlier split: each
+    # plan without side sets counts compute_Z of its T as its leaves
+    scans = {
+        "avg-degree": (plan_avg_degree(inst, seed, factor),
+                       solve_avg_degree(inst, seed=seed, degree_factor=factor, block_bits=2)),
+        "combined": (plan_combined(inst, None, 0.5, seed, factor),
+                     solve_combined(inst, seed=seed, block_bits=2,
+                                    degree_dichotomy_factor=factor)),
+    }
+    for method, (plan, res) in scans.items():
+        assert res.counters["t_size"] == len(plan.t), method
+        assert res.counters["enumerated_vars"] == len(plan.wbar), method
+        if not (plan.t1 or plan.t2):
+            assert res.leaves_explored == compute_Z(inst, plan.t), method
