@@ -151,8 +151,9 @@ class IsingInstance:
     Couplings are stored once per unordered pair {i, j} with i < j.  A pair
     is adjacent exactly when its stored coupling is nonzero: duplicate
     entries passed to the constructor accumulate, and pairs whose total
-    coupling is zero are dropped.  Instances are immutable by convention;
-    no method mutates coefficient data after construction.
+    coupling is zero are dropped.  Their edge arrays, the only array copy of
+    J, are read through :meth:`coupling_entries`.  Instances are immutable
+    by convention; no method mutates coefficient data after construction.
     """
 
     def __init__(
@@ -203,7 +204,6 @@ class IsingInstance:
         self._ww = np.array([self.couplings[e] for e in edges], dtype=np.int64)
         self._h_arr = np.array(self.h, dtype=np.int64)
         self._graph: DegreeGraph | None = None
-        self._jfull: np.ndarray | None = None
 
     @property
     def scan_dtype(self) -> np.dtype:
@@ -258,11 +258,6 @@ class IsingInstance:
         key = (i, j) if i < j else (j, i)
         return self.couplings.get(key, 0)
 
-    def coupling_row_abs(self, i: int) -> int:
-        """sum_j |J_ij| for one variable."""
-        g = self.degree_graph()
-        return sum(abs(self.coupling(i, j)) for j in g.neighbors[i])
-
     def energy(self, a: Assignment) -> int:
         if a.n != self.n:
             raise ValueError("assignment does not match instance size")
@@ -296,15 +291,25 @@ class IsingInstance:
             )
         return self._graph
 
-    def full_coupling_matrix(self) -> np.ndarray:
-        """Dense symmetric n x n int64 coupling matrix (cached)."""
-        if self._jfull is None:
-            m = np.zeros((self.n, self.n), dtype=np.int64)
-            for (i, j), w in self.couplings.items():
-                m[i, j] = w
-                m[j, i] = w
-            self._jfull = m
-        return self._jfull
+    def coupling_entries(self, rows: Sequence[int], cols: Sequence[int]) -> Tuple[np.ndarray, ...]:
+        """The nonzero J[rows[p], cols[q]] as int64 arrays (p, q, J), in O(n + edges).
+
+        Each list holds distinct variables, in any order, and the two may overlap.
+        """
+        at = np.full((2, self.n), -1, dtype=np.int64)
+        at[0, list(rows)], at[1, list(cols)] = np.arange(len(rows)), np.arange(len(cols))
+        # every stored edge, read both ways
+        p = at[0, np.concatenate([self._ii, self._jj])]
+        q = at[1, np.concatenate([self._jj, self._ii])]
+        hit = (p >= 0) & (q >= 0)
+        return p[hit], q[hit], np.concatenate([self._ww, self._ww])[hit]
+
+    def coupling_block(self, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
+        """Dense int64 J[rows, cols], from :meth:`coupling_entries`."""
+        out = np.zeros((len(rows), len(cols)), dtype=np.int64)
+        p, q, w = self.coupling_entries(rows, cols)
+        out[p, q] = w
+        return out
 
     # -- serialization ---------------------------------------------------
 
@@ -479,7 +484,7 @@ def block_energies(inst: IsingInstance, spins: np.ndarray) -> np.ndarray:
 
 def block_local_fields(inst: IsingInstance, spins: np.ndarray) -> np.ndarray:
     """(rows x n) int64 matrix of local fields for a block of assignments."""
-    return spins @ inst.full_coupling_matrix() + inst._h_arr
+    return spins @ inst.coupling_block(range(inst.n), range(inst.n)) + inst._h_arr
 
 
 def thread_map(fn: Callable, items: Iterable, workers: int) -> list:
@@ -547,12 +552,12 @@ class SplitScan:
         short = [k for k in range(hi, width) if scanned[k] not in wanted]
         self._row = np.full(n, -1, dtype=np.int64)
         self._row[order] = np.arange(len(order))
-        jf = inst.full_coupling_matrix()
         h = inst._h_arr[order].astype(dt)
         h_scanned = inst._h_arr[scanned].astype(dt)
-        # cols[k]: coupling row of scanned variable k, in table-row order
-        cols = jf[np.ix_(scanned, order)].astype(dt)
-        j_short = jf[np.ix_(scanned, [scanned[k] for k in short])].astype(dt)
+        # cols[k]: coupling row of scanned variable k, in table-row order;
+        # j_short[k]: its couplings to the short rows
+        j = inst.coupling_block(scanned, order + [scanned[k] for k in short]).astype(dt)
+        cols, j_short = j[:, :len(order)], j[:, len(order):]
         # Doubling over the low variables, each added as the new most
         # significant low bit (spin -1 rows first): e_lo[r] is the energy of
         # the low variables alone, f_lo[i, r] their share of local field i.

@@ -99,19 +99,20 @@ class _ConnectedSets:
     first time a check reaches it: a complete graph has all C(n, size) sets
     of every size, while the rows that pass the smaller sizes are usually
     few or none.  A set is grown once from each member whose removal leaves
-    it connected, and one copy per bit mask is kept, so n <= 62.
+    it connected, and one copy per bit mask is kept, so n <= 62.  Its n x n
+    ``coupling`` block is the J that :func:`_k_checks` reads.
     """
 
     def __init__(self, inst: IsingInstance, k: int) -> None:
         self.k = min(k, inst.n)
-        self._adjacent = inst.full_coupling_matrix() != 0
+        self.coupling = inst.coupling_block(range(inst.n), range(inst.n))
         self._levels = [np.arange(inst.n, dtype=np.int64)[:, None]]
         self._masks = np.int64(1) << self._levels[0][:, 0]  # of the last level
 
     def level(self, size: int) -> np.ndarray:
         while len(self._levels) < size:
             low = self._levels[-1]
-            grow = self._adjacent[low].any(axis=1)
+            grow = (self.coupling[low] != 0).any(axis=1)
             grow[np.arange(len(low))[:, None], low] = False
             rows, extra = np.nonzero(grow)
             self._masks, first = np.unique(self._masks[rows] | (np.int64(1) << extra),
@@ -156,7 +157,6 @@ def _k_checks(
     """
     fields = block_local_fields(inst, spins)
     sl = spins * fields
-    coupling = inst.full_coupling_matrix()
     ok = np.ones(len(spins), dtype=bool)
     for size in range(2 if singles_known else 1, sets.k + 1):
         live = np.flatnonzero(ok)
@@ -166,7 +166,7 @@ def _k_checks(
         # a size with no connected sets has no larger ones either
         if not len(idx):
             break
-        pairs = [(idx[:, a], idx[:, b], coupling[idx[:, a], idx[:, b]])
+        pairs = [(idx[:, a], idx[:, b], sets.coupling[idx[:, a], idx[:, b]])
                  for a, b in combinations(range(size), 2)]
         step = max(1, _CHUNK_CELLS // len(idx))
         for lo in range(0, len(live), step):
@@ -316,15 +316,12 @@ def _vertex_bits(
     One array per chunk of at most 2^block_bits candidates, in no set
     order.  ``t`` is the independent set T, the largest greedy color class
     by default; any independent set gives the same masks, and a coupled
-    pair in ``t`` raises ValueError.  Past any of three limits the scan
+    pair in ``t`` raises ValueError.  Past either of two limits the scan
     raises :class:`EnumerationLimitError`: n - |T| above the scan ceiling,
-    more than 2^MAX_ENUM_BITS candidates once the free members are
-    expanded, or more than ``MAX_MASK_BITS`` variables.
+    or more than 2^MAX_ENUM_BITS candidates once the free members are
+    expanded.
     """
     n = inst.n
-    if n > MAX_MASK_BITS:
-        raise EnumerationLimitError(
-            "%d variables exceed the %d-bit assignment masks" % (n, MAX_MASK_BITS))
     t = sorted(set(_largest_color_class(inst.degree_graph())[0] if t is None else t))
     outer = sorted(set(range(n)).difference(t))
     scan = SplitScan(inst, block_bits, outer, columns=range(n))
@@ -353,12 +350,19 @@ def _vertex_bits(
             yield found
 
 
+def _check_mask_bits(n: int) -> None:
+    if n > MAX_MASK_BITS:  # checked before anything is built
+        raise EnumerationLimitError(
+            "%d variables exceed the %d-bit assignment masks" % (n, MAX_MASK_BITS))
+
+
 def enumerate_k_minima(
     inst: IsingInstance, k: int = 1, block_bits: int = DEFAULT_BLOCK_BITS
 ) -> LandscapeReport:
     """Exhaustively list all strict k-minima in lexicographic order."""
     if k < 1:
         raise ValueError("need k >= 1")
+    _check_mask_bits(inst.n)
     found = list(_vertex_bits(inst, _ConnectedSets(inst, k), strict=True,
                               block_bits=block_bits))
     return LandscapeReport(k=k, n=inst.n, minima_bits=_in_rank_order(found, inst.n))
@@ -437,6 +441,7 @@ def k_basins(
             "basin construction needs %d moves per vertex, more than the work limit"
             % moves
         )
+    _check_mask_bits(n)
     masks = _flip_masks(n, k)
     # Past this many vertices the work limit rejects the request, so the
     # strictness checks stop there.

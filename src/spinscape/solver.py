@@ -233,6 +233,14 @@ def _row_classes(table: np.ndarray, n_rows: int) -> Tuple[np.ndarray, np.ndarray
 # -- the scan engine -----------------------------------------------------------
 
 
+def _abs_row_sums(inst: IsingInstance, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
+    """sum_q |J[rows[p], cols[q]]| for each p, in int64 (exact: each is at most the budget)."""
+    p, _, w = inst.coupling_entries(rows, cols)
+    out = np.zeros(len(rows), dtype=np.int64)
+    np.add.at(out, p, np.abs(w))
+    return out
+
+
 def _min_plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Min over s of ``a[s, r] + b[s, c]``, for every (r, c).
 
@@ -323,35 +331,27 @@ class _ScanEngine:
         check_scan_bits(self.n_out, "outer enumeration")
         if max(len(t1), len(t2)) > COMPLETION_CAP_BITS:
             raise EnumerationLimitError("side sets too large to enumerate")
-        jf = inst.full_coupling_matrix()
-        if np.any(jf[np.ix_(t1, t2)]):
-            raise ValueError("t1 and t2 must not share coupling edges")
         n = inst.n
         self.m = m = len(self.t)
+        m1 = m + len(t1)
         self.sizes = {"t_size": m, "t1_size": len(t1), "t2_size": len(t2)}
         # column ranges of T, T1 and T2 in the inner field tables
-        self._split_at = (m, m + len(t1))
-        j_in = jf[np.ix_(inner, inner)]
+        self._split_at = (m, m1)
+        # the couplings among T, T1 and T2 by position in inner, each edge from both ends
+        p, q, w = inst.coupling_entries(inner, inner)
+        if np.any((m <= p) & (p < m1) & (m1 <= q)):
+            raise ValueError("t1 and t2 must not share coupling edges")
         # per-member threshold over the whole inner region: a fixed member
         # of T stays dominated whatever T's free part and the side sets do
-        self.h_max = np.abs(j_in[:m]).sum(axis=1)
+        self.h_max = _abs_row_sums(inst, self.t, inner)
         # the same thresholds in the scan's dtype; each is at most the budget
         self._h_lim = self.h_max.astype(inst.scan_dtype)
-        self.j_tt = j_in[:m, :m]
-        self.j_t1 = j_in[:m, m:m + len(t1)]
-        self.j_t2 = j_in[:m, m + len(t1):]
-        self._j_in = j_in
         # W_in: the weight of every coupling among T, T1 and T2, each edge once
-        self._w_in = inst.scan_dtype.type(np.abs(j_in).sum() // 2)
-        self.has_internal = bool(np.any(self.j_tt))
+        self._w_in = inst.scan_dtype.type(np.abs(w).sum() // 2)
+        self.has_internal = bool(np.any((p < m) & (q < m)))
         self.sides = bool(t1 or t2)
+        self.coupled = self.sides or self.has_internal
         self.w_t = _key_weights(self.t, n)
-        self.side_tables = []
-        for ts in (t1, t2):
-            s = spin_block(len(ts), 0, 1 << len(ts)).astype(np.int64)
-            own = ((s @ jf[np.ix_(ts, ts)]) * s).sum(axis=1) // 2
-            self.side_tables.append((s, own, (s > 0).astype(np.int64) @ _key_weights(ts, n)))
-        self._side_width = max(len(own) for _, own, _ in self.side_tables) if self.sides else 1
 
         self.inner = inner
         # field rows only for T, T1 and T2: the engine reads no other column
@@ -361,11 +361,21 @@ class _ScanEngine:
         self._lock = threading.Lock()
         self._local = threading.local()
         self._best: Optional[int] = None
-        self.coupled = self.sides or self.has_internal
-        if not self.coupled:
-            self._fold_low_members(jf)
+        # side tables: the spins, own energy and lex key of every side row
+        self.side_tables = []
+        if self.coupled:
+            self._j_in = inst.coupling_block(inner, inner)
+            self.j_tt, self.j_t1, self.j_t2 = np.split(self._j_in[:m], self._split_at, axis=1)
+            for lo, hi in ((m, m1), (m1, len(inner))):
+                s = spin_block(hi - lo, 0, 1 << (hi - lo)).astype(np.int64)
+                own = ((s @ self._j_in[lo:hi, lo:hi]) * s).sum(axis=1) // 2
+                keys = (s > 0).astype(np.int64) @ _key_weights(inner[lo:hi], n)
+                self.side_tables.append((s, own, keys))
+        else:
+            self._fold_low_members()
+        self._side_width = max(len(own) for _, own, _ in self.side_tables) if self.sides else 1
 
-    def _fold_low_members(self, jf: np.ndarray) -> None:
+    def _fold_low_members(self) -> None:
         """Sort the members of an uncoupled T by where their outer couplings go.
 
         A member's field over a block is its low table row of the scan plus
@@ -382,9 +392,10 @@ class _ScanEngine:
         """
         split = self.split
         t = np.array(self.t, dtype=np.int64)
-        j_out = jf[np.ix_(self.out, t)]
-        high = j_out[:split.hi_bits].any(axis=0)
-        low = j_out[split.hi_bits:].any(axis=0)
+        # the members coupled to a high, and to a low, outer variable
+        p, q, _ = self.inst.coupling_entries(self.out, t)
+        high = np.bincount(q[p < split.hi_bits], minlength=self.m) > 0
+        low = np.bincount(q[p >= split.hi_bits], minlength=self.m) > 0
         at = split._row[t]
         c = split.field_constants(0)
         n_rows = 1 << split.lo_bits
@@ -833,6 +844,8 @@ def compute_Z(inst: IsingInstance, t: Sequence[int], block_bits: int = DEFAULT_B
     must be enumerated; this sums 2**(number of such members).  Kept
     separate from the solver so the two can be compared as independent
     computations: it calls neither :class:`SplitScan` nor ``spin_block``.
+    Both read J through :meth:`IsingInstance.coupling_entries`, whose
+    differential test against a dense J built entry by entry carries that.
     More than ``MAX_ENUM_BITS`` outer variables are refused by
     :func:`check_scan_bits`, with the solver's message ("outer enumeration
     needs N bits, limit is 26").
@@ -860,14 +873,13 @@ def compute_Z(inst: IsingInstance, t: Sequence[int], block_bits: int = DEFAULT_B
     out = [i for i in range(inst.n) if i not in members]
     w = len(out)
     check_scan_bits(w, "outer enumeration")
-    jf = inst.full_coupling_matrix()
-    h_max = np.abs(jf[np.ix_(tt, tt)]).sum(axis=1)
+    h_max = _abs_row_sums(inst, tt, tt)
     keep = h_max > 0
     tt = [i for i, k in zip(tt, keep) if k]
     if not tt:
         return 1 << w
     h_max = h_max[keep]
-    j_cross = jf[np.ix_(out, tt)]
+    j_cross = inst.coupling_block(out, tt)
     lo_bits = min(block_bits, w)
     rows = 1 << lo_bits
 
@@ -1030,7 +1042,7 @@ def plan_combined(inst: IsingInstance, j_max: Optional[int], alpha: float, seed:
     its outlier-degree variables (the remainder may have outliers of its own).
     Without side sets or a constrained T it falls back to :func:`plan_effective`.
     """
-    max_row = max((inst.coupling_row_abs(i) for i in range(inst.n)), default=0)
+    max_row = int(_abs_row_sums(inst, range(inst.n), range(inst.n)).max(initial=0))
     if j_max is None:
         j_max = max_row
     elif j_max < max_row:

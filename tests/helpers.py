@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
@@ -73,6 +74,23 @@ def random_instance(
             triples.append((i, j, w))
     c0 = int(rng.integers(-3, 4))
     return IsingInstance(n, [int(x) for x in h], triples, c0=c0)
+
+
+def reference_couplings(inst: IsingInstance) -> np.ndarray:
+    """Dense symmetric n x n int64 J, filled entry by entry from ``inst.couplings``."""
+    rows = [[0] * inst.n for _ in range(inst.n)]
+    for (i, j), w in inst.couplings.items():
+        rows[i][j] = rows[j][i] = w
+    return np.array(rows, dtype=np.int64).reshape(inst.n, inst.n)
+
+
+def peak_mib(fn: Callable[[], object]) -> Tuple[object, float]:
+    """``fn()`` and the peak MiB that tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def exhaustive_min(inst: IsingInstance) -> tuple[int, Assignment]:
@@ -215,7 +233,7 @@ def effective_view(inst: IsingInstance, t: Sequence[int], outer: Assignment) -> 
             "outer assignment covers %d variables, complement has %d"
             % (outer.n, len(rest))
         )
-    jf = inst.full_coupling_matrix()
+    jf = reference_couplings(inst)
     spins = outer.spins().astype(np.int64)
     h_eff: Dict[int, int] = {}
     h_max: Dict[int, int] = {}
@@ -267,7 +285,7 @@ def reference_compute_Z(inst: IsingInstance, t, block_bits: int = DEFAULT_BLOCK_
     if len(out) > MAX_ENUM_BITS:
         raise EnumerationLimitError("outer enumeration too wide")
     h = np.array(inst.h, dtype=np.int64)
-    jf = inst.full_coupling_matrix()
+    jf = reference_couplings(inst)
     j_cross = jf[np.ix_(out, list(tt))]
     h_t = h[list(tt)] if tt else np.zeros(0, dtype=np.int64)
     h_max = np.abs(jf[np.ix_(list(tt), list(tt))]).sum(axis=1)

@@ -11,7 +11,7 @@ import json
 import math
 import time
 
-from helpers import is_k_minimum, min_pairwise_hamming
+from helpers import is_k_minimum, min_pairwise_hamming, reference_couplings
 from spinscape.cli import main
 from spinscape.generators import (
     gen_column,
@@ -191,7 +191,7 @@ def test_criterion_07_branching_set_revalidation():
         side = set(sides.t1) | set(sides.t2)
         w0 = [v for v in range(inst.n)
               if v not in side and graph.degrees[v] <= 2 * graph.average_degree]
-        row_max = max(inst.coupling_row_abs(v) for v in range(inst.n))
+        row_max = int(abs(reference_couplings(inst)).sum(axis=1).max())
         ctx = ConstrainedContext(t1=sides.t1, t2=sides.t2, j_max=row_max)
         cert = find_T_randomized(inst, seed=200 + i, within=w0, constrained=ctx)
         assert cert.ok and cert.constrained, (i, cert.checks)

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import every_row, is_local_minimum, member_filter_ranks, negated, random_instance
+from helpers import (
+    every_row,
+    is_local_minimum,
+    member_filter_ranks,
+    negated,
+    random_instance,
+    reference_couplings,
+)
 from spinscape.generators import gen_csse
 from spinscape.instance import (
     DEFAULT_BLOCK_BITS,
@@ -24,7 +31,7 @@ from spinscape.instance import (
     spin_block,
 )
 from spinscape.landscape import _flip_survivors, _flip_terms, enumerate_k_minima, k_basins
-from spinscape.solver import Plan, _solve_with_T, solve_brute, solve_combined
+from spinscape.solver import Plan, _abs_row_sums, _solve_with_T, solve_brute, solve_combined
 
 
 def csse4() -> IsingInstance:
@@ -281,6 +288,47 @@ def split_cases(draw):
     return IsingInstance(n, h, c0=c0), block_bits
 
 
+@st.composite
+def coupling_cases(draw):
+    """(instance, rows, cols): variable lists in any order, empty or overlapping.
+
+    The near-budget instances spread 2 sum |J| to within 2^21 of INT64_MAX
+    over a few couplings of either sign.
+    """
+    n = draw(st.integers(0, 12))
+    if draw(st.booleans()) and n >= 2:
+        pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                              .filter(lambda e: e[0] < e[1]), min_size=1, max_size=6, unique=True))
+        cap = INT64_MAX // (2 * len(pairs))
+        inst = IsingInstance(n, [0] * n, [(i, j, draw(st.integers(cap - 2**20, cap))
+                                           * draw(st.sampled_from([-1, 1]))) for i, j in pairs])
+    else:
+        inst = random_instance(draw(st.integers(0, 10_000)), n=n,
+                               density=draw(st.sampled_from([0.0, 0.3, 1.0])))
+    variables = st.lists(st.integers(0, max(0, inst.n - 1)), max_size=inst.n, unique=True)
+    rows = draw(variables)
+    cols = draw(st.sampled_from([rows, rows[::-1], []]) | variables)
+    return inst, rows, cols
+
+
+@settings(max_examples=200)
+@given(coupling_cases())
+def test_coupling_entries_match_the_dense_reference(case):
+    # the one accessor of J, against a dense J filled entry by entry
+    inst, rows, cols = case
+    ref = reference_couplings(inst)
+    want = [[int(ref[r, c]) for c in cols] for r in rows]
+    p, q, w = inst.coupling_entries(rows, cols)
+    assert p.dtype == q.dtype == w.dtype == np.int64
+    got = sorted(zip(p.tolist(), q.tolist(), w.tolist()))
+    assert got == sorted((a, b, x) for a, row in enumerate(want)
+                         for b, x in enumerate(row) if x)
+    block = inst.coupling_block(rows, cols)
+    assert block.dtype == np.int64 and block.shape == (len(rows), len(cols))
+    assert block.tolist() == want
+    assert _abs_row_sums(inst, rows, cols).tolist() == [sum(abs(x) for x in row) for row in want]
+
+
 def _scanned_energies(inst, sub, spins):
     """Energies of the variables ``sub`` alone, with c0; column k of ``spins`` is sub[k]."""
     pos = {v: k for k, v in enumerate(sub)}
@@ -315,7 +363,7 @@ def test_split_scan_matches_reference_kernels(case, data):
     # flipped filters on -E, against the reference's reversed test on E
     neg = negated(inst) if flipped else inst
     filtered = SplitScan(neg, block_bits, sub) if flipped else scan
-    jf = inst.full_coupling_matrix()
+    jf = reference_couplings(inst)
     h = np.array(inst.h, dtype=np.int64)
     weights = np.array([1 << v for v in sub], dtype=np.int64)
     bits = scan.weight_sums(weights)

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import exhaustive_minima, is_k_minimum, min_pairwise_hamming, random_instance
+from helpers import (
+    exhaustive_minima,
+    is_k_minimum,
+    min_pairwise_hamming,
+    peak_mib,
+    random_instance,
+)
 from spinscape.generators import gen_column, gen_csse, gen_regular, zero_energy_assignments
 from spinscape.instance import (
     INT64_MAX,
@@ -218,6 +224,22 @@ class TestBranchingScan:
             enumerate_k_minima(inst, 1)
         with pytest.raises(EnumerationLimitError, match="62-bit"):
             k_basins(inst, 1)
+
+    @pytest.mark.parametrize("call", [
+        lambda inst: enumerate_k_minima(inst, 1),
+        lambda inst: k_basins(inst, 1),
+        lambda inst: k_basins(inst, 1, flipped_rule=True),
+    ], ids=["minima", "basins", "basins-flipped"])
+    def test_wide_instances_are_refused_before_anything_is_built(self, call):
+        # no adjacency, flip masks or negated instance for n = 3000
+        inst = gen_regular(3000, 3, seed=1)
+
+        def refused():
+            with pytest.raises(EnumerationLimitError,
+                               match="^3000 variables exceed the 62-bit assignment masks$"):
+                call(inst)
+
+        assert peak_mib(refused)[1] < 1
 
     def test_free_member_expansions_are_capped(self):
         # every spin of a field-free, coupling-free instance is free: 2^27 candidates

@@ -58,9 +58,11 @@ from helpers import (
     exhaustive_min,
     member_filter_ranks,
     optimal_outer_patterns,
+    peak_mib,
     random_instance,
     reference_branch_and_recombine,
     reference_compute_Z,
+    reference_couplings,
     reference_side_minima,
 )
 
@@ -91,6 +93,23 @@ class TestBrute:
     def test_enumeration_guard(self):
         with pytest.raises(EnumerationLimitError):
             solve_brute(IsingInstance(30, [1] * 30))
+
+
+class TestSparseMemory:
+    # Edgeless n = 4000: T is every variable and there is no outer bit, so
+    # a solve or Z needs O(n) memory; a dense n x n J alone would be 122 MiB.
+    EDGELESS = IsingInstance(4000, [1] * 4000)
+
+    @pytest.mark.parametrize("solve", [solve_coloring_baseline, solve_effective, solve_combined])
+    def test_edgeless_solves_build_no_dense_couplings(self, solve):
+        res, peak = peak_mib(lambda: solve(self.EDGELESS))
+        assert (res.energy, res.leaves_explored) == (-4000, 1)
+        assert peak < 32
+
+    def test_edgeless_z_builds_no_dense_couplings(self):
+        z, peak = peak_mib(lambda: compute_Z(self.EDGELESS, range(4000)))
+        assert z == 1
+        assert peak < 32
 
 
 class TestComputeZ:
@@ -249,7 +268,7 @@ class TestEngineExactness:
         inst = random_instance(7, n=8, density=0.5, allow_zero_field=False)
         t = (2, 3, 4)
         res = _solve_with_T(inst, Plan("effective", t))
-        jf = inst.full_coupling_matrix()
+        jf = reference_couplings(inst)
         h_max = np.abs(jf[np.ix_(t, t)]).sum(axis=1)
         e_star = res.energy
         for rank in range(1 << 8):
@@ -644,7 +663,7 @@ def test_engine_tables_match_reference_formulas(case):
     inner = sorted(t) + sorted(t1) + sorted(t2)
     split = SplitScan(inst, block_bits, out)
     keys = split.weight_sums(_key_weights(out, inst.n))
-    jf = inst.full_coupling_matrix()
+    jf = reference_couplings(inst)
     h = np.array(inst.h, dtype=np.int64)
     count = 1 << split.lo_bits
     assert list(split.starts) == list(range(0, 1 << len(out), count))
@@ -1226,7 +1245,7 @@ def test_planes_walk_each_completion_once(case, data):
     engine = _ScanEngine(inst, t, block_bits, t1, t2)
     m = engine.m
     sets = (list(engine.t), sorted(t1), sorted(t2))
-    jf = inst.full_coupling_matrix()
+    jf = reference_couplings(inst)
     pool = np.concatenate([engine.split.fields(start, engine.inner).T
                            for start in engine.split.starts])
     distinct = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=4,

@@ -11,6 +11,7 @@ from helpers import (
     good_set_nonsparse,
     random_instance,
     reference_check_T,
+    reference_couplings,
     reference_find_T_randomized,
 )
 from spinscape.generators import gen_csse, gen_multicopy, gen_regular
@@ -199,7 +200,7 @@ def combined_search_sets(inst, seed):
         return None
     side = set(sides.t1) | set(sides.t2)
     w0 = [i for i in range(inst.n) if i not in side and graph.degrees[i] <= 2.0 * d_avg]
-    j_max = max(inst.coupling_row_abs(i) for i in range(inst.n))
+    j_max = int(abs(reference_couplings(inst)).sum(axis=1).max())
     return w0, ConstrainedContext(t1=sides.t1, t2=sides.t2, j_max=j_max)
 
 
