@@ -47,12 +47,15 @@ from .probe import (
 from .solver import (
     SolveResult,
     compute_Z,
+    instance_parts,
+    lead_part,
     plan_effective,
     solve_avg_degree,
     solve_brute,
     solve_coloring_baseline,
     solve_combined,
     solve_effective,
+    solve_by_parts,
 )
 from .tset import TParams, find_T_randomized
 from .wcnf import WcnfFormatError, parse_wcnf, wcnf_to_ising
@@ -210,6 +213,10 @@ def _cmd_generate(args: argparse.Namespace) -> Dict:
 def _run_method(inst: IsingInstance, args: argparse.Namespace) -> SolveResult:
     if args.method == "brute":
         return solve_brute(inst, workers=args.workers)
+    return solve_by_parts(inst, lambda part: _solve_part(part, args))
+
+
+def _solve_part(inst: IsingInstance, args: argparse.Namespace) -> SolveResult:
     if args.method == "coloring":
         return solve_coloring_baseline(inst, workers=args.workers)
     if args.method == "effective":
@@ -287,14 +294,19 @@ def _cmd_tset(args: argparse.Namespace) -> Dict:
 
 
 def _cmd_z(args: argparse.Namespace) -> Dict:
+    """Z of ``solve --method effective``: summed over the instance's parts."""
     inst, doc = _instance_doc(args, args.tset_seed)
-    plan = plan_effective(inst, args.tset_seed)
+    parts = instance_parts(inst)
+    plans = [plan_effective(part, args.tset_seed) for part, _ in parts]
+    t = sorted(keep[i] for (_, keep), plan in zip(parts, plans) for i in plan.t)
     doc.update({
-        "t": list(plan.t),
-        "t_source": plan.source,
-        "z": compute_Z(inst, plan.t),
-        "counters": {"t_size": len(plan.t)},
+        "t": t,
+        "t_source": plans[lead_part(parts)].source,
+        "z": sum(compute_Z(part, plan.t) for (part, _), plan in zip(parts, plans)),
+        "counters": {"t_size": len(t)},
     })
+    if len(parts) > 1:
+        doc["counters"]["components"] = len(parts)
     return doc
 
 

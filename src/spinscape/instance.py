@@ -291,6 +291,12 @@ class IsingInstance:
             )
         return self._graph
 
+    @cached_property
+    def _both(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every stored edge read both ways: (i, j, J) with each pair twice."""
+        return (np.concatenate([self._ii, self._jj]), np.concatenate([self._jj, self._ii]),
+                np.concatenate([self._ww, self._ww]))
+
     def coupling_entries(self, rows: Sequence[int], cols: Sequence[int]) -> Tuple[np.ndarray, ...]:
         """The nonzero J[rows[p], cols[q]] as int64 arrays (p, q, J), in O(n + edges).
 
@@ -298,11 +304,10 @@ class IsingInstance:
         """
         at = np.full((2, self.n), -1, dtype=np.int64)
         at[0, list(rows)], at[1, list(cols)] = np.arange(len(rows)), np.arange(len(cols))
-        # every stored edge, read both ways
-        p = at[0, np.concatenate([self._ii, self._jj])]
-        q = at[1, np.concatenate([self._jj, self._ii])]
+        i, j, w = self._both
+        p, q = at[0, i], at[1, j]
         hit = (p >= 0) & (q >= 0)
-        return p[hit], q[hit], np.concatenate([self._ww, self._ww])[hit]
+        return p[hit], q[hit], w[hit]
 
     def coupling_block(self, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
         """Dense int64 J[rows, cols], from :meth:`coupling_entries`."""
@@ -523,7 +528,9 @@ class SplitScan:
     value computed here, so the results are exact.  They are read-only
     after construction and may be shared between threads; the solvers'
     scan engine and the landscape's single-flip filter read the low rows
-    (``_f_lo`` by ``_row``) in place.
+    (``_f_lo`` by ``_row``) in place, and the engine reads which scanned
+    variables couple to a table row from ``_cols`` (J, one row per scanned
+    variable by position, one column per table row).
     """
 
     def __init__(
@@ -590,11 +597,13 @@ class SplitScan:
         self._f_lo = f_lo
         self._hi_terms = (inst.c0, h[:hi], pi[in_hi], pj[in_hi], inst._ww[in_hi])
         self._h = h
-        self._j_hi = cols[:hi]
+        self._cols = cols
 
     def hi_spins(self, start: int) -> np.ndarray:
         """The constant +-1 spins of the high scanned variables in the block at ``start``."""
-        return spin_block(self.hi_bits, start >> self.lo_bits, 1)[0].astype(self.dtype)
+        high = start >> self.lo_bits
+        return np.array([(high >> k & 1) * 2 - 1 for k in range(self.hi_bits - 1, -1, -1)],
+                        dtype=self.dtype)
 
     def energies(self, start: int) -> np.ndarray:
         """Energies of the scanned variables alone, with c0, for the block at ``start``."""
@@ -618,7 +627,7 @@ class SplitScan:
         spins the block fixes; a field over the block is its low table row
         plus this constant.  One entry per table row.
         """
-        return self._h + self.hi_spins(start) @ self._j_hi
+        return self._h + self.hi_spins(start) @ self._cols[:self.hi_bits]
 
     def fields(self, start: int, cols: Sequence[int], out: np.ndarray | None = None) -> np.ndarray:
         """(len(cols) x rows) fields on ``cols`` in the block at ``start``, in ``out`` if given.

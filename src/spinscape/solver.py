@@ -37,6 +37,7 @@ stays in int64, so results are exact.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
@@ -343,7 +344,10 @@ class _ScanEngine:
             raise ValueError("t1 and t2 must not share coupling edges")
         # per-member threshold over the whole inner region: a fixed member
         # of T stays dominated whatever T's free part and the side sets do
-        self.h_max = _abs_row_sums(inst, self.t, inner)
+        # (int64 sums of |J|, exact: each is at most the budget)
+        in_t = p < m
+        self.h_max = np.zeros(m, dtype=np.int64)
+        np.add.at(self.h_max, p[in_t], np.abs(w[in_t]))
         # the same thresholds in the scan's dtype; each is at most the budget
         self._h_lim = self.h_max.astype(inst.scan_dtype)
         # W_in: the weight of every coupling among T, T1 and T2, each edge once
@@ -364,7 +368,8 @@ class _ScanEngine:
         # side tables: the spins, own energy and lex key of every side row
         self.side_tables = []
         if self.coupled:
-            self._j_in = inst.coupling_block(inner, inner)
+            self._j_in = np.zeros((len(inner), len(inner)), dtype=np.int64)
+            self._j_in[p, q] = w
             self.j_tt, self.j_t1, self.j_t2 = np.split(self._j_in[:m], self._split_at, axis=1)
             for lo, hi in ((m, m1), (m1, len(inner))):
                 s = spin_block(hi - lo, 0, 1 << (hi - lo)).astype(np.int64)
@@ -392,11 +397,11 @@ class _ScanEngine:
         """
         split = self.split
         t = np.array(self.t, dtype=np.int64)
-        # the members coupled to a high, and to a low, outer variable
-        p, q, _ = self.inst.coupling_entries(self.out, t)
-        high = np.bincount(q[p < split.hi_bits], minlength=self.m) > 0
-        low = np.bincount(q[p >= split.hi_bits], minlength=self.m) > 0
         at = split._row[t]
+        # the members coupled to a high, and to a low, outer variable
+        coupled = split._cols[:, at] != 0
+        high = coupled[:split.hi_bits].any(axis=0)
+        low = coupled[split.hi_bits:].any(axis=0)
         c = split.field_constants(0)
         n_rows = 1 << split.lo_bits
         self._fold = np.zeros(n_rows, dtype=split.dtype)
@@ -1090,3 +1095,113 @@ def solve_combined(
         raise ValueError("alpha must lie in (0, 1)")
     plan = plan_combined(inst, j_max, alpha, seed, degree_dichotomy_factor)
     return _solve_with_T(inst, plan, block_bits, workers)
+
+
+# -- solving by parts ------------------------------------------------------------
+
+
+def instance_parts(inst: IsingInstance) -> List[Tuple[IsingInstance, Tuple[int, ...]]]:
+    """The parts of ``inst``, each with the original indices of its variables.
+
+    Each connected component of two or more variables is a part, and all
+    isolated variables together form one more, an edgeless sub-instance.
+    Parts come in order of their smallest variable, each numbers its
+    variables in ascending original order and each has c0 = 0.  The
+    components are read from the cached :meth:`IsingInstance.degree_graph`,
+    and the couplings of every part from the instance's edge arrays in one
+    pass.  An instance with fewer than two parts (every connected or
+    edgeless one) is returned whole, as its own single part.
+    """
+    n = inst.n
+    neighbors = inst.degree_graph().neighbors
+    seen = [False] * n
+    parts: List[List[int]] = []
+    alone: List[int] = []
+    for v in range(n):
+        if not neighbors[v]:
+            alone.append(v)
+        elif not seen[v]:
+            seen[v] = True
+            comp = [v]
+            for u in comp:
+                for w in neighbors[u]:
+                    if not seen[w]:
+                        seen[w] = True
+                        comp.append(w)
+            parts.append(sorted(comp))
+    if alone:
+        parts.append(alone)
+    if len(parts) < 2:
+        return [(inst, tuple(range(n)))]
+    parts.sort()
+    of = np.empty(n, dtype=np.int64)
+    local = np.empty(n, dtype=np.int64)
+    for k, comp in enumerate(parts):
+        of[comp] = k
+        local[comp] = np.arange(len(comp))
+    edge_of = of[inst._ii]
+    order = np.argsort(edge_of, kind="stable")
+    bounds = [0] + np.cumsum(np.bincount(edge_of, minlength=len(parts))).tolist()
+    ii, jj = local[inst._ii[order]].tolist(), local[inst._jj[order]].tolist()
+    ww = inst._ww[order].tolist()
+    out = []
+    for k, comp in enumerate(parts):
+        edges = slice(bounds[k], bounds[k + 1])
+        part = IsingInstance(len(comp), [inst.h[v] for v in comp],
+                             zip(ii[edges], jj[edges], ww[edges]))
+        out.append((part, tuple(comp)))
+    return out
+
+
+def lead_part(parts: Sequence[Tuple[IsingInstance, Tuple[int, ...]]]) -> int:
+    """The part that speaks for a joined result: the largest with couplings,
+    ties going to the part holding the smallest index."""
+    return max(range(len(parts)), key=lambda k: (bool(parts[k][0].couplings), parts[k][0].n))
+
+
+def solve_by_parts(inst: IsingInstance,
+                   solve: Callable[[IsingInstance], SolveResult]) -> SolveResult:
+    """``solve`` run on each part of ``inst`` (:func:`instance_parts`), joined.
+
+    Parts share no coupling, so E* is c0 plus the sum of the parts' optima,
+    and a joined assignment is optimal exactly when each part's share is.
+    The union of the parts' lex-min optima is the lex-min of the whole
+    instance: take another optimum and the first variable where it
+    differs.  Every earlier variable agrees, so in that variable's own
+    part the other optimum agrees on every earlier variable (each part
+    numbers its variables in ascending original order) and differs there;
+    its share is an optimum of that part, and the part's lex-min is the
+    smaller at that variable.
+
+    The joined counters: ``leaves_explored``, ``outer_assignments``, the
+    set sizes, the fixing counters and ``enumerated_vars`` are sums;
+    ``colors`` is the maximum (greedy coloring in index order colors each
+    component as it colors the whole); ``tie_rows`` is the product, the
+    number of joined outer rows at E*; ``components`` is the part count.
+    The engine is that of the :func:`lead_part`.  An instance of one part is
+    solved whole, and its result is returned as it is.
+    """
+    parts = instance_parts(inst)
+    if len(parts) == 1:
+        return solve(inst)
+    results = [solve(part) for part, _ in parts]
+    bits = ["0"] * inst.n
+    for (_, keep), res in zip(parts, results):
+        for v, b in zip(keep, res.best.bitstring()):
+            bits[v] = b
+    best = Assignment.from_bitstring("".join(bits))
+    energy = inst.c0 + sum(res.energy for res in results)
+    if inst.energy(best) != energy:
+        raise AssertionError("returned assignment does not match the optimum")
+    joins = {"tie_rows": math.prod, "colors": max}
+    counters = {key: joins.get(key, sum)(res.counters[key] for res in results)
+                for key in results[0].counters}
+    counters["components"] = len(parts)
+    return SolveResult(
+        best=best,
+        energy=energy,
+        leaves_explored=sum(res.leaves_explored for res in results),
+        outer_assignments=sum(res.outer_assignments for res in results),
+        method=results[lead_part(parts)].method,
+        counters=counters,
+    )

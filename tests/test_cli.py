@@ -299,9 +299,30 @@ class TestTsetAndZ:
         assert doc["z"] == 8
         assert doc["t"] == [0]
 
+    def test_z_and_solve_split_a_disconnected_instance(self, tmp_path, capsys):
+        # multicopy 3x4 with two isolated variables in front: four parts,
+        # the isolated pair being one edgeless part
+        copies = IsingInstance.from_json_dict(
+            run_json(["generate", "multicopy", "--copies", "3"], capsys)["instance"])
+        inst = IsingInstance(14, [1, -1] + list(copies.h),
+                             [(i + 2, j + 2, w) for i, j, w in copies.edges()], c0=copies.c0)
+        path = tmp_path / "inst.json"
+        path.write_text(inst.to_json())
+        z_doc = run_json(["z", "-i", str(path)], capsys)
+        assert z_doc["z"] == 1 + 3 * 2 ** 3
+        assert z_doc["t"] == [0, 1, 2, 6, 10]
+        assert z_doc["counters"] == {"t_size": 5, "components": 4}
+        doc = run_json(["solve", "--method", "effective", "-i", str(path), "--verify"], capsys)
+        assert doc["verified"] is True
+        assert doc["assignment"] == "01" + "0011" * 3
+        assert doc["leaves_explored"] == z_doc["z"]
+        assert doc["outer_assignments"] == 1 + 3 * 2 ** 3
+        assert doc["counters"]["components"] == 4
+        assert doc["counters"]["tie_rows"] == 6 ** 3
+
     @pytest.mark.parametrize("family, t_source, t_size, z", [
         (["csse", "--n", "18"], "randomized", 5, 194_378),
-        (["multicopy", "--copies", "3"], "coloring-class", 3, 512),
+        (["multicopy", "--copies", "3"], "coloring-class", 3, 24),
     ], ids=["csse18", "multicopy3x4"])
     def test_z_reports_where_t_came_from(self, tmp_path, capsys, family, t_source, t_size, z):
         path = tmp_path / "inst.json"
@@ -426,7 +447,7 @@ class TestBench:
         by_key = {(r["n"], r["method"]): r for r in doc["table"]}
         for n in (8, 12):
             assert by_key[(n, "brute")]["leaves_explored"] == 2 ** n
-            assert by_key[(n, "coloring")]["leaves_explored"] == 2 ** (3 * n // 4)
+            assert by_key[(n, "coloring")]["leaves_explored"] == (n // 4) * 2 ** 3
 
     def test_edgeless_effective_explores_single_leaf(self, capsys):
         doc = run_json(["bench", "--family", "edgeless", "--sizes", "10",

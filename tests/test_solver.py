@@ -41,11 +41,13 @@ from spinscape.solver import (
     _solve_with_T,
     compute_Z,
     greedy_coloring,
+    instance_parts,
     plan_avg_degree,
     plan_combined,
     plan_effective,
     solve_avg_degree,
     solve_brute,
+    solve_by_parts,
     solve_coloring_baseline,
     solve_combined,
     solve_effective,
@@ -110,6 +112,19 @@ class TestSparseMemory:
         z, peak = peak_mib(lambda: compute_Z(self.EDGELESS, range(4000)))
         assert z == 1
         assert peak < 32
+
+    def test_star_plus_isolated_variables_splits_into_two_parts(self):
+        # a hub with 16 leaves plus 3,983 isolated variables, h = 1: scanned
+        # whole, T holds every isolated variable and the scan gives each a
+        # field row of 2^16 cells; the star is a part of its own
+        star = IsingInstance(17, [1] * 17, [(0, k, 1) for k in range(1, 17)])
+        inst = IsingInstance(4000, [1] * 4000, star.couplings)
+        res, peak = peak_mib(lambda: solve_by_parts(inst, solve_effective))
+        ref = solve_brute(star)
+        assert res.energy == ref.energy - 3983 == -4014
+        assert res.best.bitstring() == ref.best.bitstring() + "0" * 3983
+        assert res.counters["components"] == 2
+        assert peak < 64
 
 
 class TestComputeZ:
@@ -1620,3 +1635,91 @@ def test_leaves_match_the_audit_for_every_plan_without_side_sets(inst, seed, fac
         assert res.counters["enumerated_vars"] == len(plan.wbar), method
         if not (plan.t1 or plan.t2):
             assert res.leaves_explored == compute_Z(inst, plan.t), method
+
+
+# -- solving by parts ------------------------------------------------------------
+
+
+def _reference_part_count(inst):
+    """Components of two or more variables, plus one for the isolated ones,
+    by union-find over the couplings."""
+    root = list(range(inst.n))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for i, j in inst.couplings:
+        root[find(i)] = find(j)
+    coupled = {v for edge in inst.couplings for v in edge}
+    return len({find(v) for v in coupled}) + (len(coupled) < inst.n)
+
+
+def test_instance_parts_number_each_part_in_ascending_order():
+    # components {1, 4, 5} and {2, 3}, isolated 0 and 6
+    inst = IsingInstance(7, [1, -2, 3, -4, 5, 0, 2],
+                         [(1, 4, 2), (4, 5, -1), (2, 3, 3)], c0=9)
+    parts = instance_parts(inst)
+    assert [keep for _, keep in parts] == [(0, 6), (1, 4, 5), (2, 3)]
+    assert [(p.n, p.c0, p.h, p.couplings) for p, _ in parts] == [
+        (2, 0, (1, 2), {}),
+        (3, 0, (-2, 5, 0), {(0, 1): 2, (1, 2): -1}),
+        (2, 0, (3, -4), {(0, 1): 3}),
+    ]
+
+
+@pytest.mark.parametrize("inst", [gen_csse(6), IsingInstance(5, [1, 0, -1, 2, 0]),
+                                  IsingInstance(0, [], c0=3)], ids=["connected", "edgeless", "empty"])
+def test_one_part_is_the_instance_itself(inst):
+    (part, keep), = instance_parts(inst)
+    assert part is inst and keep == tuple(range(inst.n))
+
+
+@st.composite
+def joined_instances(draw):
+    """Two to four random instances of weights 1 and 0-3 isolated variables
+    (n <= 16), their variables shuffled together.  Instances of 6 or more
+    variables often get side sets under ``combined``."""
+    sizes = draw(st.lists(st.integers(1, 7), min_size=2, max_size=4).filter(lambda s: sum(s) <= 13))
+    alone = draw(st.integers(0, 3))
+    n = sum(sizes) + alone
+    perm = draw(st.permutations(range(n)))
+    h = [draw(st.integers(-1, 1)) for _ in range(n)]
+    triples, c0, at = [], 0, 0
+    for size in sizes:
+        sub = random_instance(draw(st.integers(0, 10 ** 6)), n=size, wmax=1)
+        place = perm[at:at + size]
+        at += size
+        c0 += sub.c0
+        for k, v in enumerate(place):
+            h[v] = sub.h[k]
+        triples += [(place[i], place[j], w) for i, j, w in sub.edges()]
+    return IsingInstance(n, h, triples, c0=c0)
+
+
+_PART_SOLVERS = {
+    "coloring": lambda inst, seed: solve_coloring_baseline(inst, block_bits=2),
+    "effective": lambda inst, seed: solve_effective(inst, seed=seed, block_bits=2),
+    "avg-degree": lambda inst, seed: solve_avg_degree(inst, seed=seed, block_bits=2),
+    "combined": lambda inst, seed: solve_combined(inst, seed=seed, block_bits=2),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(joined_instances(), st.integers(0, 3))
+def test_joined_parts_match_brute_force(inst, seed):
+    oracle = solve_brute(inst)
+    parts = instance_parts(inst)
+    assert len(parts) == max(1, _reference_part_count(inst))
+    for method, solve in _PART_SOLVERS.items():
+        res = solve_by_parts(inst, lambda part: solve(part, seed))
+        assert (res.energy, res.best) == (oracle.energy, oracle.best), method
+        if len(parts) == 1:
+            assert res == solve(inst, seed), method
+            assert "components" not in res.counters, method
+        else:
+            assert res.counters["components"] == len(parts), method
+        if method == "effective":
+            z = sum(compute_Z(part, plan_effective(part, seed).t) for part, _ in parts)
+            assert res.leaves_explored == z
