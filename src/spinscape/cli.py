@@ -77,10 +77,6 @@ class _InputError(Exception):
     """Input file or document unusable (exit 2)."""
 
 
-class _UsageError(Exception):
-    """Flag combination invalid beyond what argparse can see (exit 1)."""
-
-
 class _VerifyError(Exception):
     """``solve --verify`` found a different answer (exit 4)."""
 
@@ -191,10 +187,7 @@ def _make_family(args: argparse.Namespace):
 
 
 def _cmd_generate(args: argparse.Namespace) -> Dict:
-    try:
-        inst, params, extra, seed = _make_family(args)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    inst, params, extra, seed = _make_family(args)
     doc = {
         "family": args.family,
         "params": params,
@@ -269,11 +262,11 @@ def _cmd_basins(args: argparse.Namespace) -> Dict:
         "flipped_rule": args.flipped_rule,
         "vertex_count": report.vertex_count,
         "basin_count": report.basin_count,
-        "basin_sizes": list(report.basin_sizes or ()),
+        "basin_sizes": list(report.basin_sizes),
         "strict_minima": report.minima_count,
         "counters": {
-            "vertices": report.vertex_count or 0,
-            "basins": report.basin_count or 0,
+            "vertices": report.vertex_count,
+            "basins": report.basin_count,
         },
     })
     return doc
@@ -321,7 +314,7 @@ def _prob_fields(prob: Fraction) -> Dict:
 def _cmd_probe(args: argparse.Namespace) -> Dict:
     doc: Dict = {"mode": args.mode, "delta": args.delta, "seed": args.seed}
     if args.mode == "scaling":
-        report = scaling_report(args.sizes, delta=args.delta, seed=args.seed)
+        report = scaling_report(args.sizes, delta=args.delta)
         doc["digest"] = _digest_of({"sizes": list(args.sizes), "delta": args.delta,
                                     "seed": args.seed})
         doc.update(report.to_json_dict())
@@ -329,7 +322,7 @@ def _cmd_probe(args: argparse.Namespace) -> Dict:
         return doc
 
     if args.weights_file is None:
-        raise _UsageError("--weights-file is required for mode %r" % args.mode)
+        raise ValueError("--weights-file is required for mode %r" % args.mode)
     ws = _load_weights(args.weights_file)
     doc["digest"] = _digest_of(list(ws.a))
     doc["n_weights"] = len(ws.a)
@@ -359,7 +352,7 @@ def _cmd_probe(args: argparse.Namespace) -> Dict:
 def _bench_instance(family: str, n: int, args: argparse.Namespace) -> IsingInstance:
     if family == "multicopy":
         if n % args.block:
-            raise _UsageError("size %d is not a multiple of --block %d" % (n, args.block))
+            raise ValueError("size %d is not a multiple of --block %d" % (n, args.block))
         return gen_multicopy(n // args.block, args.block)
     if family == "csse":
         return gen_csse(n)
@@ -373,10 +366,7 @@ def _bench_instance(family: str, n: int, args: argparse.Namespace) -> IsingInsta
 def _cmd_bench(args: argparse.Namespace) -> Optional[Dict]:
     rows: List[Dict] = []
     for n in args.sizes:
-        try:
-            inst = _bench_instance(args.family, n, args)
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from exc
+        inst = _bench_instance(args.family, n, args)
         for method in args.methods:
             t0 = time.perf_counter()
             res = _run_method(inst, argparse.Namespace(
@@ -597,9 +587,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _VerifyError as exc:
         print("verification failed: %s" % exc, file=sys.stderr)
         return EXIT_VERIFY
-    except _UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
     except EnumerationLimitError as exc:
         print("resource limit: %s" % exc, file=sys.stderr)
         return EXIT_RESOURCE

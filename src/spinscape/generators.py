@@ -167,12 +167,10 @@ def gen_random(
     density: float,
     wmax: int = 5,
     seed: int = 0,
-    zero_fields: bool = True,
 ) -> IsingInstance:
     """Erdos-Renyi couplings with uniform nonzero weights in [-wmax, wmax].
 
-    Fields are uniform over [-wmax, wmax]; pass ``zero_fields=False`` to
-    exclude h_i = 0.
+    Fields are uniform over [-wmax, wmax], zero included.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -181,13 +179,7 @@ def gen_random(
     if wmax < 1:
         raise ValueError("need wmax >= 1")
     rng = rng_from(seed, _STREAM_RANDOM)
-    if zero_fields:
-        h = [int(x) for x in rng.integers(-wmax, wmax + 1, size=n)]
-    else:
-        h = [
-            int(s) * int(m)
-            for s, m in zip(rng.choice([-1, 1], size=n), rng.integers(1, wmax + 1, size=n))
-        ]
+    h = [int(x) for x in rng.integers(-wmax, wmax + 1, size=n)]
     triples = []
     for i, j in combinations(range(n), 2):
         if rng.random() < density:

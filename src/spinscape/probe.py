@@ -5,8 +5,8 @@ For weights a_1..a_n and independent uniform signs, the sum
 ``A = sum |a_i|``.  A dense convolution over that support counts outcomes
 exactly (Python integers), so ``Pr(|X + h| <= delta)`` comes out as an
 exact rational.  A seeded Monte Carlo estimator cross-checks the oracle,
-and a scaling report tracks how the maximal interval probability decays
-with n.
+and a scaling report tracks how the maximal interval probability of
+all-ones sums decays with n.
 """
 
 from __future__ import annotations
@@ -16,16 +16,14 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from spinscape.instance import INT32_MAX, INT64_MAX, EnumerationLimitError, thread_map
-from spinscape.rand import rng_from
 
 SUPPORT_LIMIT = 10**7
 _STREAM_MC = 31
-_STREAM_SCALING = 32
 _MC_SHARDS = 8
 _MC_CHUNK_ROWS = 1024
 
@@ -302,32 +300,22 @@ class ScalingReport:
         }
 
 
-def scaling_report(
-    n_list: Sequence[int],
-    weight_gen: Optional[Callable[[int, np.random.Generator], Sequence[int]]] = None,
-    delta: int = 1,
-    seed: int = 0,
-) -> ScalingReport:
-    """Maximal interval probability versus n, with decay ratios.
+def scaling_report(n_list: Sequence[int], delta: int = 1) -> ScalingReport:
+    """Maximal interval probability of all-ones sign sums versus n.
 
-    For each n the report records max_h Pr(|X + h| <= delta) for weights
-    drawn from ``weight_gen`` (all-ones when omitted), the normalized value
-    probability * sqrt(n) / delta, and the ratio between consecutive rows.
-    The normalized column stays bounded while the raw probabilities shrink
-    like 1/sqrt(n).
+    For each n the report records max_h Pr(|X + h| <= delta) for n unit
+    weights, the normalized value probability * sqrt(n) / delta, and the
+    ratio between consecutive rows.  The normalized column stays bounded
+    while the raw probabilities shrink like 1/sqrt(n).
     """
     delta = int(delta)
     if delta < 1:
         raise ValueError("delta must be >= 1 for the normalized column")
-    rng = rng_from(seed, _STREAM_SCALING)
     rows: List[ScalingRow] = []
     for n in n_list:
         if n < 1:
             raise ValueError("every n must be >= 1")
-        weights = [1] * n if weight_gen is None else list(weight_gen(n, rng))
-        if len(weights) != n:
-            raise ValueError("weight_gen returned %d weights for n=%d" % (len(weights), n))
-        h_star, prob = max_interval_prob(weights, delta)
+        h_star, prob = max_interval_prob([1] * n, delta)
         rows.append(ScalingRow(n, h_star, prob, float(prob) * math.sqrt(n) / delta))
     ratios = tuple(
         float(rows[i + 1].probability / rows[i].probability)

@@ -140,10 +140,6 @@ class TestRandomFamilies:
         empty = gen_random(6, 0.0, seed=2)
         assert not empty.couplings
 
-    def test_gen_random_nonzero_fields(self):
-        inst = gen_random(40, 0.2, seed=3, zero_fields=False)
-        assert all(x != 0 for x in inst.h)
-
     def test_gen_regular_degrees(self):
         for n, d in [(10, 3), (12, 5), (8, 0)]:
             inst = gen_regular(n, d, seed=6)

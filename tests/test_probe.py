@@ -1,4 +1,6 @@
+import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -381,6 +383,24 @@ class TestMonteCarlo:
         assert abs(est.estimate - 0.25) <= 4 * est.std_error
 
 
+def _unit_window_max(n, delta):
+    """Best shift h and Pr(|X + h| <= delta) for n unit weights; smallest h wins.
+
+    The counts of X come from all 2**n sign vectors up to n = 15 and from
+    binomial coefficients above that.
+    """
+    if n <= 15:
+        counts = Counter(sum(s) for s in itertools.product((-1, 1), repeat=n))
+    else:
+        counts = {n - 2 * k: math.comb(n, k) for k in range(n + 1)}
+    best_h, best = None, -1
+    for h in range(-n - delta, n + delta + 1):
+        hits = sum(counts.get(v, 0) for v in range(-h - delta, -h + delta + 1))
+        if hits > best:
+            best_h, best = h, hits
+    return best_h, Fraction(best, 1 << n)
+
+
 class TestScalingReport:
     def test_unit_weights_frozen_values(self):
         rep = scaling_report([16, 64, 256], delta=1)
@@ -394,6 +414,21 @@ class TestScalingReport:
         # ratios shrink towards 1/2 while the normalized column stays bounded
         assert rep.ratios[1] <= rep.ratios[0]
         assert all(r.normalized < 1.6 for r in rep.rows)
+        # odd sizes and a window of two: brute force up to n = 15, then binomials
+        sizes = [1, 4, 15, 16, 33, 64]
+        for delta in (1, 2):
+            rep = scaling_report(sizes, delta=delta)
+            assert rep.delta == delta
+            expected = [_unit_window_max(n, delta) for n in sizes]
+            assert [(r.n, r.h_star, r.probability) for r in rep.rows] == [
+                (n, h, p) for n, (h, p) in zip(sizes, expected)
+            ]
+            assert [r.normalized for r in rep.rows] == [
+                float(p) * math.sqrt(n) / delta for n, (_, p) in zip(sizes, expected)
+            ]
+            assert rep.ratios == tuple(
+                float(b[1] / a[1]) for a, b in zip(expected, expected[1:])
+            )
 
     def test_n4096_row_is_a_central_binomial_pair(self):
         (row,) = scaling_report([4096], delta=1).rows
@@ -407,24 +442,11 @@ class TestScalingReport:
         assert rep.rows[0].normalized == 1.0
         assert rep.ratios == ()
 
-    def test_mixed_weight_generator(self):
-        def gen(n, rng):
-            return [int(x) for x in 1 + 2 * rng.integers(0, 2, size=n)]
-
-        rep = scaling_report([8, 32], weight_gen=gen, delta=2, seed=3)
-        assert len(rep.rows) == 2
-        assert all(0 < float(r.probability) <= 1 for r in rep.rows)
-        assert all(math.isfinite(r.normalized) for r in rep.rows)
-        again = scaling_report([8, 32], weight_gen=gen, delta=2, seed=3)
-        assert rep == again
-
     def test_validation(self):
         with pytest.raises(ValueError):
             scaling_report([4], delta=0)
         with pytest.raises(ValueError):
             scaling_report([0])
-        with pytest.raises(ValueError):
-            scaling_report([4], weight_gen=lambda n, rng: [1] * (n + 1))
 
     def test_json_payload(self):
         rep = scaling_report([4, 16], delta=1)
