@@ -49,6 +49,7 @@ from .solver import (
     compute_Z,
     instance_parts,
     lead_part,
+    per_distinct_part,
     plan_effective,
     solve_avg_degree,
     solve_brute,
@@ -228,8 +229,8 @@ def _cmd_solve(args: argparse.Namespace) -> Dict:
     doc["method"] = args.method
     doc["engine"] = res.method
     if args.verify:
-        if inst.n <= VERIFY_MAX_N:
-            oracle = solve_brute(inst)
+        if max(len(keep) for _, keep in instance_parts(inst)) <= VERIFY_MAX_N:
+            oracle = solve_by_parts(inst, solve_brute)
             if res.energy != oracle.energy or res.best != oracle.best:
                 raise _VerifyError("%s found %d/%s, brute force found %d/%s" % (
                     args.method, res.energy, res.best, oracle.energy, oracle.best))
@@ -287,15 +288,21 @@ def _cmd_tset(args: argparse.Namespace) -> Dict:
 
 
 def _cmd_z(args: argparse.Namespace) -> Dict:
-    """Z of ``solve --method effective``: summed over the instance's parts."""
+    """Z of ``solve --method effective``: summed over the instance's parts,
+    each distinct part planned and counted once."""
     inst, doc = _instance_doc(args, args.tset_seed)
     parts = instance_parts(inst)
-    plans = [plan_effective(part, args.tset_seed) for part, _ in parts]
-    t = sorted(keep[i] for (_, keep), plan in zip(parts, plans) for i in plan.t)
+
+    def plan_and_z(part: IsingInstance):
+        plan = plan_effective(part, args.tset_seed)
+        return plan, compute_Z(part, plan.t)
+
+    found = per_distinct_part(parts, plan_and_z)
+    t = sorted(keep[i] for (_, keep), (plan, _) in zip(parts, found) for i in plan.t)
     doc.update({
         "t": t,
-        "t_source": plans[lead_part(parts)].source,
-        "z": sum(compute_Z(part, plan.t) for (part, _), plan in zip(parts, plans)),
+        "t_source": found[lead_part(parts)][0].source,
+        "z": sum(z for _, z in found),
         "counters": {"t_size": len(t)},
     })
     if len(parts) > 1:
@@ -497,7 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workers_flag(solve)
     solve.add_argument("--seed", type=_non_negative, default=0)
     solve.add_argument("--verify", action="store_true",
-                       help="cross-check against brute force (n <= %d)" % VERIFY_MAX_N)
+                       help="cross-check against brute force, run on each distinct "
+                            "part when every part has at most %d variables" % VERIFY_MAX_N)
     solve.set_defaults(func=_cmd_solve)
 
     cm = sub.add_parser("count-minima", help="enumerate strict k-minima")

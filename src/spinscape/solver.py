@@ -40,7 +40,8 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+                    TypeVar)
 
 import numpy as np
 
@@ -1099,6 +1100,8 @@ def solve_combined(
 
 # -- solving by parts ------------------------------------------------------------
 
+_R = TypeVar("_R")
+
 
 def instance_parts(inst: IsingInstance) -> List[Tuple[IsingInstance, Tuple[int, ...]]]:
     """The parts of ``inst``, each with the original indices of its variables.
@@ -1159,9 +1162,28 @@ def lead_part(parts: Sequence[Tuple[IsingInstance, Tuple[int, ...]]]) -> int:
     return max(range(len(parts)), key=lambda k: (bool(parts[k][0].couplings), parts[k][0].n))
 
 
+def per_distinct_part(parts: Sequence[Tuple[IsingInstance, Tuple[int, ...]]],
+                      fn: Callable[[IsingInstance], _R]) -> List[_R]:
+    """``fn(part)`` for each of ``parts``, called once per distinct part.
+
+    Parts are keyed by ``(n, h, couplings)``, the couplings in their sorted
+    order; every part of :func:`instance_parts` has c0 = 0, so the key holds
+    all the part's data, and identical parts get the same result object.
+    """
+    memo: Dict[Tuple, _R] = {}
+    out = []
+    for part, _ in parts:
+        key = (part.n, part.h, tuple(part.couplings.items()))
+        if key not in memo:
+            memo[key] = fn(part)
+        out.append(memo[key])
+    return out
+
+
 def solve_by_parts(inst: IsingInstance,
                    solve: Callable[[IsingInstance], SolveResult]) -> SolveResult:
-    """``solve`` run on each part of ``inst`` (:func:`instance_parts`), joined.
+    """``solve`` run on each distinct part of ``inst`` (:func:`instance_parts`),
+    joined.
 
     Parts share no coupling, so E* is c0 plus the sum of the parts' optima,
     and a joined assignment is optimal exactly when each part's share is.
@@ -1180,11 +1202,17 @@ def solve_by_parts(inst: IsingInstance,
     number of joined outer rows at E*; ``components`` is the part count.
     The engine is that of the :func:`lead_part`.  An instance of one part is
     solved whole, and its result is returned as it is.
+
+    Identical parts are solved once (:func:`per_distinct_part`).  Within one
+    call the seed and the options are fixed, so a part's result depends only
+    on its n, h and couplings, the memo's key; a copy's result is the one a
+    solve of its own would give, and the sums, the product, the maximum and
+    the lead part's engine come out the same as when every copy is solved.
     """
     parts = instance_parts(inst)
     if len(parts) == 1:
         return solve(inst)
-    results = [solve(part) for part, _ in parts]
+    results = per_distinct_part(parts, solve)
     bits = ["0"] * inst.n
     for (_, keep), res in zip(parts, results):
         for v, b in zip(keep, res.best.bitstring()):

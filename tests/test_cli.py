@@ -117,6 +117,34 @@ class TestSolve:
         assert out == ""
         assert "verification failed" in err
 
+    def test_verify_runs_per_part_on_multicopy_12x4(self, tmp_path, capsys, monkeypatch):
+        import dataclasses
+
+        import spinscape.cli as cli
+        from spinscape.instance import Assignment
+
+        path = tmp_path / "m124.json"
+        run_cli(["generate", "multicopy", "--copies", "12", "-o", str(path)], capsys)
+        argv = ["solve", "--method", "coloring", "-i", str(path), "--verify"]
+        doc = run_json(argv, capsys)
+        assert doc["verified"] is True
+        assert doc["assignment"] == "0011" * 12
+
+        real = cli.solve_coloring_baseline
+
+        def mirrored(inst, **kw):
+            # 1100 in place of the lex-min 0011: an optimum of the same energy
+            res = real(inst, **kw)
+            best = Assignment.from_bitstring(res.best.bitstring()[::-1])
+            assert best != res.best and inst.energy(best) == res.energy
+            return dataclasses.replace(res, best=best)
+
+        monkeypatch.setattr(cli, "solve_coloring_baseline", mirrored)
+        code, out, err = run_cli(argv, capsys)
+        assert code == cli.EXIT_VERIFY == 4
+        assert out == ""
+        assert "1100" * 12 in err and "0011" * 12 in err
+
     def test_alpha_sizes_the_side_sets(self, tmp_path, capsys):
         path = tmp_path / "r20.json"
         run_cli(["generate", "regular", "--n", "20", "--d", "3", "--seed", "1",

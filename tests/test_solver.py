@@ -1723,3 +1723,59 @@ def test_joined_parts_match_brute_force(inst, seed):
         if method == "effective":
             z = sum(compute_Z(part, plan_effective(part, seed).t) for part, _ in parts)
             assert res.leaves_explored == z
+
+
+@st.composite
+def copied_part_instances(draw):
+    """Two to four copies of one random part, up to two distinct random parts
+    and 0-3 isolated variables (n <= 16), their variables shuffled together.
+    Each copy keeps its variables in the part's order, so the copies come
+    out of :func:`instance_parts` as identical parts."""
+    copies = draw(st.integers(2, 4))
+    size = draw(st.integers(2, 13 // copies))
+    room = 13 - copies * size
+    others = draw(st.lists(st.integers(1, 5), max_size=2).filter(lambda s: sum(s) <= room))
+    base = random_instance(draw(st.integers(0, 10 ** 6)), n=size, wmax=1)
+    subs = [base] * copies + [random_instance(draw(st.integers(0, 10 ** 6)), n=k, wmax=1)
+                              for k in others]
+    n = sum(sub.n for sub in subs) + draw(st.integers(0, 3))
+    perm = draw(st.permutations(range(n)))
+    h = [draw(st.integers(-1, 1)) for _ in range(n)]
+    triples, c0, at = [], 0, 0
+    for sub in subs:
+        place = sorted(perm[at:at + sub.n])
+        at += sub.n
+        c0 += sub.c0
+        for k, v in enumerate(place):
+            h[v] = sub.h[k]
+        triples += [(place[i], place[j], w) for i, j, w in sub.edges()]
+    return IsingInstance(n, h, triples, c0=c0)
+
+
+def _part_data(part):
+    return part.n, part.h, tuple(sorted(part.couplings.items()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(copied_part_instances(), st.integers(0, 3))
+def test_identical_parts_are_solved_once(inst, seed):
+    oracle = solve_brute(inst)
+    parts = instance_parts(inst)
+    z = sum(compute_Z(part, plan_effective(part, seed).t) for part, _ in parts)
+    for method, solve in _PART_SOLVERS.items():
+        calls, memo = {}, {}
+
+        def counted(part):
+            key = _part_data(part)
+            calls[key] = calls.get(key, 0) + 1
+            memo[key] = solve(part, seed)
+            return memo[key]
+
+        res = solve_by_parts(inst, counted)
+        assert (res.energy, res.best) == (oracle.energy, oracle.best), method
+        assert calls == dict.fromkeys({_part_data(part) for part, _ in parts}, 1), method
+        # a part's result depends only on the part, the seed and the options
+        for part, _ in parts:
+            assert solve(part, seed) == memo[_part_data(part)], method
+        if method == "effective":
+            assert res.leaves_explored == z
