@@ -127,17 +127,6 @@ class Assignment:
     def flip(self, i: int) -> "Assignment":
         return Assignment(self.n, self.bits ^ (1 << i))
 
-    def flip_set(self, variables: Iterable[int]) -> "Assignment":
-        mask = 0
-        for i in variables:
-            mask |= 1 << i
-        return Assignment(self.n, self.bits ^ mask)
-
-    def hamming(self, other: "Assignment") -> int:
-        if self.n != other.n:
-            raise ValueError("assignments over different variable counts")
-        return (self.bits ^ other.bits).bit_count()
-
     def bitstring(self) -> str:
         return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.n))
 
@@ -269,17 +258,6 @@ class IsingInstance:
             e += w * a.spin(i) * a.spin(j)
         return e
 
-    def local_field(self, a: Assignment, i: int) -> int:
-        """h_i plus the coupling-weighted sum of the other spins."""
-        if a.n != self.n:
-            raise ValueError("assignment does not match instance size")
-        g = self.degree_graph()
-        return self.h[i] + sum(self.coupling(i, j) * a.spin(j) for j in g.neighbors[i])
-
-    def flip_delta(self, a: Assignment, i: int) -> int:
-        """Exact energy change from flipping variable i."""
-        return -2 * a.spin(i) * self.local_field(a, i)
-
     def degree_graph(self) -> "DegreeGraph":
         if self._graph is None:
             nbrs: list[list[int]] = [[] for _ in range(self.n)]
@@ -369,10 +347,6 @@ class IsingInstance:
             triples.append((i, j, w))
         return cls(n, h, triples, c0=c0)
 
-    @classmethod
-    def from_json(cls, text: str) -> "IsingInstance":
-        return cls.from_json_dict(json.loads(text))
-
     # -- restriction -----------------------------------------------------
 
     def conditioned(
@@ -433,9 +407,6 @@ class DegreeGraph:
         if self.n == 0:
             return 0.0
         return 2.0 * self.edge_count / self.n
-
-    def adjacent(self, i: int, j: int) -> bool:
-        return j in self.neighbors[i]
 
 
 # -- vectorized enumeration helpers ---------------------------------------

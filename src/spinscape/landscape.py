@@ -68,7 +68,7 @@ MAX_MASK_BITS = 62
 
 @dataclass(frozen=True)
 class LandscapeReport:
-    """Result of a minima enumeration or basin decomposition.
+    """Result of a minima enumeration.
 
     The strict minima are kept as bit masks in rank order; :attr:`minima`
     builds their assignments on first read.
@@ -77,9 +77,6 @@ class LandscapeReport:
     k: int
     n: int
     minima_bits: Tuple[int, ...]
-    basin_count: int | None = None
-    basin_sizes: Tuple[int, ...] | None = None
-    vertex_count: int | None = None
 
     @property
     def minima_count(self) -> int:
@@ -88,6 +85,15 @@ class LandscapeReport:
     @cached_property
     def minima(self) -> Tuple[Assignment, ...]:
         return tuple(Assignment(self.n, b) for b in self.minima_bits)
+
+
+@dataclass(frozen=True)
+class BasinReport(LandscapeReport):
+    """Result of a basin decomposition: the strict minima and the basins."""
+
+    basin_count: int
+    basin_sizes: Tuple[int, ...]
+    vertex_count: int
 
 
 class _ConnectedSets:
@@ -414,7 +420,7 @@ def k_basins(
     flipped_rule: bool = False,
     block_bits: int = DEFAULT_BLOCK_BITS,
     work_limit: int = DEFAULT_BASIN_WORK_LIMIT,
-) -> LandscapeReport:
+) -> BasinReport:
     """Group weak k-minima into components under moves of Hamming width <= k.
 
     Vertices are assignments no change of <= k variables strictly improves;
@@ -488,7 +494,7 @@ def k_basins(
     roots = _component_roots(count, src_parts, dst_parts)
     sizes = np.bincount(roots)
     sizes = np.sort(sizes[sizes > 0])[::-1]
-    return LandscapeReport(
+    return BasinReport(
         k=k,
         n=n,
         minima_bits=_in_rank_order(strict, n),

@@ -28,11 +28,11 @@ _MC_SHARDS = 8
 _MC_CHUNK_ROWS = 1024
 
 
-class SupportLimitError(EnumerationLimitError, ValueError):
+class SupportLimitError(EnumerationLimitError):
     """The support 2A + 1 of a sign sum exceeds ``SUPPORT_LIMIT`` cells.
 
     The CLI maps an :class:`EnumerationLimitError` to its resource-limit
-    exit code; callers that caught the former ``ValueError`` still do.
+    exit code.
     """
 
 

@@ -106,14 +106,6 @@ class TSetCertificate:
     target_size: int | None = None
 
     @property
-    def checks_dict(self) -> Dict[str, bool]:
-        return dict(self.checks)
-
-    @property
-    def strong_edges_dict(self) -> Dict[int, Tuple[int, ...]]:
-        return dict(self.strong_edges)
-
-    @property
     def conditions_ok(self) -> bool:
         return all(v for _, v in self.checks)
 

@@ -10,7 +10,8 @@ indicator times 4w expands to
 which contributes w to the constant, -w*s to each field and w*s_i*s_j to the
 coupling.  Unit clauses contribute 2w to the constant and -2w*s to the field.
 Summing over clauses gives energy(a) == 4 * violated_weight(a) for every
-assignment, so the maximum satisfied weight is total_weight - energy/4.
+assignment, so the maximum satisfied weight is the total clause weight minus
+energy/4.
 """
 
 from __future__ import annotations
@@ -38,10 +39,6 @@ class Wcnf:
     clauses: Tuple[Tuple[int, Tuple[int, ...]], ...]
     top: int | None = None
     tautologies_dropped: int = 0
-
-    @property
-    def total_weight(self) -> int:
-        return sum(w for w, _ in self.clauses)
 
 
 def _normalize_clause(weight: int, literals: List[int], n_vars: int) -> Tuple[int, ...] | None:
@@ -139,12 +136,3 @@ def violated_weight(wcnf: Wcnf, a: Assignment) -> int:
         if all(a.spin(abs(lit) - 1) != (1 if lit > 0 else -1) for lit in literals):
             total += weight
     return total
-
-
-def ising_to_maxsat_value(inst: IsingInstance, a: Assignment, total_weight: int) -> int:
-    """Satisfied weight at an assignment of a reduced instance."""
-    e = inst.energy(a)
-    if e % 4 != 0 or e < 0:
-        raise ValueError("energy %d is not 4x a nonnegative weight; "
-                         "instance is not a clause reduction" % e)
-    return total_weight - e // 4

@@ -111,7 +111,7 @@ def is_local_minimum(inst: IsingInstance, a: Assignment) -> bool:
     A zero local field makes some flip an energy tie, which already
     disqualifies the assignment: minima are strict here.
     """
-    return all(inst.flip_delta(a, i) > 0 for i in range(inst.n))
+    return all(inst.energy(a.flip(i)) - inst.energy(a) > 0 for i in range(inst.n))
 
 
 def exhaustive_minima(inst: IsingInstance) -> list[Assignment]:
@@ -198,7 +198,7 @@ def min_pairwise_hamming(assignments: Sequence[Assignment]) -> int:
         raise ValueError("need at least one assignment")
     if len(assignments) == 1:
         return assignments[0].n + 1
-    return min(a.hamming(b) for a, b in combinations(assignments, 2))
+    return min((a.bits ^ b.bits).bit_count() for a, b in combinations(assignments, 2))
 
 
 @dataclass(frozen=True)

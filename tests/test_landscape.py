@@ -32,7 +32,8 @@ def naive_is_k_minimum(inst, a, k):
     e = inst.energy(a)
     for size in range(1, k + 1):
         for subset in combinations(range(inst.n), size):
-            if inst.energy(a.flip_set(subset)) <= e:
+            mask = sum(1 << v for v in subset)
+            if inst.energy(Assignment(a.n, a.bits ^ mask)) <= e:
                 return False
     return True
 
@@ -360,11 +361,12 @@ def _reference_landscape(inst, k, flipped_rule):
     """Strict k-minima and weak-k-minimum basins from Python-int energies."""
     n = inst.n
     points = [Assignment.from_rank(r, n) for r in range(1 << n)]
-    moves = [s for size in range(1, k + 1) for s in combinations(range(n), size)]
+    moves = [sum(1 << v for v in s)
+             for size in range(1, k + 1) for s in combinations(range(n), size)]
     minima = tuple(a for a in points if naive_is_k_minimum(inst, a, k))
     sign = -1 if flipped_rule else 1
     vertices = [a for a in points
-                if all(sign * (inst.energy(a.flip_set(m)) - inst.energy(a)) >= 0
+                if all(sign * (inst.energy(Assignment(n, a.bits ^ m)) - inst.energy(a)) >= 0
                        for m in moves)]
     label = {a.bits: a.bits for a in vertices}
 
@@ -375,7 +377,7 @@ def _reference_landscape(inst, k, flipped_rule):
 
     for a in vertices:
         for m in moves:
-            b = a.flip_set(m).bits
+            b = a.bits ^ m
             if b in label:
                 label[root(b)] = root(a.bits)
     sizes = {}

@@ -172,7 +172,7 @@ class TestCounts:
             WeightedSum((1, 0, 2))
         with pytest.raises(ValueError):
             WeightedSum((2**62, 2**62, 2**62))
-        with pytest.raises(ValueError):
+        with pytest.raises(probe.SupportLimitError):
             signed_sum_counts((10**7,))  # support too large for the dense table
 
 

@@ -551,7 +551,7 @@ class TestResultInvariants:
             for solver in self.SOLVERS:
                 res = solver(inst)
                 for i in range(inst.n):
-                    assert inst.flip_delta(res.best, i) >= 0
+                    assert inst.energy(res.best.flip(i)) - inst.energy(res.best) >= 0
 
 
 class TestLexMinAboveTheScanCeiling:

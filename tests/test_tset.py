@@ -65,18 +65,18 @@ class TestCheckT:
         inst = gen_csse(8)
         cert = check_T(inst, range(5), TParams(d=7, epsilon=0.25))
         assert cert.conditions_ok and cert.ok
-        assert cert.checks_dict == {
+        assert dict(cert.checks) == {
             "internal_degree": True,
             "strong_edge_count": True,
             "strong_edge_load": True,
         }
         # greedy tie-break picks the lowest outside index for every member
-        assert cert.strong_edges_dict == {i: (5,) for i in range(5)}
+        assert dict(cert.strong_edges) == {i: (5,) for i in range(5)}
 
     def test_whole_vertex_set_fails(self):
         inst = gen_csse(6)
         cert = check_T(inst, range(6), TParams.for_instance(inst))
-        assert not cert.checks_dict["strong_edge_count"]
+        assert not dict(cert.checks)["strong_edge_count"]
         assert not cert.ok
 
     def test_empty_set_is_vacuous_but_not_ok(self):
@@ -94,7 +94,7 @@ class TestCheckT:
         inst = gen_csse(8)
         # epsilon tiny: the internal degree cap drops below |T| - 1
         cert = check_T(inst, range(5), TParams(d=7, epsilon=0.005))
-        assert not cert.checks_dict["internal_degree"]
+        assert not dict(cert.checks)["internal_degree"]
 
     def test_out_of_range_member(self):
         with pytest.raises(ValueError):
@@ -119,17 +119,17 @@ class TestConstrained:
         p = TParams(d=2, epsilon=0.5)
         good = check_T(self.make(3), [0], p, constrained=ctx)
         # integer form: |V0| * 3 = 12 <= 99 * j_max * 2 = 198
-        assert good.checks_dict["cross_coupling_bound"]
+        assert dict(good.checks)["cross_coupling_bound"]
         assert good.constrained
         bad = check_T(self.make(1000), [0], p, constrained=ctx)
-        assert not bad.checks_dict["cross_coupling_bound"]
+        assert not dict(bad.checks)["cross_coupling_bound"]
 
     def test_no_exemption_in_constrained_mode(self):
         # member 3 is isolated: zero candidates, quota 1 -> condition 2 fails
         inst = IsingInstance(6, [0] * 6, [(0, 1, 1)])
         ctx = ConstrainedContext(t1=(4,), t2=(5,), j_max=1)
         cert = check_T(inst, [3], TParams(d=2, epsilon=0.5), constrained=ctx)
-        assert not cert.checks_dict["strong_edge_count"]
+        assert not dict(cert.checks)["strong_edge_count"]
 
     def test_overlap_with_side_sets_rejected(self):
         ctx = ConstrainedContext(t1=(4,), t2=(5,), j_max=1)
@@ -278,7 +278,7 @@ class TestT1T2:
         assert not set(res.t1) & set(res.t2)
         for i in res.t1:
             for j in res.t2:
-                assert not g.adjacent(i, j)
+                assert j not in g.neighbors[i]
 
     def test_validation(self):
         g = gen_multicopy(2, 4).degree_graph()

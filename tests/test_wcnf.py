@@ -5,11 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import rng_for
-from spinscape.instance import Assignment, IsingInstance
+from spinscape.instance import Assignment
 from spinscape.wcnf import (
     Wcnf,
     WcnfFormatError,
-    ising_to_maxsat_value,
     parse_wcnf,
     violated_weight,
     wcnf_to_ising,
@@ -30,7 +29,6 @@ class TestParse:
         assert f.top == 10
         assert f.clauses == ((1, (-1, 2)), (3, (1,)))
         assert f.tautologies_dropped == 0
-        assert f.total_weight == 4
 
     def test_tautology_dropped(self):
         f = parse_wcnf("p wcnf 1 1\n5 1 -1 0\n")
@@ -108,22 +106,6 @@ class TestReduction:
         assert wcnf_to_ising(f).to_json() == wcnf_to_ising(g).to_json()
 
 
-class TestMaxsatValue:
-    def test_roundtrip_value(self):
-        f = parse_wcnf(SAMPLE)
-        inst = wcnf_to_ising(f)
-        best = max(
-            ising_to_maxsat_value(inst, Assignment.from_rank(r, 2), f.total_weight)
-            for r in range(4)
-        )
-        assert best == 4  # both clauses satisfiable at x1=1, x2=1
-
-    def test_rejects_non_reduced(self):
-        inst = IsingInstance(1, [1], [])
-        with pytest.raises(ValueError):
-            ising_to_maxsat_value(inst, Assignment.from_spins([1]), 0)
-
-
 def random_formula(seed: int) -> Wcnf:
     rng = rng_for(seed, stream=7)
     n = int(rng.integers(2, 13))
@@ -154,4 +136,3 @@ def test_reduction_agrees_with_direct_count(seed, rank):
     inst = wcnf_to_ising(f)
     a = Assignment.from_rank(rank % (1 << f.n_vars), f.n_vars)
     assert inst.energy(a) == 4 * violated_weight(f, a)
-    assert ising_to_maxsat_value(inst, a, f.total_weight) == f.total_weight - violated_weight(f, a)
