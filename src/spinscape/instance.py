@@ -97,7 +97,8 @@ class Assignment:
 
     @classmethod
     def from_rank(cls, rank: int, n: int) -> "Assignment":
-        """Inverse of :attr:`rank`."""
+        """The assignment at position ``rank`` in lexicographic bit-tuple order:
+        its bit string read in binary, variable 0 first, is ``rank``."""
         return cls(n, _reverse_bits(rank, n))
 
     @classmethod
@@ -110,19 +111,8 @@ class Assignment:
                 bits |= 1 << i
         return cls(len(text), bits)
 
-    @property
-    def rank(self) -> int:
-        """Position of this assignment in lexicographic bit-tuple order."""
-        return _reverse_bits(self.bits, self.n)
-
     def spin(self, i: int) -> int:
         return 1 if (self.bits >> i) & 1 else -1
-
-    def spins(self) -> np.ndarray:
-        out = np.empty(self.n, dtype=np.int16)
-        for i in range(self.n):
-            out[i] = 1 if (self.bits >> i) & 1 else -1
-        return out
 
     def flip(self, i: int) -> "Assignment":
         return Assignment(self.n, self.bits ^ (1 << i))

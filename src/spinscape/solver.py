@@ -61,7 +61,6 @@ from .instance import (
 )
 from .tset import (
     ConstrainedContext,
-    TSetCertificate,
     find_T1T2,
     find_T_randomized,
     side_set_target,
@@ -271,21 +270,35 @@ def _first_argmin(a: np.ndarray, b: np.ndarray, rows: np.ndarray, cols: np.ndarr
     return out
 
 
-class _ScanEngine:
-    """One pass over every outer assignment against a set T and two side sets.
+class _SideTable(NamedTuple):
+    """One side set of :class:`_ScanEngine`: its columns in the inner field
+    table, its couplings to T (members x side variables), and the spins,
+    own energy and lex key of each of its rows."""
 
-    The outer variables are those outside T, T1 and T2.  Once they are
-    assigned, a member of T whose effective field magnitude reaches
-    ``h_max``, its total coupling weight into T, T1 and T2, is fixed
-    against its field, and the other ("free") members are enumerated.  T1
-    and T2 share no coupling edge, so for each completion of T each side
-    set is minimized on its own and the costs add instead of multiplying.
-    The effective-field solvers use empty side sets.
+    cols: slice
+    j: np.ndarray
+    spins: np.ndarray
+    own: np.ndarray
+    keys: np.ndarray
+
+
+class _ScanEngine:
+    """One pass over every outer assignment against a set T and side sets.
+
+    The outer variables are those outside T and the side sets.  Once they
+    are assigned, a member of T whose effective field magnitude reaches
+    ``h_max``, its total coupling weight into T and the side sets, is fixed
+    against its field, and the other ("free") members are enumerated.  No
+    two side sets share a coupling edge, so for each completion of T the
+    engine minimizes each side set it is given on its own, from its own
+    table (:class:`_SideTable`), and adds the minima instead of
+    multiplying the side rows.  The effective-field solvers give no side
+    sets, and the combined one gives the two that its plan holds.
 
     The blocks of outer assignments are those of one :class:`SplitScan` that
     scans the outer variables.  It gives each block's outer energies, its
-    effective fields on T, T1 and T2 (the local fields from the outer
-    spins) and the lex keys of its rows, each from a table built once
+    effective fields on T and the side sets (the local fields from the
+    outer spins) and the lex keys of its rows, each from a table built once
     plus one constant per block.  All tables are read-only after
     construction and shared by the worker threads; each thread writes into
     its own array, reused block to block: a block's fields and totals, or
@@ -294,17 +307,18 @@ class _ScanEngine:
 
     With side sets or couplings inside T, the inner optimum of a row, its
     free members and its optimal completions are functions of its field
-    vector on T, T1 and T2, so :meth:`scan_block` classes the block's rows
-    by that vector (:func:`_row_classes`) and the one completion walk,
-    :meth:`_planes`, runs once per class.  The fixing counters and the
-    free-member histogram behind ``leaves_explored`` still count every row.
+    vector on T and the side sets, so :meth:`scan_block` classes the
+    block's rows by that vector (:func:`_row_classes`) and the one
+    completion walk, :meth:`_planes`, runs once per class.  The fixing
+    counters and the free-member histogram behind ``leaves_explored`` still
+    count every row.
 
     Most rows need no inner solve at all.  Every completion of a row with
-    outer energy e_out and fields f on T, T1 and T2 costs at least
+    outer energy e_out and fields f on T and the side sets costs at least
     ``LB = e_out - sum |f| - W_in``, where W_in is the weight of the
-    couplings among T, T1 and T2, and the greedy completion (each inner
-    variable against its field) of any row is a real assignment of the
-    block.  So a row whose LB exceeds the block's incumbent, the best
+    couplings among T and the side sets, and the greedy completion (each
+    inner variable against its field) of any row is a real assignment of
+    the block.  So a row whose LB exceeds the block's incumbent, the best
     greedy energy among its rows of lowest LB (:meth:`_survivors`), holds
     no optimum and is dropped before classing.  The incumbent reads the
     block alone, never the running best, so which rows are dropped does
@@ -316,33 +330,30 @@ class _ScanEngine:
         inst: IsingInstance,
         t: Sequence[int],
         block_bits: int,
-        t1: Sequence[int] = (),
-        t2: Sequence[int] = (),
+        sides: Sequence[Sequence[int]] = (),
     ):
         self.inst = inst
         self.t = _validate_subset(inst.n, t)
-        t1 = _validate_subset(inst.n, t1)
-        t2 = _validate_subset(inst.n, t2)
-        inner = list(self.t) + list(t1) + list(t2)
+        sets = [self.t] + [_validate_subset(inst.n, side) for side in sides]
+        inner = [v for members in sets for v in members]
         if len(set(inner)) != len(inner):
-            raise ValueError("t, t1 and t2 must be pairwise disjoint")
+            raise ValueError("t and the side sets must be pairwise disjoint")
         inner_set = set(inner)
         out = [i for i in range(inst.n) if i not in inner_set]
         self.out = tuple(out)
         self.n_out = len(out)
         check_scan_bits(self.n_out, "outer enumeration")
-        if max(len(t1), len(t2)) > COMPLETION_CAP_BITS:
+        lengths = [len(members) for members in sets]
+        if max(lengths[1:], default=0) > COMPLETION_CAP_BITS:
             raise EnumerationLimitError("side sets too large to enumerate")
         n = inst.n
         self.m = m = len(self.t)
-        m1 = m + len(t1)
-        self.sizes = {"t_size": m, "t1_size": len(t1), "t2_size": len(t2)}
-        # column ranges of T, T1 and T2 in the inner field tables
-        self._split_at = (m, m1)
-        # the couplings among T, T1 and T2 by position in inner, each edge from both ends
+        # the set of each inner position (0 for T, k for the k-th side set)
+        of = np.repeat(np.arange(len(sets)), lengths)
+        # the couplings among T and the side sets by position in inner, each edge from both ends
         p, q, w = inst.coupling_entries(inner, inner)
-        if np.any((m <= p) & (p < m1) & (m1 <= q)):
-            raise ValueError("t1 and t2 must not share coupling edges")
+        if np.any((of[p] > 0) & (of[q] > of[p])):
+            raise ValueError("side sets must not share coupling edges")
         # per-member threshold over the whole inner region: a fixed member
         # of T stays dominated whatever T's free part and the side sets do
         # (int64 sums of |J|, exact: each is at most the budget)
@@ -351,35 +362,35 @@ class _ScanEngine:
         np.add.at(self.h_max, p[in_t], np.abs(w[in_t]))
         # the same thresholds in the scan's dtype; each is at most the budget
         self._h_lim = self.h_max.astype(inst.scan_dtype)
-        # W_in: the weight of every coupling among T, T1 and T2, each edge once
+        # W_in: the weight of every coupling among T and the side sets, each edge once
         self._w_in = inst.scan_dtype.type(np.abs(w).sum() // 2)
         self.has_internal = bool(np.any((p < m) & (q < m)))
-        self.sides = bool(t1 or t2)
-        self.coupled = self.sides or self.has_internal
+        self.coupled = bool(sides) or self.has_internal
         self.w_t = _key_weights(self.t, n)
 
         self.inner = inner
-        # field rows only for T, T1 and T2: the engine reads no other column
+        # field rows only for T and the side sets: the engine reads no other column
         self.split = SplitScan(inst, block_bits, out, inner)
         # lex keys of outer rows, inner variables at -1
         self._outer_keys = self.split.weight_sums(_key_weights(out, n))
         self._lock = threading.Lock()
         self._local = threading.local()
         self._best: Optional[int] = None
-        # side tables: the spins, own energy and lex key of every side row
-        self.side_tables = []
+        self.sides: List[_SideTable] = []
         if self.coupled:
             self._j_in = np.zeros((len(inner), len(inner)), dtype=np.int64)
             self._j_in[p, q] = w
-            self.j_tt, self.j_t1, self.j_t2 = np.split(self._j_in[:m], self._split_at, axis=1)
-            for lo, hi in ((m, m1), (m1, len(inner))):
+            self.j_tt = self._j_in[:m, :m]
+            # the column range of each side set in the inner field tables
+            ends = np.cumsum(lengths).tolist()
+            for lo, hi in zip(ends, ends[1:]):
                 s = spin_block(hi - lo, 0, 1 << (hi - lo)).astype(np.int64)
                 own = ((s @ self._j_in[lo:hi, lo:hi]) * s).sum(axis=1) // 2
                 keys = (s > 0).astype(np.int64) @ _key_weights(inner[lo:hi], n)
-                self.side_tables.append((s, own, keys))
+                self.sides.append(_SideTable(slice(lo, hi), self._j_in[:m, lo:hi], s, own, keys))
         else:
             self._fold_low_members()
-        self._side_width = max(len(own) for _, own, _ in self.side_tables) if self.sides else 1
+        self._side_width = max((len(side.own) for side in self.sides), default=1)
 
     def _fold_low_members(self) -> None:
         """Sort the members of an uncoupled T by where their outer couplings go.
@@ -433,8 +444,7 @@ class _ScanEngine:
         per side set, the table A (side rows x rows) of each side row's
         energy in its fields, all given the spins of ``x``.
         """
-        m, m1 = self._split_at
-        heff = fields[:, :m]
+        heff = fields[:, :self.m]
         hx = heff[:, x]
         s_x = np.where(hx > 0, -1, 1)
         e_fix = -np.abs(hx).sum(axis=1, dtype=np.int64)
@@ -443,11 +453,7 @@ class _ScanEngine:
             g = heff[:, f] + s_x @ self.j_tt[np.ix_(x, f)]
         else:
             g = heff[:, f]
-        a = []
-        if self.sides:
-            v1 = fields[:, m:m1] + s_x @ self.j_t1[x]
-            v2 = fields[:, m1:] + s_x @ self.j_t2[x]
-            a = [spins @ v.T for v, (spins, _, _) in zip((v1, v2), self.side_tables)]
+        a = [side.spins @ (fields[:, side.cols] + s_x @ side.j[x]).T for side in self.sides]
         return e_fix, g, a
 
     def _completions(self, f: np.ndarray):
@@ -455,8 +461,8 @@ class _ScanEngine:
         energies and, per side set, the table B (side rows x completions) of
         each side row's own energy plus its couplings to the completion.
 
-        A chunk holds at most ``_CHUNK_CELLS`` // (side rows) completions,
-        so that B stays within ``_CHUNK_CELLS``.
+        A chunk holds at most ``_CHUNK_CELLS`` // (rows of the largest side
+        set) completions, so that each B stays within ``_CHUNK_CELLS``.
         """
         k = int(f.size)
         j_ff = self.j_tt[np.ix_(f, f)]
@@ -465,10 +471,7 @@ class _ScanEngine:
         for start in range(0, total, step):
             s = spin_block(k, start, min(step, total - start)).astype(np.int64)
             own = ((s @ j_ff) * s).sum(axis=1) // 2
-            b = []
-            if self.sides:
-                b = [spins @ (s @ j[f]).T + side_own[:, None]
-                     for j, (spins, side_own, _) in zip((self.j_t1, self.j_t2), self.side_tables)]
+            b = [side.spins @ (s @ side.j[f]).T + side.own[:, None] for side in self.sides]
             yield s, own, b
 
     def _energies(self, g, a, chunk) -> np.ndarray:
@@ -545,8 +548,8 @@ class _ScanEngine:
         for idx, e_fix, f, chunk, a, e in self._planes(fields, enum):
             rr, cc = np.nonzero(e == (target[idx] - e_fix)[:, None])
             cand = keys[idx[rr]] + (chunk[0][cc] > 0).astype(np.int64) @ self.w_t[f]
-            for (_, _, side_keys), at, bt in zip(self.side_tables, a, chunk[2]):
-                cand += side_keys[_first_argmin(at, bt, rr, cc)]
+            for side, at, bt in zip(self.sides, a, chunk[2]):
+                cand += side.keys[_first_argmin(at, bt, rr, cc)]
             best = _lex_min(best, cand)
             hit[idx[rr]] = True
         if not hit.all():
@@ -557,7 +560,7 @@ class _ScanEngine:
                totals: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Each row's lower bound, and how each member of T is fixed, in one pass.
 
-        Writes ``e_out - W_in - sum |f|`` over T, T1 and T2 into ``totals``.
+        Writes ``e_out - W_in - sum |f|`` over T and the side sets into ``totals``.
         Returns, per member of T, the number of block rows where it is
         strictly fixed and where it is free (its field magnitude below a
         positive ``h_max``), and per block row its number of free members.
@@ -644,7 +647,7 @@ class _ScanEngine:
             # this thread's totals and inner fields, reused from block to block
             self._local.buf = np.empty((1 + len(self.inner), n_rows), dtype=self.split.dtype)
         totals, inner_rows = self._local.buf[0], self._local.buf[1:]
-        # effective fields on T, T1 and T2, columns side by side
+        # effective fields on T and the side sets, columns side by side
         fields = self.split.fields(start, self.inner, inner_rows).T
         strict, n_free, popc = self._bound(e_out, inner_rows, totals)
         at_max = n_rows - strict - n_free
@@ -762,7 +765,10 @@ def _solve_with_T(inst: IsingInstance, plan: Plan, block_bits: int = DEFAULT_BLO
     wins, so the result does not depend on the thread schedule.  The
     counters are the scan's, then the method's own (:func:`_engine_of`).
     """
-    engine = _ScanEngine(inst, plan.t, block_bits, plan.t1, plan.t2)
+    # the paper counts 2^|T1| + 2^|T2| side rows per completion of T, an
+    # empty side set one row, unless both are empty: then there are none
+    sides = (plan.t1, plan.t2) if plan.t1 or plan.t2 else ()
+    engine = _ScanEngine(inst, plan.t, block_bits, sides)
     parts = thread_map(engine.scan_block, engine.split.starts, workers)
     e_star = min(part[0] for part in parts)
     leaves = ties = 0
@@ -779,8 +785,8 @@ def _solve_with_T(inst: IsingInstance, plan: Plan, block_bits: int = DEFAULT_BLO
     if inst.energy(best) != e_star:
         raise AssertionError("returned assignment does not match the optimum")
     if engine.sides:
-        # every enumerated completion of T also enumerates both side sets
-        leaves *= sum(len(own) for _, own, _ in engine.side_tables)
+        # every enumerated completion of T also enumerates each side set
+        leaves *= sum(len(side.own) for side in engine.sides)
     method, own = _engine_of(plan)
     return SolveResult(
         best=best,
@@ -788,7 +794,8 @@ def _solve_with_T(inst: IsingInstance, plan: Plan, block_bits: int = DEFAULT_BLO
         leaves_explored=leaves,
         outer_assignments=1 << engine.n_out,
         method=method,
-        counters={**engine.sizes, **counters, "tie_rows": ties, **own},
+        counters={"t_size": len(plan.t), "t1_size": len(plan.t1), "t2_size": len(plan.t2),
+                  **counters, "tie_rows": ties, **own},
     )
 
 
@@ -964,7 +971,7 @@ def solve_coloring_baseline(inst: IsingInstance, block_bits: int = DEFAULT_BLOCK
 
 
 def plan_effective(inst: IsingInstance, seed: int, method: str = "effective") -> Plan:
-    """The plan of :func:`solve_effective` without a certificate, made for ``method``.
+    """The plan of :func:`solve_effective`, made for ``method``.
 
     The randomized search runs when the maximum degree reaches
     ``AUTO_DEGREE_GATE``; without a certificate within ``MAX_ENUM_BITS``
@@ -983,21 +990,13 @@ def plan_effective(inst: IsingInstance, seed: int, method: str = "effective") ->
 
 def solve_effective(
     inst: IsingInstance,
-    cert: Optional[TSetCertificate] = None,
     seed: int = 0,
     block_bits: int = DEFAULT_BLOCK_BITS,
     workers: int = 1,
 ) -> SolveResult:
-    """Exact solve branching on a certified set T.
-
-    With an explicit certificate the scan always runs over its set;
-    otherwise :func:`plan_effective` chooses T or refuses the instance.
-    """
-    if cert is None:
-        return _solve_with_T(inst, plan_effective(inst, seed), block_bits, workers)
-    if not cert.ok:
-        raise ValueError("certificate did not validate; refusing to branch on it")
-    return _solve_with_T(inst, Plan("effective", cert.t, source="randomized"), block_bits, workers)
+    """Exact solve branching on a set T that :func:`plan_effective` chooses,
+    or refusing the instance when no set keeps the scan within limits."""
+    return _solve_with_T(inst, plan_effective(inst, seed), block_bits, workers)
 
 
 def _outliers(inst: IsingInstance, factor: float) -> List[int]:

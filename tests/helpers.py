@@ -130,7 +130,7 @@ def is_k_minimum(inst: IsingInstance, a: Assignment, k: int) -> bool:
         raise ValueError("need k >= 1")
     if a.n != inst.n:
         raise ValueError("assignment does not match instance size")
-    spins = a.spins().astype(np.int64)[None, :]
+    spins = np.array([[a.spin(i) for i in range(a.n)]], dtype=np.int64)
     sets = _ConnectedSets(inst, k)
     return bool(_k_checks(inst, spins, sets, strict=True, singles_known=False)[0])
 
@@ -234,7 +234,7 @@ def effective_view(inst: IsingInstance, t: Sequence[int], outer: Assignment) -> 
             % (outer.n, len(rest))
         )
     jf = reference_couplings(inst)
-    spins = outer.spins().astype(np.int64)
+    spins = np.array([outer.spin(i) for i in range(outer.n)], dtype=np.int64)
     h_eff: Dict[int, int] = {}
     h_max: Dict[int, int] = {}
     forced: Dict[int, int] = {}
@@ -345,8 +345,9 @@ def reference_branch_and_recombine(
             if (res.best.bits >> q) & 1:
                 bits |= 1 << v
         a = Assignment(inst.n, bits)
-        if best is None or (res.energy, a.rank) < best[:2]:
-            best = (res.energy, a.rank, a)
+        rank = int(a.bitstring(), 2)
+        if best is None or (res.energy, rank) < best[:2]:
+            best = (res.energy, rank, a)
     assert best is not None
     e_star, _, assignment = best
     assert inst.energy(assignment) == e_star

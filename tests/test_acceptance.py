@@ -7,7 +7,6 @@ criterion itself is statistical (Monte Carlo agreement at four standard
 errors).
 """
 
-import json
 import math
 import time
 
@@ -31,7 +30,9 @@ from spinscape.probe import (
 )
 from spinscape.rand import rng_from
 from spinscape.solver import (
+    Plan,
     _largest_color_class,
+    _solve_with_T,
     compute_Z,
     plan_effective,
     solve_avg_degree,
@@ -151,7 +152,7 @@ def test_criterion_06_minima_bounded_by_z():
             cert = find_T_randomized(inst, seed=i)
             if cert.ok:
                 z2 = compute_Z(inst, cert.t)
-                res2 = solve_effective(inst, cert=cert)
+                res2 = _solve_with_T(inst, Plan("effective", cert.t, source="randomized"))
                 assert count <= z2, (i, count, z2)
                 assert res2.leaves_explored == z2, (i, res2.leaves_explored, z2)
                 certs += 1

@@ -79,7 +79,7 @@ class TestEnumerate:
 
     def test_minima_sorted_lexicographically(self):
         report = enumerate_k_minima(gen_csse(4), 1)
-        ranks = [a.rank for a in report.minima]
+        ranks = [int(a.bitstring(), 2) for a in report.minima]
         assert ranks == sorted(ranks)
 
     def test_monotone_in_k(self):

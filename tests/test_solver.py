@@ -52,7 +52,7 @@ from spinscape.solver import (
     solve_combined,
     solve_effective,
 )
-from spinscape.tset import TParams, check_T, find_T1T2, find_T_randomized
+from spinscape.tset import find_T1T2, find_T_randomized
 
 from helpers import (
     effective_view,
@@ -290,7 +290,7 @@ class TestEngineExactness:
             a = Assignment.from_rank(rank, 8)
             if inst.energy(a) != e_star:
                 continue
-            spins = a.spins()
+            spins = np.array([a.spin(i) for i in range(a.n)])
             for pos, i in enumerate(t):
                 heff = inst.h[i] + sum(
                     inst.coupling(i, j) * int(spins[j])
@@ -329,17 +329,10 @@ class TestSolveEffective:
         inst = gen_multicopy(4, 4)
         cert = find_T_randomized(inst, seed=1)
         assert cert.ok
-        res = solve_effective(inst, cert=cert)
+        res = _solve_with_T(inst, Plan("effective", cert.t, source="randomized"))
         assert res.method == "effective-field"
         assert_same_optimum(res, inst)
         assert res.leaves_explored == compute_Z(inst, cert.t)
-
-    def test_rejects_failed_certificate(self):
-        inst = gen_csse(6)
-        bad = check_T(inst, range(6), TParams.for_instance(inst))
-        assert not bad.ok
-        with pytest.raises(ValueError):
-            solve_effective(inst, cert=bad)
 
     def test_auto_high_degree_uses_found_set(self):
         inst = gen_csse(18)  # degree 17 reaches the gate
@@ -606,7 +599,8 @@ class TestLexMinAboveTheScanCeiling:
                     bits = 0
                 on = [v for v in range(n) if (bits >> v) & 1]
                 key = weights[on].sum(axis=0)
-                assert _key_rank(key, n) == Assignment(n, bits).rank
+                # the rank is the bit string read in binary, variable 0 first
+                assert _key_rank(key, n) == int("0" + Assignment(n, bits).bitstring(), 2)
 
 
 
@@ -674,7 +668,7 @@ def engine_cases(draw, kinds=("random", "zero-coupling", "near-budget")):
 def test_engine_tables_match_reference_formulas(case):
     # the engine's scanner: outer energies, fields on T|T1|T2 and lex keys
     inst, t, t1, t2, block_bits = case
-    out = list(_ScanEngine(inst, t, block_bits, t1, t2).out)
+    out = list(_ScanEngine(inst, t, block_bits, (t1, t2)).out)
     inner = sorted(t) + sorted(t1) + sorted(t2)
     split = SplitScan(inst, block_bits, out)
     keys = split.weight_sums(_key_weights(out, inst.n))
@@ -691,7 +685,7 @@ def test_engine_tables_match_reference_formulas(case):
         block_keys = keys(start, np.arange(count))
         for r in range(count):
             bits = sum(1 << v for k, v in enumerate(out) if spins[r, k] > 0)
-            assert _key_rank(block_keys[r], inst.n) == Assignment(inst.n, bits).rank
+            assert _key_rank(block_keys[r], inst.n) == int(Assignment(inst.n, bits).bitstring(), 2)
     # Python integers cannot wrap: the first and last outer energies are exact
     last = (1 << len(out)) - 1
     for rank in (0, last):
@@ -748,7 +742,8 @@ def _uncoupled_reference(inst, t, block_bits):
         spins[:, t] = np.where(f < 0, 1, -1)
         e = block_energies(inst, spins)
         at = np.flatnonzero(e == e.min())
-        rank = min(Assignment.from_spins([int(x) for x in spins[r]]).rank for r in at)
+        rank = min(int(Assignment.from_spins([int(x) for x in spins[r]]).bitstring(), 2)
+                   for r in at)
         strict = int(np.count_nonzero(f))
         counters = {"strict_fixed": strict, "boundary_fixed": 0,
                     "zero_field_fixed": len(t) * count - strict, "free_members": 0}
@@ -777,7 +772,7 @@ def test_uncoupled_blocks_match_a_per_row_reference(case, workers):
         assert engine.scan_block(start)[1] == ref[1]
     res = _solve_with_T(inst, Plan("effective", t), block_bits, workers)
     assert res.energy == best
-    assert res.best.rank == min(ref[1] for ref in want if ref[0] == best)
+    assert int(res.best.bitstring(), 2) == min(ref[1] for ref in want if ref[0] == best)
     assert res.counters["tie_rows"] == sum(ref[2] for ref in want if ref[0] == best)
     assert res.leaves_explored == res.outer_assignments
     for key in want[0][4]:
@@ -1127,6 +1122,26 @@ def test_engine_with_any_sets_matches_brute(inst, data):
     elif not t:
         # one completion of the empty T per outer row, times both side sets
         assert res.leaves_explored == res.outer_assignments * ((1 << len(t1)) + (1 << len(t2)))
+    # each connected component of T1 and of T2 as a side set of its own
+    engine = _ScanEngine(inst, t, block_bits, _components(inst, t1) + _components(inst, t2))
+    parts = [engine.scan_block(start) for start in engine.split.starts]
+    energy = min(part[0] for part in parts)
+    rank = min(part[1] for part in parts if part[0] == energy)
+    assert (energy, Assignment.from_rank(rank, inst.n)) == (oracle.energy, oracle.best)
+
+
+def _components(inst, members):
+    """The connected components of the couplings among ``members``."""
+    left, out = set(members), []
+    while left:
+        comp = [min(left)]
+        left.remove(comp[0])
+        for u in comp:
+            linked = sorted(v for v in left if inst.coupling(u, v))
+            left.difference_update(linked)
+            comp += linked
+        out.append(comp)
+    return out
 
 
 def _chunk_cases():
@@ -1162,7 +1177,8 @@ def test_twelve_bit_side_sets():
     # optimum ties six ways, and the lex-min is 0011 in each copy
     inst = gen_multicopy(8, 4)
     res = _solve_with_T(inst, Plan("combined", (24, 25), range(12), range(12, 24)))
-    assert (res.energy, res.best.rank, res.leaves_explored) == (64, 0x33333333, 1310720)
+    rank = int(res.best.bitstring(), 2)
+    assert (res.energy, rank, res.leaves_explored) == (64, 0x33333333, 1310720)
 
 
 @st.composite
@@ -1211,22 +1227,28 @@ def test_side_minima_match_the_3d_reference(case, data):
     chunk_cells = data.draw(st.sampled_from([1, 1 << 22]))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver_module, "_CHUNK_CELLS", chunk_cells)
-        engine = _ScanEngine(inst, t, block_bits, t1, t2)
-        m, m1 = engine._split_at
+        engine = _ScanEngine(inst, t, block_bits, (t1, t2))
+        m = engine.m
+        jf = reference_couplings(inst)
+        assert [side.cols for side in engine.sides] == [slice(m, m + len(t1)),
+                                                        slice(m + len(t1), m + len(t1) + len(t2))]
+        for side in engine.sides:
+            np.testing.assert_array_equal(side.j, jf[np.ix_(engine.t, engine.inner[side.cols])])
         for start in engine.split.starts:
             fields = engine.split.fields(start, engine.inner).T
             fixed = np.array(data.draw(st.lists(st.booleans(), min_size=m, max_size=m)), dtype=bool)
             x, f = np.flatnonzero(fixed), np.flatnonzero(~fixed)
             s_x = np.where(fields[:, x] > 0, -1, 1)
-            v = (fields[:, m:m1] + s_x @ engine.j_t1[x], fields[:, m1:] + s_x @ engine.j_t2[x])
             _, g, a = engine._fixed_part(fields, x, f)
             for chunk in engine._completions(f):
                 s, own, b = chunk
+                assert len(a) == len(b) == len(engine.sides)
                 want = g @ s.T + own
                 rr, cc = (part.ravel() for part in np.indices(want.shape))
-                for vi, j, (spins, side_own, _), at, bt in zip(
-                        v, (engine.j_t1, engine.j_t2), engine.side_tables, a, b):
-                    ref_min, ref_arg = reference_side_minima(vi, s @ j[f], spins, side_own)
+                for side, at, bt in zip(engine.sides, a, b):
+                    v = fields[:, side.cols] + s_x @ side.j[x]
+                    ref_min, ref_arg = reference_side_minima(v, s @ side.j[f], side.spins,
+                                                             side.own)
                     for slab_cells in (1, 3 * want.size, 1 << 40):
                         mp.setattr(solver_module, "_CHUNK_CELLS", slab_cells)
                         np.testing.assert_array_equal(_min_plus(at, bt), ref_min)
@@ -1257,7 +1279,7 @@ def test_planes_walk_each_completion_once(case, data):
     # other members set against their fields, and _minima is the optimum
     # over every spin of T and of both side sets
     inst, t, t1, t2, block_bits = case
-    engine = _ScanEngine(inst, t, block_bits, t1, t2)
+    engine = _ScanEngine(inst, t, block_bits, (t1, t2))
     m = engine.m
     sets = (list(engine.t), sorted(t1), sorted(t2))
     jf = reference_couplings(inst)
