@@ -69,7 +69,7 @@ from .tset import (
 COMPLETION_CAP_BITS = 20
 AUTO_DEGREE_GATE = 16
 # Cells of every chunked temporary of the scan engine: planes, side tables A
-# and B, min-plus slabs, argmin pieces and the folded members' field rows.
+# and B, min-plus slabs, argmin pieces and the field rows of an uncoupled T.
 # One side row per slab would make 12-bit side sets 5x slower (0.17 s
 # against 0.03 s on multicopy 8x4).
 _CHUNK_CELLS = 1 << 16
@@ -398,14 +398,13 @@ class _ScanEngine:
         A member's field over a block is its low table row of the scan plus
         the block constant (:meth:`SplitScan.field_constants`).  A member
         with no coupling to a high outer variable (an isolated one too) has
-        the constant h in every block, so its field rows are the same in
-        every block: its ``-|f|``, its count of non-zero fields and its key
-        bit (``f < 0``) are folded here, once, into ``_fold``,
-        ``_lo_strict`` and ``_key_lo`` (one row per key word).  A member
-        coupled to high outer variables alone has an all-zero low row: its
-        field is one constant per block.  Only the others, the mixed
-        members, keep a field row per block.  The engine reads the scan's
-        low table rows in place, by their table row.
+        the constant h in every block, so its ``-|f|`` and its count of
+        non-zero fields are folded here, once, into ``_fold`` and
+        ``_lo_strict``.  A member coupled to high outer variables alone has
+        an all-zero low row: its field is one constant per block.  Every
+        other member is keyed from its low row at a block's tying rows
+        (``_key_at``, ``_key_bit``, ``_key_runs``), and the mixed ones also
+        keep a field row per block.  The engine reads the rows in place.
         """
         split = self.split
         t = np.array(self.t, dtype=np.int64)
@@ -417,23 +416,23 @@ class _ScanEngine:
         c = split.field_constants(0)
         n_rows = 1 << split.lo_bits
         self._fold = np.zeros(n_rows, dtype=split.dtype)
-        self._key_lo = np.zeros((self.w_t.shape[1], n_rows), dtype=np.int64)
         self._lo_strict = 0
-        lo_v, lo_at, lo_w = t[~high], at[~high], self.w_t[~high]
+        lo_at = at[~high]
         # as many members at a time as keep their field rows within _CHUNK_CELLS
         step = max(1, _CHUNK_CELLS // n_rows)
-        for k in range(0, len(lo_v), step):
+        for k in range(0, len(lo_at), step):
             sel = lo_at[k:k + step]
             f = split._f_lo[sel]
             f += c[sel, None]
             self._lo_strict += int(np.count_nonzero(f))
-            for v, w, neg in zip(lo_v[k:k + step].tolist(), lo_w[k:k + step], f < 0):
-                word = v // _KEY_BITS
-                np.add(self._key_lo[word], w[word], out=self._key_lo[word], where=neg)
             self._fold -= np.abs(f, out=f).sum(axis=0, dtype=split.dtype)
-        high_only, mixed = high & ~low, high & low
+        high_only = high & ~low
         self._hi_at, self._w_hi = at[high_only], self.w_t[high_only]
-        self._mixed_at, self._w_mixed = at[mixed], self.w_t[mixed]
+        self._mixed_at, keyed = at[high & low], np.flatnonzero(~high | low)
+        word = t[keyed] // _KEY_BITS
+        self._key_at, self._key_bit = at[keyed], self.w_t[keyed, word]
+        # the keyed members of key word w are _key_at[runs[w]:runs[w + 1]]: T is sorted
+        self._key_runs = np.searchsorted(word, np.arange(self.w_t.shape[1] + 1)).tolist()
 
     # -- per-row pieces ------------------------------------------------
 
@@ -689,8 +688,8 @@ class _ScanEngine:
 
         A zero-field member may take either spin, so a tying row's smallest
         key is its outer key with the members of negative field at +1 and
-        the others at -1: the folded key table, the high-only members'
-        bits of the block and the mixed members' bits at the tying rows.
+        the others at -1.  A high-only member's bit is one per block; every
+        other member's is read from its field at the tying rows alone.
         """
         totals = self.split.energies(start)
         n_rows = len(totals)
@@ -708,18 +707,19 @@ class _ScanEngine:
         rows = np.flatnonzero(totals == low)
         # the high-only members' -|c| is the same on every row
         bmin = int(low) - sum(abs(int(x)) for x in c_hi)
-        counters = {
-            "strict_fixed": strict,
-            "boundary_fixed": 0,
-            "zero_field_fixed": self.m * n_rows - strict,
-            "free_members": 0,
-        }
+        counters = {"strict_fixed": strict, "boundary_fixed": 0,
+                    "zero_field_fixed": self.m * n_rows - strict, "free_members": 0}
         rank = None
         if self._live(bmin):
-            keys = self._outer_keys(start, rows) + self._key_lo[:, rows].T
-            keys += self._w_hi[c_hi < 0].sum(axis=0)
-            for r, w in zip(self._mixed_at, self._w_mixed):
-                keys += (self.split._f_lo[r, rows] + c[r] < 0)[:, None] * w
+            keys = self._outer_keys(start, rows) + self._w_hi[c_hi < 0].sum(axis=0)
+            # per key word, keyed members in chunks of at most _CHUNK_CELLS fields
+            step, f_lo, runs = max(1, _CHUNK_CELLS // rows.size), self.split._f_lo, self._key_runs
+            for w, end in enumerate(runs[1:]):
+                for k in range(runs[w], end, step):
+                    part = slice(k, min(k + step, end))
+                    sel = self._key_at[part]
+                    neg = f_lo.take(sel[:, None] * f_lo.shape[1] + rows) + c[sel, None] < 0
+                    keys[:, w] += (neg * self._key_bit[part, None]).sum(axis=0)
             rank = _key_rank(_lex_min(None, keys), self.inst.n)
         return bmin, rank, int(rows.size), [n_rows], counters
 

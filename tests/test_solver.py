@@ -101,6 +101,7 @@ class TestSparseMemory:
     # Edgeless n = 4000: T is every variable and there is no outer bit, so
     # a solve or Z needs O(n) memory; a dense n x n J alone would be 122 MiB.
     EDGELESS = IsingInstance(4000, [1] * 4000)
+    SIGNS = [(-1) ** i * (i % 3) for i in range(4000)]
 
     @pytest.mark.parametrize("solve", [solve_coloring_baseline, solve_effective, solve_combined])
     def test_edgeless_solves_build_no_dense_couplings(self, solve):
@@ -111,6 +112,16 @@ class TestSparseMemory:
     def test_edgeless_z_builds_no_dense_couplings(self):
         z, peak = peak_mib(lambda: compute_Z(self.EDGELESS, range(4000)))
         assert z == 1
+        assert peak < 32
+
+    def test_edgeless_mixed_signs_key_every_member_at_one_row(self):
+        # h_i = (-1)^i (i mod 3): one part, one tying row, 4,000 keyed
+        # members, each at +1 exactly where its field is negative
+        inst = IsingInstance(4000, self.SIGNS)
+        res, peak = peak_mib(lambda: solve_by_parts(inst, solve_coloring_baseline))
+        assert res.energy == -3999
+        assert res.best.bitstring() == "".join("1" if x < 0 else "0" for x in self.SIGNS)
+        assert res.counters["tie_rows"] == 1
         assert peak < 32
 
     def test_star_plus_isolated_variables_splits_into_two_parts(self):
@@ -698,26 +709,28 @@ def test_engine_tables_match_reference_formulas(case):
 
 
 @st.composite
-def uncoupled_cases(draw):
+def uncoupled_cases(draw, keyed=0):
     """(instance, T, block_bits) with T an independent set and high outer bits.
 
     Each member of T draws where its couplings go: to low outer variables
     only, to high ones only, to both, or nowhere.  The outer variables
     interleave with T and are coupled among themselves.  Small fields and
     couplings make zero fields common, and wide draws pass 63 variables,
-    so that keys span two words.
+    so that keys span two words.  T has at least ``keyed`` members, and
+    its first ``keyed`` members are not coupled to high variables alone.
     """
     block_bits = draw(st.integers(1, 4))
     n_out = draw(st.integers(block_bits + 1, 8))
-    m = draw(st.integers(58, 66) if draw(st.booleans()) else st.integers(1, 8))
+    m = draw(st.integers(58, 66) if draw(st.booleans()) else st.integers(max(1, keyed), 8))
     n = n_out + m
     out = sorted(draw(st.permutations(range(n)))[:n_out])
     t = [v for v in range(n) if v not in out]
     high, low = out[:n_out - block_bits], out[n_out - block_bits:]
     weight = st.sampled_from([-2, -1, 1, 2])
     triples = [(i, j, draw(weight)) for i, j in combinations(out, 2) if draw(st.booleans())]
-    for v in t:
-        kind = draw(st.sampled_from(["low", "high", "mixed", "isolated"]))
+    for k, v in enumerate(t):
+        kinds = ["low", "high", "mixed", "isolated"]
+        kind = draw(st.sampled_from(kinds if k >= keyed else kinds[:1] + kinds[2:]))
         for side, pool in (("low", low), ("high", high)):
             if kind in (side, "mixed"):
                 nbrs = draw(st.lists(st.sampled_from(pool), min_size=1, unique=True))
@@ -753,9 +766,24 @@ def _uncoupled_reference(inst, t, block_bits):
 @settings(max_examples=80, deadline=None)
 @given(uncoupled_cases(), st.sampled_from([1, 2]))
 def test_uncoupled_blocks_match_a_per_row_reference(case, workers):
-    # the folded pass: low-only members from the engine's tables, high-only
-    # ones from the block constant, mixed ones row by row
-    inst, t, block_bits = case
+    # the folded pass: low-only members' totals from the engine's tables,
+    # high-only ones from the block constant, mixed ones row by row; every
+    # member but the high-only ones keyed from its field at the tying rows
+    _check_uncoupled_blocks(*case, workers)
+
+
+@settings(max_examples=40, deadline=None)
+@given(uncoupled_cases(keyed=3), st.sampled_from([1, 2]))
+def test_uncoupled_keys_in_member_chunks(case, workers):
+    # two fields per chunk and at least three keyed members: every block
+    # keys its tying rows in two or more member chunks
+    assert len(_ScanEngine(*case)._key_at) >= 3
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver_module, "_CHUNK_CELLS", 2)
+        _check_uncoupled_blocks(*case, workers)
+
+
+def _check_uncoupled_blocks(inst, t, block_bits, workers):
     want = list(_uncoupled_reference(inst, t, block_bits))
     best = min(ref[0] for ref in want)
     engine = _ScanEngine(inst, t, block_bits)
@@ -1103,12 +1131,24 @@ def test_every_method_reports_the_same_counters(inst, seed, factor):
             assert res.counters["tie_rows"] == optimal_outer_patterns(inst, outer), method
 
 
+@st.composite
+def sparse_instances(draw):
+    """Instances of 8-12 variables with at most one coupling per two
+    variables, so that sets drawn at random split into several components."""
+    n = draw(st.integers(8, 12))
+    edges = draw(st.lists(st.sampled_from(list(combinations(range(n), 2))), max_size=n // 2,
+                          unique=True))
+    triples = [(i, j, draw(st.sampled_from([-2, -1, 1, 2]))) for i, j in edges]
+    return IsingInstance(n, draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)), triples)
+
+
 @settings(max_examples=120)
-@given(degenerate_instances(), st.data())
+@given(st.one_of(degenerate_instances(), sparse_instances()), st.data())
 def test_engine_with_any_sets_matches_brute(inst, data):
-    # every variable lands outside or in T, T1 or T2; a T2 member coupled to
-    # T1 moves outside, so the side sets stay uncoupled
-    roles = data.draw(st.lists(st.integers(0, 3), min_size=inst.n, max_size=inst.n))
+    # every variable lands outside (0) or in T (1), T1 (2) or T2 (3), the
+    # side roles first among the simplest draws; a T2 member coupled to T1
+    # moves outside, so the side sets stay uncoupled
+    roles = data.draw(st.lists(st.sampled_from([2, 3, 1, 0]), min_size=inst.n, max_size=inst.n))
     t = [v for v in range(inst.n) if roles[v] == 1]
     t1 = [v for v in range(inst.n) if roles[v] == 2]
     t2 = [v for v in range(inst.n)
