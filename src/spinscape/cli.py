@@ -36,7 +36,13 @@ from .generators import (
     gen_regular,
 )
 from .instance import EnumerationLimitError, IsingInstance, parse_int_token
-from .landscape import DEFAULT_BASIN_WORK_LIMIT, enumerate_k_minima, k_basins
+from .landscape import (
+    DEFAULT_BASIN_WORK_LIMIT,
+    basins_by_parts,
+    enumerate_k_minima,
+    k_basins,
+    minima_by_parts,
+)
 from .probe import (
     WeightedSum,
     exact_interval_prob,
@@ -243,21 +249,24 @@ def _cmd_solve(args: argparse.Namespace) -> Dict:
 # -- landscape --------------------------------------------------------------
 
 
+# Both commands run one distinct part at a time, and call enumerate_k_minima
+# and k_basins by this module's names: perfbench/tracing.py spans them here.
+
+
 def _cmd_count_minima(args: argparse.Namespace) -> Dict:
     inst, doc = _instance_doc(args, args.seed)
-    report = enumerate_k_minima(inst, k=args.k)
-    doc.update(k=args.k, count=report.minima_count,
-               counters={"minima": report.minima_count})
-    if report.minima_count <= args.list_limit:
-        doc["minima"] = [a.bitstring() for a in report.minima]
+    count, minima = minima_by_parts(
+        inst, lambda part: enumerate_k_minima(part, k=args.k), args.list_limit)
+    doc.update(k=args.k, count=count, counters={"minima": count})
+    if minima is not None:
+        doc["minima"] = minima
     return doc
 
 
 def _cmd_basins(args: argparse.Namespace) -> Dict:
     inst, doc = _instance_doc(args, args.seed)
-    report = k_basins(
-        inst, k=args.k, flipped_rule=args.flipped_rule, work_limit=args.work_limit
-    )
+    report = basins_by_parts(inst, args.k, args.work_limit, lambda part: k_basins(
+        part, k=args.k, flipped_rule=args.flipped_rule, work_limit=args.work_limit))
     doc.update({
         "k": args.k,
         "flipped_rule": args.flipped_rule,

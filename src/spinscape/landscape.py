@@ -34,6 +34,9 @@ With T empty the same filter walks all 2^n assignments.  The survivors are
 int64 bit masks, put into rank order at the end.  Basin edges come from
 sorted searches of the vertex bit masks, one per chunk of (vertices x flip
 masks), and basins from array component labelling over those edges.
+
+A disconnected instance can go one distinct part at a time:
+:func:`minima_by_parts` and :func:`basins_by_parts` join the part reports.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator, List, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -57,7 +60,7 @@ from spinscape.instance import (
     # Unused here; perfbench/tracing.py wraps it under this name.
     spin_block,  # noqa: F401
 )
-from spinscape.solver import _largest_color_class
+from spinscape.solver import _largest_color_class, instance_parts, per_distinct_part
 
 # vertex-count * neighborhood budget for basin construction
 DEFAULT_BASIN_WORK_LIMIT = 1 << 22
@@ -253,8 +256,8 @@ def _flip_terms(inst: IsingInstance, scan: SplitScan, outer: List[int],
             for u in outer]
 
 
-def _member_spins(scan: SplitScan, start: int, t: List[int],
-                  strict: bool) -> Tuple[np.ndarray, np.ndarray]:
+def _member_spins(scan: SplitScan, start: int, t: List[int], strict: bool,
+                  out: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Rows of the block at ``start`` where each member of ``t`` passes its flip, and the spins.
 
     T is pairwise uncoupled, so the outer spins fix each member's field L,
@@ -262,8 +265,10 @@ def _member_spins(scan: SplitScan, start: int, t: List[int],
     strict test, so ``strict=True`` drops those rows; under
     ``strict=False`` both spins pass, and the member gets spin 0: free.
     Returns the rows in ascending order and the (members x rows) spins.
+    The fields and spins are computed in ``out``, a (members x 2^lo_bits)
+    array of the scan's dtype, and the spins may be ``out`` itself.
     """
-    spins = np.sign(scan.fields(start, t))
+    spins = np.sign(scan.fields(start, t, out=out), out=out)
     np.negative(spins, out=spins)
     if not strict:
         return np.arange(1 << scan.lo_bits), spins
@@ -335,9 +340,12 @@ def _vertex_bits(
     one = np.int64(1)
     outer_bits = scan.weight_sums(one << np.array(outer, dtype=np.int64))
     member_bits = one << np.array(t, dtype=np.int64)
+    # One field buffer serves every block: a block reads its spins only
+    # inside its own iteration, and the masks it yields are new arrays.
+    buf = np.empty((len(t), 1 << scan.lo_bits), dtype=scan.dtype)
     candidates = 0
     for start in scan.starts:
-        rows, spins = _member_spins(scan, start, t, strict)
+        rows, spins = _member_spins(scan, start, t, strict, buf)
         # 2^(free members) candidates per row, capped past the limit
         free = np.count_nonzero(spins == 0, axis=0)
         counts = one << np.minimum(free, MAX_ENUM_BITS + 1)
@@ -414,6 +422,34 @@ def _flip_masks(n: int, k: int) -> np.ndarray:
     return np.concatenate(parts)
 
 
+def _basin_moves(n: int, k: int, work_limit: int) -> int:
+    """The C(n, <= k) moves per vertex of a basin construction over n variables.
+
+    Every instance has a vertex (a global minimum, or under flipped_rule a
+    global maximum), so more moves than ``work_limit`` are refused before
+    any mask is built or any block is scanned, and so are more than 62
+    variables.
+    """
+    if k < 1:
+        raise ValueError("need k >= 1")
+    moves = max(1, sum(math.comb(n, size) for size in range(1, min(k, n) + 1)))
+    if moves > work_limit:
+        raise EnumerationLimitError(
+            "basin construction needs %d moves per vertex, more than the work limit"
+            % moves
+        )
+    _check_mask_bits(n)
+    return moves
+
+
+def _check_basin_work(count: int, moves: int, work_limit: int) -> None:
+    if count * moves > work_limit:
+        raise EnumerationLimitError(
+            "basin construction over at least %d vertices x %d moves exceeds"
+            " the work limit" % (count, moves)
+        )
+
+
 def k_basins(
     inst: IsingInstance,
     k: int = 1,
@@ -435,19 +471,8 @@ def k_basins(
     The work is the vertex count times the C(n, <= k) moves; past
     ``work_limit`` the request raises :class:`EnumerationLimitError`.
     """
-    if k < 1:
-        raise ValueError("need k >= 1")
     n = inst.n
-    moves = max(1, sum(math.comb(n, size) for size in range(1, min(k, n) + 1)))
-    # Every instance has a vertex (a global minimum, or under flipped_rule
-    # a global maximum), so a request with more moves than the limit is
-    # refused before any mask is built or any block is scanned.
-    if moves > work_limit:
-        raise EnumerationLimitError(
-            "basin construction needs %d moves per vertex, more than the work limit"
-            % moves
-        )
-    _check_mask_bits(n)
+    moves = _basin_moves(n, k, work_limit)
     masks = _flip_masks(n, k)
     # Past this many vertices the work limit rejects the request, so the
     # strictness checks stop there.
@@ -469,11 +494,7 @@ def k_basins(
             strict.append(_checked(inst, head, sets, strict=True, singles_known=False))
         count += len(bits)
         # the count only grows, so the scan stops at the first chunk past the limit
-        if count * moves > work_limit:
-            raise EnumerationLimitError(
-                "basin construction over at least %d vertices x %d moves exceeds"
-                " the work limit" % (count, moves)
-            )
+        _check_basin_work(count, moves, work_limit)
     vertices = np.concatenate(blocks)
     src_parts, dst_parts = [], []
     if count:
@@ -503,3 +524,106 @@ def k_basins(
         vertex_count=count,
     )
 
+
+def minima_by_parts(
+    inst: IsingInstance,
+    count: Callable[[IsingInstance], LandscapeReport],
+    list_limit: int,
+) -> Tuple[int, Optional[List[str]]]:
+    """``count`` run on each distinct part of ``inst``, joined: the number of
+    strict k-minima, and their bitstrings in rank order when there are at
+    most ``list_limit`` of them (None otherwise).
+
+    The parts are those of :func:`~spinscape.solver.instance_parts`, each
+    distinct part counted once (:func:`~spinscape.solver.per_distinct_part`);
+    an instance of one part goes to ``count`` whole.  The join is exact.  A
+    change U of at most k variables splits into one change per part, each
+    of at most k variables, and no coupling crosses parts, so delta(U) is
+    the sum of the pieces' deltas.  An assignment is therefore a strict (or
+    weak) k-minimum exactly when each part's share is one: a failing piece
+    is a failing change of the whole, and pieces that pass add up to a
+    change that passes.  So the minima are the Cartesian product of the
+    parts' minima, and their number is the product of the parts' counts,
+    in Python integers.  The enumeration limits (62 variables, 2^26
+    candidates) thus apply to each part, not to the whole.
+
+    The listing maps each part's minima to the original indices; its
+    bitstrings sort in rank order, since character i is variable i.  A part
+    without minima leaves none at all, however many the parts before it
+    have, so the listing is [] before any product is built.
+    """
+    parts = instance_parts(inst)
+    reports = per_distinct_part(parts, count)
+    total = math.prod(report.minima_count for report in reports)
+    if total > list_limit:
+        return total, None
+    if not total:
+        return 0, []
+    joined = [0]
+    for (_, keep), report in zip(parts, reports):
+        shares = [sum(1 << at for v, at in enumerate(keep) if bits >> v & 1)
+                  for bits in report.minima_bits]
+        joined = [mask | share for mask in joined for share in shares]
+    return total, sorted(Assignment(inst.n, mask).bitstring() for mask in joined)
+
+
+def basins_by_parts(
+    inst: IsingInstance,
+    k: int,
+    work_limit: int,
+    basins: Callable[[IsingInstance], BasinReport],
+) -> BasinReport:
+    """``basins`` run on each distinct part of ``inst``, joined into the
+    report that :func:`k_basins` gives for the whole instance.
+
+    As in :func:`minima_by_parts`, a change of at most k variables splits
+    into one change of at most k variables per part, and its delta is the
+    sum of theirs.  So the vertices (and the strict k-minima) are the
+    Cartesian products of the parts' own, and ``vertex_count`` and the
+    strict minima count are products.  A move between two vertices changes
+    each part's share by at most k variables, from one vertex of that part
+    to another or not at all, so it stays inside one product of part basins;
+    and any two vertices of such a product are joined by moves that change
+    one part at a time.  So the basins are the products of the part basins,
+    and ``basin_sizes`` is the sorted multiset of products of part sizes.
+
+    ``work_limit`` bounds the whole instance, as in :func:`k_basins`.  The
+    C(n, <= k) moves over all n variables are checked against it before
+    any part is scanned, and so are the 62-bit masks.  ``basins`` runs each
+    part under the same limit: a part has no more vertices and no more
+    moves than the whole, so a part past the limit puts the whole past it
+    too.  Then, before any product array is built, the product of the
+    vertex counts times the moves is held to ``work_limit``, and the
+    product itself to 2^MAX_ENUM_BITS (a scan of the whole instance would
+    expand at least that many candidates, and refuse), so every size fits
+    int64.  The scan ceilings of 2^26 outer rows and candidates apply to
+    each part.  An instance of one part goes to ``basins`` whole.
+    """
+    parts = instance_parts(inst)
+    if len(parts) == 1:
+        return basins(inst)
+    moves = _basin_moves(inst.n, k, work_limit)
+    reports = per_distinct_part(parts, basins)
+    count = math.prod(report.vertex_count for report in reports)
+    _check_basin_work(count, moves, work_limit)
+    if count > 1 << MAX_ENUM_BITS:
+        raise EnumerationLimitError(
+            "the parts join into %d vertices, past 2^%d" % (count, MAX_ENUM_BITS))
+    bits = np.zeros(1, dtype=np.int64)
+    sizes = np.ones(1, dtype=np.int64)
+    for (_, keep), report in zip(parts, reports):
+        local = np.array(report.minima_bits, dtype=np.int64)
+        share = np.zeros_like(local)
+        for v, at in enumerate(keep):
+            share |= ((local >> v) & 1) << at
+        bits = (bits[:, None] | share).ravel()
+        sizes = np.multiply.outer(sizes, report.basin_sizes).ravel()
+    sizes = np.sort(sizes)[::-1]
+    return BasinReport(
+        k=k,
+        n=inst.n,
+        minima_bits=_in_rank_order([bits], inst.n),
+        basin_count=len(sizes),
+        basin_sizes=tuple(sizes.tolist()),
+        vertex_count=count,
+    )

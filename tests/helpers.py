@@ -161,7 +161,8 @@ def member_filter_ranks(inst: IsingInstance, block_bits: int, strict: bool,
 
     T is the largest greedy color class and the other variables are
     scanned.  Each row of each block is tried with every setting of T's
-    spins that ``_member_spins`` allows (a free member either way), and
+    spins that ``_member_spins`` allows (a free member either way, its
+    spins computed in one buffer reused for every block), and
     ``_flip_survivors`` tests the scanned variables.  ``flipped`` runs the
     filters on :func:`negated` ``inst``, so they test that no single flip
     lowers the energy.  The ranks are sorted.
@@ -177,8 +178,9 @@ def member_filter_ranks(inst: IsingInstance, block_bits: int, strict: bool,
     settings = spin_block(len(t), 0, 1 << len(t)).T.astype(scan.dtype)
     per_row = settings.shape[1]
     found = [np.zeros((0, n), dtype=np.int64)]
+    buf = np.empty((len(t), 1 << scan.lo_bits), dtype=scan.dtype)
     for start in scan.starts:
-        rows, spins = _member_spins(scan, start, t, strict=strict)
+        rows, spins = _member_spins(scan, start, t, strict=strict, out=buf)
         at, s = np.repeat(rows, per_row), np.tile(settings, len(rows))
         forced = np.repeat(spins, per_row, axis=1)
         allowed = ((forced == 0) | (forced == s)).all(axis=0)

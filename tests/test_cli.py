@@ -1,12 +1,25 @@
+import contextlib
 import io
 import json
+import os
 import sys
+import tempfile
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from helpers import random_instance
 from spinscape.cli import main
-from spinscape.instance import IsingInstance
+from spinscape.generators import gen_csse
+from spinscape.instance import EnumerationLimitError, IsingInstance
+from spinscape.landscape import (
+    DEFAULT_BASIN_WORK_LIMIT,
+    basins_by_parts,
+    enumerate_k_minima,
+    k_basins,
+)
 from spinscape.tset import side_set_target
 
 
@@ -257,11 +270,143 @@ class TestLandscapeCommands:
         assert (code, out) == (3, "")
         assert "2^26 candidates" in err
 
+    @pytest.mark.parametrize("copies, limit, message", [
+        (16, 10 ** 30, "64 variables exceed the 62-bit"),
+        (11, 10 ** 15, "the parts join into 362797056 vertices, past 2^26"),
+    ], ids=["62-bit", "joined-vertices"])
+    def test_basins_by_parts_refuses_what_the_whole_scan_refuses(self, tmp_path, capsys,
+                                                                copies, limit, message):
+        # each copy fits, but the joined instance does not: past 62
+        # variables, or past 2^26 vertices (6^11) under a work limit that
+        # admits them
+        path = tmp_path / "m.json"
+        run_cli(["generate", "multicopy", "--copies", str(copies), "-o", str(path)], capsys)
+        code, out, err = run_cli(["basins", "-i", str(path), "--work-limit", str(limit)],
+                                 capsys)
+        assert (code, out) == (3, "")
+        assert message in err
+
     def test_count_minima_multicopy_7x4(self, tmp_path, capsys):
         path = tmp_path / "m74.json"
         run_cli(["generate", "multicopy", "--copies", "7", "-o", str(path)], capsys)
         doc = run_json(["count-minima", "-i", str(path), "--list-limit", "0"], capsys)
         assert (doc["n"], doc["count"]) == (28, 6 ** 7)
+
+    @pytest.mark.parametrize("copies, count", [(12, 2176782336), (16, 2821109907456)],
+                             ids=["12x4", "16x4"])
+    def test_count_minima_multicopy_by_parts(self, tmp_path, capsys, copies, count):
+        # 36 or 48 outer bits over the whole instance, and 16x4 has 64
+        # variables, past the 62-bit masks; its one distinct part has 3
+        # outer bits and 4 variables
+        path = tmp_path / "m.json"
+        run_cli(["generate", "multicopy", "--copies", str(copies), "-o", str(path)], capsys)
+        started = time.perf_counter()
+        doc = run_json(["count-minima", "-i", str(path), "--k", "1"], capsys)
+        assert time.perf_counter() - started < 1.0
+        assert (doc["n"], doc["count"], doc["counters"]) == (4 * copies, count,
+                                                             {"minima": count})
+        assert count == 6 ** copies and "minima" not in doc
+
+
+# Zero fields and antiferromagnetic couplings: every assignment ties with
+# one of its single flips, so this part has no strict minimum.
+_FRUSTRATED_TRIANGLE = IsingInstance(3, [0, 0, 0], [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
+
+
+@st.composite
+def disjoint_unions(draw):
+    """One to three parts, each random with weights 1 or 3 or, at four
+    variables, perhaps the all-pairs block of six minima; the first
+    repeated up to twice; 0-3 isolated variables with non-zero fields, one
+    of them perhaps with field 0; and perhaps a frustrated triangle
+    (n <= 16).  The triangle takes the three largest indices, so its part
+    comes after the others.  The rest are shuffled together; the first
+    part and its copies keep their variables in order, so the copies come
+    out as identical parts."""
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)
+                 .filter(lambda s: sum(s) <= 10))
+    copies = draw(st.integers(0, min(2, (10 - sum(sizes)) // sizes[0])))
+    subs = [gen_csse(4) if k == 4 and draw(st.booleans()) else
+            random_instance(draw(st.integers(0, 10 ** 6)), n=k,
+                            wmax=draw(st.sampled_from([1, 3])), allow_zero_field=False)
+            for k in sizes]
+    subs += [subs[0]] * copies
+    alone = draw(st.integers(0, 3))
+    flat = draw(st.sampled_from([False, False, True]))
+    rest = sum(sub.n for sub in subs) + alone
+    perm = draw(st.permutations(range(rest)))
+    h = [draw(st.sampled_from([-2, -1, 1, 2])) for _ in range(rest)]
+    if alone and draw(st.booleans()):
+        h[perm[-1]] = 0
+    triples, at = [], 0
+    for sub in subs:
+        place = perm[at:at + sub.n]
+        if sub is subs[0]:
+            place = sorted(place)
+        at += sub.n
+        for i, v in enumerate(place):
+            h[v] = sub.h[i]
+        triples += [(place[i], place[j], w) for i, j, w in sub.edges()]
+    if flat:
+        triples += [(rest + i, rest + j, w) for i, j, w in _FRUSTRATED_TRIANGLE.edges()]
+        h += [0, 0, 0]
+    return IsingInstance(len(h), h, triples)
+
+
+def _interleaved(a, b):
+    """``a`` on the even variables and ``b``, of the same size, on the odd ones."""
+    h = [x for pair in zip(a.h, b.h) for x in pair]
+    triples = [(2 * i, 2 * j, w) for i, j, w in a.edges()]
+    triples += [(2 * i + 1, 2 * j + 1, w) for i, j, w in b.edges()]
+    return IsingInstance(2 * a.n, h, triples)
+
+
+def _run_captured(argv):
+    # capsys is one capture per test, not per hypothesis draw
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(disjoint_unions(), st.integers(1, 3), st.booleans(),
+       st.sampled_from([50, 2000, DEFAULT_BASIN_WORK_LIMIT]))
+# Two parts whose minima, or whose basin sizes, do not come out of the
+# Cartesian product in order: 36 minima of two interleaved all-pairs
+# blocks, and basins of sizes (3, 2) times (5, 1).
+@example(_interleaved(gen_csse(4), gen_csse(4)), 1, False, DEFAULT_BASIN_WORK_LIMIT)
+@example(_interleaved(random_instance(15, n=5, wmax=1), random_instance(105, n=5, wmax=1)),
+         1, False, DEFAULT_BASIN_WORK_LIMIT)
+def test_landscape_commands_by_parts_match_the_whole_instance(inst, k, flipped_rule,
+                                                              work_limit):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "union.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(inst.to_json())
+        whole = enumerate_k_minima(inst, k)
+        minima = [a.bitstring() for a in whole.minima]
+        for limit in (0, 10 ** 6):
+            code, out, err = _run_captured(["count-minima", "-i", path, "--k", str(k),
+                                            "--list-limit", str(limit)])
+            assert code == 0, err
+            doc = json.loads(out)
+            assert doc["count"] == len(minima)
+            assert doc.get("minima") == (minima if len(minima) <= limit else None)
+        code, out, err = _run_captured(["basins", "-i", path, "--k", str(k), "--work-limit",
+                                        str(work_limit)] + ["--flipped-rule"] * flipped_rule)
+    try:
+        report = k_basins(inst, k, flipped_rule=flipped_rule, work_limit=work_limit)
+    except EnumerationLimitError:
+        assert (code, out) == (3, ""), out
+        return
+    assert code == 0, err
+    doc = json.loads(out)
+    assert (doc["vertex_count"], doc["basin_count"], doc["basin_sizes"], doc["strict_minima"]) \
+        == (report.vertex_count, report.basin_count, list(report.basin_sizes), report.minima_count)
+    joined = basins_by_parts(inst, k, work_limit, lambda part: k_basins(
+        part, k, flipped_rule=flipped_rule, work_limit=work_limit))
+    assert joined == report
 
 
 class TestRepeatedCalls:

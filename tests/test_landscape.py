@@ -24,8 +24,9 @@ from spinscape.landscape import (
     _component_roots,
     enumerate_k_minima,
     k_basins,
+    minima_by_parts,
 )
-from spinscape.solver import _largest_color_class
+from spinscape.solver import _largest_color_class, instance_parts
 
 
 def naive_is_k_minimum(inst, a, k):
@@ -450,3 +451,24 @@ def test_component_roots_join_a_reversed_path():
     src = np.arange(count - 1, 0, -1)
     roots = _component_roots(count, [src], [src - 1])
     assert roots.tolist() == [0] * count
+
+
+def test_a_part_without_minima_ends_the_listing_before_any_product():
+    # 6^12 minima in the first part would be listed in full before the
+    # triangle's 0 if the join built the product part by part.
+    class Uncounted:
+        minima_count = 6 ** 12
+
+        @property
+        def minima_bits(self):
+            raise AssertionError("read the minima of a product that is empty")
+
+    inst = IsingInstance(5, [0] * 5, [(0, 1, -1), (2, 3, 1), (3, 4, 1), (2, 4, 1)])
+    parts = instance_parts(inst)
+    assert [keep for _, keep in parts] == [(0, 1), (2, 3, 4)]
+
+    def count(part):
+        return Uncounted() if part.n == 2 else enumerate_k_minima(part, 1)
+
+    assert minima_by_parts(inst, count, 10 ** 12) == (0, [])
+    assert minima_by_parts(inst, count, 0) == (0, [])
