@@ -35,6 +35,7 @@ import numpy as np
 
 INT64_MAX = 2**63 - 1
 INT32_MAX = 2**31 - 1
+INT16_MAX = 2**15 - 1
 
 # Hard ceiling on exhaustive scans: at most 2^MAX_ENUM_BITS assignments.
 MAX_ENUM_BITS = 26
@@ -186,13 +187,14 @@ class IsingInstance:
 
     @property
     def scan_dtype(self) -> np.dtype:
-        """Integer dtype of the split-half scan: int32 when the budget allows, else int64.
+        """Integer dtype of the scans: the narrowest of int16, int32 and int64 the budget allows.
 
         The budget B = |c0| + sum |h_i| + 2 sum |J_ij| is at most INT64_MAX
-        (checked above).  When B <= 2^31 - 1, :class:`SplitScan` builds its
-        tables in int32, and the scan engine's block arrays follow.  Every
-        value they hold or pass through is a signed sum over a subset of the
-        terms c0, h_i and J_ij, each term taken at most once:
+        (checked above).  When B <= 2^15 - 1, :class:`SplitScan` builds its
+        tables in int16, when B <= 2^31 - 1 in int32, and the scan engine's
+        block arrays and inner tables follow.  Every value they hold or
+        pass through is a signed sum in which c0 and each h_i appear at
+        most once and each J_ij at most twice, as in B:
 
         * a block energy, its low half e_lo, each step of the doubling that
           builds e_lo, and each partial sum as the high variables' field
@@ -213,16 +215,26 @@ class IsingInstance:
           plus that table, less the other members' ``|L_i|`` one at a
           time: sums over the same disjoint terms;
         * an exact total written over a kept row's bound: the energy of a
-          real assignment.
+          real assignment;
+        * the engine's inner tables: the fields on the enumerated members
+          and on the side sets once some members are fixed, each side
+          row's energy in them and in its couplings to a completion, a
+          completion's own energy (each coupling among its members twice),
+          the side minima and each plane of inner energies, with every
+          partial sum of the products that build them (see
+          ``solver._ScanEngine._energies``).
 
-        So each value lies in [-B, B]: none wraps, and -2^31, whose abs
-        would wrap, never occurs.  The engine compares the bound with its
-        incumbent, itself an energy in [-B, B], and never adds W_in to it,
-        which could leave the range.  Lex keys, weight sums, counters, the
-        INT64_MAX sentinels, the side-set tables and ``compute_Z`` stay in
-        int64; ``compute_Z`` keeps its own int64 route, so its leaf count
-        remains an independent audit of the narrowed scan.
+        So each value lies in [-B, B]: none wraps, and -2^15 or -2^31,
+        whose abs would wrap, never occurs.  The engine compares the bound
+        with its incumbent, itself an energy in [-B, B], and never adds
+        W_in to it, which could leave the range.  Lex keys, weight sums,
+        counters, the fixed members' energies, the INT64_MAX sentinels and
+        ``compute_Z`` stay in int64; ``compute_Z`` keeps its own int64
+        route, so its leaf count remains an independent audit of the
+        narrowed scan.
         """
+        if self._budget <= INT16_MAX:
+            return np.dtype(np.int16)
         return np.dtype(np.int32) if self._budget <= INT32_MAX else np.dtype(np.int64)
 
     # -- basic queries ---------------------------------------------------

@@ -30,9 +30,10 @@ smallest outer key.  Before classing, a block drops the rows whose
 lower bound on every completion exceeds the energy of a greedy
 completion of one of its rows: they cannot reach the block minimum.
 The counters, ``leaves_explored`` among them, still count every outer
-row.  The outer scan's tables and block arrays are in the instance's
-``scan_dtype`` (int32 under the bound stated there), and everything else
-stays in int64, so results are exact.
+row.  The outer scan's tables, the block arrays and the inner tables are
+in the instance's ``scan_dtype`` (int16 or int32 under the bounds stated
+there); lex keys, counters and the fixed members' energies stay in int64,
+so results are exact.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import math
 import threading
 from dataclasses import dataclass
 from typing import (Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
-                    TypeVar)
+                    TypeVar, Union)
 
 import numpy as np
 
@@ -160,12 +161,12 @@ def _lex_min(best: Optional[np.ndarray], keys: np.ndarray) -> Optional[np.ndarra
     return best
 
 
-def _pattern_groups(mask: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield (set columns, clear columns, rows) for each distinct row of ``mask``."""
+def _pattern_groups(mask: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Yield (the row, the rows that equal it) for each distinct row of ``mask``."""
     reps, cls = _row_classes(mask, len(mask))
     order = np.argsort(cls, kind="stable")
     for rep, rows in zip(reps, np.split(order, np.cumsum(np.bincount(cls))[:-1])):
-        yield np.flatnonzero(mask[rep]), np.flatnonzero(~mask[rep]), rows
+        yield mask[rep], rows
 
 
 def _row_classes(table: np.ndarray, n_rows: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -243,12 +244,13 @@ def _abs_row_sums(inst: IsingInstance, rows: Sequence[int], cols: Sequence[int])
 
 
 def _min_plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Min over s of ``a[s, r] + b[s, c]``, for every (r, c).
+    """Min over s of ``a[s, r] + b[s, c]``, for every (r, c), in the tables' dtype.
 
     The leading axis s is walked in slabs of as many rows as keep one
     (slab x r x c) temporary within ``_CHUNK_CELLS``, one row at least.
     """
-    best = np.full((a.shape[1], b.shape[1]), INT64_MAX, dtype=np.int64)
+    dt = np.result_type(a, b)
+    best = np.full((a.shape[1], b.shape[1]), np.iinfo(dt).max, dtype=dt)
     slab = max(1, _CHUNK_CELLS // best.size)
     for s in range(0, len(a), slab):
         w = a[s:s + slab, :, None] + b[s:s + slab, None, :]
@@ -270,16 +272,112 @@ def _first_argmin(a: np.ndarray, b: np.ndarray, rows: np.ndarray, cols: np.ndarr
     return out
 
 
+# Each kind of side set below holds side components of the scan engine and
+# answers two questions about them for a plane of (rows x completions).  A
+# row gives the components' fields v from the outer and fixed spins, and a
+# completion of T their couplings d to its spins; ``rows(v)`` and
+# ``completions(d)`` turn these into a table per row and per completion,
+# one column each, and then
+#
+# * ``add_minima(a, b, e)`` adds each cell's minimum over the components'
+#   spins to the plane ``e``;
+# * ``first_keys(a, b, rr, cc)`` gives, at each (row, completion) pair, the
+#   lex key of the components' first optimal spins in rank order.
+#
+# Components share no coupling, so their minima add, and their keys add
+# over disjoint bits: the sum over the kinds is the minimum, and the
+# lex-smallest optimal key, of all the side sets at once.
+
+
 class _SideTable(NamedTuple):
-    """One side set of :class:`_ScanEngine`: its columns in the inner field
-    table, its couplings to T (members x side variables), and the spins,
-    own energy and lex key of each of its rows."""
+    """An enumerated side component: its columns in the inner field table,
+    its couplings to T (members x component members), and the spins, own
+    energy and lex key of each of its rows, in rank order.
+
+    A row's table holds each side row's energy in the row's fields, and a
+    completion's each side row's own energy plus its couplings to the
+    completion, so a cell's minimum is a min-plus product (:func:`_min_plus`).
+    """
 
     cols: slice
     j: np.ndarray
     spins: np.ndarray
     own: np.ndarray
     keys: np.ndarray
+
+    @property
+    def width(self) -> int:
+        return len(self.own)
+
+    def rows(self, v: np.ndarray) -> np.ndarray:
+        return self.spins @ v.T
+
+    def completions(self, d: np.ndarray) -> np.ndarray:
+        out = self.spins @ d.T
+        out += self.own[:, None]
+        return out
+
+    def add_minima(self, a: np.ndarray, b: np.ndarray, e: np.ndarray) -> None:
+        e += _min_plus(a, b)
+
+    def first_keys(self, a: np.ndarray, b: np.ndarray, rr: np.ndarray,
+                   cc: np.ndarray) -> np.ndarray:
+        return self.keys[_first_argmin(a, b, rr, cc)]
+
+
+class _Singletons(NamedTuple):
+    """Every one-member side component, in closed form: its columns in the
+    inner field table, its couplings to T and the lex-key weight of each.
+
+    A member with field u = v + d has minimum ``-|u|``, at spin +1 (its key
+    bit set) where u < 0 and at -1, the first in rank order, where u >= 0.
+    The tables of a row and of a completion are v and d themselves, one row
+    per member.
+    """
+
+    cols: slice
+    j: np.ndarray
+    keys: np.ndarray
+
+    @property
+    def width(self) -> int:
+        return 1
+
+    def rows(self, v: np.ndarray) -> np.ndarray:
+        return v.T
+
+    def completions(self, d: np.ndarray) -> np.ndarray:
+        return d.T
+
+    def add_minima(self, a: np.ndarray, b: np.ndarray, e: np.ndarray) -> None:
+        u = np.empty_like(e)
+        for v, d in zip(a, b):
+            np.add(v[:, None], d, out=u)
+            e -= np.abs(u, out=u)
+
+    def first_keys(self, a: np.ndarray, b: np.ndarray, rr: np.ndarray,
+                   cc: np.ndarray) -> np.ndarray:
+        return (a[:, rr] + b[:, cc] < 0).T.astype(np.int64) @ self.keys
+
+
+def _components(vertices: Sequence[int], neighbors: Sequence[Sequence[int]]) -> List[List[int]]:
+    """The connected components of the graph ``neighbors`` induced on ``vertices``.
+
+    Each comes sorted, in the order of its first vertex in ``vertices``.
+    """
+    left = set(vertices)
+    out = []
+    for v in vertices:
+        if v in left:
+            left.discard(v)
+            comp = [v]
+            for u in comp:
+                for w in neighbors[u]:
+                    if w in left:
+                        left.discard(w)
+                        comp.append(w)
+            out.append(sorted(comp))
+    return out
 
 
 class _ScanEngine:
@@ -289,11 +387,14 @@ class _ScanEngine:
     are assigned, a member of T whose effective field magnitude reaches
     ``h_max``, its total coupling weight into T and the side sets, is fixed
     against its field, and the other ("free") members are enumerated.  No
-    two side sets share a coupling edge, so for each completion of T the
-    engine minimizes each side set it is given on its own, from its own
-    table (:class:`_SideTable`), and adds the minima instead of
-    multiplying the side rows.  The effective-field solvers give no side
-    sets, and the combined one gives the two that its plan holds.
+    two side sets share a coupling edge, and neither do two connected
+    components of one side set, so for each completion of T the engine
+    minimizes each component on its own and adds the minima instead of
+    multiplying the side rows: a component of two or more members from its
+    own table (:class:`_SideTable`), the one-member components all at once
+    in closed form (:class:`_Singletons`).  ``COMPLETION_CAP_BITS`` bounds
+    each component, not each side set.  The effective-field solvers give
+    no side sets, and the combined one gives the two that its plan holds.
 
     The blocks of outer assignments are those of one :class:`SplitScan` that
     scans the outer variables.  It gives each block's outer energies, its
@@ -335,25 +436,34 @@ class _ScanEngine:
         self.inst = inst
         self.t = _validate_subset(inst.n, t)
         sets = [self.t] + [_validate_subset(inst.n, side) for side in sides]
-        inner = [v for members in sets for v in members]
-        if len(set(inner)) != len(inner):
+        given = [v for members in sets for v in members]
+        if len(set(given)) != len(given):
             raise ValueError("t and the side sets must be pairwise disjoint")
-        inner_set = set(inner)
-        out = [i for i in range(inst.n) if i not in inner_set]
+        out = sorted(set(range(inst.n)).difference(given))
         self.out = tuple(out)
         self.n_out = len(out)
         check_scan_bits(self.n_out, "outer enumeration")
-        lengths = [len(members) for members in sets]
-        if max(lengths[1:], default=0) > COMPLETION_CAP_BITS:
-            raise EnumerationLimitError("side sets too large to enumerate")
         n = inst.n
         self.m = m = len(self.t)
-        # the set of each inner position (0 for T, k for the k-th side set)
-        of = np.repeat(np.arange(len(sets)), lengths)
+        dt = inst.scan_dtype
+        # the side sets' components, then T, each enumerated component and
+        # the singletons side by side (a component of two side sets has an
+        # edge between them, refused below)
+        comps = _components(given[m:], inst.degree_graph().neighbors)
+        tables = [c for c in comps if len(c) > 1]
+        singles = [c[0] for c in comps if len(c) == 1]
+        inner = list(self.t) + [v for c in tables for v in c] + singles
         # the couplings among T and the side sets by position in inner, each edge from both ends
         p, q, w = inst.coupling_entries(inner, inner)
+        # the set of each inner position (0 for T, k for the k-th side set)
+        of = np.zeros(n, dtype=np.int64)
+        for k, members in enumerate(sets):
+            of[list(members)] = k
+        of = of[inner]
         if np.any((of[p] > 0) & (of[q] > of[p])):
             raise ValueError("side sets must not share coupling edges")
+        if max(map(len, comps), default=0) > COMPLETION_CAP_BITS:
+            raise EnumerationLimitError("side-set components too large to enumerate")
         # per-member threshold over the whole inner region: a fixed member
         # of T stays dominated whatever T's free part and the side sets do
         # (int64 sums of |J|, exact: each is at most the budget)
@@ -361,11 +471,11 @@ class _ScanEngine:
         self.h_max = np.zeros(m, dtype=np.int64)
         np.add.at(self.h_max, p[in_t], np.abs(w[in_t]))
         # the same thresholds in the scan's dtype; each is at most the budget
-        self._h_lim = self.h_max.astype(inst.scan_dtype)
+        self._h_lim = self.h_max.astype(dt)
         # W_in: the weight of every coupling among T and the side sets, each edge once
-        self._w_in = inst.scan_dtype.type(np.abs(w).sum() // 2)
+        self._w_in = dt.type(np.abs(w).sum() // 2)
         self.has_internal = bool(np.any((p < m) & (q < m)))
-        self.coupled = bool(sides) or self.has_internal
+        self.coupled = bool(comps) or self.has_internal
         self.w_t = _key_weights(self.t, n)
 
         self.inner = inner
@@ -376,21 +486,27 @@ class _ScanEngine:
         self._lock = threading.Lock()
         self._local = threading.local()
         self._best: Optional[int] = None
-        self.sides: List[_SideTable] = []
+        self.sides: List[Union[_SideTable, _Singletons]] = []
         if self.coupled:
             self._j_in = np.zeros((len(inner), len(inner)), dtype=np.int64)
             self._j_in[p, q] = w
-            self.j_tt = self._j_in[:m, :m]
-            # the column range of each side set in the inner field tables
-            ends = np.cumsum(lengths).tolist()
-            for lo, hi in zip(ends, ends[1:]):
-                s = spin_block(hi - lo, 0, 1 << (hi - lo)).astype(np.int64)
-                own = ((s @ self._j_in[lo:hi, lo:hi]) * s).sum(axis=1) // 2
+            j_in = self._j_in.astype(dt)
+            self.j_tt = j_in[:m, :m]
+            lo = m
+            for c in tables:
+                hi = lo + len(c)
+                s = spin_block(hi - lo, 0, 1 << (hi - lo)).astype(dt)
+                # twice each side row's own energy, at most the budget
+                own = ((s @ j_in[lo:hi, lo:hi]) * s).sum(axis=1, dtype=dt) // 2
                 keys = (s > 0).astype(np.int64) @ _key_weights(inner[lo:hi], n)
-                self.sides.append(_SideTable(slice(lo, hi), self._j_in[:m, lo:hi], s, own, keys))
+                self.sides.append(_SideTable(slice(lo, hi), j_in[:m, lo:hi], s, own, keys))
+                lo = hi
+            if singles:
+                self.sides.append(_Singletons(slice(lo, len(inner)), j_in[:m, lo:],
+                                              _key_weights(inner[lo:], n)))
         else:
             self._fold_low_members()
-        self._side_width = max((len(side.own) for side in self.sides), default=1)
+        self._side_width = max((side.width for side in self.sides), default=1)
 
     def _fold_low_members(self) -> None:
         """Sort the members of an uncoupled T by where their outer couplings go.
@@ -400,7 +516,8 @@ class _ScanEngine:
         with no coupling to a high outer variable (an isolated one too) has
         the constant h in every block, so its ``-|f|`` and its count of
         non-zero fields are folded here, once, into ``_fold`` and
-        ``_lo_strict``.  A member coupled to high outer variables alone has
+        ``_lo_strict``, their rows taken a chunk at a time into one reused
+        buffer.  A member coupled to high outer variables alone has
         an all-zero low row: its field is one constant per block.  Every
         other member is keyed from its low row at a block's tying rows
         (``_key_at``, ``_key_bit``, ``_key_runs``), and the mixed ones also
@@ -420,9 +537,11 @@ class _ScanEngine:
         lo_at = at[~high]
         # as many members at a time as keep their field rows within _CHUNK_CELLS
         step = max(1, _CHUNK_CELLS // n_rows)
+        buf = np.empty((min(step, len(lo_at)), n_rows), dtype=split.dtype)
         for k in range(0, len(lo_at), step):
             sel = lo_at[k:k + step]
-            f = split._f_lo[sel]
+            # rows are in range; mode="clip" lets take write into buf unbuffered
+            f = np.take(split._f_lo, sel, axis=0, out=buf[:len(sel)], mode="clip")
             f += c[sel, None]
             self._lo_strict += int(np.count_nonzero(f))
             self._fold -= np.abs(f, out=f).sum(axis=0, dtype=split.dtype)
@@ -439,72 +558,105 @@ class _ScanEngine:
     def _fixed_part(self, fields: np.ndarray, x: np.ndarray, f: np.ndarray):
         """Energy of the members ``x`` set against their fields, and what they leave.
 
-        Returns that energy, the fields on the enumerated members ``f`` and,
-        per side set, the table A (side rows x rows) of each side row's
-        energy in its fields, all given the spins of ``x``.
+        Returns that energy (int64), the fields on the enumerated members
+        ``f`` and, per side kind, its table of each row (:meth:`_SideTable.rows`)
+        from its fields, all given the spins of ``x``.
         """
+        dt = fields.dtype
         heff = fields[:, :self.m]
         hx = heff[:, x]
-        s_x = np.where(hx > 0, -1, 1)
+        s_x = np.where(hx > 0, dt.type(-1), dt.type(1))
         e_fix = -np.abs(hx).sum(axis=1, dtype=np.int64)
         if self.has_internal:
-            e_fix += ((s_x @ self.j_tt[np.ix_(x, x)]) * s_x).sum(axis=1) // 2
+            e_fix += ((s_x @ self.j_tt[np.ix_(x, x)]) * s_x).sum(axis=1, dtype=np.int64) // 2
             g = heff[:, f] + s_x @ self.j_tt[np.ix_(x, f)]
         else:
             g = heff[:, f]
-        a = [side.spins @ (fields[:, side.cols] + s_x @ side.j[x]).T for side in self.sides]
+        a = [side.rows(fields[:, side.cols] + s_x @ side.j[x]) for side in self.sides]
         return e_fix, g, a
 
     def _completions(self, f: np.ndarray):
         """Spins of the members ``f`` in rank order, in chunks, with their own
-        energies and, per side set, the table B (side rows x completions) of
-        each side row's own energy plus its couplings to the completion.
+        energies and, per side kind, its table of each completion
+        (:meth:`_SideTable.completions`) from its couplings to the completion.
 
         A chunk holds at most ``_CHUNK_CELLS`` // (rows of the largest side
-        set) completions, so that each B stays within ``_CHUNK_CELLS``.
+        table) completions, so that each table stays within ``_CHUNK_CELLS``.
         """
         k = int(f.size)
         j_ff = self.j_tt[np.ix_(f, f)]
+        dt = j_ff.dtype
         total = 1 << k
         step = min(total, max(1, _CHUNK_CELLS // self._side_width))
         for start in range(0, total, step):
-            s = spin_block(k, start, min(step, total - start)).astype(np.int64)
-            own = ((s @ j_ff) * s).sum(axis=1) // 2
-            b = [side.spins @ (s @ side.j[f]).T + side.own[:, None] for side in self.sides]
+            s = spin_block(k, start, min(step, total - start)).astype(dt)
+            # twice each completion's own energy, at most the budget
+            own = ((s @ j_ff) * s).sum(axis=1, dtype=dt) // 2
+            b = [side.completions(s @ side.j[f]) for side in self.sides]
             yield s, own, b
 
     def _energies(self, g, a, chunk) -> np.ndarray:
         """(rows x completions) optimal energies of T's enumerated part and the side sets.
 
-        A side set's energy for side row s, table row r and completion c is
-        ``(v_r + d_c) . s + own_s = A[s, r] + B[s, c]``, with v_r its fields
-        from the outer and fixed spins and d_c its couplings to the
-        completion, so its minimum over s is a min-plus product of the two
-        tables (:func:`_min_plus`).  Nothing wraps: A, B and A + B are each
-        a sum over a subset of the terms of ``|c0| + sum |h| + sum |J|``,
-        which the instance bounds by INT64_MAX, and so is every partial sum
-        of the products that build them and of the energies added up here.
+        Each side kind adds, per cell, its components' minimum in their
+        fields v_r + d_c, with v_r their fields from the outer and fixed
+        spins and d_c their couplings to the completion.  Nothing wraps in
+        the scan's dtype: every table entry, every minimum and every
+        partial sum here is the energy of some spins of the inner variables
+        in their fields, or a part of one, so a sum over a subset of the
+        terms of ``|c0| + sum |h| + 2 sum |J|`` (``IsingInstance.scan_dtype``),
+        and so is every partial sum of the products that build them.
         """
         s, own, b = chunk
-        e = g @ s.T + own
-        for at, bt in zip(a, b):
-            e += _min_plus(at, bt)
+        e = g @ s.T
+        e += own
+        for side, at, bt in zip(self.sides, a, b):
+            side.add_minima(at, bt, e)
         return e
 
+    def _packs(self, enum: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Pattern groups of ``enum`` packed into planes: (members f, members x, rows).
+
+        Consecutive groups (:func:`_pattern_groups`) share one plane while
+        (rows) x 2^|union of their enumerated members| x (rows of the
+        largest side table) stays within ``_CHUNK_CELLS``; a group past
+        that alone is a pack of its own.  Every row of a pack enumerates
+        the union f and fixes the rest x against their fields.  A member
+        of f that a row would fix is enumerated anyway: its other spin
+        never lowers the row's minimum, since fixing it loses no optimum,
+        and where the row forces it (a strictly dominated member) that
+        spin is strictly worse, so it never reaches the row's target.
+        """
+        union = np.zeros(self.m, dtype=bool)
+        parts: List[np.ndarray] = []
+        size = 0
+        for row, rows in _pattern_groups(enum):
+            wider = union | row
+            cells = (size + rows.size) * self._side_width << int(np.count_nonzero(wider))
+            if parts and cells > _CHUNK_CELLS:
+                yield np.flatnonzero(union), np.flatnonzero(~union), np.concatenate(parts)
+                wider, parts, size = row, [], 0
+            union = wider
+            parts.append(rows)
+            size += rows.size
+        if parts:
+            yield np.flatnonzero(union), np.flatnonzero(~union), np.concatenate(parts)
+
     def _planes(self, fields: np.ndarray, enum: np.ndarray):
-        """Walk the completions of the rows of ``fields``, grouped by ``enum``.
+        """Walk the completions of the rows of ``fields``, packed by ``enum``.
 
         ``enum`` marks, per row, the members of T to enumerate; the others
-        are fixed against their fields.  The rows of one pattern form a
-        group, cut so that its side tables A (side rows x rows) stay within
+        are fixed against their fields.  The rows of one pack
+        (:meth:`_packs`) enumerate the union of their members.  A pack is
+        cut so that its side tables (side rows x rows) stay within
         ``_CHUNK_CELLS``, and each plane of :meth:`_energies` holds as many
-        of a group's rows as keep it within ``_CHUNK_CELLS`` too.  Yields,
-        per (rows x completions) plane: its rows, their fixed-part energies,
-        the enumerated members, the completion chunk, the side tables A of
-        the rows and the plane itself.
+        of its rows as keep it within ``_CHUNK_CELLS`` too.  Yields, per
+        (rows x completions) plane: its rows, their fixed-part energies,
+        the enumerated and the fixed members, the completion chunk, the
+        side kinds' tables of the rows and the plane itself.
         """
         cap = max(1, _CHUNK_CELLS // self._side_width)
-        for f, x, group in _pattern_groups(enum):
+        for f, x, group in self._packs(enum):
             check_scan_bits(f.size, "completion enumeration")
             for r in range(0, group.size, cap):
                 rows = group[r:r + cap]
@@ -515,7 +667,7 @@ class _ScanEngine:
                         sl = slice(p, p + step)
                         a_sl = [at[:, sl] for at in a]
                         e = self._energies(g[sl], a_sl, chunk)
-                        yield rows[sl], e_fix[sl], f, chunk, a_sl, e
+                        yield rows[sl], e_fix[sl], f, x, chunk, a_sl, e
 
     def _minima(self, fields: np.ndarray) -> np.ndarray:
         """Exact optimum of T and the side sets for each row of ``fields``.
@@ -525,7 +677,7 @@ class _ScanEngine:
         """
         out = np.full(len(fields), INT64_MAX, dtype=np.int64)
         enum = np.abs(fields[:, :self.m]) < self.h_max
-        for rows, e_fix, _, _, _, e in self._planes(fields, enum):
+        for rows, e_fix, _, _, _, _, e in self._planes(fields, enum):
             out[rows] = np.minimum(out[rows], e_fix + e.min(axis=1))
         return out
 
@@ -537,20 +689,28 @@ class _ScanEngine:
         Strictly dominated members are forced, and the members whose field
         magnitude is at most ``h_max`` are enumerated in rank order.  Every
         (row, completion) pair that reaches the target is keyed, each side
-        set taking its first optimal side row, and the smallest key wins.
+        kind giving its components' first optimal spins, and the smallest
+        key wins.  A plane's fixed members x are forced on each of its rows,
+        so their key bits (+1 against a negative field) come from x; a
+        member that a row forces but its plane enumerates gets its bit
+        from the completion, which reaches the target only with the forced
+        spin.
         """
         heff = fields[:, :self.m]
         enum = np.abs(heff) <= self.h_max
-        keys = self._outer_keys(start, rows) + ((heff < 0) & ~enum).astype(np.int64) @ self.w_t
+        keys = self._outer_keys(start, rows)
+        neg = (heff < 0).astype(np.int64)
         best = None
         hit = np.zeros(rows.size, dtype=bool)
-        for idx, e_fix, f, chunk, a, e in self._planes(fields, enum):
+        for idx, e_fix, f, x, chunk, a, e in self._planes(fields, enum):
             rr, cc = np.nonzero(e == (target[idx] - e_fix)[:, None])
-            cand = keys[idx[rr]] + (chunk[0][cc] > 0).astype(np.int64) @ self.w_t[f]
-            for side, at, bt in zip(self.sides, a, chunk[2]):
-                cand += side.keys[_first_argmin(at, bt, rr, cc)]
+            at = idx[rr]
+            cand = keys[at] + neg[np.ix_(at, x)] @ self.w_t[x]
+            cand += (chunk[0][cc] > 0).astype(np.int64) @ self.w_t[f]
+            for side, a_side, b_side in zip(self.sides, a, chunk[2]):
+                cand += side.first_keys(a_side, b_side, rr, cc)
             best = _lex_min(best, cand)
-            hit[idx[rr]] = True
+            hit[at] = True
         if not hit.all():
             raise AssertionError("tying row lost its optimum")
         return _key_rank(best, self.inst.n)
@@ -765,10 +925,7 @@ def _solve_with_T(inst: IsingInstance, plan: Plan, block_bits: int = DEFAULT_BLO
     wins, so the result does not depend on the thread schedule.  The
     counters are the scan's, then the method's own (:func:`_engine_of`).
     """
-    # the paper counts 2^|T1| + 2^|T2| side rows per completion of T, an
-    # empty side set one row, unless both are empty: then there are none
-    sides = (plan.t1, plan.t2) if plan.t1 or plan.t2 else ()
-    engine = _ScanEngine(inst, plan.t, block_bits, sides)
+    engine = _ScanEngine(inst, plan.t, block_bits, (plan.t1, plan.t2))
     parts = thread_map(engine.scan_block, engine.split.starts, workers)
     e_star = min(part[0] for part in parts)
     leaves = ties = 0
@@ -784,9 +941,10 @@ def _solve_with_T(inst: IsingInstance, plan: Plan, block_bits: int = DEFAULT_BLO
     best = Assignment.from_rank(best_rank, inst.n)
     if inst.energy(best) != e_star:
         raise AssertionError("returned assignment does not match the optimum")
-    if engine.sides:
-        # every enumerated completion of T also enumerates each side set
-        leaves *= sum(len(side.own) for side in engine.sides)
+    if plan.t1 or plan.t2:
+        # the paper counts 2^|T1| + 2^|T2| side rows per completion of T, an
+        # empty side set one row, whatever components the engine solves
+        leaves *= (1 << len(plan.t1)) + (1 << len(plan.t2))
     method, own = _engine_of(plan)
     return SolveResult(
         best=best,
@@ -870,16 +1028,18 @@ def compute_Z(inst: IsingInstance, t: Sequence[int], block_bits: int = DEFAULT_B
     sum of flip steps +-2 J[j, T] from the all -1 column.  The high half is
     walked in Gray order too, one block per high assignment, keeping the
     block constant ``c = h_T + (high share)`` by the same steps.  A member
-    with ``h_max == 0`` is never free and is dropped; per block, a member
-    whose whole table row lies inside or outside the interval
-    ``(-h_max - c, h_max - c)`` is free on every row or on none, and only
-    the others are compared row by row.
+    with ``h_max == 0`` is never free and is dropped.  A member is free
+    where its table entry lies inside the interval ``(-h_max - c, h_max -
+    c)``; per block, a member whose whole table row lies inside or outside
+    it is free on every row or on none, and only the others are compared
+    row by row, against both ends.
 
     Exactness: the instance bounds ``|c0| + sum |h| + 2 sum |J|`` by
     INT64_MAX, so a step ``2 |J[j, i]|`` fits in int64; every prefix of
     the cumulative sum, and every value of ``c``, is the share of a real
-    assignment, and ``|table + c|`` and the interval ends are at most
-    ``|h_i| + sum_j |J[i, j]|``.  No int64 operation can wrap.
+    assignment, and the interval ends are at most ``|h_i| + sum_j
+    |J[i, j]|``.  No int64 operation can wrap, and a row's count of free
+    members, at most |T|, fits the count dtype, the narrowest that holds |T|.
     """
     tt = _validate_subset(inst.n, t)
     members = set(tt)
@@ -905,9 +1065,10 @@ def compute_Z(inst: IsingInstance, t: Sequence[int], block_bits: int = DEFAULT_B
 
     high = 2 * j_cross[lo_bits:]
     c = np.array([inst.h[i] for i in tt], dtype=np.int64) - j_cross[lo_bits:].sum(axis=0)
-    counts = np.empty(rows, dtype=np.int64)
-    buf = np.empty(rows, dtype=np.int64)
-    free = np.empty(rows, dtype=bool)
+    # free-member counts per row, at most len(tt), and the two sides of the interval test
+    counts = np.empty(rows, dtype=np.min_scalar_type(len(tt)))
+    above = np.empty(rows, dtype=bool)
+    below = np.empty(rows, dtype=bool)
     z = 0
     for g in range(1 << (w - lo_bits)):
         if g:
@@ -925,10 +1086,10 @@ def compute_Z(inst: IsingInstance, t: Sequence[int], block_bits: int = DEFAULT_B
             continue
         counts.fill(0)
         for i in partial:
-            np.add(table[i], c[i], out=buf)
-            np.abs(buf, out=buf)
-            np.less(buf, h_max[i], out=free)
-            counts += free
+            np.greater(table[i], lo[i], out=above)
+            np.less(table[i], hi[i], out=below)
+            above &= below
+            counts += above
         for width, n_rows in enumerate(np.bincount(counts)):
             z += int(n_rows) << (base + width)
     return z
@@ -1116,21 +1277,8 @@ def instance_parts(inst: IsingInstance) -> List[Tuple[IsingInstance, Tuple[int, 
     """
     n = inst.n
     neighbors = inst.degree_graph().neighbors
-    seen = [False] * n
-    parts: List[List[int]] = []
-    alone: List[int] = []
-    for v in range(n):
-        if not neighbors[v]:
-            alone.append(v)
-        elif not seen[v]:
-            seen[v] = True
-            comp = [v]
-            for u in comp:
-                for w in neighbors[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.append(w)
-            parts.append(sorted(comp))
+    parts = _components([v for v in range(n) if neighbors[v]], neighbors)
+    alone = [v for v in range(n) if not neighbors[v]]
     if alone:
         parts.append(alone)
     if len(parts) < 2:

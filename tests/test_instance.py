@@ -17,6 +17,7 @@ from helpers import (
 from spinscape.generators import gen_csse
 from spinscape.instance import (
     DEFAULT_BLOCK_BITS,
+    INT16_MAX,
     INT32_MAX,
     INT64_MAX,
     MAX_ENUM_BITS,
@@ -411,8 +412,9 @@ def _budget_instance(budget, sign):
     return IsingInstance(6, [sign * x for x in h], [(i, j, sign * w) for i, j, w in couplings])
 
 
-@pytest.mark.parametrize("budget, dtype", [(INT32_MAX, np.int32), (INT32_MAX + 1, np.int64)],
-                         ids=["at-bound", "above-bound"])
+@pytest.mark.parametrize("budget, dtype", [(INT16_MAX, np.int16), (INT16_MAX + 1, np.int32),
+                                           (INT32_MAX, np.int32), (INT32_MAX + 1, np.int64)],
+                         ids=["int16-at-bound", "int16-above-bound", "at-bound", "above-bound"])
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("block_bits", [2, 6])
 def test_scan_dtype_at_the_int32_bound(budget, dtype, sign, block_bits):

@@ -15,6 +15,7 @@ import spinscape.solver as solver_module
 from spinscape.cli import main
 from spinscape.generators import gen_csse, gen_multicopy, gen_random, gen_regular
 from spinscape.instance import (
+    INT16_MAX,
     INT32_MAX,
     INT64_MAX,
     Assignment,
@@ -26,18 +27,17 @@ from spinscape.instance import (
     spin_block,
     thread_map,
 )
-from spinscape.landscape import _flip_survivors
+from spinscape.landscape import _flip_survivors, enumerate_k_minima, k_basins
 from spinscape.solver import (
     SolveResult,
     Plan,
-    _first_argmin,
     _key_rank,
     _key_weights,
     _largest_color_class,
-    _min_plus,
     _pattern_groups,
     _row_classes,
     _ScanEngine,
+    _Singletons,
     _solve_with_T,
     compute_Z,
     greedy_coloring,
@@ -626,10 +626,9 @@ def test_pattern_groups_match_a_row_unique(rows, width, kinds, seed):
     patterns = np.where(pick == 0, halves[0], halves[1])
     mask = patterns[rng.integers(0, kinds, size=rows)]
     seen = 0
-    for on, off, members in _pattern_groups(mask):
-        assert sorted(np.concatenate([on, off])) == list(range(width))
+    for row, members in _pattern_groups(mask):
         for r in members:
-            np.testing.assert_array_equal(np.flatnonzero(mask[r]), on)
+            np.testing.assert_array_equal(mask[r], row)
         seen += members.size
     assert seen == rows
     assert sum(1 for _ in _pattern_groups(mask)) == len(np.unique(mask, axis=0))
@@ -1223,46 +1222,70 @@ def test_twelve_bit_side_sets():
 
 @st.composite
 def side_cases(draw):
-    """(instance, T, T1, T2, block_bits): side sets of 1-8 and 0-8 members
-    with no edge between them, up to 3 members of T and up to 4 outer
-    variables.  Weights are small, or zero fields under equal couplings
-    (many tying side rows), or one coupling near 2^61 at a side set."""
-    k1, k2 = draw(st.integers(1, 8)), draw(st.integers(0, 8))
+    """(instance, T, T1, T2, block_bits): T1 of 1-3 connected components and
+    T2 of 0-3, each of 1-4 members (singletons among them), up to 3
+    members of T and up to 4 outer variables, every variable at a drawn
+    index, so that the components interleave in lex order with T.  A path
+    through each component keeps it connected, and no edge joins two
+    components.  Weights are small, or zero fields under equal couplings
+    (many tying side rows and fields v + d = 0), or one coupling near 2^61
+    at T1 over unit couplings."""
+    sizes = [draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)),
+             draw(st.lists(st.integers(1, 4), max_size=3))]
     m, n_out = draw(st.integers(0, 3)), draw(st.integers(0, 4))
-    n = k1 + k2 + m + n_out
+    n = sum(map(sum, sizes)) + m + n_out
     order = draw(st.permutations(range(n)))
-    t1, t2, t = order[:k1], order[k1:k1 + k2], order[k1 + k2:k1 + k2 + m]
+    comps, at = [[], []], 0
+    for k, side in enumerate(sizes):
+        for size in side:
+            comps[k].append(order[at:at + size])
+            at += size
+    t1, t2 = ([v for c in side for v in c] for side in comps)
+    t = order[at:at + m]
+    comp_of = {v: k for k, c in enumerate(comps[0] + comps[1]) for v in c}
+    path = {tuple(sorted(p)) for c in comps[0] + comps[1] for p in zip(c, c[1:])}
     pairs = [(i, j) for i, j in combinations(range(n), 2)
-             if not ({i, j} & set(t1) and {i, j} & set(t2))]
+             if comp_of.get(i, -1) == comp_of.get(j, -2) or not {i, j} <= comp_of.keys()]
     at_t1 = [p for p in pairs if set(p) & set(t1)]
     kind = draw(st.sampled_from(["random", "zero-field", "near-budget"]))
     if kind == "near-budget" and not at_t1:
         kind = "zero-field"
     if kind == "random":
         triples = [(i, j, draw(st.sampled_from([-3, -1, 1, 2]))) for i, j in pairs
-                   if draw(st.booleans())]
+                   if (i, j) in path or draw(st.booleans())]
         h = draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
         inst = IsingInstance(n, h, triples, c0=draw(st.integers(-5, 5)))
     elif kind == "zero-field":
         w = draw(st.sampled_from([-1, 1]))
-        inst = IsingInstance(n, [0] * n, [(i, j, w) for i, j in pairs if draw(st.booleans())])
+        inst = IsingInstance(n, [0] * n, [(i, j, w) for i, j in pairs
+                                          if (i, j) in path or draw(st.booleans())])
     else:
         i, j = draw(st.sampled_from(at_t1))
         w = draw(st.integers(2**61 - 2**20, 2**61)) * draw(st.sampled_from([-1, 1]))
-        share = (INT64_MAX - 2 * abs(w)) // (n + 1)
+        triples = [(a, b, draw(st.sampled_from([-1, 1]))) for a, b in path if (a, b) != (i, j)]
+        share = (INT64_MAX - 2 * abs(w) - 2 * len(triples)) // (n + 1)
         h = [draw(st.integers(-share, share)) for _ in range(n)]
-        inst = IsingInstance(n, h, [(i, j, w)], c0=draw(st.integers(-share, share)))
+        inst = IsingInstance(n, h, triples + [(i, j, w)], c0=draw(st.integers(-share, share)))
     return inst, t, t1, t2, draw(st.integers(1, n_out + 1))
+
+
+def _whole_side_set(jf, side):
+    """Spins, own energies and lex keys of every row of ``side``, enumerated whole."""
+    members = sorted(side)
+    spins = np.array(list(product((-1, 1), repeat=len(members))), dtype=np.int64)
+    own = ((spins @ jf[np.ix_(members, members)]) * spins).sum(axis=1) // 2
+    return members, spins, own, (spins > 0).astype(np.int64) @ _key_weights(members, len(jf))
 
 
 @settings(max_examples=120)
 @given(side_cases(), st.data())
 def test_side_minima_match_the_3d_reference(case, data):
-    # per completion chunk: each side set's minima from the min-plus of the
-    # engine's tables A and B, its first argmins at every (row, completion)
-    # pair, and the chunk's energies, against the 3-D product they replace;
-    # slabs of one side row, of three planes and of every side row, and
-    # argmin pieces of one pair or of all pairs
+    # per completion chunk: each side kind's minima and its first optimal
+    # keys at every (row, completion) pair against the 3-D product over
+    # its components, and their sum over the kinds against the 3-D product
+    # over each of T1 and T2 enumerated whole; slabs of one side row, of
+    # three planes and of every side row, and argmin pieces of one pair or
+    # of all pairs
     inst, t, t1, t2, block_bits = case
     chunk_cells = data.draw(st.sampled_from([1, 1 << 22]))
     with pytest.MonkeyPatch.context() as mp:
@@ -1270,10 +1293,16 @@ def test_side_minima_match_the_3d_reference(case, data):
         engine = _ScanEngine(inst, t, block_bits, (t1, t2))
         m = engine.m
         jf = reference_couplings(inst)
-        assert [side.cols for side in engine.sides] == [slice(m, m + len(t1)),
-                                                        slice(m + len(t1), m + len(t1) + len(t2))]
+        wholes = [_whole_side_set(jf, side) for side in (t1, t2) if side]
+        # every component once: a table per component of two or more, one
+        # kind for the singletons
+        comps = [engine.inner[side.cols] for side in engine.sides]
+        singles = [c for c, side in zip(comps, engine.sides) if isinstance(side, _Singletons)]
+        assert len(singles) <= 1 and all(len(c) > 1 for c in comps if c not in singles)
+        assert sorted(v for c in comps for v in c) == sorted(t1 + t2)
         for side in engine.sides:
             np.testing.assert_array_equal(side.j, jf[np.ix_(engine.t, engine.inner[side.cols])])
+            assert side.j.dtype == inst.scan_dtype
         for start in engine.split.starts:
             fields = engine.split.fields(start, engine.inner).T
             fixed = np.array(data.draw(st.lists(st.booleans(), min_size=m, max_size=m)), dtype=bool)
@@ -1285,17 +1314,58 @@ def test_side_minima_match_the_3d_reference(case, data):
                 assert len(a) == len(b) == len(engine.sides)
                 want = g @ s.T + own
                 rr, cc = (part.ravel() for part in np.indices(want.shape))
+                total = np.zeros(want.shape, dtype=np.int64)
+                keys = np.zeros((rr.size, engine.w_t.shape[1]), dtype=np.int64)
                 for side, at, bt in zip(engine.sides, a, b):
+                    members = engine.inner[side.cols]
                     v = fields[:, side.cols] + s_x @ side.j[x]
-                    ref_min, ref_arg = reference_side_minima(v, s @ side.j[f], side.spins,
-                                                             side.own)
+                    d = s @ side.j[f]
+                    parts = [(side.spins, side.own, side.keys, v, d)] if hasattr(side, "spins") \
+                        else [(np.array([[-1], [1]]), np.zeros(2, dtype=np.int64),
+                               np.array([[0], [1]]) * side.keys[p], v[:, [p]], d[:, [p]])
+                              for p in range(len(members))]
+                    ref_min = np.zeros(want.shape, dtype=np.int64)
+                    ref_key = np.zeros_like(keys)
+                    for spins, own_s, keys_s, v_s, d_s in parts:
+                        part_min, part_arg = reference_side_minima(v_s, d_s, spins, own_s)
+                        ref_min += part_min
+                        ref_key += keys_s[part_arg.ravel()]
                     for slab_cells in (1, 3 * want.size, 1 << 40):
                         mp.setattr(solver_module, "_CHUNK_CELLS", slab_cells)
-                        np.testing.assert_array_equal(_min_plus(at, bt), ref_min)
+                        e = np.zeros(want.shape, dtype=inst.scan_dtype)
+                        side.add_minima(at, bt, e)
+                        np.testing.assert_array_equal(e, ref_min)
                     mp.setattr(solver_module, "_CHUNK_CELLS", chunk_cells)
-                    np.testing.assert_array_equal(_first_argmin(at, bt, rr, cc), ref_arg.ravel())
-                    want += ref_min
-                np.testing.assert_array_equal(engine._energies(g, a, chunk), want)
+                    np.testing.assert_array_equal(side.first_keys(at, bt, rr, cc), ref_key)
+                    total += ref_min
+                    keys += ref_key
+                # the sum over the components is the minimum over each side set
+                # whole, and the sum of their first keys its first optimal key
+                whole_min = np.zeros_like(total)
+                whole_key = np.zeros_like(keys)
+                for members, spins, own_w, keys_w in wholes:
+                    cols = [engine.inner.index(v) for v in members]
+                    v = fields[:, cols] + s_x @ jf[np.ix_(engine.t, members)][x]
+                    part_min, part_arg = reference_side_minima(
+                        v, s @ jf[np.ix_(engine.t, members)][f], spins, own_w)
+                    whole_min += part_min
+                    whole_key += keys_w[part_arg.ravel()]
+                np.testing.assert_array_equal(total, whole_min)
+                np.testing.assert_array_equal(keys, whole_key)
+                np.testing.assert_array_equal(engine._energies(g, a, chunk), want + whole_min)
+
+
+def test_singletons_at_a_zero_field_take_minus_one():
+    # v + d = 0: both spins cost 0, and the first in rank order is -1, so
+    # the member's key bit stays clear; it is set at v + d = -1 only
+    kind = _Singletons(slice(0, 1), np.zeros((0, 1), dtype=np.int64), _key_weights([0], 1))
+    a = np.array([[0, -1, 2]])  # one member, three rows
+    b = np.array([[0, 1, -1]])  # three completions
+    e = np.zeros((3, 3), dtype=np.int64)
+    kind.add_minima(a, b, e)
+    np.testing.assert_array_equal(e, -np.abs(a.T + b))
+    rr, cc = np.array([0, 1, 1, 2, 2]), np.array([0, 1, 0, 2, 1])  # sums 0, 0, -1, 1, 2
+    np.testing.assert_array_equal(kind.first_keys(a, b, rr, cc).ravel(), [0, 0, 1, 0, 0])
 
 
 def _inner_energy(jf, sets, f, s_t):
@@ -1314,15 +1384,18 @@ def _inner_energy(jf, sets, f, s_t):
 @given(st.one_of(side_cases(), engine_cases()), st.data())
 def test_planes_walk_each_completion_once(case, data):
     # field rows of real blocks that repeat, in shuffled order, under drawn
-    # enum masks: each row gets every completion of its enumerated members
-    # exactly once, each plane cell is that completion's energy with the
-    # other members set against their fields, and _minima is the optimum
-    # over every spin of T and of both side sets
+    # enum masks: a plane enumerates a set f that covers each of its rows'
+    # masks and fixes the rest x, no row enumerates a member outside f,
+    # each row gets every completion of f exactly once, each plane cell is
+    # that completion's energy with x set against its fields, and _minima
+    # is the optimum over every spin of T and of both side sets
     inst, t, t1, t2, block_bits = case
     engine = _ScanEngine(inst, t, block_bits, (t1, t2))
     m = engine.m
     sets = (list(engine.t), sorted(t1), sorted(t2))
     jf = reference_couplings(inst)
+    # the engine's columns of T, T1 and T2, in that order
+    cols = [engine.inner.index(v) for v in sets[0] + sets[1] + sets[2]]
     pool = np.concatenate([engine.split.fields(start, engine.inner).T
                            for start in engine.split.starts])
     distinct = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=4,
@@ -1336,18 +1409,23 @@ def test_planes_walk_each_completion_once(case, data):
     def reference(r, s_t):
         key = (r, tuple(s_t))
         if key not in energy:
-            energy[key] = _inner_energy(jf, sets, fields[r].astype(np.int64), s_t)
+            energy[key] = _inner_energy(jf, sets, fields[r, cols].astype(np.int64), s_t)
         return energy[key]
 
     want = [min(reference(r, np.array(s_t, dtype=np.int64)) for s_t in product((-1, 1), repeat=m))
             for r in range(len(fields))]
     for chunk_cells in (1, 7, 1 << 16):
         seen = [[] for _ in fields]
+        enumerated = [None] * len(fields)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver_module, "_CHUNK_CELLS", chunk_cells)
-            for rows, e_fix, f, chunk, _, e in engine._planes(fields, enum):
+            for rows, e_fix, f, x, chunk, _, e in engine._planes(fields, enum):
+                assert sorted(np.concatenate([f, x])) == list(range(m))
+                assert chunk[0].shape[1] == f.size
                 for i, r in enumerate(rows):
-                    np.testing.assert_array_equal(f, np.flatnonzero(enum[r]))
+                    assert set(np.flatnonzero(enum[r])) <= set(f)
+                    assert enumerated[r] in (None, list(f))
+                    enumerated[r] = list(f)
                     for c, spins in enumerate(chunk[0]):
                         seen[r].append(tuple(spins))
                         s_t = np.where(fields[r, :m] > 0, -1, 1).astype(np.int64)
@@ -1355,8 +1433,7 @@ def test_planes_walk_each_completion_once(case, data):
                         assert e_fix[i] + e[i, c] == reference(r, s_t)
             assert list(engine._minima(fields)) == want
         for r, completions in enumerate(seen):
-            k = int(enum[r].sum())
-            assert sorted(completions) == sorted(product((-1, 1), repeat=k))
+            assert sorted(completions) == sorted(product((-1, 1), repeat=len(enumerated[r])))
 
 
 def test_completion_enumeration_refuses_more_than_26_free_members():
@@ -1366,9 +1443,17 @@ def test_completion_enumeration_refuses_more_than_26_free_members():
         _solve_with_T(ring, Plan("effective", range(27)))
 
 
-def test_side_sets_wider_than_the_cap_are_refused():
-    with pytest.raises(EnumerationLimitError, match="side sets too large to enumerate"):
-        _solve_with_T(IsingInstance(21, [1] * 21), Plan("combined", (), range(21)))
+def test_side_components_wider_than_the_cap_are_refused():
+    # the cap bounds each connected component of a side set: a path of 21
+    # members is refused, and 21 uncoupled members are 21 singletons, solved
+    path = IsingInstance(21, [1] * 21, [(i, i + 1, 1) for i in range(20)])
+    with pytest.raises(EnumerationLimitError, match="side-set components too large"):
+        _solve_with_T(path, Plan("combined", (), range(21)))
+    edgeless = IsingInstance(21, [1] * 21)
+    res = _solve_with_T(edgeless, Plan("combined", (), range(21)))
+    assert (res.energy, res.best.bitstring()) == (-21, "0" * 21)
+    # one outer row, and the paper's 2^21 + 2^0 side rows
+    assert (res.outer_assignments, res.leaves_explored) == (1, (1 << 21) + 1)
 
 
 @st.composite
@@ -1479,7 +1564,8 @@ def test_every_solver_is_exact_at_the_int64_budget(case, seed):
 
 @st.composite
 def int32_bound_cases(draw):
-    """(instance, block_bits) whose budget lies within 3 of 2^31 - 1, on either side.
+    """(instance, block_bits) whose budget lies within 3 of 2^15 - 1 or of
+    2^31 - 1, on either side.
 
     A random instance is scaled so that its fields and couplings take all,
     half or a small part of the budget, and c0 takes the rest.
@@ -1487,7 +1573,7 @@ def int32_bound_cases(draw):
     n = draw(st.integers(2, 9))
     inst = random_instance(draw(st.integers(0, 10_000)), n=n)
     base = sum(abs(x) for x in inst.h) + 2 * sum(abs(w) for w in inst.couplings.values())
-    budget = INT32_MAX + draw(st.integers(-3, 3))
+    budget = draw(st.sampled_from([INT16_MAX, INT32_MAX])) + draw(st.integers(-3, 3))
     scale = max(1, budget // max(1, base) // draw(st.sampled_from([1, 2, 1000])))
     c0 = (budget - scale * base) * draw(st.sampled_from([-1, 1]))
     scaled = IsingInstance(n, [scale * x for x in inst.h],
@@ -1499,13 +1585,25 @@ def _force_int64(mp):
     mp.setattr(IsingInstance, "scan_dtype", property(lambda self: np.dtype(np.int64)))
 
 
+def _landscape(inst, block_bits):
+    """compute_Z for the coloring class, count-minima at k = 1, 2 and basins at k = 1."""
+    t, _ = _largest_color_class(inst.degree_graph())
+    return (compute_Z(inst, t, block_bits),
+            *(enumerate_k_minima(inst, k, block_bits) for k in (1, 2)),
+            k_basins(inst, 1, block_bits=block_bits))
+
+
 @settings(max_examples=60)
 @given(int32_bound_cases(), st.data())
 def test_int32_scan_matches_the_forced_int64_scan(case, data):
+    # budgets at either side of 2^15 - 1 (int16 and int32 tables) and of
+    # 2^31 - 1 (int32 and int64): every scan, solve, count and audit the
+    # narrow dtype runs equals the one forced to int64
     inst, block_bits = case
     budget = abs(inst.c0) + sum(abs(x) for x in inst.h) + 2 * sum(
         abs(w) for w in inst.couplings.values())
-    assert inst.scan_dtype == (np.int32 if budget <= INT32_MAX else np.int64)
+    assert inst.scan_dtype == (np.int16 if budget <= INT16_MAX else
+                               np.int32 if budget <= INT32_MAX else np.int64)
     sub = data.draw(st.permutations(range(inst.n)))[: data.draw(st.integers(1, inst.n))]
     cols = data.draw(st.lists(st.integers(0, inst.n - 1), unique=True))
     strict, flipped = data.draw(st.booleans()), data.draw(st.booleans())
@@ -1518,11 +1616,13 @@ def test_int32_scan_matches_the_forced_int64_scan(case, data):
     }
     narrow = [SplitScan(inst, block_bits), SplitScan(inst, block_bits, sub, cols)]
     solved = {m: solve(inst, block_bits=block_bits) for m, solve in solvers.items()}
+    counted = _landscape(inst, block_bits)
     with pytest.MonkeyPatch.context() as mp:
         _force_int64(mp)
         wide = [SplitScan(inst, block_bits), SplitScan(inst, block_bits, sub, cols)]
         for method, solve in solvers.items():
             assert solve(inst, block_bits=block_bits) == solved[method], method
+        assert _landscape(inst, block_bits) == counted
     for a, b in zip(narrow, wide):
         assert a.dtype == inst.scan_dtype and b.dtype == np.int64
         for start in a.starts:
