@@ -332,7 +332,7 @@ class _Singletons(NamedTuple):
     A member with field u = v + d has minimum ``-|u|``, at spin +1 (its key
     bit set) where u < 0 and at -1, the first in rank order, where u >= 0.
     The tables of a row and of a completion are v and d themselves, one row
-    per member.
+    per member, so the kind's width is its member count.
     """
 
     cols: slice
@@ -341,7 +341,7 @@ class _Singletons(NamedTuple):
 
     @property
     def width(self) -> int:
-        return 1
+        return len(self.keys)
 
     def rows(self, v: np.ndarray) -> np.ndarray:
         return v.T
@@ -357,7 +357,13 @@ class _Singletons(NamedTuple):
 
     def first_keys(self, a: np.ndarray, b: np.ndarray, rr: np.ndarray,
                    cc: np.ndarray) -> np.ndarray:
-        return (a[:, rr] + b[:, cc] < 0).T.astype(np.int64) @ self.keys
+        # the pairs in pieces of _CHUNK_CELLS // members, as in _first_argmin
+        out = np.empty((len(rr), self.keys.shape[1]), dtype=np.int64)
+        step = max(1, _CHUNK_CELLS // len(self.keys))
+        for p in range(0, len(rr), step):
+            q = slice(p, p + step)
+            out[q] = (a[:, rr[q]] + b[:, cc[q]] < 0).T.astype(np.int64) @ self.keys
+        return out
 
 
 def _components(vertices: Sequence[int], neighbors: Sequence[Sequence[int]]) -> List[List[int]]:
@@ -704,8 +710,11 @@ class _ScanEngine:
         hit = np.zeros(rows.size, dtype=bool)
         for idx, e_fix, f, x, chunk, a, e in self._planes(fields, enum):
             rr, cc = np.nonzero(e == (target[idx] - e_fix)[:, None])
+            if not rr.size:
+                continue
             at = idx[rr]
-            cand = keys[at] + neg[np.ix_(at, x)] @ self.w_t[x]
+            # the fixed members' key bits, once per row of the plane
+            cand = (keys[idx] + neg[np.ix_(idx, x)] @ self.w_t[x])[rr]
             cand += (chunk[0][cc] > 0).astype(np.int64) @ self.w_t[f]
             for side, a_side, b_side in zip(self.sides, a, chunk[2]):
                 cand += side.first_keys(a_side, b_side, rr, cc)

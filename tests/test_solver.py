@@ -1456,6 +1456,37 @@ def test_side_components_wider_than_the_cap_are_refused():
     assert (res.outer_assignments, res.leaves_explored) == (1, (1 << 21) + 1)
 
 
+def test_many_singletons_keep_their_tables_within_the_cell_budget(monkeypatch):
+    # T = {0, 1}, outer {42, 43} and 40 uncoupled side members, each coupled
+    # to T and the outer variables, some at a zero field: the singleton kind
+    # is 40 rows wide, so at 64 cells a plane holds one row and one
+    # completion and the tie pass keys one pair per piece
+    n, t, side = 44, (0, 1), range(2, 42)
+    triples = [(k, c, (-1) ** (k + c) * (1 + (k * c) % 3)) for k in side for c in (0, 1, 42, 43)
+               if (k + c) % 5]
+    inst = IsingInstance(n, [k % 3 - 1 for k in range(n)], triples + [(0, 1, 2)])
+    # each other assignment, its singletons against their fields (-1 at zero)
+    found = []
+    for bits in product((-1, 1), repeat=4):
+        s = np.zeros(n, dtype=np.int64)
+        s[[0, 1, 42, 43]] = bits
+        for k in side:
+            u = inst.h[k] + sum(w * s[c] for a, c, w in triples if a == k)
+            s[k] = 1 if u < 0 else -1
+        a = Assignment.from_spins(s.tolist())
+        found.append((inst.energy(a), a.bitstring()))
+    ref = _solve_with_T(inst, Plan("combined", t, side))
+    assert (ref.energy, ref.best.bitstring()) == min(found)
+    monkeypatch.setattr(solver_module, "_CHUNK_CELLS", 64)
+    engine = _ScanEngine(inst, t, 1, (side,))
+    assert [kind.width for kind in engine.sides] == [40]
+    for start in engine.split.starts:
+        fields = engine.split.fields(start, engine.inner).T
+        for *_, chunk, a, e in engine._planes(fields, np.abs(fields[:, :2]) <= engine.h_max):
+            assert max(x.size for x in [e] + a + chunk[2]) <= 64
+    assert _solve_with_T(inst, Plan("combined", t, side)) == ref
+
+
 @st.composite
 def z_cases(draw):
     """(instance, T, block_bits) for the leaf-count audit: small random
