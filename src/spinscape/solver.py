@@ -42,7 +42,7 @@ import math
 import threading
 from dataclasses import dataclass
 from typing import (Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
-                    TypeVar, Union)
+                    TypeVar)
 
 import numpy as np
 
@@ -247,14 +247,15 @@ def _min_plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Min over s of ``a[s, r] + b[s, c]``, for every (r, c), in the tables' dtype.
 
     The leading axis s is walked in slabs of as many rows as keep one
-    (slab x r x c) temporary within ``_CHUNK_CELLS``, one row at least.
+    (slab x r x c) temporary within ``_CHUNK_CELLS``, one row at least, and
+    the first slab's minimum is the running one.
     """
-    dt = np.result_type(a, b)
-    best = np.full((a.shape[1], b.shape[1]), np.iinfo(dt).max, dtype=dt)
-    slab = max(1, _CHUNK_CELLS // best.size)
+    slab = max(1, _CHUNK_CELLS // (a.shape[1] * b.shape[1]))
+    best = None
     for s in range(0, len(a), slab):
         w = a[s:s + slab, :, None] + b[s:s + slab, None, :]
-        np.minimum(best, w[0] if slab == 1 else w.min(axis=0), out=best)
+        w = w[0] if slab == 1 else w.min(axis=0)
+        best = w if best is None else np.minimum(best, w, out=best)
     return best
 
 
@@ -272,20 +273,20 @@ def _first_argmin(a: np.ndarray, b: np.ndarray, rows: np.ndarray, cols: np.ndarr
     return out
 
 
-# Each kind of side set below holds side components of the scan engine and
-# answers two questions about them for a plane of (rows x completions).  A
-# row gives the components' fields v from the outer and fixed spins, and a
-# completion of T their couplings d to its spins; ``rows(v)`` and
-# ``completions(d)`` turn these into a table per row and per completion,
-# one column each, and then
+# Each connected component of a side set is one _SideTable, one-member
+# components included, and answers two questions about itself for a plane
+# of (rows x completions).  A row gives the component's fields v from the
+# outer and fixed spins, and a completion of T its couplings d to its
+# spins; ``rows(v)`` and ``completions(d)`` turn these into a table per row
+# and per completion, one column each, and then
 #
-# * ``add_minima(a, b, e)`` adds each cell's minimum over the components'
+# * ``add_minima(a, b, e)`` adds each cell's minimum over the component's
 #   spins to the plane ``e``;
 # * ``first_keys(a, b, rr, cc)`` gives, at each (row, completion) pair, the
-#   lex key of the components' first optimal spins in rank order.
+#   lex key of the component's first optimal spins in rank order.
 #
 # Components share no coupling, so their minima add, and their keys add
-# over disjoint bits: the sum over the kinds is the minimum, and the
+# over disjoint bits: the sum over the components is the minimum, and the
 # lex-smallest optimal key, of all the side sets at once.
 
 
@@ -297,6 +298,7 @@ class _SideTable(NamedTuple):
     A row's table holds each side row's energy in the row's fields, and a
     completion's each side row's own energy plus its couplings to the
     completion, so a cell's minimum is a min-plus product (:func:`_min_plus`).
+    A one-member component has two side rows, -1 first, and own energy 0.
     """
 
     cols: slice
@@ -323,47 +325,6 @@ class _SideTable(NamedTuple):
     def first_keys(self, a: np.ndarray, b: np.ndarray, rr: np.ndarray,
                    cc: np.ndarray) -> np.ndarray:
         return self.keys[_first_argmin(a, b, rr, cc)]
-
-
-class _Singletons(NamedTuple):
-    """Every one-member side component, in closed form: its columns in the
-    inner field table, its couplings to T and the lex-key weight of each.
-
-    A member with field u = v + d has minimum ``-|u|``, at spin +1 (its key
-    bit set) where u < 0 and at -1, the first in rank order, where u >= 0.
-    The tables of a row and of a completion are v and d themselves, one row
-    per member, so the kind's width is its member count.
-    """
-
-    cols: slice
-    j: np.ndarray
-    keys: np.ndarray
-
-    @property
-    def width(self) -> int:
-        return len(self.keys)
-
-    def rows(self, v: np.ndarray) -> np.ndarray:
-        return v.T
-
-    def completions(self, d: np.ndarray) -> np.ndarray:
-        return d.T
-
-    def add_minima(self, a: np.ndarray, b: np.ndarray, e: np.ndarray) -> None:
-        u = np.empty_like(e)
-        for v, d in zip(a, b):
-            np.add(v[:, None], d, out=u)
-            e -= np.abs(u, out=u)
-
-    def first_keys(self, a: np.ndarray, b: np.ndarray, rr: np.ndarray,
-                   cc: np.ndarray) -> np.ndarray:
-        # the pairs in pieces of _CHUNK_CELLS // members, as in _first_argmin
-        out = np.empty((len(rr), self.keys.shape[1]), dtype=np.int64)
-        step = max(1, _CHUNK_CELLS // len(self.keys))
-        for p in range(0, len(rr), step):
-            q = slice(p, p + step)
-            out[q] = (a[:, rr[q]] + b[:, cc[q]] < 0).T.astype(np.int64) @ self.keys
-        return out
 
 
 def _components(vertices: Sequence[int], neighbors: Sequence[Sequence[int]]) -> List[List[int]]:
@@ -396,11 +357,10 @@ class _ScanEngine:
     two side sets share a coupling edge, and neither do two connected
     components of one side set, so for each completion of T the engine
     minimizes each component on its own and adds the minima instead of
-    multiplying the side rows: a component of two or more members from its
-    own table (:class:`_SideTable`), the one-member components all at once
-    in closed form (:class:`_Singletons`).  ``COMPLETION_CAP_BITS`` bounds
-    each component, not each side set.  The effective-field solvers give
-    no side sets, and the combined one gives the two that its plan holds.
+    multiplying the side rows, each component from its own table
+    (:class:`_SideTable`).  ``COMPLETION_CAP_BITS`` bounds each component,
+    not each side set.  The effective-field solvers give no side sets, and
+    the combined one gives the two that its plan holds.
 
     The blocks of outer assignments are those of one :class:`SplitScan` that
     scans the outer variables.  It gives each block's outer energies, its
@@ -452,13 +412,10 @@ class _ScanEngine:
         n = inst.n
         self.m = m = len(self.t)
         dt = inst.scan_dtype
-        # the side sets' components, then T, each enumerated component and
-        # the singletons side by side (a component of two side sets has an
-        # edge between them, refused below)
+        # the side sets' components, then T and each component side by side
+        # (a component of two side sets has an edge between them, refused below)
         comps = _components(given[m:], inst.degree_graph().neighbors)
-        tables = [c for c in comps if len(c) > 1]
-        singles = [c[0] for c in comps if len(c) == 1]
-        inner = list(self.t) + [v for c in tables for v in c] + singles
+        inner = list(self.t) + [v for c in comps for v in c]
         # the couplings among T and the side sets by position in inner, each edge from both ends
         p, q, w = inst.coupling_entries(inner, inner)
         # the set of each inner position (0 for T, k for the k-th side set)
@@ -492,14 +449,14 @@ class _ScanEngine:
         self._lock = threading.Lock()
         self._local = threading.local()
         self._best: Optional[int] = None
-        self.sides: List[Union[_SideTable, _Singletons]] = []
+        self.sides: List[_SideTable] = []
         if self.coupled:
             self._j_in = np.zeros((len(inner), len(inner)), dtype=np.int64)
             self._j_in[p, q] = w
             j_in = self._j_in.astype(dt)
             self.j_tt = j_in[:m, :m]
             lo = m
-            for c in tables:
+            for c in comps:
                 hi = lo + len(c)
                 s = spin_block(hi - lo, 0, 1 << (hi - lo)).astype(dt)
                 # twice each side row's own energy, at most the budget
@@ -507,9 +464,6 @@ class _ScanEngine:
                 keys = (s > 0).astype(np.int64) @ _key_weights(inner[lo:hi], n)
                 self.sides.append(_SideTable(slice(lo, hi), j_in[:m, lo:hi], s, own, keys))
                 lo = hi
-            if singles:
-                self.sides.append(_Singletons(slice(lo, len(inner)), j_in[:m, lo:],
-                                              _key_weights(inner[lo:], n)))
         else:
             self._fold_low_members()
         self._side_width = max((side.width for side in self.sides), default=1)
@@ -523,19 +477,16 @@ class _ScanEngine:
         the constant h in every block, so its ``-|f|`` and its count of
         non-zero fields are folded here, once, into ``_fold`` and
         ``_lo_strict``, their rows taken a chunk at a time into one reused
-        buffer.  A member coupled to high outer variables alone has
-        an all-zero low row: its field is one constant per block.  Every
-        other member is keyed from its low row at a block's tying rows
-        (``_key_at``, ``_key_bit``, ``_key_runs``), and the mixed ones also
-        keep a field row per block.  The engine reads the rows in place.
+        buffer.  Every other ("mixed") member adds its block constant to its
+        low row in each block (``_mixed_at``).  Every member is keyed from
+        its low row at a block's tying rows (``_key_at``, ``_key_bit``,
+        ``_key_runs``).  The engine reads the rows in place.
         """
         split = self.split
         t = np.array(self.t, dtype=np.int64)
         at = split._row[t]
-        # the members coupled to a high, and to a low, outer variable
-        coupled = split._cols[:, at] != 0
-        high = coupled[:split.hi_bits].any(axis=0)
-        low = coupled[split.hi_bits:].any(axis=0)
+        # the members coupled to a high outer variable
+        high = (split._cols[:split.hi_bits, at] != 0).any(axis=0)
         c = split.field_constants(0)
         n_rows = 1 << split.lo_bits
         self._fold = np.zeros(n_rows, dtype=split.dtype)
@@ -551,12 +502,10 @@ class _ScanEngine:
             f += c[sel, None]
             self._lo_strict += int(np.count_nonzero(f))
             self._fold -= np.abs(f, out=f).sum(axis=0, dtype=split.dtype)
-        high_only = high & ~low
-        self._hi_at, self._w_hi = at[high_only], self.w_t[high_only]
-        self._mixed_at, keyed = at[high & low], np.flatnonzero(~high | low)
-        word = t[keyed] // _KEY_BITS
-        self._key_at, self._key_bit = at[keyed], self.w_t[keyed, word]
-        # the keyed members of key word w are _key_at[runs[w]:runs[w + 1]]: T is sorted
+        self._mixed_at = at[high]
+        word = t // _KEY_BITS
+        self._key_at, self._key_bit = at, self.w_t[np.arange(self.m), word]
+        # the members of key word w are _key_at[runs[w]:runs[w + 1]]: T is sorted
         self._key_runs = np.searchsorted(word, np.arange(self.w_t.shape[1] + 1)).tolist()
 
     # -- per-row pieces ------------------------------------------------
@@ -565,7 +514,7 @@ class _ScanEngine:
         """Energy of the members ``x`` set against their fields, and what they leave.
 
         Returns that energy (int64), the fields on the enumerated members
-        ``f`` and, per side kind, its table of each row (:meth:`_SideTable.rows`)
+        ``f`` and, per side component, its table of each row (:meth:`_SideTable.rows`)
         from its fields, all given the spins of ``x``.
         """
         dt = fields.dtype
@@ -583,7 +532,7 @@ class _ScanEngine:
 
     def _completions(self, f: np.ndarray):
         """Spins of the members ``f`` in rank order, in chunks, with their own
-        energies and, per side kind, its table of each completion
+        energies and, per side component, its table of each completion
         (:meth:`_SideTable.completions`) from its couplings to the completion.
 
         A chunk holds at most ``_CHUNK_CELLS`` // (rows of the largest side
@@ -604,9 +553,9 @@ class _ScanEngine:
     def _energies(self, g, a, chunk) -> np.ndarray:
         """(rows x completions) optimal energies of T's enumerated part and the side sets.
 
-        Each side kind adds, per cell, its components' minimum in their
-        fields v_r + d_c, with v_r their fields from the outer and fixed
-        spins and d_c their couplings to the completion.  Nothing wraps in
+        Each side component adds, per cell, its minimum in its fields
+        v_r + d_c, with v_r its fields from the outer and fixed spins and
+        d_c its couplings to the completion.  Nothing wraps in
         the scan's dtype: every table entry, every minimum and every
         partial sum here is the energy of some spins of the inner variables
         in their fields, or a part of one, so a sum over a subset of the
@@ -659,7 +608,7 @@ class _ScanEngine:
         of its rows as keep it within ``_CHUNK_CELLS`` too.  Yields, per
         (rows x completions) plane: its rows, their fixed-part energies,
         the enumerated and the fixed members, the completion chunk, the
-        side kinds' tables of the rows and the plane itself.
+        side components' tables of the rows and the plane itself.
         """
         cap = max(1, _CHUNK_CELLS // self._side_width)
         for f, x, group in self._packs(enum):
@@ -695,8 +644,8 @@ class _ScanEngine:
         Strictly dominated members are forced, and the members whose field
         magnitude is at most ``h_max`` are enumerated in rank order.  Every
         (row, completion) pair that reaches the target is keyed, each side
-        kind giving its components' first optimal spins, and the smallest
-        key wins.  A plane's fixed members x are forced on each of its rows,
+        component giving its first optimal spins, and the smallest key
+        wins.  A plane's fixed members x are forced on each of its rows,
         so their key bits (+1 against a negative field) come from x; a
         member that a row forces but its plane enumerates gets its bit
         from the completion, which reaches the target only with the forced
@@ -849,39 +798,36 @@ class _ScanEngine:
 
         Every member is fixed against its field, so a row's total is
         ``e_out - sum |f|`` over T, exact.  The low-only members' share is
-        the folded table (:meth:`_fold_low_members`), a high-only member
-        subtracts one block constant, and only the mixed members add,
-        take ``abs`` and subtract a field row, in this thread's buffer,
-        reused from block to block.  No member is free, so the width
-        histogram is one entry, and a field is strict where it is not 0.
+        the folded table (:meth:`_fold_low_members`), and only the mixed
+        members add, take ``abs`` and subtract a field row, in this
+        thread's buffer, reused from block to block.  No member is free, so
+        the width histogram is one entry, and a field is strict where it is
+        not 0.
 
         A zero-field member may take either spin, so a tying row's smallest
         key is its outer key with the members of negative field at +1 and
-        the others at -1.  A high-only member's bit is one per block; every
-        other member's is read from its field at the tying rows alone.
+        the others at -1, each member's bit read from its field at the
+        tying rows alone.
         """
         totals = self.split.energies(start)
         n_rows = len(totals)
         totals += self._fold
         c = self.split.field_constants(start)
-        c_hi = c[self._hi_at]
-        strict = self._lo_strict + n_rows * int(np.count_nonzero(c_hi))
+        strict = self._lo_strict
         if len(self._mixed_at) and not hasattr(self._local, "buf"):
             self._local.buf = np.empty(n_rows, dtype=self.split.dtype)
         for r in self._mixed_at:
             f = np.add(self.split._f_lo[r], c[r], out=self._local.buf)
             strict += int(np.count_nonzero(f))
             totals -= np.abs(f, out=f)
-        low = totals.min()
-        rows = np.flatnonzero(totals == low)
-        # the high-only members' -|c| is the same on every row
-        bmin = int(low) - sum(abs(int(x)) for x in c_hi)
+        bmin = int(totals.min())
+        rows = np.flatnonzero(totals == bmin)
         counters = {"strict_fixed": strict, "boundary_fixed": 0,
                     "zero_field_fixed": self.m * n_rows - strict, "free_members": 0}
         rank = None
         if self._live(bmin):
-            keys = self._outer_keys(start, rows) + self._w_hi[c_hi < 0].sum(axis=0)
-            # per key word, keyed members in chunks of at most _CHUNK_CELLS fields
+            keys = self._outer_keys(start, rows)
+            # per key word, members in chunks of at most _CHUNK_CELLS fields
             step, f_lo, runs = max(1, _CHUNK_CELLS // rows.size), self.split._f_lo, self._key_runs
             for w, end in enumerate(runs[1:]):
                 for k in range(runs[w], end, step):

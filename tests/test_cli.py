@@ -627,6 +627,21 @@ class TestBench:
                         "--methods", "effective"], capsys)
         assert doc["table"][0]["leaves_explored"] == 1
 
+    @pytest.mark.parametrize("family, shape", [("random", ["--density", "0.3"]),
+                                               ("regular", ["--d", "3"])])
+    def test_drawn_families_match_brute_and_generate(self, capsys, family, shape):
+        # every method's energy is brute's, and every row's digest is that
+        # of the instance that generate prints under the same parameters
+        params = shape + ["--wmax", "5", "--seed", "2"]
+        doc = run_json(["bench", "--family", family, "--sizes", "10", "12",
+                        "--methods", "brute", "coloring", "combined"] + params, capsys)
+        assert [(r["n"], r["method"]) for r in doc["table"]] == [
+            (n, m) for n in (10, 12) for m in ("brute", "coloring", "combined")]
+        for n in (10, 12):
+            digest = run_json(["generate", family, "--n", str(n)] + params, capsys)["digest"]
+            rows = [r for r in doc["table"] if r["n"] == n]
+            assert all(r["energy"] == rows[0]["energy"] and r["digest"] == digest for r in rows)
+
     def test_empty_size_list(self, capsys):
         doc = run_json(["bench", "--family", "multicopy", "--sizes"], capsys)
         assert doc["table"] == []

@@ -37,7 +37,7 @@ from spinscape.solver import (
     _pattern_groups,
     _row_classes,
     _ScanEngine,
-    _Singletons,
+    _SideTable,
     _solve_with_T,
     compute_Z,
     greedy_coloring,
@@ -708,28 +708,26 @@ def test_engine_tables_match_reference_formulas(case):
 
 
 @st.composite
-def uncoupled_cases(draw, keyed=0):
+def uncoupled_cases(draw, min_members=1):
     """(instance, T, block_bits) with T an independent set and high outer bits.
 
     Each member of T draws where its couplings go: to low outer variables
     only, to high ones only, to both, or nowhere.  The outer variables
     interleave with T and are coupled among themselves.  Small fields and
     couplings make zero fields common, and wide draws pass 63 variables,
-    so that keys span two words.  T has at least ``keyed`` members, and
-    its first ``keyed`` members are not coupled to high variables alone.
+    so that keys span two words.  T has at least ``min_members`` members.
     """
     block_bits = draw(st.integers(1, 4))
     n_out = draw(st.integers(block_bits + 1, 8))
-    m = draw(st.integers(58, 66) if draw(st.booleans()) else st.integers(max(1, keyed), 8))
+    m = draw(st.integers(58, 66) if draw(st.booleans()) else st.integers(min_members, 8))
     n = n_out + m
     out = sorted(draw(st.permutations(range(n)))[:n_out])
     t = [v for v in range(n) if v not in out]
     high, low = out[:n_out - block_bits], out[n_out - block_bits:]
     weight = st.sampled_from([-2, -1, 1, 2])
     triples = [(i, j, draw(weight)) for i, j in combinations(out, 2) if draw(st.booleans())]
-    for k, v in enumerate(t):
-        kinds = ["low", "high", "mixed", "isolated"]
-        kind = draw(st.sampled_from(kinds if k >= keyed else kinds[:1] + kinds[2:]))
+    for v in t:
+        kind = draw(st.sampled_from(["low", "high", "mixed", "isolated"]))
         for side, pool in (("low", low), ("high", high)):
             if kind in (side, "mixed"):
                 nbrs = draw(st.lists(st.sampled_from(pool), min_size=1, unique=True))
@@ -765,14 +763,14 @@ def _uncoupled_reference(inst, t, block_bits):
 @settings(max_examples=80, deadline=None)
 @given(uncoupled_cases(), st.sampled_from([1, 2]))
 def test_uncoupled_blocks_match_a_per_row_reference(case, workers):
-    # the folded pass: low-only members' totals from the engine's tables,
-    # high-only ones from the block constant, mixed ones row by row; every
-    # member but the high-only ones keyed from its field at the tying rows
+    # the folded pass: totals of the members with no high coupling from the
+    # engine's tables, the others row by row; every member keyed from its
+    # field at the tying rows
     _check_uncoupled_blocks(*case, workers)
 
 
 @settings(max_examples=40, deadline=None)
-@given(uncoupled_cases(keyed=3), st.sampled_from([1, 2]))
+@given(uncoupled_cases(min_members=3), st.sampled_from([1, 2]))
 def test_uncoupled_keys_in_member_chunks(case, workers):
     # two fields per chunk and at least three keyed members: every block
     # keys its tying rows in two or more member chunks
@@ -1280,9 +1278,9 @@ def _whole_side_set(jf, side):
 @settings(max_examples=120)
 @given(side_cases(), st.data())
 def test_side_minima_match_the_3d_reference(case, data):
-    # per completion chunk: each side kind's minima and its first optimal
+    # per completion chunk: each component's minima and its first optimal
     # keys at every (row, completion) pair against the 3-D product over
-    # its components, and their sum over the kinds against the 3-D product
+    # its table, and their sum over the components against the 3-D product
     # over each of T1 and T2 enumerated whole; slabs of one side row, of
     # three planes and of every side row, and argmin pieces of one pair or
     # of all pairs
@@ -1294,12 +1292,17 @@ def test_side_minima_match_the_3d_reference(case, data):
         m = engine.m
         jf = reference_couplings(inst)
         wholes = [_whole_side_set(jf, side) for side in (t1, t2) if side]
-        # every component once: a table per component of two or more, one
-        # kind for the singletons
+        # one table per connected component, one-member ones included: the
+        # tables cover T1 + T2 once, each is connected and no coupling joins two
         comps = [engine.inner[side.cols] for side in engine.sides]
-        singles = [c for c, side in zip(comps, engine.sides) if isinstance(side, _Singletons)]
-        assert len(singles) <= 1 and all(len(c) > 1 for c in comps if c not in singles)
         assert sorted(v for c in comps for v in c) == sorted(t1 + t2)
+        label = {v: k for k, c in enumerate(comps) for v in c}
+        assert all(label[i] == label[j] for i in label for j in label if jf[i, j])
+        for c, side in zip(comps, engine.sides):
+            reached = {c[0]}
+            for _ in c:
+                reached |= {v for v in c if any(jf[v, u] for u in reached)}
+            assert reached == set(c) and side.width == 1 << len(c)
         for side in engine.sides:
             np.testing.assert_array_equal(side.j, jf[np.ix_(engine.t, engine.inner[side.cols])])
             assert side.j.dtype == inst.scan_dtype
@@ -1317,19 +1320,10 @@ def test_side_minima_match_the_3d_reference(case, data):
                 total = np.zeros(want.shape, dtype=np.int64)
                 keys = np.zeros((rr.size, engine.w_t.shape[1]), dtype=np.int64)
                 for side, at, bt in zip(engine.sides, a, b):
-                    members = engine.inner[side.cols]
                     v = fields[:, side.cols] + s_x @ side.j[x]
                     d = s @ side.j[f]
-                    parts = [(side.spins, side.own, side.keys, v, d)] if hasattr(side, "spins") \
-                        else [(np.array([[-1], [1]]), np.zeros(2, dtype=np.int64),
-                               np.array([[0], [1]]) * side.keys[p], v[:, [p]], d[:, [p]])
-                              for p in range(len(members))]
-                    ref_min = np.zeros(want.shape, dtype=np.int64)
-                    ref_key = np.zeros_like(keys)
-                    for spins, own_s, keys_s, v_s, d_s in parts:
-                        part_min, part_arg = reference_side_minima(v_s, d_s, spins, own_s)
-                        ref_min += part_min
-                        ref_key += keys_s[part_arg.ravel()]
+                    ref_min, ref_arg = reference_side_minima(v, d, side.spins, side.own)
+                    ref_key = side.keys[ref_arg.ravel()]
                     for slab_cells in (1, 3 * want.size, 1 << 40):
                         mp.setattr(solver_module, "_CHUNK_CELLS", slab_cells)
                         e = np.zeros(want.shape, dtype=inst.scan_dtype)
@@ -1356,16 +1350,22 @@ def test_side_minima_match_the_3d_reference(case, data):
 
 
 def test_singletons_at_a_zero_field_take_minus_one():
-    # v + d = 0: both spins cost 0, and the first in rank order is -1, so
-    # the member's key bit stays clear; it is set at v + d = -1 only
-    kind = _Singletons(slice(0, 1), np.zeros((0, 1), dtype=np.int64), _key_weights([0], 1))
-    a = np.array([[0, -1, 2]])  # one member, three rows
-    b = np.array([[0, 1, -1]])  # three completions
+    # a one-member component is a table of two side rows, -1 first, with
+    # own energy 0; at v + d = 0 both cost 0 and the first in rank order
+    # is -1, so the member's key bit stays clear; it is set at v + d = -1 only
+    inst = IsingInstance(2, [0, 0], [(0, 1, 1)])
+    side, = _ScanEngine(inst, (0,), 1, ((1,),)).sides
+    assert isinstance(side, _SideTable) and side.width == 2
+    np.testing.assert_array_equal(side.spins, [[-1], [1]])
+    np.testing.assert_array_equal(side.own, [0, 0])
+    v = np.array([[0], [-1], [2]])  # three rows
+    d = np.array([[0], [1], [-1]])  # three completions
+    a, b = side.rows(v), side.completions(d)
     e = np.zeros((3, 3), dtype=np.int64)
-    kind.add_minima(a, b, e)
-    np.testing.assert_array_equal(e, -np.abs(a.T + b))
+    side.add_minima(a, b, e)
+    np.testing.assert_array_equal(e, -np.abs(v + d.T))
     rr, cc = np.array([0, 1, 1, 2, 2]), np.array([0, 1, 0, 2, 1])  # sums 0, 0, -1, 1, 2
-    np.testing.assert_array_equal(kind.first_keys(a, b, rr, cc).ravel(), [0, 0, 1, 0, 0])
+    np.testing.assert_array_equal(side.first_keys(a, b, rr, cc).ravel(), [0, 0, 1, 0, 0])
 
 
 def _inner_energy(jf, sets, f, s_t):
@@ -1445,7 +1445,7 @@ def test_completion_enumeration_refuses_more_than_26_free_members():
 
 def test_side_components_wider_than_the_cap_are_refused():
     # the cap bounds each connected component of a side set: a path of 21
-    # members is refused, and 21 uncoupled members are 21 singletons, solved
+    # members is refused, and 21 uncoupled members are 21 one-member tables, solved
     path = IsingInstance(21, [1] * 21, [(i, i + 1, 1) for i in range(20)])
     with pytest.raises(EnumerationLimitError, match="side-set components too large"):
         _solve_with_T(path, Plan("combined", (), range(21)))
@@ -1458,9 +1458,9 @@ def test_side_components_wider_than_the_cap_are_refused():
 
 def test_many_singletons_keep_their_tables_within_the_cell_budget(monkeypatch):
     # T = {0, 1}, outer {42, 43} and 40 uncoupled side members, each coupled
-    # to T and the outer variables, some at a zero field: the singleton kind
-    # is 40 rows wide, so at 64 cells a plane holds one row and one
-    # completion and the tie pass keys one pair per piece
+    # to T and the outer variables, some at a zero field: 40 one-member
+    # tables of two side rows each, and at 64 cells every plane, A and B
+    # table stays within the budget
     n, t, side = 44, (0, 1), range(2, 42)
     triples = [(k, c, (-1) ** (k + c) * (1 + (k * c) % 3)) for k in side for c in (0, 1, 42, 43)
                if (k + c) % 5]
@@ -1479,7 +1479,7 @@ def test_many_singletons_keep_their_tables_within_the_cell_budget(monkeypatch):
     assert (ref.energy, ref.best.bitstring()) == min(found)
     monkeypatch.setattr(solver_module, "_CHUNK_CELLS", 64)
     engine = _ScanEngine(inst, t, 1, (side,))
-    assert [kind.width for kind in engine.sides] == [40]
+    assert [table.width for table in engine.sides] == [2] * 40
     for start in engine.split.starts:
         fields = engine.split.fields(start, engine.inner).T
         for *_, chunk, a, e in engine._planes(fields, np.abs(fields[:, :2]) <= engine.h_max):

@@ -14,7 +14,7 @@ from helpers import (
     reference_couplings,
     reference_find_T_randomized,
 )
-from spinscape.generators import gen_csse, gen_multicopy, gen_regular
+from spinscape.generators import gen_csse, gen_multicopy, gen_random, gen_regular
 from spinscape.instance import IsingInstance
 from spinscape.tset import (
     ConstrainedContext,
@@ -260,6 +260,16 @@ class TestT1T2:
         assert res.ok
         assert res.t1 == (0, 1)
         assert res.t2 == (5, 6)
+
+    def test_lexicographic_subsets_answer_after_the_random_draws_fail(self):
+        # the first candidate and all 50 seeded draws leave fewer than 3
+        # T2 candidates; the fourth subset in lexicographic order is the first
+        # that leaves enough
+        g = gen_random(7, 0.5, seed=13).degree_graph()
+        res = find_T1T2(g, target=3, seed=0)
+        assert res.ok and (res.method, res.attempts) == ("deterministic", 4)
+        assert (res.t1, res.t2) == ((0, 1, 5), (2, 3, 6))
+        assert not any(set(g.neighbors[v]) & set(res.t2) for v in res.t1)
 
     def test_complete_graph_fails(self):
         triples = [(i, j, 1) for i, j in combinations(range(10), 2)]
