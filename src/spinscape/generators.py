@@ -17,12 +17,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from spinscape.instance import (
-    Assignment,
-    IsingInstance,
-    iter_rank_blocks,
-    spin_block,
-)
+from spinscape.instance import Assignment, IsingInstance
 from spinscape.rand import rng_from
 
 _STREAM_COLUMN = 11
@@ -144,22 +139,6 @@ def gen_column(
     return ColumnInstance(
         f, l, tuple(m_values), tuple(columns), inst, seed=used_seed, planted=planted
     )
-
-
-def zero_energy_assignments(ci: ColumnInstance) -> List[Assignment]:
-    """All assignments meeting every column-sum target, in lexicographic order."""
-    n = ci.l**ci.f
-    col_mat = np.zeros((n, len(ci.columns)), dtype=np.int16)
-    for c, col in enumerate(ci.columns):
-        for i in col:
-            col_mat[i, c] = 1
-    targets = np.array(ci.m_values, dtype=np.int64)
-    out: List[Assignment] = []
-    for start, count in iter_rank_blocks(n):
-        sums = spin_block(n, start, count) @ col_mat
-        hits = np.nonzero((sums == targets).all(axis=1))[0]
-        out.extend(Assignment.from_rank(start + int(r), n) for r in hits)
-    return out
 
 
 def gen_random(

@@ -426,17 +426,6 @@ def check_scan_bits(bits: int, what: str) -> None:
         )
 
 
-def iter_rank_blocks(
-    n: int, block_bits: int = DEFAULT_BLOCK_BITS
-) -> Iterator[Tuple[int, int]]:
-    """Yield (start_rank, count) covering all ranks 0..2^n - 1 in order."""
-    check_scan_bits(n, "outer enumeration")
-    total = 1 << n
-    step = 1 << min(block_bits, n)
-    for start in range(0, total, step):
-        yield start, min(step, total - start)
-
-
 def spin_block(n: int, start: int, count: int) -> np.ndarray:
     """(count x n) matrix of +-1 spins for assignments with consecutive ranks.
 
@@ -477,8 +466,8 @@ class SplitScan:
     """Split-half kernel for one scan over all assignments of ``variables``.
 
     The scanned variables (all of them by default) are read in rank order:
-    the first is the most significant bit, and over all variables the blocks
-    are those of :func:`iter_rank_blocks`.  More than ``MAX_ENUM_BITS`` of
+    the first is the most significant bit, and the blocks are runs of
+    2^lo_bits consecutive ranks from rank 0.  More than ``MAX_ENUM_BITS`` of
     them are refused by :func:`check_scan_bits` ("outer enumeration needs N
     bits, limit is 26") before any table is built.  Inside a block the first
     ``hi_bits`` scanned variables are constant and the last ``lo_bits`` run
@@ -520,7 +509,7 @@ class SplitScan:
         self.lo_bits = lo = min(block_bits, width)
         self.hi_bits = hi = width - lo
         self.dtype = dt = inst.scan_dtype
-        # Block start ranks, the same as those of iter_rank_blocks(width).
+        # Block start ranks: every multiple of 2^lo below 2^width.
         self.starts = range(0, 1 << width, 1 << lo)
         pos = np.full(n, width, dtype=np.int64)
         pos[scanned] = np.arange(width)

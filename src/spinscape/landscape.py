@@ -31,7 +31,8 @@ outer variable at a time on the candidates still alive, with its field plus
 its couplings into T's spins, so a block costs about two passes over its
 rows, and only the survivors get spins and local fields for the larger sets.
 With T empty the same filter walks all 2^n assignments.  The survivors are
-int64 bit masks, put into rank order at the end.  Basin edges come from
+int64 bit masks; :func:`enumerate_k_minima` puts them into rank order at the
+end, and :func:`k_basins` counts its strict minima.  Basin edges come from
 sorted searches of the vertex bit masks, one per chunk of (vertices x flip
 masks), and basins from array component labelling over those edges.
 
@@ -91,12 +92,16 @@ class LandscapeReport:
 
 
 @dataclass(frozen=True)
-class BasinReport(LandscapeReport):
-    """Result of a basin decomposition: the strict minima and the basins."""
+class BasinReport:
+    """A basin decomposition as ``basins`` prints it: counts and sizes, no minima."""
 
-    basin_count: int
-    basin_sizes: Tuple[int, ...]
     vertex_count: int
+    basin_sizes: Tuple[int, ...]
+    minima_count: int
+
+    @property
+    def basin_count(self) -> int:
+        return len(self.basin_sizes)
 
 
 class _ConnectedSets:
@@ -463,10 +468,11 @@ def k_basins(
     edges join vertices within Hamming distance k.  Every strict k-minimum
     is necessarily an isolated vertex: any other vertex within distance k
     would see a strictly downhill move back to the minimum and lose its own
-    vertex status.  ``flipped_rule=True`` instead keeps the assignments no
-    such change strictly worsens, which is the same rule run on -E, since
-    E -> -E reverses the sign of every energy change.  It reports no strict
-    minima.
+    vertex status.  The report counts the strict k-minima among the vertices
+    and keeps no listing of them.  ``flipped_rule=True`` instead keeps the
+    assignments no such change strictly worsens, which is the same rule run
+    on -E, since E -> -E reverses the sign of every energy change.  It
+    counts no strict minima.
 
     The work is the vertex count times the C(n, <= k) moves; past
     ``work_limit`` the request raises :class:`EnumerationLimitError`.
@@ -478,8 +484,7 @@ def k_basins(
     # strictness checks stop there.
     max_vertices = work_limit // moves
     blocks: List[np.ndarray] = []  # vertex bit masks
-    strict: List[np.ndarray] = []
-    count = 0
+    count = minima = 0
     if flipped_rule:
         # -E exactly: (h, -J) alone is -E with every spin reversed, which
         # gives the same counts at other assignments.  The budget and the
@@ -491,7 +496,7 @@ def k_basins(
         blocks.append(bits)
         if not flipped_rule:
             head = bits[: max(0, max_vertices - count)]
-            strict.append(_checked(inst, head, sets, strict=True, singles_known=False))
+            minima += len(_checked(inst, head, sets, strict=True, singles_known=False))
         count += len(bits)
         # the count only grows, so the scan stops at the first chunk past the limit
         _check_basin_work(count, moves, work_limit)
@@ -515,14 +520,8 @@ def k_basins(
     roots = _component_roots(count, src_parts, dst_parts)
     sizes = np.bincount(roots)
     sizes = np.sort(sizes[sizes > 0])[::-1]
-    return BasinReport(
-        k=k,
-        n=n,
-        minima_bits=_in_rank_order(strict, n),
-        basin_count=len(sizes),
-        basin_sizes=tuple(sizes.tolist()),
-        vertex_count=count,
-    )
+    return BasinReport(vertex_count=count, basin_sizes=tuple(sizes.tolist()),
+                       minima_count=minima)
 
 
 def minima_by_parts(
@@ -579,12 +578,13 @@ def basins_by_parts(
     As in :func:`minima_by_parts`, a change of at most k variables splits
     into one change of at most k variables per part, and its delta is the
     sum of theirs.  So the vertices (and the strict k-minima) are the
-    Cartesian products of the parts' own, and ``vertex_count`` and the
-    strict minima count are products.  A move between two vertices changes
-    each part's share by at most k variables, from one vertex of that part
-    to another or not at all, so it stays inside one product of part basins;
-    and any two vertices of such a product are joined by moves that change
-    one part at a time.  So the basins are the products of the part basins,
+    Cartesian products of the parts' own, and ``vertex_count`` and
+    ``minima_count`` are the products of the parts' counts; no listing of
+    the minima is built.  A move between two vertices changes each part's
+    share by at most k variables, from one vertex of that part to another
+    or not at all, so it stays inside one product of part basins; and any
+    two vertices of such a product are joined by moves that change one part
+    at a time.  So the basins are the products of the part basins,
     and ``basin_sizes`` is the sorted multiset of products of part sizes.
 
     ``work_limit`` bounds the whole instance, as in :func:`k_basins`.  The
@@ -609,21 +609,9 @@ def basins_by_parts(
     if count > 1 << MAX_ENUM_BITS:
         raise EnumerationLimitError(
             "the parts join into %d vertices, past 2^%d" % (count, MAX_ENUM_BITS))
-    bits = np.zeros(1, dtype=np.int64)
     sizes = np.ones(1, dtype=np.int64)
-    for (_, keep), report in zip(parts, reports):
-        local = np.array(report.minima_bits, dtype=np.int64)
-        share = np.zeros_like(local)
-        for v, at in enumerate(keep):
-            share |= ((local >> v) & 1) << at
-        bits = (bits[:, None] | share).ravel()
+    for report in reports:
         sizes = np.multiply.outer(sizes, report.basin_sizes).ravel()
     sizes = np.sort(sizes)[::-1]
-    return BasinReport(
-        k=k,
-        n=inst.n,
-        minima_bits=_in_rank_order([bits], inst.n),
-        basin_count=len(sizes),
-        basin_sizes=tuple(sizes.tolist()),
-        vertex_count=count,
-    )
+    return BasinReport(vertex_count=count, basin_sizes=tuple(sizes.tolist()),
+                       minima_count=math.prod(report.minima_count for report in reports))

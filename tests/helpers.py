@@ -7,7 +7,7 @@ import tracemalloc
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Dict, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -18,9 +18,10 @@ from spinscape.instance import (
     EnumerationLimitError,
     IsingInstance,
     SplitScan,
-    iter_rank_blocks,
+    check_scan_bits,
     spin_block,
 )
+from spinscape.generators import ColumnInstance
 from spinscape.landscape import (
     _ConnectedSets,
     _flip_survivors,
@@ -91,6 +92,33 @@ def peak_mib(fn: Callable[[], object]) -> Tuple[object, float]:
         return fn(), tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
+
+
+def iter_rank_blocks(
+    n: int, block_bits: int = DEFAULT_BLOCK_BITS
+) -> Iterator[Tuple[int, int]]:
+    """Yield (start_rank, count) covering all ranks 0..2^n - 1 in order."""
+    check_scan_bits(n, "outer enumeration")
+    total = 1 << n
+    step = 1 << min(block_bits, n)
+    for start in range(0, total, step):
+        yield start, min(step, total - start)
+
+
+def zero_energy_assignments(ci: ColumnInstance) -> List[Assignment]:
+    """All assignments meeting every column-sum target, in lexicographic order."""
+    n = ci.l**ci.f
+    col_mat = np.zeros((n, len(ci.columns)), dtype=np.int16)
+    for c, col in enumerate(ci.columns):
+        for i in col:
+            col_mat[i, c] = 1
+    targets = np.array(ci.m_values, dtype=np.int64)
+    out: List[Assignment] = []
+    for start, count in iter_rank_blocks(n):
+        sums = spin_block(n, start, count) @ col_mat
+        hits = np.nonzero((sums == targets).all(axis=1))[0]
+        out.extend(Assignment.from_rank(start + int(r), n) for r in hits)
+    return out
 
 
 def exhaustive_min(inst: IsingInstance) -> tuple[int, Assignment]:

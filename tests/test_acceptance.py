@@ -10,7 +10,12 @@ errors).
 import math
 import time
 
-from helpers import is_k_minimum, min_pairwise_hamming, reference_couplings
+from helpers import (
+    is_k_minimum,
+    min_pairwise_hamming,
+    reference_couplings,
+    zero_energy_assignments,
+)
 from spinscape.cli import main
 from spinscape.generators import (
     gen_column,
@@ -18,7 +23,6 @@ from spinscape.generators import (
     gen_multicopy,
     gen_random,
     gen_regular,
-    zero_energy_assignments,
 )
 from spinscape.instance import IsingInstance
 from spinscape.landscape import enumerate_k_minima

@@ -3,14 +3,13 @@ from math import comb
 
 import pytest
 
-from helpers import exhaustive_minima
+from helpers import exhaustive_minima, zero_energy_assignments
 from spinscape.generators import (
     gen_column,
     gen_csse,
     gen_multicopy,
     gen_random,
     gen_regular,
-    zero_energy_assignments,
 )
 from spinscape.instance import Assignment
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from helpers import (
     every_row,
     is_local_minimum,
+    iter_rank_blocks,
     member_filter_ranks,
     negated,
     random_instance,
@@ -29,7 +30,6 @@ from spinscape.instance import (
     block_energies,
     block_local_fields,
     check_scan_bits,
-    iter_rank_blocks,
     spin_block,
 )
 from spinscape.landscape import _flip_survivors, _flip_terms, enumerate_k_minima, k_basins
@@ -226,8 +226,9 @@ class TestBlockHelpers:
                 assert fields[r, i] == a.spin(i) * (inst.energy(a) - inst.energy(a.flip(i))) // 2
 
     def test_enumeration_ceiling(self):
-        with pytest.raises(EnumerationLimitError, match="needs 30 bits"):
-            list(iter_rank_blocks(30))
+        # 30 of 40 variables scanned: refused by width, before any table is built.
+        with pytest.raises(EnumerationLimitError, match="outer enumeration needs 30 bits"):
+            SplitScan(IsingInstance(40, [1] * 40), variables=range(30))
 
     def test_scan_ceiling_is_26_bits(self):
         check_scan_bits(MAX_ENUM_BITS, "outer enumeration")
