@@ -149,9 +149,7 @@ def _key_rank(key: np.ndarray, n: int) -> int:
 
 
 def _lex_min(best: Optional[np.ndarray], keys: np.ndarray) -> Optional[np.ndarray]:
-    """The smaller of ``best`` (a key or None) and the smallest row of ``keys``."""
-    if not len(keys):
-        return best
+    """The smaller of ``best`` (a key or None) and the smallest row of the non-empty ``keys``."""
     if keys.shape[1] == 1:
         key = keys[int(np.argmin(keys[:, 0]))]
     else:
@@ -947,21 +945,6 @@ def solve_brute(
     )
 
 
-def _gray_flips(bits: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The variable each step of a reflected Gray walk over ``bits`` spins flips.
-
-    Step g (g = 1 .. 2^bits - 1) flips position p, the lowest set bit of g;
-    its spin becomes +1 when bit p of the Gray code g ^ (g >> 1) is set.
-    Returns (p, new spin) per step.  The walk for b + 1 bits is the one for
-    b bits, one flip of position b, then the b-bit walk again.
-    """
-    pos = np.zeros(0, dtype=np.int64)
-    for b in range(bits):
-        pos = np.concatenate([pos, [b], pos])
-    g = np.arange(1, 1 << bits, dtype=np.int64)
-    return pos, 2 * (((g ^ (g >> 1)) >> pos) & 1) - 1
-
-
 def compute_Z(inst: IsingInstance, t: Sequence[int], block_bits: int = DEFAULT_BLOCK_BITS) -> int:
     """Predicted leaf count of the effective-field scan for the set ``t``.
 
@@ -976,13 +959,13 @@ def compute_Z(inst: IsingInstance, t: Sequence[int], block_bits: int = DEFAULT_B
     :func:`check_scan_bits`, with the solver's message ("outer enumeration
     needs N bits, limit is 26").
 
-    Z is a sum over outer rows, so they are visited in Gray order, not by
-    rank.  The first ``min(block_bits, w)`` outer variables are the low
-    half: one (|T| x 2^L) table holds their share of the fields on T, one
-    column per low assignment in Gray order, built as a single cumulative
-    sum of flip steps +-2 J[j, T] from the all -1 column.  The high half is
-    walked in Gray order too, one block per high assignment, keeping the
-    block constant ``c = h_T + (high share)`` by the same steps.  A member
+    The outer rows are walked in rank order.  The first ``min(block_bits,
+    w)`` outer variables are the low half: one (|T| x 2^L) table holds
+    their share of the fields on T, one column per low assignment, built in
+    place by doubling from the all -1 column, each low variable (least
+    significant first) adding 2 J[j, T] to the columns built so far.  Each
+    high assignment is one block, whose constant ``c = h_T - sum_high J[j,
+    T] + (its high bits) @ 2 J[high, T]`` is one small product.  A member
     with ``h_max == 0`` is never free and is dropped.  A member is free
     where its table entry lies inside the interval ``(-h_max - c, h_max -
     c)``; per block, a member whose whole table row lies inside or outside
@@ -990,11 +973,13 @@ def compute_Z(inst: IsingInstance, t: Sequence[int], block_bits: int = DEFAULT_B
     row by row, against both ends.
 
     Exactness: the instance bounds ``|c0| + sum |h| + 2 sum |J|`` by
-    INT64_MAX, so a step ``2 |J[j, i]|`` fits in int64; every prefix of
-    the cumulative sum, and every value of ``c``, is the share of a real
-    assignment, and the interval ends are at most ``|h_i| + sum_j
-    |J[i, j]|``.  No int64 operation can wrap, and a row's count of free
-    members, at most |T|, fits the count dtype, the narrowest that holds |T|.
+    INT64_MAX, so each step ``2 |J[j, i]|``, and each sum of such steps
+    over distinct j that a block's product adds up, fits in int64.  Every
+    table entry, each one made by a step of the doubling, and every block
+    constant is a real assignment's share of a field, and the interval
+    ends are at most ``|h_i| + sum_j |J[i, j]|``, so no int64 operation
+    can wrap.  A row's count of free members, at most |T|, fits the count
+    dtype, the narrowest that holds |T|.
     """
     tt = _validate_subset(inst.n, t)
     members = set(tt)
@@ -1011,27 +996,22 @@ def compute_Z(inst: IsingInstance, t: Sequence[int], block_bits: int = DEFAULT_B
     lo_bits = min(block_bits, w)
     rows = 1 << lo_bits
 
-    pos, spin = _gray_flips(lo_bits)
     table = np.empty((len(tt), rows), dtype=np.int64)
     table[:, 0] = -j_cross[:lo_bits].sum(axis=0)
-    np.multiply((2 * j_cross[:lo_bits].T)[:, pos], spin, out=table[:, 1:])
-    np.cumsum(table, axis=1, out=table)
+    for j in range(lo_bits):
+        np.add(table[:, :1 << j], 2 * j_cross[j, :, None], out=table[:, 1 << j:2 << j])
     t_min, t_max = table.min(axis=1), table.max(axis=1)
 
     high = 2 * j_cross[lo_bits:]
-    c = np.array([inst.h[i] for i in tt], dtype=np.int64) - j_cross[lo_bits:].sum(axis=0)
+    c_block0 = np.array([inst.h[i] for i in tt], dtype=np.int64) - j_cross[lo_bits:].sum(axis=0)
+    shifts = np.arange(w - lo_bits)
     # free-member counts per row, at most len(tt), and the two sides of the interval test
     counts = np.empty(rows, dtype=np.min_scalar_type(len(tt)))
     above = np.empty(rows, dtype=bool)
     below = np.empty(rows, dtype=bool)
     z = 0
     for g in range(1 << (w - lo_bits)):
-        if g:
-            p = (g & -g).bit_length() - 1
-            if ((g ^ (g >> 1)) >> p) & 1:
-                c += high[p]
-            else:
-                c -= high[p]
+        c = c_block0 + ((g >> shifts) & 1) @ high
         lo, hi = -h_max - c, h_max - c
         always = (t_min > lo) & (t_max < hi)
         base = int(np.count_nonzero(always))

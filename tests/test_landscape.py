@@ -365,19 +365,22 @@ def test_basin_minima_count_the_strict_minima(seed, k):
 def test_landscape_is_gauge_invariant(seed, n, data):
     # Reversing the spins of G keeps every energy once h_i (i in G) and each
     # J_ij with exactly one end in G change sign, so mask -> mask ^ G maps
-    # the strict minima, the vertices and the basins onto the image's.
+    # the strict minima, the vertices and the basins onto the image's.  The
+    # image is scanned in blocks of 1-4 bits, so its scans have high
+    # variables, and the original at the default, so block size changes nothing.
     inst = random_instance(seed, n=n, wmax=1)
     gauge = data.draw(st.sets(st.integers(0, n - 1)), label="gauge")
+    block_bits = data.draw(st.integers(1, 4), label="block_bits")
     flip = sum(1 << v for v in gauge)
     image = IsingInstance(n, [-x if v in gauge else x for v, x in enumerate(inst.h)],
                           {(i, j): -w if (i in gauge) != (j in gauge) else w
                            for (i, j), w in inst.couplings.items()}, c0=inst.c0)
     assert image.energy(Assignment(n, flip)) == inst.energy(Assignment(n, 0))
     for k in (1, 2):
-        assert sorted(enumerate_k_minima(image, k).minima_bits) \
+        assert sorted(enumerate_k_minima(image, k, block_bits).minima_bits) \
             == sorted(bits ^ flip for bits in enumerate_k_minima(inst, k).minima_bits)
         for flipped_rule in (False, True):
-            assert k_basins(image, k, flipped_rule=flipped_rule) \
+            assert k_basins(image, k, flipped_rule=flipped_rule, block_bits=block_bits) \
                 == k_basins(inst, k, flipped_rule=flipped_rule)
 
 

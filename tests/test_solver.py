@@ -1526,8 +1526,8 @@ def z_cases(draw):
 @settings(max_examples=200)
 @given(z_cases())
 def test_compute_z_matches_the_rank_block_reference(case):
-    # the Gray walk against the spin_block matmul it replaced, with several
-    # high Gray steps (block_bits 1..4) and steps of 2|J| up to INT64_MAX - 1
+    # the doubled table and per-block products against a spin_block matmul,
+    # with several high blocks (block_bits 1..4) and steps of 2|J| up to INT64_MAX - 1
     inst, t, block_bits = case
     assert compute_Z(inst, t, block_bits) == reference_compute_Z(inst, t, block_bits)
     assert compute_Z(inst, t) == reference_compute_Z(inst, t, block_bits)
@@ -1544,6 +1544,36 @@ def test_compute_z_uses_no_scan_kernel(monkeypatch):
     monkeypatch.setattr(solver_module, "SplitScan", refuse)
     monkeypatch.setattr(solver_module, "spin_block", refuse)
     assert compute_Z(inst, t, block_bits=3) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 14), wmax=st.sampled_from([1, 3]),
+       block_bits=st.integers(1, 4), data=st.data())
+def test_compute_z_is_gauge_invariant(seed, n, wmax, block_bits, data):
+    # Reversing the spins of G maps outer rows onto outer rows and keeps
+    # every |field| and h_max once h_i (i in G) and each J_ij with exactly
+    # one end in G change sign; the image is counted in blocks of 1-4 bits
+    # and the original at the default, so block size changes nothing either.
+    inst = random_instance(seed, n=n, wmax=wmax)
+    t = data.draw(st.sets(st.integers(0, n - 1)), label="t")
+    gauge = data.draw(st.sets(st.integers(0, n - 1)), label="gauge")
+    image = IsingInstance(n, [-x if v in gauge else x for v, x in enumerate(inst.h)],
+                          {(i, j): -w if (i in gauge) != (j in gauge) else w
+                           for (i, j), w in inst.couplings.items()}, c0=inst.c0)
+    assert compute_Z(image, t, block_bits) == compute_Z(inst, t)
+
+
+def test_compute_z_peak_is_its_table():
+    # regular n = 24, d = 3: 4 of T = {0..7} have an internal coupling, so
+    # the table is 4 x 2^16 int64 (2 MiB), and nothing else is that large
+    inst = gen_regular(24, 3, seed=1)
+    t = range(8)
+    coupled = {v for pair in inst.couplings for v in pair if set(pair) <= set(t)}
+    table_mib = 8 * len(coupled) * 2**16 / 2**20
+    z, peak = peak_mib(lambda: compute_Z(inst, t))
+    assert z == reference_compute_Z(inst, t)
+    assert table_mib == 2.0
+    assert peak <= table_mib + 1
 
 
 @pytest.mark.parametrize("inst", [gen_multicopy(7, 4), gen_regular(36, 3, seed=1)],

@@ -14,6 +14,7 @@ from helpers import (
     reference_couplings,
     reference_find_T_randomized,
 )
+import spinscape.tset as tset_module
 from spinscape.generators import gen_csse, gen_multicopy, gen_random, gen_regular
 from spinscape.instance import IsingInstance
 from spinscape.tset import (
@@ -277,6 +278,22 @@ class TestT1T2:
         res = find_T1T2(g, target=1)
         assert not res.ok
         assert res.t1 == () and res.t2 == ()
+
+    def test_target_over_half_of_n_is_exhausted_at_once(self):
+        # two disjoint sets of 4 cannot fit in 6 variables, so nothing is tried
+        res = find_T1T2(gen_csse(6).degree_graph(), target=4)
+        assert not res.ok
+        assert (res.method, res.attempts, res.t1, res.t2) == ("exhausted", 0, (), ())
+
+    def test_lexicographic_subsets_stop_at_their_cap(self, monkeypatch):
+        # all-pairs n = 6 leaves no T2 candidate for any T1: the 15 pairs
+        # are all tried, or the walk stops at the 11th past a cap of 10
+        g = gen_csse(6).degree_graph()
+        assert find_T1T2(g, target=2).attempts == 15
+        monkeypatch.setattr(tset_module, "MAX_DETERMINISTIC_SUBSETS", 10)
+        res = find_T1T2(g, target=2)
+        assert not res.ok
+        assert (res.method, res.attempts) == ("exhausted", 11)
 
     def test_default_target_formula(self):
         g = gen_multicopy(5, 4).degree_graph()  # average degree 3
